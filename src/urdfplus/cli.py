@@ -14,14 +14,14 @@ import sys
 from . import FORMAT_VERSION, __version__
 from .constraints import (
     RANK_TOL,
-    explicit_jacobian_for_model,
+    _explicit_from_jacobians,
     independent_coordinate_check,
     parse_configuration,
     zero_configuration,
 )
-from .errors import ConfigurationError, UrdfPlusError, UrdfXmlError
+from .errors import ConfigurationError, InvalidModelError, UrdfPlusError, UrdfXmlError
 from .graphs import build_pipeline, export_dot
-from .model import Coupling, count_degrees_of_freedom, regular_numbering, validate_model
+from .model import Coupling, count_degrees_of_freedom, regular_numbering
 from .xmlio import parse_urdf_plus
 
 EXIT_OK = 0
@@ -115,12 +115,24 @@ def _read_file(path: str) -> bytes:
         raise _UsageError(str(exc)) from exc
 
 
-def _parse(path: str):
-    data = _read_file(path)
-    result = parse_urdf_plus(data)
+def _load(path: str, severity: str = "error"):
+    """The one load path of every command: parse, then number, which
+    validates.  Returns the model and its numbering; on an invalid model the
+    violations are printed as `severity:` lines and the numbering is None."""
+    result = parse_urdf_plus(_read_file(path))
     for diagnostic in result.warnings:
         print(str(diagnostic), file=sys.stderr)
-    return result.model
+    model = result.model
+    try:
+        numbered = regular_numbering(model)
+    except InvalidModelError as exc:
+        # an empty model has no violations, only nothing to number, which
+        # the commands that go on to number it report as an error
+        problems = exc.violations or ((exc,) if severity == "error" else ())
+        for problem in problems:
+            print(f"{severity}: {problem}", file=sys.stderr)
+        return model, None
+    return model, numbered
 
 
 def _configuration(args, numbered):
@@ -138,13 +150,9 @@ def _counts_line(model) -> str:
 
 
 def cmd_validate(args) -> int:
-    model = _parse(args.file)
-    report = validate_model(model)
-    if not report.ok:
-        for violation in report.violations:
-            print(f"error: {violation}", file=sys.stderr)
+    model, numbered = _load(args.file)
+    if numbered is None:
         return EXIT_FAILURE
-    numbered = regular_numbering(model)
     graph, _, _, lacg = build_pipeline(numbered)
     q = _configuration(args, numbered)
     constraint_report = independent_coordinate_check(
@@ -175,13 +183,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    model = _parse(args.file)
-    report = validate_model(model)
-    if not report.ok:
-        for violation in report.violations:
-            print(f"error: {violation}", file=sys.stderr)
+    _, numbered = _load(args.file)
+    if numbered is None:
         return EXIT_FAILURE
-    numbered = regular_numbering(model)
     graph, digraph, _, lacg = build_pipeline(numbered)
     dot = export_dot({"cg": graph, "cdd": digraph, "lacg": lacg}[args.kind])
     if args.out:
@@ -286,13 +290,9 @@ def _print_text_report(payload) -> None:
 
 
 def cmd_constraints(args) -> int:
-    model = _parse(args.file)
-    report = validate_model(model)
-    if not report.ok:
-        for violation in report.violations:
-            print(f"error: {violation}", file=sys.stderr)
+    _, numbered = _load(args.file)
+    if numbered is None:
         return EXIT_FAILURE
-    numbered = regular_numbering(model)
     graph, _, _, lacg = build_pipeline(numbered)
     q = _configuration(args, numbered)
     constraint_report = independent_coordinate_check(
@@ -300,7 +300,9 @@ def cmd_constraints(args) -> int:
     )
     explicit = None
     if constraint_report.passed:
-        explicit = explicit_jacobian_for_model(numbered, graph, q, tol=args.tolerance)
+        explicit = _explicit_from_jacobians(
+            numbered, constraint_report.jacobians, args.tolerance
+        )
     payload = _report_payload(numbered, lacg, constraint_report, explicit)
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -325,20 +327,14 @@ def cmd_constraints(args) -> int:
 
 
 def cmd_info(args) -> int:
-    model = _parse(args.file)
+    model, numbered = _load(args.file, "warning")
     print(f"robot: {model.name}")
     print(f"links: {len(model.links)}")
     print(f"tree joints: {len(model.tree_joints)}")
     print(f"loops: {len(model.loop_joints)}")
     print(f"couplings: {len(model.couplings)}")
-    report = validate_model(model)
-    if not report.ok:
-        for violation in report.violations:
-            print(f"warning: {violation}", file=sys.stderr)
+    if numbered is None:
         return EXIT_OK
-    if not model.links:
-        return EXIT_OK
-    numbered = regular_numbering(model)
     n, n_c = count_degrees_of_freedom(numbered)
     print(f"root: {numbered.body_names[0]}")
     print(f"n: {n}")

@@ -18,7 +18,7 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .errors import (
     IncompatibleCouplingError,
     InternalInconsistencyError,
 )
-from .graphs import ConnectivityGraph, LoopAggregatedGraph, LoopEdge, loop_subchains
+from .graphs import ConnectivityGraph, LoopAggregatedGraph
 from .model import Coupling, LoopJoint, NumberedModel, TreeJoint
 from .spatial import (
     SpatialTransform,
@@ -117,11 +117,14 @@ def forward_kinematics(
     return poses
 
 
-def _loop_entry(numbered: NumberedModel, number: int):
-    for num, entry in numbered.loop_entries:
-        if num == number:
-            return entry
-    raise InternalInconsistencyError(f"no loop joint or coupling numbered {number}")
+def _loop_index(numbered: NumberedModel, number: int) -> int:
+    """Position of a loop entry, and of its connectivity-graph edge."""
+    index = number - numbered.n_bodies - 1
+    if not 0 <= index < len(numbered.loop_entries):
+        raise InternalInconsistencyError(
+            f"no loop joint or coupling numbered {number}"
+        )
+    return index
 
 
 def loop_side_frames(
@@ -176,81 +179,19 @@ def _involved_layout(numbered: NumberedModel, bodies: list[int]):
     return joints, columns, offset
 
 
-def implicit_loop_jacobian(
-    numbered: NumberedModel,
-    graph: ConnectivityGraph,
-    number: int,
-    q: np.ndarray,
+def _coupling_rows(
+    numbered: NumberedModel, graph: ConnectivityGraph, index: int
 ) -> LoopJacobian:
-    """Velocity-level constraint rows of one loop joint.
-
-    Block column j is sign * Psi^T * S_j with S_j carried into the
-    predecessor-side loop frame along the kinematic chain.
-    """
-    loop = _loop_entry(numbered, number)
-    if isinstance(loop, Coupling):
-        return coupling_row(numbered, graph, number)
-    edge = _graph_edge(graph, number)
-    _, nu_p, nu_s = loop_subchains(graph, edge)
-    joints, columns, width = _involved_layout(numbered, nu_p + nu_s)
-    signs = {j: -1.0 for j in nu_p}
-    signs.update({j: 1.0 for j in nu_s})
-
-    poses = forward_kinematics(numbered, q)
-    frame_p, _ = loop_side_frames(numbered, loop, poses)
-    world_to_loop = invert(frame_p)
-    axis, axis2 = _joint_axes(loop)
-    psi = constraint_force_subspace(loop.joint_type, axis, axis2)
-
-    slices = numbered.coordinate_slices()
-    matrix = np.zeros((psi.shape[1], width))
-    for joint_number, (start, stop) in zip(joints, columns):
-        joint = numbered.tree_joint_of[joint_number]
-        j_axis, j_axis2 = _joint_axes(joint)
-        s_local = motion_subspace_at(
-            joint.joint_type, j_axis, j_axis2, q[slices[joint_number]]
-        )
-        if s_local.shape[1] == 0:
-            continue
-        x = compose(world_to_loop, poses[joint_number])
-        matrix[:, start:stop] = signs[joint_number] * (psi.T @ motion_map(x, s_local))
-    return LoopJacobian(
-        number=number,
-        name=loop.name,
-        kind="loop",
-        joint_numbers=tuple(joints),
-        joint_columns=tuple(columns),
-        matrix=matrix,
-    )
-
-
-def _graph_edge(graph: ConnectivityGraph, number: int) -> LoopEdge:
-    for edge in graph.loop_edges:
-        if edge.number == number:
-            return edge
-    raise InternalInconsistencyError(f"no loop edge numbered {number}")
-
-
-def coupling_row(
-    numbered: NumberedModel, graph: ConnectivityGraph, number: int
-) -> LoopJacobian:
-    """Single constraint row of a coupling: the summed predecessor-subchain
-    positions equal ratio times the summed successor-subchain positions."""
-    coupling = _loop_entry(numbered, number)
-    if not isinstance(coupling, Coupling):
-        raise IncompatibleCouplingError(f"joint {number} is not a coupling")
-    edge = _graph_edge(graph, number)
-    _, nu_p, nu_s = loop_subchains(graph, edge)
+    """Single row of the coupling at `index` of the loop entries: +1 on
+    predecessor-subchain joints, -ratio on successor-subchain joints.  A
+    0-DoF joint adds no entry."""
+    number, coupling = numbered.loop_entries[index]
+    _, nu_p, nu_s = graph.subchains[index]
     joints, columns, width = _involved_layout(numbered, nu_p + nu_s)
     row = np.zeros((1, width))
     for joint_number, (start, stop) in zip(joints, columns):
-        joint = numbered.tree_joint_of[joint_number]
-        if joint.joint_type.dof != 1:
-            raise IncompatibleCouplingError(
-                f"coupling {coupling.name!r} spans {joint.joint_type.value} "
-                f"joint {joint.name!r} with {joint.joint_type.dof} DoF"
-            )
-        row[0, start] = 1.0 if joint_number in nu_p else -coupling.ratio
+        if start < stop:
+            row[0, start] = 1.0 if joint_number in nu_p else -coupling.ratio
     return LoopJacobian(
         number=number,
         name=coupling.name,
@@ -259,6 +200,97 @@ def coupling_row(
         joint_columns=tuple(columns),
         matrix=row,
     )
+
+
+def _loop_joint_terms(
+    numbered: NumberedModel,
+    graph: ConnectivityGraph,
+    index: int,
+    q: np.ndarray,
+    poses: list[SpatialTransform],
+) -> tuple[LoopJacobian, np.ndarray]:
+    """Constraint rows and closure residual of the loop joint at `index` of
+    the loop entries, given the world poses at q.
+
+    Block column j is sign * Psi^T * S_j with S_j carried into the
+    predecessor-side loop frame along the kinematic chain; the sign is -1
+    on the predecessor subchain and +1 on the successor subchain.
+    """
+    number, loop = numbered.loop_entries[index]
+    _, nu_p, nu_s = graph.subchains[index]
+    joints, columns, width = _involved_layout(numbered, nu_p + nu_s)
+    frame_p, frame_s = loop_side_frames(numbered, loop, poses)
+    world_to_loop = invert(frame_p)
+    psi = constraint_force_subspace(loop.joint_type, *_joint_axes(loop))
+
+    slices = numbered.coordinate_slices()
+    matrix = np.zeros((psi.shape[1], width))
+    for joint_number, (start, stop) in zip(joints, columns):
+        if start == stop:
+            continue
+        joint = numbered.tree_joint_of[joint_number]
+        s_local = motion_subspace_at(
+            joint.joint_type, *_joint_axes(joint), q[slices[joint_number]]
+        )
+        x = compose(world_to_loop, poses[joint_number])
+        sign = -1.0 if joint_number in nu_p else 1.0
+        matrix[:, start:stop] = sign * (psi.T @ motion_map(x, s_local))
+    rel = compose(world_to_loop, frame_s)
+    residual = psi.T @ np.concatenate([so3_log(rel.rot), rel.trans])
+    jacobian = LoopJacobian(
+        number=number,
+        name=loop.name,
+        kind="loop",
+        joint_numbers=tuple(joints),
+        joint_columns=tuple(columns),
+        matrix=matrix,
+    )
+    return jacobian, residual
+
+
+def _loop_terms(
+    numbered: NumberedModel,
+    graph: ConnectivityGraph,
+    index: int,
+    q: np.ndarray,
+    poses: list[SpatialTransform] | None,
+) -> tuple[LoopJacobian, np.ndarray]:
+    """Rows and residual of any loop entry; `poses` are the world poses at
+    q, computed here when not given and the entry is a loop joint."""
+    q = np.asarray(q, dtype=float)
+    if isinstance(numbered.loop_entries[index][1], Coupling):
+        row = _coupling_rows(numbered, graph, index)
+        # a coupling is linear in q: its row times q is the relation itself
+        return row, row.scatter(numbered.coordinate_slices(), numbered.total_dof) @ q
+    if poses is None:
+        poses = forward_kinematics(numbered, q)
+    return _loop_joint_terms(numbered, graph, index, q, poses)
+
+
+def implicit_loop_jacobian(
+    numbered: NumberedModel,
+    graph: ConnectivityGraph,
+    number: int,
+    q: np.ndarray,
+) -> LoopJacobian:
+    """Velocity-level constraint rows of one loop joint (or coupling), with
+    the forward kinematics at q computed for this call alone."""
+    index = _loop_index(numbered, number)
+    if isinstance(numbered.loop_entries[index][1], Coupling):
+        return _coupling_rows(numbered, graph, index)
+    return _loop_terms(numbered, graph, index, q, None)[0]
+
+
+def coupling_row(
+    numbered: NumberedModel, graph: ConnectivityGraph, number: int
+) -> LoopJacobian:
+    """Single constraint row of a coupling: the summed predecessor-subchain
+    positions equal ratio times the summed successor-subchain positions.
+    The row does not depend on the configuration."""
+    index = _loop_index(numbered, number)
+    if not isinstance(numbered.loop_entries[index][1], Coupling):
+        raise IncompatibleCouplingError(f"joint {number} is not a coupling")
+    return _coupling_rows(numbered, graph, index)
 
 
 def loop_residual(
@@ -273,35 +305,20 @@ def loop_residual(
     joint's motion manifold.  For couplings this is the linear position
     relation itself.
     """
-    entry = _loop_entry(numbered, number)
-    q = np.asarray(q, dtype=float)
-    if isinstance(entry, Coupling):
-        jac = coupling_row(numbered, graph, number)
-        slices = numbered.coordinate_slices()
-        value = 0.0
-        for joint_number, (start, _) in zip(jac.joint_numbers, jac.joint_columns):
-            value += jac.matrix[0, start] * q[slices[joint_number]][0]
-        return np.array([value])
-    poses = forward_kinematics(numbered, q)
-    frame_p, frame_s = loop_side_frames(numbered, entry, poses)
-    rel = compose(invert(frame_p), frame_s)
-    error6 = np.concatenate([so3_log(rel.rot), rel.trans])
-    axis, axis2 = _joint_axes(entry)
-    psi = constraint_force_subspace(entry.joint_type, axis, axis2)
-    return psi.T @ error6
+    index = _loop_index(numbered, number)
+    return _loop_terms(numbered, graph, index, q, None)[1]
 
 
 def all_loop_jacobians(
     numbered: NumberedModel, graph: ConnectivityGraph, q: np.ndarray
 ) -> list[LoopJacobian]:
     """Jacobians of every loop joint and coupling, ascending by number."""
-    out = []
-    for number, entry in numbered.loop_entries:
-        if isinstance(entry, Coupling):
-            out.append(coupling_row(numbered, graph, number))
-        else:
-            out.append(implicit_loop_jacobian(numbered, graph, number, q))
-    return out
+    # one kinematics pass for every loop joint; couplings need no poses
+    poses = forward_kinematics(numbered, q) if numbered.model.loop_joints else None
+    return [
+        _loop_terms(numbered, graph, index, q, poses)[0]
+        for index in range(len(numbered.loop_entries))
+    ]
 
 
 def stack_jacobians(
@@ -403,6 +420,10 @@ class ConstraintReport:
     declared_dof: int | None
     passed: bool | None  # None when no independent attribute is present
     max_residual: float
+    # the assembled rows, for building G without assembling them again
+    jacobians: tuple[LoopJacobian, ...] = field(
+        default=(), repr=False, compare=False
+    )
 
     @property
     def sum_ranks(self) -> int:
@@ -426,17 +447,12 @@ def independent_coordinate_check(
     if q is None:
         q = zero_configuration(numbered)
     n = numbered.total_dof
-    jacobians = all_loop_jacobians(numbered, graph, q)
-    loop_to_aggregate = {}
-    for aggregate in lacg.aggregates:
-        for number in aggregate.loop_numbers:
-            loop_to_aggregate[number] = aggregate.index
-
+    poses = forward_kinematics(numbered, q) if numbered.model.loop_joints else None
+    jacobians = []
     infos = []
-    n_c = 0
     max_residual = 0.0
-    for jac in jacobians:
-        residual = loop_residual(numbered, graph, jac.number, q)
+    for index in range(len(numbered.loop_entries)):
+        jac, residual = _loop_terms(numbered, graph, index, q, poses)
         residual_norm = float(np.abs(residual).max()) if residual.size else 0.0
         max_residual = max(max_residual, residual_norm)
         infos.append(
@@ -448,38 +464,31 @@ def independent_coordinate_check(
                 columns=jac.matrix.shape[1],
                 rank=jac.rank(tol),
                 joint_numbers=jac.joint_numbers,
-                aggregate=loop_to_aggregate[jac.number],
+                # every involved body lies in the loop's one aggregate
+                aggregate=lacg.body_to_aggregate[jac.joint_numbers[0]],
                 residual_norm=residual_norm,
             )
         )
-        n_c += jac.rows
+        jacobians.append(jac)
 
     n_i = n - sum(info.rank for info in infos)
 
-    flagged = [
-        numbered.tree_joint_of[body]
-        for body in range(1, numbered.n_bodies + 1)
-        if numbered.tree_joint_of[body].independent is not None
-    ]
-    if not flagged:
+    joints = numbered.tree_joint_of[1:]
+    if all(joint.independent is None for joint in joints):
         mode = "spanning"
         declared_joints: tuple[str, ...] = ()
         declared_dof = None
         passed = None
     else:
         mode = "independent"
-        chosen = [j for j in flagged if j.independent]
         # joints without the attribute count as not chosen
-        declared_joints = tuple(
-            numbered.tree_joint_of[body].name
-            for body in range(1, numbered.n_bodies + 1)
-            if numbered.tree_joint_of[body].independent
-        )
-        declared_dof = sum(j.joint_type.dof for j in chosen)
+        chosen = [joint for joint in joints if joint.independent]
+        declared_joints = tuple(joint.name for joint in chosen)
+        declared_dof = sum(joint.joint_type.dof for joint in chosen)
         passed = declared_dof == n_i
     return ConstraintReport(
         n=n,
-        n_c=n_c,
+        n_c=sum(jac.rows for jac in jacobians),
         n_i=n_i,
         mode=mode,
         loops=tuple(infos),
@@ -487,6 +496,7 @@ def independent_coordinate_check(
         declared_dof=declared_dof,
         passed=passed,
         max_residual=max_residual,
+        jacobians=tuple(jacobians),
     )
 
 
@@ -501,6 +511,14 @@ def independent_coordinate_indices(numbered: NumberedModel) -> list[int]:
     return out
 
 
+def _explicit_from_jacobians(
+    numbered: NumberedModel, jacobians, tol: float
+) -> ExplicitJacobian:
+    """G for the declared independent set from already assembled rows."""
+    k_full = stack_jacobians(numbered, jacobians)
+    return explicit_from_implicit(k_full, independent_coordinate_indices(numbered), tol)
+
+
 def explicit_jacobian_for_model(
     numbered: NumberedModel,
     graph: ConnectivityGraph,
@@ -510,5 +528,4 @@ def explicit_jacobian_for_model(
     """G over the full coordinate vector for the declared independent set."""
     if q is None:
         q = zero_configuration(numbered)
-    k_full = stack_jacobians(numbered, all_loop_jacobians(numbered, graph, q))
-    return explicit_from_implicit(k_full, independent_coordinate_indices(numbered), tol)
+    return _explicit_from_jacobians(numbered, all_loop_jacobians(numbered, graph, q), tol)

@@ -14,6 +14,7 @@ aggregation criterion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     DegenerateLoopError,
@@ -50,6 +51,16 @@ class ConnectivityGraph:
     @property
     def n_joints(self) -> int:
         return self.n_bodies + self.n_loop_edges
+
+    @cached_property
+    def subchains(self) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
+        """(nca, predecessor subchain, successor subchain) of every loop
+        edge, in loop_edges order; computed once per graph and shared."""
+        shared = []
+        for edge in self.loop_edges:
+            nca, nu_p, nu_s = loop_subchains(self, edge)
+            shared.append((nca, tuple(nu_p), tuple(nu_s)))
+        return tuple(shared)
 
 
 @dataclass(frozen=True)
@@ -179,8 +190,7 @@ def constraint_dependency_digraph(graph: ConnectivityGraph) -> Digraph:
     edges: list[tuple[int, int]] = []
     for body in range(1, graph.n_bodies + 1):
         edges.append((graph.parent[body], body))
-    for edge in graph.loop_edges:
-        _, nu_p, nu_s = loop_subchains(graph, edge)
+    for edge, (_, nu_p, nu_s) in zip(graph.loop_edges, graph.subchains):
         edges.append((edge.predecessor, min(nu_s) if nu_s else min(nu_p)))
         edges.append((edge.successor, min(nu_p) if nu_p else min(nu_s)))
     return Digraph(
@@ -261,8 +271,7 @@ def loop_aggregated_graph(
         )
 
     loops_of: dict[int, list[int]] = {i: [] for i in range(len(sccs))}
-    for edge in graph.loop_edges:
-        _, nu_p, nu_s = loop_subchains(graph, edge)
+    for edge, (_, nu_p, nu_s) in zip(graph.loop_edges, graph.subchains):
         owners = {body_to_aggregate[body] for body in nu_p + nu_s}
         if len(owners) != 1:
             raise InternalInconsistencyError(

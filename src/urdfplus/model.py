@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidModelError
-from .spatial import JointType, SpatialTransform
+from .spatial import ORTHOGONAL_AXES_TOL, JointType, SpatialTransform
 
 
 @dataclass(frozen=True)
@@ -115,40 +115,6 @@ class ValidationReport:
         return "\n".join(str(v) for v in self.violations)
 
 
-def _coupling_subchain_joints(model: RobotModel, predecessor: str, successor: str):
-    """Tree joints on the two path subchains between the coupling endpoints
-    and their nearest common ancestor (computed on names, pre-numbering).
-    Returns None when the tree shape is too broken to walk safely."""
-    parent_joint = {j.child: j for j in model.tree_joints}
-
-    def root_path(name):
-        path = [name]
-        seen = {name}
-        while name in parent_joint:
-            name = parent_joint[name].parent
-            if name in seen:
-                return None  # cycle; reported elsewhere
-            seen.add(name)
-            path.append(name)
-        return path
-
-    pred_path = root_path(predecessor)
-    succ_path = root_path(successor)
-    if pred_path is None or succ_path is None:
-        return None
-    pred_set = set(pred_path)
-    nca = next((name for name in succ_path if name in pred_set), None)
-    if nca is None:
-        return None  # endpoints in disjoint trees; reported elsewhere
-    joints = []
-    for path in (pred_path, succ_path):
-        for name in path:
-            if name == nca:
-                break
-            joints.append(parent_joint[name])
-    return joints
-
-
 def validate_model(model: RobotModel) -> ValidationReport:
     """Structural validation; violations are data, nothing is raised."""
     violations: list[Violation] = []
@@ -214,6 +180,18 @@ def validate_model(model: RobotModel) -> ValidationReport:
                 Violation("axis-missing", "loop type requires an axis", loop.name)
             )
 
+    for joint in (*model.tree_joints, *model.loop_joints):
+        if (
+            joint.joint_type is JointType.UNIVERSAL
+            and joint.axis is not None
+            and joint.axis2 is not None
+            and abs(np.dot(joint.axis, joint.axis2)) > ORTHOGONAL_AXES_TOL
+        ):
+            violations.append(
+                Violation("axis-not-orthogonal",
+                          "universal joint axes must be orthogonal", joint.name)
+            )
+
     for coupling in model.couplings:
         for ref in (coupling.predecessor, coupling.successor):
             if ref not in known:
@@ -267,18 +245,32 @@ def validate_model(model: RobotModel) -> ValidationReport:
             Violation("multiple-roots", "multiple root links: " + ", ".join(roots))
         )
 
-    parent_of = {j.child: j.parent for j in model.tree_joints}
-    for start in children_seen:
-        walked: set[str] = set()
-        name = start
-        while name in parent_of:
-            if name in walked:
-                violations.append(
-                    Violation("tree-cycle", "tree joints form a cycle", start)
-                )
-                break
-            walked.add(name)
-            name = parent_of[name]
+    parent_joint = {j.child: j for j in model.tree_joints}
+    tops: dict[str, str | None] = {}
+
+    def top(name: str) -> str | None:
+        """The link at the top of `name`'s parent chain, None when the chain
+        runs into a cycle; every walk stops at a link already resolved."""
+        walked: dict[str, None] = {}
+        while name in parent_joint and name not in tops and name not in walked:
+            walked[name] = None
+            name = parent_joint[name].parent
+        found = None if name in walked else tops.get(name, name)
+        tops.update(dict.fromkeys(walked, found))
+        return found
+
+    def root_path(name: str) -> list[str]:
+        path = [name]
+        while name in parent_joint:
+            name = parent_joint[name].parent
+            path.append(name)
+        return path
+
+    for start in parent_joint:  # declaration order
+        if top(start) is None:
+            violations.append(
+                Violation("tree-cycle", "tree joints form a cycle", start)
+            )
 
     if len(roots) == 1 and not any(v.code == "tree-cycle" for v in violations):
         reachable = {roots[0]}
@@ -303,11 +295,17 @@ def validate_model(model: RobotModel) -> ValidationReport:
     for coupling in model.couplings:
         if {coupling.predecessor, coupling.successor} - known:
             continue  # unknown-link already reported
-        joints = _coupling_subchain_joints(
-            model, coupling.predecessor, coupling.successor
-        )
-        if joints is None:
-            continue  # broken tree shape already reported
+        pred_top = top(coupling.predecessor)
+        if pred_top is None or pred_top != top(coupling.successor):
+            continue  # a cycle or disjoint trees, reported elsewhere
+        # the two root paths share exactly the links from the nearest common
+        # ancestor up; the tree joints above the other links form the two
+        # path subchains
+        pred_path = root_path(coupling.predecessor)
+        succ_path = root_path(coupling.successor)
+        shared = set(pred_path) & set(succ_path)
+        joints = [parent_joint[name] for name in pred_path + succ_path
+                  if name not in shared]
         kinds = set()
         for joint in joints:
             if joint.joint_type is JointType.FIXED:

@@ -21,6 +21,7 @@ from .errors import (
 )
 
 UNIT_AXIS_TOL = 1e-9
+ORTHOGONAL_AXES_TOL = 1e-9  # |axis . axis2| allowed for a universal joint
 
 
 class JointType(enum.Enum):
@@ -247,7 +248,7 @@ def _require_axes(jt: JointType, axis, axis2):
         raise NonUnitAxisError(f"joint type {jt.value} requires an axis")
     if jt is JointType.UNIVERSAL:
         a2 = _check_unit_axis(axis2) if axis2 is not None else default_second_axis(a1)
-        if abs(np.dot(a1, a2)) > 1e-9:
+        if abs(np.dot(a1, a2)) > ORTHOGONAL_AXES_TOL:
             raise NonUnitAxisError("universal joint axes must be orthogonal")
         return a1, a2
     return a1, None

@@ -136,3 +136,22 @@ def fd_loop_jacobian(numbered, graph, number, q, step=1e-7) -> np.ndarray:
     if not columns:
         return np.zeros_like(jac.matrix)
     return np.array(columns).T
+
+
+# belt.urdf with the motor hung from a fixed bracket on the thigh
+BRACKET_BELT = """<robot name="bracket_belt">
+  <link name="thigh"/><link name="shank"/><link name="bracket"/>
+  <link name="motor"/><link name="foot"/>
+  <joint name="knee" type="revolute" independent="true">
+    <parent link="thigh"/><child link="shank"/><axis xyz="0 0 1"/></joint>
+  <joint name="mount" type="fixed">
+    <origin xyz="0 -0.05 0"/><parent link="thigh"/><child link="bracket"/></joint>
+  <joint name="ankle" type="revolute" independent="true">
+    <origin xyz="0 0 -0.25"/><parent link="shank"/><child link="foot"/>
+    <axis xyz="0 0 1"/></joint>
+  <joint name="motor_rotor" type="revolute" independent="false">
+    <parent link="bracket"/><child link="motor"/><axis xyz="0 0 1"/></joint>
+  <coupling name="belt_drive"><predecessor name="foot"/>
+    <successor name="motor"/><ratio value="2.0"/></coupling>
+</robot>
+"""

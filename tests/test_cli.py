@@ -1,8 +1,19 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from helpers import BRACKET_BELT
+
+import urdfplus
 from urdfplus.cli import main
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *args):
@@ -217,3 +228,95 @@ class TestInfo:
         assert code == 0
         assert "links: 0" in out
         assert "no links" in err
+
+
+class TestDiagnostics:
+    def test_violation_order_ignores_hash_seed(self, models_dir):
+        def stderr(seed):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+            return subprocess.run(
+                [sys.executable, "-m", "urdfplus.cli", "validate",
+                 str(models_dir / "errors" / "joint_cycle.urdf")],
+                env=env, capture_output=True, text=True, timeout=60,
+            ).stderr
+
+        first = stderr("1")
+        assert first == stderr("2")
+        # tree joints are walked in declaration order: j1, j2, j3
+        assert re.findall(r"cycle \((\w+)\)", first) == ["b", "c", "a"]
+
+    def test_non_orthogonal_universal_axes_are_located(
+        self, capsys, tmp_path, models_dir
+    ):
+        text = (models_dir / "wrist.urdf").read_text()
+        text = re.sub(r'(name="(Joint2|Loop1)".*?<axis2 xyz=)"0 1 0"',
+                      r'\1"1 1 0"', text, flags=re.S)
+        path = tmp_path / "oblique.urdf"
+        path.write_text(text)
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 1
+        assert err.splitlines() == [
+            f"error: axis-not-orthogonal: universal joint axes must be "
+            f"orthogonal ({name})" for name in ("Joint2", "Loop1")
+        ]
+        code, out, err = run(capsys, "info", str(path))
+        assert code == 0
+        assert "warning: axis-not-orthogonal" in err
+        assert "(Joint2)" in err
+
+
+class TestFixedJointOnCoupledPath:
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "bracket_belt.urdf"
+        path.write_text(BRACKET_BELT)
+        return path
+
+    def test_validates(self, capsys, path):
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, err) == (0, "")
+        assert out.startswith("OK: bracket_belt")
+
+    def test_constraints_report(self, capsys, path):
+        code, out, err = run(capsys, "constraints", str(path), "--json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["n_c"] == 1
+        assert [loop["rank"] for loop in payload["loops"]] == [1]
+        assert payload["independent"]["pass"] is True
+        # K over (knee, motor_rotor, ankle) in coordinate order; the fixed
+        # mount has no coordinate
+        k = np.array([[1.0, -2.0, 1.0]])
+        by_label = {row["coordinate"]: row["values"] for row in payload["G"]["rows"]}
+        g = np.array([by_label[c] for c in
+                      ("knee[0]", "motor_rotor[0]", "ankle[0]")])
+        assert np.abs(k @ g).max() < 1e-12
+
+
+class TestStageCounts:
+    def test_each_stage_once_per_call(self, capsys, models_dir, monkeypatch):
+        """One `constraints` call validates once, walks each loop edge's
+        subchains once and runs forward kinematics once."""
+        calls = {}
+        modules = [m for name, m in sys.modules.items()
+                   if name.startswith("urdfplus.")]
+        for home, name in ((urdfplus.model, "validate_model"),
+                           (urdfplus.graphs, "loop_subchains"),
+                           (urdfplus.constraints, "forward_kinematics")):
+            original = getattr(home, name)
+            calls[name] = 0
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in modules:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+
+        code, _, _ = run(capsys, "constraints", str(models_dir / "wrist.urdf"))
+        assert code == 0
+        assert calls == {"validate_model": 1, "loop_subchains": 2,
+                         "forward_kinematics": 1}

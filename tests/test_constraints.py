@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import fd_loop_jacobian
+from helpers import BRACKET_BELT, fd_loop_jacobian
 from urdfplus.constraints import (
     all_loop_jacobians,
     coupling_row,
@@ -295,6 +295,36 @@ class TestCouplings:
                                 belt.numbered)
         r = loop_residual(belt.numbered, belt.graph, 4, q)
         assert r.shape == (1,)
+        assert r[0] == pytest.approx(0.3 + 0.5 - 2.0 * 0.4)
+
+    def test_coupling_rows_need_no_kinematics(self, belt, monkeypatch):
+        import urdfplus.constraints
+
+        def no_kinematics(*args):
+            raise AssertionError("forward kinematics run for couplings only")
+
+        monkeypatch.setattr(urdfplus.constraints, "forward_kinematics",
+                            no_kinematics)
+        q = zero_configuration(belt.numbered)
+        coupling_row(belt.numbered, belt.graph, 4)
+        loop_residual(belt.numbered, belt.graph, 4, q)
+        assert len(all_loop_jacobians(belt.numbered, belt.graph, q)) == 1
+        report = independent_coordinate_check(belt.numbered, belt.graph,
+                                              belt.lacg, q)
+        assert report.n_c == 1
+
+    def test_fixed_joint_on_coupled_path_adds_nothing(self):
+        model = parse_urdf_plus(BRACKET_BELT).model
+        numbered, graph, _ = pipeline(model)
+        idx = numbered.body_index
+        jac = coupling_row(numbered, graph, 5)
+        assert jac.joint_numbers == tuple(sorted(
+            idx(link) for link in ("shank", "bracket", "foot", "motor")))
+        # the 0-DoF mount has a 0-width column and no entry
+        assert np.array_equal(jac.matrix, [[1.0, 1.0, -2.0]])
+        q = parse_configuration("knee: 0.3\nankle: 0.5\nmotor_rotor: 0.4\n",
+                                numbered)
+        r = loop_residual(numbered, graph, 5, q)
         assert r[0] == pytest.approx(0.3 + 0.5 - 2.0 * 0.4)
 
 

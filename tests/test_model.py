@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,24 @@ class TestValidation:
             RobotModel(name="ax", links=links, tree_joints=(no_axis,))
         )
         assert "axis-missing" in codes(report)
+
+    def test_universal_axes_must_be_orthogonal(self):
+        model = chain(3, JointType.UNIVERSAL)
+        skew = (0.6, 0.8, 0.0)  # axis is (0, 0, 1): orthogonal, accepted
+        oblique = (0.0, 0.6, 0.8)
+        joints = (
+            replace(model.tree_joints[0], axis2=skew),
+            replace(model.tree_joints[1], axis2=oblique),
+        )
+        loop = LoopJoint(name="close", joint_type=JointType.UNIVERSAL,
+                         predecessor="l0", successor="l2",
+                         axis=(0.0, 0.0, 1.0), axis2=oblique)
+        report = validate_model(
+            replace(model, tree_joints=joints, loop_joints=(loop,))
+        )
+        flagged = [v.subject for v in report.violations
+                   if v.code == "axis-not-orthogonal"]
+        assert flagged == ["j2", "close"]
 
 
 class TestNumbering:
