@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import FORMAT_VERSION, __version__
@@ -43,6 +44,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="urdfplus",
@@ -71,7 +82,7 @@ def _build_parser() -> _Parser:
             )
             p.add_argument(
                 "--tolerance",
-                type=float,
+                type=_tolerance,
                 default=RANK_TOL,
                 help="relative pivot tolerance for numerical rank "
                 f"(default {RANK_TOL:g})",
@@ -137,7 +148,13 @@ def _load(path: str, severity: str = "error"):
 
 def _configuration(args, numbered):
     if getattr(args, "config", None):
-        text = _read_file(args.config).decode("utf-8")
+        data = _read_file(args.config)
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(
+                f"{args.config}: not UTF-8 ({exc.reason} at byte {exc.start})"
+            ) from None
         return parse_configuration(text, numbered)
     return zero_configuration(numbered)
 
@@ -189,8 +206,12 @@ def cmd_graph(args) -> int:
     graph, digraph, _, lacg = build_pipeline(numbered)
     dot = export_dot({"cg": graph, "cdd": digraph, "lacg": lacg}[args.kind])
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(dot)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(dot)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            raise _UsageError(str(exc)) from exc
     else:
         sys.stdout.write(dot)
     return EXIT_OK

@@ -80,6 +80,10 @@ def parse_configuration(text: str, numbered: NumberedModel) -> np.ndarray:
             raise ConfigurationError(
                 f"line {lineno}: invalid number in {values.strip()!r}"
             ) from None
+        if not np.isfinite(parsed).all():
+            raise ConfigurationError(
+                f"line {lineno}: non-finite number in {values.strip()!r}"
+            )
         if len(parsed) != width:
             raise ConfigurationError(
                 f"line {lineno}: joint {name!r} takes {width} values, "

@@ -21,7 +21,7 @@ from .errors import (
     InternalInconsistencyError,
     NotAnAncestorError,
 )
-from .model import Coupling, NumberedModel
+from .model import Coupling, NumberedModel, walk_subchains
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class LoopEdge:
 @dataclass(frozen=True)
 class ConnectivityGraph:
     body_names: tuple[str, ...]
-    parent: tuple[int, ...]  # parent[0] == -1
+    parent: tuple[int, ...]  # parent[0] == -1, parent[i] < i
     tree_joint_names: tuple[str, ...]  # entry 0 unused ("")
     loop_edges: tuple[LoopEdge, ...]
 
@@ -120,27 +120,14 @@ def connectivity_graph_from_model(numbered: NumberedModel) -> ConnectivityGraph:
     )
 
 
-def ancestors(graph: ConnectivityGraph, body: int) -> list[int]:
-    """Root path of a body, starting at the body itself (a body is its own
-    ancestor) and ending at the root."""
-    path = [body]
-    while body > 0:
-        body = graph.parent[body]
-        path.append(body)
-    return path
-
-
 def nearest_common_ancestor(graph: ConnectivityGraph, a: int, b: int) -> int:
     """Deepest body that is an ancestor of both a and b (0 in the worst case)."""
-    on_a_path = set(ancestors(graph, a))
-    body = b
-    while body not in on_a_path:
-        if body <= 0:
-            raise InternalInconsistencyError(
-                f"bodies {a} and {b} share no ancestor; parent map is broken"
-            )
-        body = graph.parent[body]
-    return body
+    nca, _, _ = walk_subchains(graph.parent, a, b)
+    if nca < 0:
+        raise InternalInconsistencyError(
+            f"bodies {a} and {b} share no ancestor; parent map is broken"
+        )
+    return nca
 
 
 def path_subchain(graph: ConnectivityGraph, start: int, ancestor: int) -> list[int]:
@@ -149,15 +136,11 @@ def path_subchain(graph: ConnectivityGraph, start: int, ancestor: int) -> list[i
     Empty when start == ancestor; raises NotAnAncestorError when `ancestor`
     is not on the root path of `start`.
     """
-    chain = []
-    body = start
-    while body != ancestor:
-        if body <= 0:
-            raise NotAnAncestorError(
-                f"body {ancestor} is not an ancestor of body {start}"
-            )
-        chain.append(body)
-        body = graph.parent[body]
+    nca, chain, _ = walk_subchains(graph.parent, start, ancestor)
+    if nca != ancestor or ancestor < 0:
+        raise NotAnAncestorError(
+            f"body {ancestor} is not an ancestor of body {start}"
+        )
     return chain
 
 
@@ -165,9 +148,12 @@ def loop_subchains(
     graph: ConnectivityGraph, edge: LoopEdge
 ) -> tuple[int, list[int], list[int]]:
     """(nca, predecessor subchain, successor subchain) for a loop edge."""
-    nca = nearest_common_ancestor(graph, edge.predecessor, edge.successor)
-    nu_p = path_subchain(graph, edge.predecessor, nca)
-    nu_s = path_subchain(graph, edge.successor, nca)
+    nca, nu_p, nu_s = walk_subchains(graph.parent, edge.predecessor, edge.successor)
+    if nca < 0:
+        raise InternalInconsistencyError(
+            f"bodies {edge.predecessor} and {edge.successor} share no ancestor; "
+            "parent map is broken"
+        )
     if not nu_p and not nu_s:
         raise DegenerateLoopError(
             f"loop {edge.name!r}: predecessor and successor both coincide "

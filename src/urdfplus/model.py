@@ -9,6 +9,7 @@ every body above its parent) and joint indices 1..N_J.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -104,6 +105,9 @@ class Violation:
 @dataclass(frozen=True)
 class ValidationReport:
     violations: tuple[Violation, ...] = ()
+    # the validator's tree walk (names, parent indices, parent joints), in
+    # walk order; on a valid model it is the regular numbering
+    walk: tuple = field(default=((), (), ()), repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -113,6 +117,24 @@ class ValidationReport:
         if self.ok:
             return "model valid"
         return "\n".join(str(v) for v in self.violations)
+
+
+def walk_subchains(parent, a: int, b: int) -> tuple[int, list[int], list[int]]:
+    """(nca, subchain of a, subchain of b) under a regular numbering, where
+    every index exceeds its parent's: the larger index steps up to its parent
+    until both meet at the nearest common ancestor.  Each subchain lists the
+    bodies from its start up to, but excluding, the ancestor.  nca is -1 when
+    a and b lie in different trees or either is -1."""
+    nu_a: list[int] = []
+    nu_b: list[int] = []
+    while a != b:
+        if a > b:
+            nu_a.append(a)
+            a = parent[a]
+        else:
+            nu_b.append(b)
+            b = parent[b]
+    return a, nu_a, nu_b
 
 
 def validate_model(model: RobotModel) -> ValidationReport:
@@ -245,34 +267,32 @@ def validate_model(model: RobotModel) -> ValidationReport:
             Violation("multiple-roots", "multiple root links: " + ", ".join(roots))
         )
 
+    # One breadth-first walk down each name's parent joint (the last one
+    # declared), children in the order they are first declared, from every
+    # name without a parent joint: the roots first, then unknown parent
+    # names.  It numbers every body above its parent; a name it never
+    # reaches sits on or under a cycle.
     parent_joint = {j.child: j for j in model.tree_joints}
-    tops: dict[str, str | None] = {}
+    children: dict[str, list[TreeJoint]] = {}
+    for joint in parent_joint.values():
+        children.setdefault(joint.parent, []).append(joint)
+    parentless = [j.parent for j in parent_joint.values() if j.parent not in parent_joint]
+    names = list(dict.fromkeys(roots + parentless))
+    parent = [-1] * len(names)
+    joints: list[TreeJoint | None] = [None] * len(names)
+    for index, name in enumerate(names):  # names grows as the walk goes
+        for joint in children.get(name, ()):
+            names.append(joint.child)
+            parent.append(index)
+            joints.append(joint)
+    position = {name: index for index, name in enumerate(names)}
 
-    def top(name: str) -> str | None:
-        """The link at the top of `name`'s parent chain, None when the chain
-        runs into a cycle; every walk stops at a link already resolved."""
-        walked: dict[str, None] = {}
-        while name in parent_joint and name not in tops and name not in walked:
-            walked[name] = None
-            name = parent_joint[name].parent
-        found = None if name in walked else tops.get(name, name)
-        tops.update(dict.fromkeys(walked, found))
-        return found
+    cycle = [name for name in parent_joint if name not in position]
+    for name in cycle:  # declaration order
+        violations.append(Violation("tree-cycle", "tree joints form a cycle", name))
 
-    def root_path(name: str) -> list[str]:
-        path = [name]
-        while name in parent_joint:
-            name = parent_joint[name].parent
-            path.append(name)
-        return path
-
-    for start in parent_joint:  # declaration order
-        if top(start) is None:
-            violations.append(
-                Violation("tree-cycle", "tree joints form a cycle", start)
-            )
-
-    if len(roots) == 1 and not any(v.code == "tree-cycle" for v in violations):
+    if len(roots) == 1 and not cycle:
+        # over every tree joint, not only the ones the walk follows
         reachable = {roots[0]}
         frontier = [roots[0]]
         child_map: dict[str, list[str]] = {}
@@ -295,19 +315,13 @@ def validate_model(model: RobotModel) -> ValidationReport:
     for coupling in model.couplings:
         if {coupling.predecessor, coupling.successor} - known:
             continue  # unknown-link already reported
-        pred_top = top(coupling.predecessor)
-        if pred_top is None or pred_top != top(coupling.successor):
+        ends = (position.get(coupling.predecessor, -1),
+                position.get(coupling.successor, -1))
+        nca, nu_p, nu_s = walk_subchains(parent, *ends)
+        if nca < 0:
             continue  # a cycle or disjoint trees, reported elsewhere
-        # the two root paths share exactly the links from the nearest common
-        # ancestor up; the tree joints above the other links form the two
-        # path subchains
-        pred_path = root_path(coupling.predecessor)
-        succ_path = root_path(coupling.successor)
-        shared = set(pred_path) & set(succ_path)
-        joints = [parent_joint[name] for name in pred_path + succ_path
-                  if name not in shared]
         kinds = set()
-        for joint in joints:
+        for joint in (joints[body] for body in nu_p + nu_s):
             if joint.joint_type is JointType.FIXED:
                 continue
             if joint.joint_type.dof != 1:
@@ -325,7 +339,9 @@ def validate_model(model: RobotModel) -> ValidationReport:
                           coupling.name)
             )
 
-    return ValidationReport(tuple(violations))
+    return ValidationReport(
+        tuple(violations), walk=(tuple(names), tuple(parent), tuple(joints))
+    )
 
 
 @dataclass(frozen=True)
@@ -355,72 +371,44 @@ class NumberedModel:
         """Total joint count N_J = N_B + N_L."""
         return self.n_bodies + len(self.loop_entries)
 
-    def body_index(self, name: str) -> int:
-        return self.body_names.index(name)
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {name: body for body, name in enumerate(self.body_names)}
 
-    def coordinate_slices(self) -> list[slice]:
+    def body_index(self, name: str) -> int:
+        return self._index[name]
+
+    @cached_property
+    def _slices(self) -> tuple[slice, ...]:
+        slices = [slice(0, 0)]
+        for joint in self.tree_joint_of[1:]:
+            start = slices[-1].stop
+            slices.append(slice(start, start + joint.joint_type.dof))
+        return tuple(slices)
+
+    def coordinate_slices(self) -> tuple[slice, ...]:
         """Per-body coordinate segment of the stacked position vector q;
         entry 0 is the empty root slice."""
-        slices = [slice(0, 0)]
-        offset = 0
-        for i in range(1, self.n_bodies + 1):
-            width = self.tree_joint_of[i].joint_type.dof
-            slices.append(slice(offset, offset + width))
-            offset += width
-        return slices
+        return self._slices
 
     @property
     def total_dof(self) -> int:
-        return sum(
-            j.joint_type.dof for j in self.tree_joint_of if j is not None
-        )
+        return self._slices[-1].stop
 
 
 def regular_numbering(model: RobotModel) -> NumberedModel:
     """Number bodies breadth-first from the root, children in declaration
-    order, so every body index exceeds its parent's."""
+    order, so every body index exceeds its parent's: the validator's tree
+    walk of a valid model."""
     report = validate_model(model)
     if not report.ok:
         raise InvalidModelError("cannot number an invalid model", report.violations)
     if not model.links:
         raise InvalidModelError("cannot number an empty model")
-
-    children: dict[str, list[TreeJoint]] = {}
-    for joint in model.tree_joints:
-        children.setdefault(joint.parent, []).append(joint)
-    child_names = {j.child for j in model.tree_joints}
-    root = next(name for name in model.link_names() if name not in child_names)
-
-    body_names: list[str] = [root]
-    parent: list[int] = [-1]
-    tree_joint_of: list[TreeJoint | None] = [None]
-    queue = [root]
-    while queue:
-        name = queue.pop(0)
-        parent_index = body_names.index(name)
-        for joint in children.get(name, ()):
-            body_names.append(joint.child)
-            parent.append(parent_index)
-            tree_joint_of.append(joint)
-            queue.append(joint.child)
-
-    n_b = len(body_names) - 1
-    loop_entries: list[tuple[int, object]] = []
-    number = n_b + 1
-    for loop in model.loop_joints:
-        loop_entries.append((number, loop))
-        number += 1
-    for coupling in model.couplings:
-        loop_entries.append((number, coupling))
-        number += 1
-
-    return NumberedModel(
-        model=model,
-        body_names=tuple(body_names),
-        parent=tuple(parent),
-        tree_joint_of=tuple(tree_joint_of),
-        loop_entries=tuple(loop_entries),
-    )
+    body_names, parent, tree_joint_of = report.walk
+    entries = (*model.loop_joints, *model.couplings)  # numbered on from N_B + 1
+    return NumberedModel(model, body_names, parent, tree_joint_of,
+                         tuple(enumerate(entries, start=len(body_names))))
 
 
 def count_degrees_of_freedom(numbered: NumberedModel) -> tuple[int, int]:

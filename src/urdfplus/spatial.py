@@ -214,11 +214,7 @@ def motion_map(x: SpatialTransform, v) -> np.ndarray:
     if v.shape[0] != 6:
         raise DimensionMismatchError(f"expected 6 rows, got shape {v.shape}")
     w = x.rot @ v[:3]
-    if v.ndim == 1:
-        lever = np.cross(x.trans, w)
-    else:
-        lever = np.cross(x.trans[None, :], w.T).T
-    return np.concatenate([w, x.rot @ v[3:] + lever], axis=0)
+    return np.concatenate([w, x.rot @ v[3:] + skew(x.trans) @ w], axis=0)
 
 
 def orthonormal_complement_2(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -171,7 +171,12 @@ class _Interpreter:
         )
 
     def raw(self, element: _Element) -> str:
-        return self.data[element.start_byte : element.end_byte].decode("utf-8")
+        try:
+            return self.data[element.start_byte : element.end_byte].decode("utf-8")
+        except UnicodeDecodeError:
+            raise XmlSyntaxError(
+                f"preserved <{element.tag}> is not UTF-8", element.line, element.column
+            ) from None
 
     def path(self, *parts: str) -> str:
         return "/".join(parts)

@@ -121,6 +121,15 @@ class TestGraph:
         assert code == 0
         assert target.read_text().startswith("digraph")
 
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, models_dir):
+        target = tmp_path / "missing" / "x.dot"
+        code, out, err = run(
+            capsys, "graph", str(models_dir / "belt.urdf"), "--out", str(target)
+        )
+        assert code == 3
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert "Traceback" not in err
+
     def test_bad_kind_is_usage_error(self, capsys, models_dir):
         code, out, err = run(
             capsys, "graph", str(models_dir / "belt.urdf"), "--kind", "bogus"
@@ -203,6 +212,43 @@ class TestConstraints:
         assert code == 1
         assert "n_i: 8" in out
 
+    @pytest.mark.parametrize("bad", ["0", "-1", "nan", "inf", "abc"])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, models_dir, bad):
+        code, out, err = run(
+            capsys, "constraints", str(models_dir / "fourbar.urdf"),
+            "--tolerance", bad,
+        )
+        assert code == 3
+        assert out == ""
+        assert "argument --tolerance: must be a finite number > 0" in err
+
+
+class TestConfigurationInput:
+    @pytest.mark.parametrize("command, model, line", [
+        ("validate", "belt.urdf", "knee: nan"),
+        ("constraints", "wrist.urdf", "Joint1: nan 0.1"),
+    ])
+    def test_non_finite_value_is_usage_error(self, capsys, tmp_path, models_dir,
+                                             command, model, line):
+        config = tmp_path / "q.cfg"
+        config.write_text(line + "\n")
+        code, out, err = run(
+            capsys, command, str(models_dir / model), "--config", str(config)
+        )
+        assert code == 3
+        assert out == ""
+        values = line.partition(":")[2].strip()
+        assert err == f"error: line 1: non-finite number in {values!r}\n"
+
+    def test_non_utf8_config_is_usage_error(self, capsys, tmp_path, models_dir):
+        config = tmp_path / "q.cfg"
+        config.write_bytes(b"\xff\xfe")
+        code, out, err = run(
+            capsys, "validate", str(models_dir / "belt.urdf"), "--config", str(config)
+        )
+        assert code == 3
+        assert err.startswith(f"error: {config}: not UTF-8")
+
 
 class TestInfo:
     def test_wrist_summary(self, capsys, models_dir):
@@ -220,6 +266,17 @@ class TestInfo:
         assert code == 0
         assert "links: 4" in out
         assert "couplings: 1" in out
+
+    def test_non_utf8_payload_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "latin.urdf"
+        path.write_bytes(
+            b'<?xml version="1.0" encoding="ISO-8859-1"?>\n<robot name="r">'
+            b'<link name="a"><visual><material name="caf\xe9"/></visual></link>'
+            b"</robot>\n"
+        )
+        code, out, err = run(capsys, "info", str(path))
+        assert code == 2
+        assert err == "error: preserved <visual> is not UTF-8 [line 2, column 32]\n"
 
     def test_empty_robot_warns(self, capsys, tmp_path):
         path = tmp_path / "empty.urdf"

@@ -101,6 +101,11 @@ class TestConfigurationFile:
         with pytest.raises(ConfigurationError):
             parse_configuration("crank_pivot: abc\n", fourbar.numbered)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_number(self, wrist, bad):
+        with pytest.raises(ConfigurationError, match="line 2: non-finite number"):
+            parse_configuration(f"Joint4: 0.1 0.2\nJoint1: {bad}\n", wrist.numbered)
+
 
 def wrist_oracle_block(r_joint, r_loop):
     """Independent construction of Psi^T S for a universal joint pair at the

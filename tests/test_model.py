@@ -263,6 +263,25 @@ class TestNumbering:
         with pytest.raises(InvalidModelError):
             regular_numbering(model)
 
+    def test_unknown_body_name_raises_key_error(self, belt):
+        with pytest.raises(KeyError):
+            belt.numbered.body_index("ghost")
+
+    def test_layout_is_derived_once(self, wrist):
+        numbered = wrist.numbered
+        slices = numbered.coordinate_slices()
+        assert numbered.coordinate_slices() is slices
+        assert [(s.start, s.stop) for s in slices] == [
+            (0, 0), (0, 2), (2, 4), (4, 6), (6, 8)
+        ]
+        assert numbered.total_dof == 8
+
+    def test_numbering_is_the_validation_walk(self, belt):
+        names, parent, joints = validate_model(belt.model).walk
+        assert names == belt.numbered.body_names
+        assert parent == belt.numbered.parent
+        assert joints == belt.numbered.tree_joint_of
+
 
 class TestDofCounting:
     def test_wrist_counts(self, wrist):

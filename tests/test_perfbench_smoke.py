@@ -1,6 +1,6 @@
 """Smoke test for the benchmark harness under perfbench/: its tracer still
-finds every function it wraps, and one constraint_sweep op still passes the
-workload's own output check."""
+finds every function it wraps, and one full-size constraint_sweep op and one
+ladder_build op still pass their workload's own output check."""
 
 import importlib
 import sys
@@ -45,3 +45,10 @@ def test_constraint_sweep_op_passes_its_check(perfbench):
     sweep = workloads.ConstraintSweep(ROOT, seed=1)
     i = workloads.SWEEP_VERIFIED_IN_SETUP
     assert sweep.check(i, sweep.op(i)) is None
+
+
+def test_ladder_build_op_passes_its_check(perfbench):
+    pytest.importorskip("networkx")
+    _, workloads = perfbench
+    ladder = workloads.LadderBuild(ROOT, seed=1)
+    assert ladder.check(0, ladder.op(0)) is None

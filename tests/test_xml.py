@@ -214,6 +214,16 @@ class TestErrors:
                     f'<parent link="a"/><child link="b"/></joint></robot>'
                 )
 
+    def test_non_utf8_payload_is_located(self):
+        text = (
+            '<?xml version="1.0" encoding="ISO-8859-1"?>\n'
+            '<robot name="r"><link name="a">\n'
+            '  <visual><material name="caf\xe9"/></visual></link></robot>\n'
+        ).encode("latin-1")
+        with pytest.raises(XmlSyntaxError, match="not UTF-8") as err:
+            parse_urdf_plus(text)
+        assert (err.value.line, err.value.column) == (3, 3)
+
     def test_rejects_wrong_arity_triple(self):
         with pytest.raises(InvalidNumberError):
             parse_urdf_plus(
