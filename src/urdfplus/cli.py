@@ -67,26 +67,25 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config=True):
+    def add_common(p):
         p.add_argument("file", help="URDF+ file to read")
-        if config:
-            p.add_argument(
-                "--config",
-                help="joint configuration file (one 'name: v1 v2 ...' per line); "
-                "default is the zero configuration",
-            )
-            p.add_argument(
-                "--strict",
-                action="store_true",
-                help=f"fail when a closure residual exceeds {RESIDUAL_LIMIT:g}",
-            )
-            p.add_argument(
-                "--tolerance",
-                type=_tolerance,
-                default=RANK_TOL,
-                help="relative pivot tolerance for numerical rank "
-                f"(default {RANK_TOL:g})",
-            )
+        p.add_argument(
+            "--config",
+            help="joint configuration file (one 'name: v1 v2 ...' per line); "
+            "default is the zero configuration",
+        )
+        p.add_argument(
+            "--strict",
+            action="store_true",
+            help=f"fail when a closure residual exceeds {RESIDUAL_LIMIT:g}",
+        )
+        p.add_argument(
+            "--tolerance",
+            type=_tolerance,
+            default=RANK_TOL,
+            help="relative pivot tolerance for numerical rank "
+            f"(default {RANK_TOL:g})",
+        )
 
     p_validate = sub.add_parser(
         "validate", help="run the full parse/validate/aggregate pipeline"
@@ -147,7 +146,7 @@ def _load(path: str, severity: str = "error"):
 
 
 def _configuration(args, numbered):
-    if getattr(args, "config", None):
+    if args.config:
         data = _read_file(args.config)
         try:
             text = data.decode("utf-8")

@@ -20,6 +20,7 @@ written back untouched.  ``<mimic>`` children are translated into couplings
 from __future__ import annotations
 
 import math
+import re
 import xml.parsers.expat as expat
 from dataclasses import dataclass, field
 
@@ -68,17 +69,15 @@ class ParseResult:
 
 class _Element:
     __slots__ = ("tag", "attrib", "children", "line", "column",
-                 "start_byte", "end_byte", "seq")
+                 "start_byte", "close_byte")  # close_byte: set at the end event
 
-    def __init__(self, tag, attrib, line, column, start_byte, seq):
+    def __init__(self, tag, attrib, line, column, start_byte):
         self.tag = tag
         self.attrib = attrib
         self.children: list[_Element] = []
         self.line = line
         self.column = column
-        self.start_byte = start_byte
-        self.end_byte = start_byte
-        self.seq = seq
+        self.start_byte = start_byte  # the '<' of the start tag
 
     def find(self, tag):
         for child in self.children:
@@ -87,74 +86,41 @@ class _Element:
         return None
 
 
+_TAG = re.compile(rb"""[^"'>]*(?:(?:"[^"]*"|'[^']*')[^"'>]*)*>""")
+
+
 def _scan_tag_end(data: bytes, start: int) -> int:
     """Index just past the '>' closing the tag that starts at `start`,
     ignoring '>' inside quoted attribute values."""
-    quote = None
-    for i in range(start, len(data)):
-        b = data[i : i + 1]
-        if quote is not None:
-            if b == quote:
-                quote = None
-        elif b in (b"'", b'"'):
-            quote = b
-        elif b == b">":
-            return i + 1
-    return len(data)
+    match = _TAG.match(data, start)
+    return match.end() if match else len(data)
 
 
 def _build_tree(data: bytes) -> _Element:
-    """Parse bytes into a positioned element tree (expat-based)."""
+    """Parse bytes into a positioned element tree (expat-based).  Only start
+    and end events are heard: `_Interpreter.raw` finds an element's source
+    from the byte indices of its start tag and its end event alone."""
     parser = expat.ParserCreate()
-    stack: list[_Element] = []
-    root: list[_Element] = []
-    seq = [0]
-
-    def bump():
-        seq[0] += 1
-        return seq[0]
+    stack = [_Element("", {}, 0, 0, 0)]  # its one child is the document element
 
     def on_start(tag, attrs):
-        element = _Element(
-            tag,
-            dict(attrs),
-            parser.CurrentLineNumber,
-            parser.CurrentColumnNumber + 1,
-            parser.CurrentByteIndex,
-            bump(),
-        )
-        if stack:
-            stack[-1].children.append(element)
-        else:
-            root.append(element)
+        element = _Element(tag, attrs, parser.CurrentLineNumber,
+                           parser.CurrentColumnNumber + 1, parser.CurrentByteIndex)
+        stack[-1].children.append(element)
         stack.append(element)
 
-    def on_end(tag):
-        event_seq = bump()
-        element = stack.pop()
-        idx = parser.CurrentByteIndex
-        if event_seq == element.seq + 1 and data[idx - 2 : idx] == b"/>":
-            element.end_byte = idx  # self-closing: index already past the tag
-        elif data[idx : idx + 2] == b"</":
-            element.end_byte = _scan_tag_end(data, idx)
-        else:
-            element.end_byte = idx
-
-    def on_other(*_args):
-        bump()
+    def on_end(_tag):
+        stack.pop().close_byte = parser.CurrentByteIndex
 
     parser.StartElementHandler = on_start
     parser.EndElementHandler = on_end
-    parser.CharacterDataHandler = on_other
-    parser.CommentHandler = on_other
-    parser.ProcessingInstructionHandler = on_other
     try:
         parser.Parse(data, True)
     except expat.ExpatError as exc:
         raise XmlSyntaxError(
             expat.errors.messages[exc.code], exc.lineno, exc.offset + 1
         ) from exc
-    return root[0]
+    return stack[0].children[0]
 
 
 class _Interpreter:
@@ -171,12 +137,26 @@ class _Interpreter:
         )
 
     def raw(self, element: _Element) -> str:
-        try:
-            return self.data[element.start_byte : element.end_byte].decode("utf-8")
-        except UnicodeDecodeError:
-            raise XmlSyntaxError(
-                f"preserved <{element.tag}> is not UTF-8", element.line, element.column
-            ) from None
+        """Source text of a preserved element, its extent taken from the XML
+        grammar: no STag has '/' before its '>', so a tag ending in '/>' is
+        a whole empty element, and any other element ends at the '>' after
+        the '</' that expat reported at its end event."""
+        data, start = self.data, element.start_byte
+        if data[start : start + 1] == b"&":  # elements from an entity sit at its '&'
+            msg = f"preserved <{element.tag}> comes from an entity reference"
+            raise XmlSyntaxError(msg, element.line, element.column)
+        end = _scan_tag_end(data, start)
+        if data[end - 2 : end] != b"/>":
+            end = _scan_tag_end(data, element.close_byte)
+        # expat admits no NUL in an ASCII-compatible encoding: one means UTF-16
+        if b"\0" not in data[start:end]:
+            try:
+                return data[start:end].decode("utf-8")
+            except UnicodeDecodeError:
+                pass
+        raise XmlSyntaxError(
+            f"preserved <{element.tag}> is not UTF-8", element.line, element.column
+        )
 
     def path(self, *parts: str) -> str:
         return "/".join(parts)

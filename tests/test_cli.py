@@ -278,6 +278,18 @@ class TestInfo:
         assert code == 2
         assert err == "error: preserved <visual> is not UTF-8 [line 2, column 32]\n"
 
+    @pytest.mark.parametrize("codec", ["utf-16-le", "utf-16-be"])
+    def test_utf16_payload_is_a_parse_error(self, capsys, tmp_path, codec):
+        path = tmp_path / "wide.urdf"
+        path.write_bytes(
+            '\ufeff<?xml version="1.0" encoding="UTF-16"?>\n<robot name="r">'
+            '<link name="a"><visual><box/></visual></link></robot>\n'.encode(codec)
+        )
+        code, out, err = run(capsys, "info", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: preserved <visual> is not UTF-8 [line 2, column 32]\n"
+
     def test_empty_robot_warns(self, capsys, tmp_path):
         path = tmp_path / "empty.urdf"
         path.write_text('<robot name="void"/>')

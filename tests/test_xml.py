@@ -242,6 +242,94 @@ class TestErrors:
         assert "joint(lift)" in err.value.path
 
 
+# name -> (where the source goes, that source, the payload it must give);
+# "link" is inside link a, "joint" inside joint j, "robot" under <robot>
+PAYLOAD_EXTENTS = {
+    "empty_last_child": ("link", "<visual/>", ("<visual/>",)),
+    "gt_in_double_quotes": (
+        "link", '<visual a=">/>"/>', ('<visual a=">/>"/>',)),
+    "slash_gt_in_single_quotes": (
+        "link", "<visual a='\"/>'>x</visual>\n<collision b='\"/>'/>",
+        ("<visual a='\"/>'>x</visual>", "<collision b='\"/>'/>")),
+    "text_ends_in_slash_gt": (
+        "link", "<collision>t/></collision>", ("<collision>t/></collision>",)),
+    "nested_same_name": (
+        "link", "<visual><visual/></visual>", ("<visual><visual/></visual>",)),
+    "comment_pi_cdata": (
+        "link", "<visual><!-- </visual> --><?pi a/>?><![CDATA[</visual>]]></visual>",
+        ("<visual><!-- </visual> --><?pi a/>?><![CDATA[</visual>]]></visual>",)),
+    "space_in_end_tag": (
+        "link", "<visual>\n</visual >", ("<visual>\n</visual >",)),
+    "joint_limit": (
+        "joint", '<limit lower="0" upper="1" effort="2" velocity="3"/>',
+        ('<limit lower="0" upper="1" effort="2" velocity="3"/>',)),
+    "robot_material_gazebo": (
+        "robot", '<material name="m"/>\n  <gazebo>x</gazebo>',
+        ('<material name="m"/>', "<gazebo>x</gazebo>")),
+    "non_ascii_text": (
+        "link", '<visual name="\u00e9">\u00fc \u4e2d</visual>',
+        ('<visual name="\u00e9">\u00fc \u4e2d</visual>',)),
+}
+
+
+class TestPayloadExtent:
+    @pytest.mark.parametrize("case", PAYLOAD_EXTENTS)
+    def test_payload_is_the_source_text(self, case):
+        where, source, expected = PAYLOAD_EXTENTS[case]
+        inside = {key: source if key == where else "" for key in ("link", "joint", "robot")}
+        model = parse_urdf_plus(
+            f'<robot name="r"><link name="a">{inside["link"]}</link><link name="b"/>'
+            f'<joint name="j" type="fixed"><parent link="a"/><child link="b"/>'
+            f'{inside["joint"]}</joint>{inside["robot"]}</robot>'
+        ).model
+        payload = {"link": model.links[0].payload,
+                   "joint": model.tree_joints[0].payload, "robot": model.payload}
+        assert payload[where] == expected
+
+    def test_payload_from_an_entity_is_located(self):
+        text = (
+            '<!DOCTYPE robot [<!ENTITY v "<visual><box/></visual>">]>\n'
+            '<robot name="r"><link name="a">&v;</link></robot>'
+        )
+        with pytest.raises(XmlSyntaxError, match="comes from an entity") as err:
+            parse_urdf_plus(text)
+        assert (err.value.line, err.value.column) == (2, 32)
+
+    def test_entity_inside_a_payload_is_kept_as_written(self):
+        model = parse_urdf_plus(
+            '<!DOCTYPE robot [<!ENTITY v "<box/>">]>'
+            '<robot name="r"><link name="a"><visual>&v;</visual></link></robot>'
+        ).model
+        assert model.links[0].payload == ("<visual>&v;</visual>",)
+
+
+UTF16_PAYLOAD = (
+    '<?xml version="1.0" encoding="UTF-16"?>\n'
+    '<robot name="r"><link name="a">\n'
+    "  <visual><box/></visual></link></robot>\n"
+)
+
+
+def utf16_with_bom(text: str, codec: str) -> bytes:
+    return ("\ufeff" + text).encode(codec)
+
+
+@pytest.mark.parametrize("codec", ["utf-16-le", "utf-16-be"])
+class TestUtf16:
+    def test_payload_is_located_error(self, codec):
+        with pytest.raises(XmlSyntaxError, match="preserved <visual> is not UTF-8") as err:
+            parse_urdf_plus(utf16_with_bom(UTF16_PAYLOAD, codec))
+        assert (err.value.line, err.value.column) == (3, 3)
+
+    def test_file_without_payload_parses_like_utf8(self, models_dir, codec):
+        text = (models_dir / "wrist.urdf").read_text(encoding="utf-8")
+        utf8 = parse_urdf_plus(text.encode("utf-8"))
+        utf16 = parse_urdf_plus(utf16_with_bom(text, codec))
+        assert structurally_equal(utf16.model, utf8.model, tol=0.0)
+        assert serialize_urdf_plus(utf16.model) == serialize_urdf_plus(utf8.model)
+        assert utf16.warnings == utf8.warnings
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize(
         "name",
