@@ -18,7 +18,8 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -32,13 +33,12 @@ from .errors import (
 from .graphs import ConnectivityGraph, LoopAggregatedGraph
 from .model import Coupling, LoopJoint, NumberedModel, TreeJoint
 from .spatial import (
+    JointKinematics,
     SpatialTransform,
     compose,
     constraint_force_subspace,
     invert,
-    joint_transform,
     motion_map,
-    motion_subspace_at,
     numerical_rank,
     row_reduce_basis,
     so3_log,
@@ -99,25 +99,37 @@ def _joint_axes(joint: TreeJoint | LoopJoint):
     return axis, axis2
 
 
-def forward_kinematics(
-    numbered: NumberedModel, q: np.ndarray
-) -> list[SpatialTransform]:
-    """World pose of every body frame; entry 0 (the root) is the identity."""
-    q = np.asarray(q, dtype=float)
+def _configuration(numbered: NumberedModel, q) -> np.ndarray:
+    """q as a float vector of the model's length with finite entries; the
+    one check on every configuration a public function is given."""
+    try:
+        q = np.asarray(q, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigurationError("configuration is not a vector of numbers") from None
     if q.shape != (numbered.total_dof,):
         raise DimensionMismatchError(
             f"configuration has {q.shape} entries, model takes "
             f"({numbered.total_dof},)"
         )
-    slices = numbered.coordinate_slices()
+    if not np.isfinite(q).all():
+        raise ConfigurationError("configuration has non-finite entries")
+    return q
+
+
+def forward_kinematics(
+    numbered: NumberedModel, q: np.ndarray
+) -> list[SpatialTransform]:
+    """World pose of every body frame; entry 0 (the root) is the identity."""
+    q = _configuration(numbered, q)
     poses = [SpatialTransform.identity()]
-    for body in range(1, numbered.n_bodies + 1):
-        joint = numbered.tree_joint_of[body]
-        axis, axis2 = _joint_axes(joint)
-        x_joint = joint_transform(joint.joint_type, axis, axis2, q[slices[body]])
-        poses.append(
-            compose(poses[numbered.parent[body]], compose(joint.origin, x_joint))
-        )
+    for step in numbered._kinematics.tree:
+        rot, trans = step.joint.transform(q[step.coordinates])
+        parent = poses[step.parent]
+        local_rot = step.origin_rot @ rot
+        local_trans = step.origin_rot @ trans + step.origin_trans
+        poses.append(SpatialTransform._raw(
+            parent.rot @ local_rot, parent.rot @ local_trans + parent.trans
+        ))
     return poses
 
 
@@ -172,103 +184,178 @@ class LoopJacobian:
         return full
 
 
-def _involved_layout(numbered: NumberedModel, bodies: list[int]):
-    joints = sorted(bodies)
-    columns = []
-    offset = 0
-    for j in joints:
-        width = numbered.tree_joint_of[j].joint_type.dof
-        columns.append((offset, offset + width))
-        offset += width
-    return joints, columns, offset
+@dataclass(frozen=True)
+class _TreeStep:
+    """One tree joint of the forward-kinematics sweep."""
+
+    joint: JointKinematics
+    origin_rot: np.ndarray
+    origin_trans: np.ndarray
+    parent: int
+    coordinates: slice
 
 
-def _coupling_rows(
-    numbered: NumberedModel, graph: ConnectivityGraph, index: int
-) -> LoopJacobian:
-    """Single row of the coupling at `index` of the loop entries: +1 on
-    predecessor-subchain joints, -ratio on successor-subchain joints.  A
-    0-DoF joint adds no entry."""
-    number, coupling = numbered.loop_entries[index]
-    _, nu_p, nu_s = graph.subchains[index]
-    joints, columns, width = _involved_layout(numbered, nu_p + nu_s)
-    row = np.zeros((1, width))
-    for joint_number, (start, stop) in zip(joints, columns):
-        if start < stop:
-            row[0, start] = 1.0 if joint_number in nu_p else -coupling.ratio
-    return LoopJacobian(
-        number=number,
-        name=coupling.name,
-        kind="coupling",
-        joint_numbers=tuple(joints),
-        joint_columns=tuple(columns),
-        matrix=row,
-    )
+@dataclass(frozen=True)
+class _LoopStep:
+    """One loop joint: Psi^T, its body indices and side frames, and a
+    (joint number, start, stop, sign, tree step) entry per involved joint
+    that moves."""
+
+    number: int
+    name: str
+    joint_numbers: tuple[int, ...]
+    joint_columns: tuple[tuple[int, int], ...]
+    psi_t: np.ndarray
+    predecessor: int
+    successor: int
+    predecessor_origin: SpatialTransform
+    successor_origin: SpatialTransform
+    moving: tuple[tuple[int, int, int, float, _TreeStep], ...]
+    width: int
+
+
+@dataclass(frozen=True)
+class _CouplingStep:
+    """One coupling: its configuration-independent row, and that row over
+    the full coordinate vector, whose product with q is the residual."""
+
+    jacobian: LoopJacobian
+    full_row: np.ndarray
+
+    def rows(self) -> LoopJacobian:
+        """The row, with a matrix of its own for the caller."""
+        return replace(self.jacobian, matrix=self.jacobian.matrix.copy())
+
+
+class KinematicPlan:
+    """The configuration-independent part of a numbered model's kinematics,
+    built on first use and held by the model (NumberedModel._kinematics).
+
+    `tree` has one step per body in numbering order; `loops(graph)` has one
+    step per loop entry, its involved joints taken from `graph.subchains`.
+    Each part is built once, on its first use, so a coupling-only model
+    never builds the tree part.
+    """
+
+    def __init__(self, numbered: NumberedModel):
+        self._joints = numbered.tree_joint_of
+        self._parent = numbered.parent
+        self._slices = numbered.coordinate_slices()
+        self._entries = numbered.loop_entries
+        self._loops = None
+
+    @cached_property
+    def tree(self) -> tuple[_TreeStep, ...]:
+        return tuple(
+            _TreeStep(
+                JointKinematics(joint.joint_type, *_joint_axes(joint)),
+                joint.origin.rot,
+                joint.origin.trans,
+                self._parent[body],
+                self._slices[body],
+            )
+            for body, joint in enumerate(self._joints[1:], start=1)
+        )
+
+    def loops(self, graph: ConnectivityGraph) -> tuple[_LoopStep | _CouplingStep, ...]:
+        if self._loops is None:
+            self._loops = tuple(
+                self._loop_step(graph, index) for index in range(len(self._entries))
+            )
+        return self._loops
+
+    def _loop_step(self, graph: ConnectivityGraph, index: int):
+        number, entry = self._entries[index]
+        _, nu_p, nu_s = graph.subchains[index]
+        joints = sorted(nu_p + nu_s)
+        columns = []
+        offset = 0
+        for j in joints:
+            width = self._slices[j].stop - self._slices[j].start
+            columns.append((offset, offset + width))
+            offset += width
+        if isinstance(entry, Coupling):
+            # +1 on predecessor-subchain joints, -ratio on successor-subchain
+            # joints; a 0-DoF joint adds no entry
+            row = np.zeros((1, offset))
+            for joint_number, (start, stop) in zip(joints, columns):
+                if start < stop:
+                    row[0, start] = 1.0 if joint_number in nu_p else -entry.ratio
+            jacobian = LoopJacobian(number, entry.name, "coupling", tuple(joints),
+                                    tuple(columns), row)
+            full_row = jacobian.scatter(self._slices, self._slices[-1].stop)
+            return _CouplingStep(jacobian, full_row)
+        psi = constraint_force_subspace(entry.joint_type, *_joint_axes(entry))
+        edge = graph.loop_edges[index]
+        moving = tuple(
+            (joint_number, start, stop, -1.0 if joint_number in nu_p else 1.0,
+             self.tree[joint_number - 1])
+            for joint_number, (start, stop) in zip(joints, columns)
+            if start < stop
+        )
+        return _LoopStep(
+            number,
+            entry.name,
+            tuple(joints),
+            tuple(columns),
+            psi.T,
+            edge.predecessor,
+            edge.successor,
+            entry.predecessor_origin,
+            entry.successor_origin,
+            moving,
+            offset,
+        )
 
 
 def _loop_joint_terms(
-    numbered: NumberedModel,
-    graph: ConnectivityGraph,
-    index: int,
-    q: np.ndarray,
-    poses: list[SpatialTransform],
+    step: _LoopStep, q: np.ndarray, poses: list[SpatialTransform]
 ) -> tuple[LoopJacobian, np.ndarray]:
-    """Constraint rows and closure residual of the loop joint at `index` of
-    the loop entries, given the world poses at q.
+    """Constraint rows and closure residual of a loop joint, given the world
+    poses at q.
 
     Block column j is sign * Psi^T * S_j with S_j carried into the
     predecessor-side loop frame along the kinematic chain; the sign is -1
     on the predecessor subchain and +1 on the successor subchain.
     """
-    number, loop = numbered.loop_entries[index]
-    _, nu_p, nu_s = graph.subchains[index]
-    joints, columns, width = _involved_layout(numbered, nu_p + nu_s)
-    frame_p, frame_s = loop_side_frames(numbered, loop, poses)
+    frame_p = compose(poses[step.predecessor], step.predecessor_origin)
+    frame_s = compose(poses[step.successor], step.successor_origin)
     world_to_loop = invert(frame_p)
-    psi = constraint_force_subspace(loop.joint_type, *_joint_axes(loop))
-
-    slices = numbered.coordinate_slices()
-    matrix = np.zeros((psi.shape[1], width))
-    for joint_number, (start, stop) in zip(joints, columns):
-        if start == stop:
-            continue
-        joint = numbered.tree_joint_of[joint_number]
-        s_local = motion_subspace_at(
-            joint.joint_type, *_joint_axes(joint), q[slices[joint_number]]
-        )
+    psi_t = step.psi_t
+    matrix = np.zeros((psi_t.shape[0], step.width))
+    for joint_number, start, stop, sign, tree_step in step.moving:
+        s_local = tree_step.joint.motion_subspace_at(q[tree_step.coordinates])
         x = compose(world_to_loop, poses[joint_number])
-        sign = -1.0 if joint_number in nu_p else 1.0
-        matrix[:, start:stop] = sign * (psi.T @ motion_map(x, s_local))
+        matrix[:, start:stop] = sign * (psi_t @ motion_map(x, s_local))
     rel = compose(world_to_loop, frame_s)
-    residual = psi.T @ np.concatenate([so3_log(rel.rot), rel.trans])
-    jacobian = LoopJacobian(
-        number=number,
-        name=loop.name,
-        kind="loop",
-        joint_numbers=tuple(joints),
-        joint_columns=tuple(columns),
-        matrix=matrix,
-    )
+    residual = psi_t @ np.concatenate([so3_log(rel.rot), rel.trans])
+    jacobian = LoopJacobian(step.number, step.name, "loop", step.joint_numbers,
+                            step.joint_columns, matrix)
     return jacobian, residual
 
 
 def _loop_terms(
     numbered: NumberedModel,
     graph: ConnectivityGraph,
-    index: int,
-    q: np.ndarray,
-    poses: list[SpatialTransform] | None,
-) -> tuple[LoopJacobian, np.ndarray]:
-    """Rows and residual of any loop entry; `poses` are the world poses at
-    q, computed here when not given and the entry is a loop joint."""
-    q = np.asarray(q, dtype=float)
-    if isinstance(numbered.loop_entries[index][1], Coupling):
-        row = _coupling_rows(numbered, graph, index)
-        # a coupling is linear in q: its row times q is the relation itself
-        return row, row.scatter(numbered.coordinate_slices(), numbered.total_dof) @ q
-    if poses is None:
+    q,
+    indices,
+) -> list[tuple[LoopJacobian, np.ndarray]]:
+    """Rows and residual of the loop entries at `indices`, from one
+    kinematics pass at q when any of them is a loop joint."""
+    q = _configuration(numbered, q)
+    plan = numbered._kinematics.loops(graph)
+    steps = [plan[index] for index in indices]
+    poses = None
+    if any(isinstance(step, _LoopStep) for step in steps):
         poses = forward_kinematics(numbered, q)
-    return _loop_joint_terms(numbered, graph, index, q, poses)
+    terms = []
+    for step in steps:
+        if isinstance(step, _CouplingStep):
+            # a coupling is linear in q: its row times q is the relation itself
+            terms.append((step.rows(), step.full_row @ q))
+        else:
+            terms.append(_loop_joint_terms(step, q, poses))
+    return terms
 
 
 def implicit_loop_jacobian(
@@ -279,10 +366,7 @@ def implicit_loop_jacobian(
 ) -> LoopJacobian:
     """Velocity-level constraint rows of one loop joint (or coupling), with
     the forward kinematics at q computed for this call alone."""
-    index = _loop_index(numbered, number)
-    if isinstance(numbered.loop_entries[index][1], Coupling):
-        return _coupling_rows(numbered, graph, index)
-    return _loop_terms(numbered, graph, index, q, None)[0]
+    return _loop_terms(numbered, graph, q, [_loop_index(numbered, number)])[0][0]
 
 
 def coupling_row(
@@ -294,7 +378,7 @@ def coupling_row(
     index = _loop_index(numbered, number)
     if not isinstance(numbered.loop_entries[index][1], Coupling):
         raise IncompatibleCouplingError(f"joint {number} is not a coupling")
-    return _coupling_rows(numbered, graph, index)
+    return numbered._kinematics.loops(graph)[index].rows()
 
 
 def loop_residual(
@@ -309,20 +393,15 @@ def loop_residual(
     joint's motion manifold.  For couplings this is the linear position
     relation itself.
     """
-    index = _loop_index(numbered, number)
-    return _loop_terms(numbered, graph, index, q, None)[1]
+    return _loop_terms(numbered, graph, q, [_loop_index(numbered, number)])[0][1]
 
 
 def all_loop_jacobians(
     numbered: NumberedModel, graph: ConnectivityGraph, q: np.ndarray
 ) -> list[LoopJacobian]:
     """Jacobians of every loop joint and coupling, ascending by number."""
-    # one kinematics pass for every loop joint; couplings need no poses
-    poses = forward_kinematics(numbered, q) if numbered.model.loop_joints else None
-    return [
-        _loop_terms(numbered, graph, index, q, poses)[0]
-        for index in range(len(numbered.loop_entries))
-    ]
+    indices = range(len(numbered.loop_entries))
+    return [jac for jac, _ in _loop_terms(numbered, graph, q, indices)]
 
 
 def stack_jacobians(
@@ -384,7 +463,8 @@ def explicit_from_implicit(
     rank = basis.shape[0]
     if len(independent) != n_cols - rank:
         raise CountMismatchError(expected=n_cols - rank, declared=len(independent))
-    dependent = tuple(c for c in range(n_cols) if c not in set(independent))
+    chosen = set(independent)
+    dependent = tuple(c for c in range(n_cols) if c not in chosen)
     n_i = len(independent)
     if rank == 0:
         dep_rows = np.zeros((0, n_i))
@@ -451,12 +531,11 @@ def independent_coordinate_check(
     if q is None:
         q = zero_configuration(numbered)
     n = numbered.total_dof
-    poses = forward_kinematics(numbered, q) if numbered.model.loop_joints else None
     jacobians = []
     infos = []
     max_residual = 0.0
-    for index in range(len(numbered.loop_entries)):
-        jac, residual = _loop_terms(numbered, graph, index, q, poses)
+    indices = range(len(numbered.loop_entries))
+    for jac, residual in _loop_terms(numbered, graph, q, indices):
         residual_norm = float(np.abs(residual).max()) if residual.size else 0.0
         max_residual = max(max_residual, residual_norm)
         infos.append(

@@ -395,6 +395,14 @@ class NumberedModel:
     def total_dof(self) -> int:
         return self._slices[-1].stop
 
+    @cached_property
+    def _kinematics(self):
+        """The configuration-independent part of the kinematics, built on
+        first use (constraints.KinematicPlan)."""
+        from .constraints import KinematicPlan  # constraints imports this module
+
+        return KinematicPlan(self)
+
 
 def regular_numbering(model: RobotModel) -> NumberedModel:
     """Number bodies breadth-first from the root, children in declaration

@@ -22,6 +22,7 @@ from .errors import (
 
 UNIT_AXIS_TOL = 1e-9
 ORTHOGONAL_AXES_TOL = 1e-9  # |axis . axis2| allowed for a universal joint
+_EYE3 = np.eye(3)  # an operand only, never handed out
 
 
 class JointType(enum.Enum):
@@ -127,9 +128,14 @@ def rpy_from_rot(r: np.ndarray) -> tuple[float, float, float]:
 
 def rotation_about_axis(axis, angle: float) -> np.ndarray:
     """Rodrigues rotation about a unit axis."""
-    axis = _check_unit_axis(axis)
-    k = skew(axis)
-    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+    k = skew(_check_unit_axis(axis))
+    return _rodrigues(k, k @ k, angle)
+
+
+def _rodrigues(k: np.ndarray, kk: np.ndarray, angle: float) -> np.ndarray:
+    """Rotation by `angle` about the unit axis whose skew matrix is k; kk is
+    k @ k."""
+    return _EYE3 + math.sin(angle) * k + (1.0 - math.cos(angle)) * kk
 
 
 def so3_log(r: np.ndarray, antipodal_tol: float = 1e-9) -> np.ndarray:
@@ -173,6 +179,15 @@ class SpatialTransform:
         return cls()
 
     @classmethod
+    def _raw(cls, rot: np.ndarray, trans: np.ndarray) -> "SpatialTransform":
+        """Wrap a float 3x3 rotation and 3-vector translation as they are,
+        without checking or copying them."""
+        x = object.__new__(cls)
+        x.rot = rot
+        x.trans = trans
+        return x
+
+    @classmethod
     def from_rpy_xyz(cls, rpy, xyz) -> "SpatialTransform":
         """Standard URDF origin semantics: position xyz, orientation rpy."""
         r, p, y = _as_vec3(rpy)
@@ -193,12 +208,13 @@ class SpatialTransform:
 
 def compose(a: SpatialTransform, b: SpatialTransform) -> SpatialTransform:
     """Pose composition: the result maps coordinates through b, then a."""
-    return SpatialTransform(a.rot @ b.rot, a.rot @ b.trans + a.trans)
+    return SpatialTransform._raw(a.rot @ b.rot, a.rot @ b.trans + a.trans)
 
 
 def invert(x: SpatialTransform) -> SpatialTransform:
     rt = x.rot.T
-    return SpatialTransform(rt, -(rt @ x.trans))
+    # a copy, so the inverse does not share memory with x
+    return SpatialTransform._raw(np.array(rt, dtype=float), -(rt @ x.trans))
 
 
 def motion_map(x: SpatialTransform, v) -> np.ndarray:
@@ -331,6 +347,54 @@ def constraint_force_subspace(jt: JointType, axis=None, axis2=None) -> np.ndarra
     return psi
 
 
+class JointKinematics:
+    """The configuration-independent part of one joint's kinematics: its
+    unit axes, checked once with the errors of _require_axes, the Rodrigues
+    matrices K and K @ K of its rotation axes, and its motion subspace when
+    that does not move with the configuration (fixed, revolute, continuous,
+    prismatic)."""
+
+    __slots__ = ("joint_type", "axes", "a1", "k1", "kk1", "k2", "kk2", "subspace")
+
+    def __init__(self, jt: JointType, axis=None, axis2=None):
+        a1, a2 = _require_axes(jt, axis, axis2)
+        self.joint_type = jt
+        self.axes = (axis, axis2)  # as given, for motion_subspace_at
+        self.a1 = a1
+        self.k1 = self.kk1 = self.k2 = self.kk2 = self.subspace = None
+        if jt in (JointType.REVOLUTE, JointType.CONTINUOUS, JointType.UNIVERSAL):
+            self.k1 = skew(a1)
+            self.kk1 = self.k1 @ self.k1
+        if jt is JointType.UNIVERSAL:
+            self.k2 = skew(a2)
+            self.kk2 = self.k2 @ self.k2
+        elif jt is not JointType.FLOATING:
+            self.subspace = motion_subspace(jt, axis, axis2)
+
+    def transform(self, q) -> tuple[np.ndarray, np.ndarray]:
+        """Rotation and translation of the child-side joint frame at the
+        joint position q (jt.dof entries, not checked)."""
+        jt = self.joint_type
+        if jt is JointType.FIXED:
+            return np.eye(3), np.zeros(3)
+        if jt in (JointType.REVOLUTE, JointType.CONTINUOUS):
+            return _rodrigues(self.k1, self.kk1, q[0]), np.zeros(3)
+        if jt is JointType.PRISMATIC:
+            return np.eye(3), q[0] * self.a1
+        if jt is JointType.UNIVERSAL:
+            first = _rodrigues(self.k1, self.kk1, q[0])
+            return first @ _rodrigues(self.k2, self.kk2, q[1]), np.zeros(3)
+        # floating: rotate by rpy, place the child origin at xyz
+        return rot_from_rpy(q[0], q[1], q[2]), q[3:6]
+
+    def motion_subspace_at(self, q) -> np.ndarray:
+        """motion_subspace_at for this joint; the constant subspace is shared
+        between calls and must not be written to."""
+        if self.subspace is not None:
+            return self.subspace
+        return motion_subspace_at(self.joint_type, *self.axes, q)
+
+
 def joint_transform(jt: JointType, axis, axis2, q) -> SpatialTransform:
     """Pose of the child-side joint frame for joint position q."""
     q = np.atleast_1d(np.asarray(q, dtype=float))
@@ -338,19 +402,7 @@ def joint_transform(jt: JointType, axis, axis2, q) -> SpatialTransform:
         raise DimensionMismatchError(
             f"joint type {jt.value} takes {jt.dof} coordinates, got {q.shape[0]}"
         )
-    a1, a2 = _require_axes(jt, axis, axis2)
-    if jt is JointType.FIXED:
-        return SpatialTransform.identity()
-    if jt in (JointType.REVOLUTE, JointType.CONTINUOUS):
-        return SpatialTransform(rotation_about_axis(a1, q[0]))
-    if jt is JointType.PRISMATIC:
-        return SpatialTransform(trans=q[0] * a1)
-    if jt is JointType.UNIVERSAL:
-        return SpatialTransform(
-            rotation_about_axis(a1, q[0]) @ rotation_about_axis(a2, q[1])
-        )
-    # floating: rotate by rpy, place the child origin at xyz
-    return SpatialTransform(rot_from_rpy(q[0], q[1], q[2]), q[3:6])
+    return SpatialTransform(*JointKinematics(jt, axis, axis2).transform(q))
 
 
 def numerical_rank(m, tol: float = 1e-10) -> int:

@@ -329,7 +329,7 @@ class _Interpreter:
                 element.attrib["independent"], element, path
             )
 
-        origin = SpatialTransform.identity()
+        origin = None
         axis = axis2 = None
         parent = child = None
         mimic = None
@@ -372,7 +372,7 @@ class _Interpreter:
             joint_type=jtype,
             parent=parent,
             child=child,
-            origin=origin,
+            origin=SpatialTransform.identity() if origin is None else origin,
             axis=axis,
             axis2=axis2,
             independent=independent,

@@ -447,3 +447,96 @@ class TestIndependentCheck:
             wrist.numbered, wrist.graph, wrist.lacg
         )
         assert {info.aggregate for info in report.loops} == {1}
+
+
+# Every public function that takes a configuration, called on a loaded model.
+Q_FUNCTIONS = {
+    "forward_kinematics": lambda p, q: forward_kinematics(p.numbered, q),
+    "implicit_loop_jacobian": lambda p, q: implicit_loop_jacobian(
+        p.numbered, p.graph, p.numbered.n_bodies + 1, q),
+    "loop_residual": lambda p, q: loop_residual(
+        p.numbered, p.graph, p.numbered.n_bodies + 1, q),
+    "all_loop_jacobians": lambda p, q: all_loop_jacobians(p.numbered, p.graph, q),
+    "independent_coordinate_check": lambda p, q: independent_coordinate_check(
+        p.numbered, p.graph, p.lacg, q),
+    "explicit_jacobian_for_model": lambda p, q: explicit_jacobian_for_model(
+        p.numbered, p.graph, q),
+}
+
+
+@pytest.mark.parametrize("function", sorted(Q_FUNCTIONS))
+class TestBadConfiguration:
+    """One shape-and-finiteness check on q, where the kinematic plan is
+    entered; a coupling-only model (belt, n = 3) runs no kinematics at all."""
+
+    @pytest.mark.parametrize("shape", [(4,), (2,), (3, 1), (1, 3), ()])
+    def test_wrong_shape(self, belt, function, shape):
+        with pytest.raises(DimensionMismatchError, match=r"model takes \(3,\)"):
+            Q_FUNCTIONS[function](belt, np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry(self, wrist, belt, function, bad):
+        for bundle in (wrist, belt):
+            q = zero_configuration(bundle.numbered)
+            q[0] = bad
+            with pytest.raises(ConfigurationError, match="non-finite"):
+                Q_FUNCTIONS[function](bundle, q)
+
+    def test_not_numbers(self, wrist, function):
+        with pytest.raises(ConfigurationError, match="not a vector of numbers"):
+            Q_FUNCTIONS[function](wrist, ["a"] * wrist.numbered.total_dof)
+
+    def test_list_of_numbers_accepted(self, belt, function):
+        Q_FUNCTIONS[function](belt, [0.0, 0.1, 0.2])
+
+
+def svd_rank_gap(matrix):
+    """(largest singular value, relative size of the smallest one)."""
+    s = np.linalg.svd(matrix, compute_uv=False)
+    return s[0], s[-1] / s[0]
+
+
+class TestSingularConfigurations:
+    """At a singular configuration the rank of K_l drops and the count check
+    reports the larger n_i; the SVD confirms the drop is not a tolerance
+    artefact of the elimination."""
+
+    def test_folded_fourbar(self, fourbar):
+        numbered, graph, lacg = fourbar.numbered, fourbar.graph, fourbar.lacg
+        # the parallelogram stays closed along crank = rocker = -coupler
+        regular = independent_coordinate_check(
+            numbered, graph, lacg, np.array([0.3, 0.3, -0.3]))
+        assert [info.rank for info in regular.loops] == [2]
+        assert (regular.n_i, regular.passed) == (1, True)
+        # folded flat: the crank lies on the ground line, so every pivot and
+        # the loop joint sit on the x axis and all rows point along y
+        folded_q = np.array([-math.pi / 2, -math.pi / 2, math.pi / 2])
+        folded = independent_coordinate_check(numbered, graph, lacg, folded_q)
+        assert folded.max_residual < 1e-12  # still closed
+        assert [info.rank for info in folded.loops] == [1]
+        assert (folded.n_i, folded.passed) == (2, False)
+        jac = folded.jacobians[0].matrix
+        assert svd_rank_gap(jac[np.abs(jac).max(axis=1) > 0])[1] < 1e-12
+
+    def test_wrist_axes_through_the_loop_centres(self, wrist):
+        numbered, graph, lacg = wrist.numbered, wrist.graph, wrist.lacg
+        # at zero every joint axis is perpendicular to both rods, so no
+        # column reaches the blocked rotation about the rod, and Joint4's
+        # axes pass through the loop centres (Joint4 columns x and y vanish
+        # in loop 1 and loop 2)
+        aligned = independent_coordinate_check(numbered, graph, lacg,
+                                               zero_configuration(numbered))
+        assert [info.rank for info in aligned.loops] == [3, 3]
+        assert (aligned.n_i, aligned.passed) == (2, True)
+        for jac in aligned.jacobians:
+            assert np.abs(jac.matrix[0]).max() == 0.0  # the rod-axis row
+            assert svd_rank_gap(jac.matrix[1:])[1] > 1e-3  # the rest: rank 3
+        # turning Joint4 tilts its second axis out of the plane perpendicular
+        # to the rods, so it reaches the blocked rotation: rank 4 in each loop
+        q = zero_configuration(numbered)
+        q[numbered.coordinate_slices()[numbered.body_index("Output")]] = 0.3
+        generic = independent_coordinate_check(numbered, graph, lacg, q)
+        assert [info.rank for info in generic.loops] == [4, 4]
+        assert (generic.n_i, generic.passed) == (0, False)
+        for jac in generic.jacobians:
+            assert svd_rank_gap(jac.matrix)[1] > 1e-6

@@ -1,0 +1,559 @@
+"""Differential test of the per-model kinematic plan, and its lifetime.
+
+The oracle below is the earlier implementation, copied verbatim: the
+per-call `forward_kinematics` and loop-entry assembly of `constraints`,
+which re-derived axes, subspaces, Psi, layouts and signs at every
+configuration, and the parts of `spatial` they used that have since
+changed (`rotation_about_axis`, `compose`, `invert`, `motion_subspace_at`,
+`joint_transform`).  Poses, every K_l, every residual and G must be
+bit-identical (`np.array_equal`) on every `models/` file and on seeded
+generated models with all six joint types on loop paths.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+import urdfplus.constraints
+from conftest import MODELS_DIR, load_pipeline
+from urdfplus.constraints import (
+    LoopJacobian,
+    all_loop_jacobians,
+    explicit_from_implicit,
+    explicit_jacobian_for_model,
+    forward_kinematics,
+    implicit_loop_jacobian,
+    independent_coordinate_check,
+    independent_coordinate_indices,
+    loop_residual,
+    stack_jacobians,
+)
+from urdfplus.errors import DimensionMismatchError, UrdfPlusError
+from urdfplus.graphs import ConnectivityGraph, build_pipeline
+from urdfplus.model import (
+    Coupling,
+    Link,
+    LoopJoint,
+    NumberedModel,
+    RobotModel,
+    TreeJoint,
+    regular_numbering,
+)
+from urdfplus.spatial import (
+    JointType,
+    SpatialTransform,
+    _check_unit_axis,
+    _require_axes,
+    constraint_force_subspace,
+    motion_map,
+    motion_subspace,
+    rot_from_rpy,
+    rot_x,
+    rot_y,
+    skew,
+    so3_log,
+)
+
+# -- oracle: spatial -----------------------------------------------------------
+
+
+def rotation_about_axis(axis, angle: float) -> np.ndarray:
+    """Rodrigues rotation about a unit axis."""
+    axis = _check_unit_axis(axis)
+    k = skew(axis)
+    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+
+
+def compose(a: SpatialTransform, b: SpatialTransform) -> SpatialTransform:
+    """Pose composition: the result maps coordinates through b, then a."""
+    return SpatialTransform(a.rot @ b.rot, a.rot @ b.trans + a.trans)
+
+
+def invert(x: SpatialTransform) -> SpatialTransform:
+    rt = x.rot.T
+    return SpatialTransform(rt, -(rt @ x.trans))
+
+
+def motion_subspace_at(jt: JointType, axis, axis2, q) -> np.ndarray:
+    """Motion subspace at joint position q, expressed in the child frame.
+
+    Identical to motion_subspace() for joints whose subspace does not move
+    with the configuration (fixed, revolute, continuous, prismatic).  For a
+    universal joint the first axis is carried back through the second
+    rotation; for a floating joint the angular columns are the fixed-axis
+    X-Y-Z rate directions and the linear columns are the parent-side
+    translation rates re-expressed in the child frame.
+    """
+    q = np.atleast_1d(np.asarray(q, dtype=float))
+    if q.shape[0] != jt.dof:
+        raise DimensionMismatchError(
+            f"joint type {jt.value} takes {jt.dof} coordinates, got {q.shape[0]}"
+        )
+    if jt is JointType.UNIVERSAL:
+        a1, a2 = _require_axes(jt, axis, axis2)
+        s = np.zeros((6, 2))
+        s[:3, 0] = rotation_about_axis(a2, q[1]).T @ a1
+        s[:3, 1] = a2
+        return s
+    if jt is JointType.FLOATING:
+        roll, pitch = q[0], q[1]
+        r = rot_from_rpy(q[0], q[1], q[2])
+        s = np.zeros((6, 6))
+        s[:3, 0] = np.array([1.0, 0.0, 0.0])
+        s[:3, 1] = rot_x(roll).T @ np.array([0.0, 1.0, 0.0])
+        s[:3, 2] = rot_x(roll).T @ rot_y(pitch).T @ np.array([0.0, 0.0, 1.0])
+        s[3:, 3:] = r.T
+        return s
+    return motion_subspace(jt, axis, axis2)
+
+
+def joint_transform(jt: JointType, axis, axis2, q) -> SpatialTransform:
+    """Pose of the child-side joint frame for joint position q."""
+    q = np.atleast_1d(np.asarray(q, dtype=float))
+    if q.shape[0] != jt.dof:
+        raise DimensionMismatchError(
+            f"joint type {jt.value} takes {jt.dof} coordinates, got {q.shape[0]}"
+        )
+    a1, a2 = _require_axes(jt, axis, axis2)
+    if jt is JointType.FIXED:
+        return SpatialTransform.identity()
+    if jt in (JointType.REVOLUTE, JointType.CONTINUOUS):
+        return SpatialTransform(rotation_about_axis(a1, q[0]))
+    if jt is JointType.PRISMATIC:
+        return SpatialTransform(trans=q[0] * a1)
+    if jt is JointType.UNIVERSAL:
+        return SpatialTransform(
+            rotation_about_axis(a1, q[0]) @ rotation_about_axis(a2, q[1])
+        )
+    # floating: rotate by rpy, place the child origin at xyz
+    return SpatialTransform(rot_from_rpy(q[0], q[1], q[2]), q[3:6])
+
+
+# -- oracle: constraints -------------------------------------------------------
+
+
+def _joint_axes(joint: TreeJoint | LoopJoint):
+    axis = None if joint.axis is None else np.asarray(joint.axis, dtype=float)
+    axis2 = None if joint.axis2 is None else np.asarray(joint.axis2, dtype=float)
+    return axis, axis2
+
+
+def oracle_forward_kinematics(
+    numbered: NumberedModel, q: np.ndarray
+) -> list[SpatialTransform]:
+    """World pose of every body frame; entry 0 (the root) is the identity."""
+    q = np.asarray(q, dtype=float)
+    if q.shape != (numbered.total_dof,):
+        raise DimensionMismatchError(
+            f"configuration has {q.shape} entries, model takes "
+            f"({numbered.total_dof},)"
+        )
+    slices = numbered.coordinate_slices()
+    poses = [SpatialTransform.identity()]
+    for body in range(1, numbered.n_bodies + 1):
+        joint = numbered.tree_joint_of[body]
+        axis, axis2 = _joint_axes(joint)
+        x_joint = joint_transform(joint.joint_type, axis, axis2, q[slices[body]])
+        poses.append(
+            compose(poses[numbered.parent[body]], compose(joint.origin, x_joint))
+        )
+    return poses
+
+
+def loop_side_frames(
+    numbered: NumberedModel,
+    loop: LoopJoint,
+    poses: list[SpatialTransform],
+) -> tuple[SpatialTransform, SpatialTransform]:
+    """World poses of the predecessor-side and successor-side loop frames."""
+    p = numbered.body_index(loop.predecessor)
+    s = numbered.body_index(loop.successor)
+    return (
+        compose(poses[p], loop.predecessor_origin),
+        compose(poses[s], loop.successor_origin),
+    )
+
+
+def _involved_layout(numbered: NumberedModel, bodies: list[int]):
+    joints = sorted(bodies)
+    columns = []
+    offset = 0
+    for j in joints:
+        width = numbered.tree_joint_of[j].joint_type.dof
+        columns.append((offset, offset + width))
+        offset += width
+    return joints, columns, offset
+
+
+def _coupling_rows(
+    numbered: NumberedModel, graph: ConnectivityGraph, index: int
+) -> LoopJacobian:
+    """Single row of the coupling at `index` of the loop entries: +1 on
+    predecessor-subchain joints, -ratio on successor-subchain joints.  A
+    0-DoF joint adds no entry."""
+    number, coupling = numbered.loop_entries[index]
+    _, nu_p, nu_s = graph.subchains[index]
+    joints, columns, width = _involved_layout(numbered, nu_p + nu_s)
+    row = np.zeros((1, width))
+    for joint_number, (start, stop) in zip(joints, columns):
+        if start < stop:
+            row[0, start] = 1.0 if joint_number in nu_p else -coupling.ratio
+    return LoopJacobian(
+        number=number,
+        name=coupling.name,
+        kind="coupling",
+        joint_numbers=tuple(joints),
+        joint_columns=tuple(columns),
+        matrix=row,
+    )
+
+
+def _loop_joint_terms(
+    numbered: NumberedModel,
+    graph: ConnectivityGraph,
+    index: int,
+    q: np.ndarray,
+    poses: list[SpatialTransform],
+) -> tuple[LoopJacobian, np.ndarray]:
+    """Constraint rows and closure residual of the loop joint at `index` of
+    the loop entries, given the world poses at q.
+
+    Block column j is sign * Psi^T * S_j with S_j carried into the
+    predecessor-side loop frame along the kinematic chain; the sign is -1
+    on the predecessor subchain and +1 on the successor subchain.
+    """
+    number, loop = numbered.loop_entries[index]
+    _, nu_p, nu_s = graph.subchains[index]
+    joints, columns, width = _involved_layout(numbered, nu_p + nu_s)
+    frame_p, frame_s = loop_side_frames(numbered, loop, poses)
+    world_to_loop = invert(frame_p)
+    psi = constraint_force_subspace(loop.joint_type, *_joint_axes(loop))
+
+    slices = numbered.coordinate_slices()
+    matrix = np.zeros((psi.shape[1], width))
+    for joint_number, (start, stop) in zip(joints, columns):
+        if start == stop:
+            continue
+        joint = numbered.tree_joint_of[joint_number]
+        s_local = motion_subspace_at(
+            joint.joint_type, *_joint_axes(joint), q[slices[joint_number]]
+        )
+        x = compose(world_to_loop, poses[joint_number])
+        sign = -1.0 if joint_number in nu_p else 1.0
+        matrix[:, start:stop] = sign * (psi.T @ motion_map(x, s_local))
+    rel = compose(world_to_loop, frame_s)
+    residual = psi.T @ np.concatenate([so3_log(rel.rot), rel.trans])
+    jacobian = LoopJacobian(
+        number=number,
+        name=loop.name,
+        kind="loop",
+        joint_numbers=tuple(joints),
+        joint_columns=tuple(columns),
+        matrix=matrix,
+    )
+    return jacobian, residual
+
+
+def _loop_terms(
+    numbered: NumberedModel,
+    graph: ConnectivityGraph,
+    index: int,
+    q: np.ndarray,
+    poses: list[SpatialTransform] | None,
+) -> tuple[LoopJacobian, np.ndarray]:
+    """Rows and residual of any loop entry; `poses` are the world poses at
+    q, computed here when not given and the entry is a loop joint."""
+    q = np.asarray(q, dtype=float)
+    if isinstance(numbered.loop_entries[index][1], Coupling):
+        row = _coupling_rows(numbered, graph, index)
+        # a coupling is linear in q: its row times q is the relation itself
+        return row, row.scatter(numbered.coordinate_slices(), numbered.total_dof) @ q
+    if poses is None:
+        poses = oracle_forward_kinematics(numbered, q)
+    return _loop_joint_terms(numbered, graph, index, q, poses)
+
+
+# -- end of the oracle ---------------------------------------------------------
+
+CONFIGURATIONS = 20
+PER_ENTRY = 3  # configurations per model that also check each entry alone
+GENERATED_MODELS = 40
+ALL_TYPES = set(JointType)
+LOOP_TYPES = tuple(JointType)
+
+
+def outcome(fn):
+    """The value of fn(), or the type and message of the error it raised."""
+    try:
+        return "value", fn()
+    except UrdfPlusError as exc:
+        return "error", (type(exc), str(exc))
+
+
+def assert_same(got, want):
+    """Equal outcomes, with arrays compared by np.array_equal."""
+    assert got[0] == want[0], (got, want)
+    if got[0] == "error":
+        assert got[1] == want[1]
+    else:
+        assert_same_value(got[1], want[1])
+
+
+def assert_same_value(got, want):
+    if isinstance(want, (list, tuple)):
+        assert type(got) is type(want) and len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_value(g, w)
+    elif isinstance(want, SpatialTransform):
+        assert np.array_equal(got.rot, want.rot)
+        assert np.array_equal(got.trans, want.trans)
+    elif isinstance(want, LoopJacobian):
+        def layout(jac):
+            return (jac.number, jac.name, jac.kind, jac.joint_numbers,
+                    jac.joint_columns)
+
+        assert layout(got) == layout(want)
+        assert got.matrix.shape == want.matrix.shape
+        assert np.array_equal(got.matrix, want.matrix)
+    elif isinstance(want, np.ndarray):
+        assert got.shape == want.shape and np.array_equal(got, want)
+    else:
+        assert got == want
+
+
+def check_against_oracle(numbered, graph, lacg, q, per_entry=True):
+    """Library against oracle at q; `per_entry` adds the one-entry functions,
+    which run forward kinematics once per entry on each side."""
+    entries = range(len(numbered.loop_entries))
+    numbers = [number for number, _ in numbered.loop_entries]
+
+    def oracle_terms():
+        poses = oracle_forward_kinematics(numbered, q)
+        return [_loop_terms(numbered, graph, index, q, poses) for index in entries]
+
+    want_terms = outcome(oracle_terms)
+    want_jacobians = want_terms
+    if want_terms[0] == "value":
+        want_jacobians = "value", [jac for jac, _ in want_terms[1]]
+    assert_same(outcome(lambda: forward_kinematics(numbered, q)),
+                outcome(lambda: oracle_forward_kinematics(numbered, q)))
+    assert_same(outcome(lambda: all_loop_jacobians(numbered, graph, q)), want_jacobians)
+    for index, number in zip(entries, numbers) if per_entry else ():
+        assert_same(outcome(lambda: implicit_loop_jacobian(numbered, graph, number, q)),
+                    outcome(lambda: _loop_terms(numbered, graph, index, q, None)[0]))
+        assert_same(outcome(lambda: loop_residual(numbered, graph, number, q)),
+                    outcome(lambda: _loop_terms(numbered, graph, index, q, None)[1]))
+
+    got_report = outcome(lambda: independent_coordinate_check(numbered, graph, lacg, q))
+    assert got_report[0] == want_terms[0]
+    if want_terms[0] == "error":
+        assert got_report[1] == want_terms[1]
+        return
+    report = got_report[1]
+    assert_same_value(list(report.jacobians), want_jacobians[1])
+    for info, (_, residual) in zip(report.loops, want_terms[1]):
+        want_norm = float(np.abs(residual).max()) if residual.size else 0.0
+        assert info.residual_norm == want_norm
+
+    def oracle_g():
+        k_full = stack_jacobians(numbered, want_jacobians[1])
+        return explicit_from_implicit(k_full, independent_coordinate_indices(numbered))
+
+    got_g = outcome(lambda: explicit_jacobian_for_model(numbered, graph, q))
+    want_g = outcome(oracle_g)
+    assert got_g[0] == want_g[0]
+    if want_g[0] == "error":
+        assert got_g[1] == want_g[1]
+    else:
+        assert got_g[1].row_coordinates == want_g[1].row_coordinates
+        assert np.array_equal(got_g[1].matrix, want_g[1].matrix)
+
+
+def configurations(rng, numbered):
+    return [rng.uniform(-1.0, 1.0, numbered.total_dof) for _ in range(CONFIGURATIONS)]
+
+
+MODEL_FILES = sorted(
+    str(path.relative_to(MODELS_DIR)) for path in MODELS_DIR.rglob("*.urdf")
+)
+
+
+def loadable(name):
+    try:
+        return load_pipeline(name)
+    except UrdfPlusError:
+        return None
+
+
+@pytest.mark.parametrize("name", MODEL_FILES)
+def test_model_files_match_oracle(name):
+    pipe = loadable(name)
+    if pipe is None:
+        assert name.startswith("errors/")
+        return
+    rng = np.random.default_rng(sum(map(ord, name)))
+    qs = [np.zeros(pipe.numbered.total_dof), *configurations(rng, pipe.numbered)]
+    for k, q in enumerate(qs):
+        check_against_oracle(pipe.numbered, pipe.graph, pipe.lacg, q, k < PER_ENTRY)
+
+
+def _unit(rng):
+    v = rng.normal(size=3)
+    return tuple(v / np.linalg.norm(v))
+
+
+def _orthogonal_unit(rng, axis):
+    a = np.asarray(axis)
+    v = rng.normal(size=3)
+    v -= np.dot(v, a) * a
+    return tuple(v / np.linalg.norm(v))
+
+
+def _origin(rng):
+    return SpatialTransform.from_rpy_xyz(rng.uniform(-math.pi, math.pi, 3),
+                                         rng.uniform(-0.5, 0.5, 3))
+
+
+def _axes(rng, jtype):
+    """(axis, axis2) for a joint type; a universal joint goes without an
+    axis2 half the time, so its default second axis is covered too."""
+    if not jtype.requires_axis:
+        return None, None
+    axis = _unit(rng)
+    if jtype is JointType.UNIVERSAL and rng.random() < 0.5:
+        return axis, _orthogonal_unit(rng, axis)
+    return axis, None
+
+
+def random_kinematic_model(rng) -> RobotModel:
+    """A random tree of every joint type with random origins and axes,
+    closed by loop joints of every type between random bodies, plus now
+    and then a coupling across two revolute joints."""
+    n_bodies = int(rng.integers(2, 10))
+    links = tuple(Link(name=f"b{i}") for i in range(n_bodies + 1))
+    joints = []
+    for i in range(1, n_bodies + 1):
+        jtype = LOOP_TYPES[int(rng.integers(len(LOOP_TYPES)))]
+        axis, axis2 = _axes(rng, jtype)
+        flag = (None, True, False)[int(rng.integers(3))]
+        joints.append(TreeJoint(
+            name=f"j{i}", joint_type=jtype, parent=f"b{int(rng.integers(i))}",
+            child=f"b{i}", origin=_origin(rng), axis=axis, axis2=axis2,
+            independent=flag))
+    loops = []
+    for k in range(int(rng.integers(1, 4))):
+        a, b = rng.choice(n_bodies + 1, size=2, replace=False)
+        jtype = LOOP_TYPES[int(rng.integers(len(LOOP_TYPES)))]
+        axis, axis2 = _axes(rng, jtype)
+        loops.append(LoopJoint(
+            name=f"loop{k}", joint_type=jtype, predecessor=f"b{a}",
+            successor=f"b{b}", predecessor_origin=_origin(rng),
+            successor_origin=_origin(rng), axis=axis, axis2=axis2))
+    couplings = ()
+    revolute = [j.child for j in joints if j.joint_type is JointType.REVOLUTE
+                and j.parent == "b0"]
+    if len(revolute) >= 2 and rng.random() < 0.5:
+        couplings = (Coupling("gear", revolute[0], revolute[1],
+                              float(rng.uniform(0.5, 2.0))),)
+    return RobotModel(name="random", links=links, tree_joints=tuple(joints),
+                      loop_joints=tuple(loops), couplings=couplings)
+
+
+def generated_pipelines():
+    rng = np.random.default_rng(20240613)
+    out = []
+    while len(out) < GENERATED_MODELS:
+        numbered = regular_numbering(random_kinematic_model(rng))
+        graph, _, _, lacg = build_pipeline(numbered)
+        out.append((numbered, graph, lacg, configurations(rng, numbered)))
+    return out
+
+
+def test_generated_models_match_oracle():
+    pipelines = generated_pipelines()
+    on_loop_paths = set()
+    loop_types = set()
+    for numbered, graph, lacg, qs in pipelines:
+        for (_, nu_p, nu_s), (_, entry) in zip(graph.subchains, numbered.loop_entries):
+            if isinstance(entry, LoopJoint):
+                loop_types.add(entry.joint_type)
+                on_loop_paths |= {numbered.tree_joint_of[b].joint_type
+                                  for b in nu_p + nu_s}
+        for k, q in enumerate(qs):
+            check_against_oracle(numbered, graph, lacg, q, k < PER_ENTRY)
+    # every type moves a loop Jacobian column, and closes a loop
+    assert on_loop_paths == ALL_TYPES
+    assert loop_types == ALL_TYPES
+    assert any(numbered.model.couplings for numbered, *_ in pipelines)
+
+
+# -- plan lifetime --------------------------------------------------------------
+
+
+@pytest.fixture
+def plan_builds(monkeypatch):
+    """Counts of KinematicPlan objects, tree parts and loop steps built."""
+    counts = {"plans": 0, "tree_joints": 0, "loop_steps": 0}
+    plan_class = urdfplus.constraints.KinematicPlan
+    init, loop_step = plan_class.__init__, plan_class._loop_step
+    joint_kinematics = urdfplus.constraints.JointKinematics
+
+    def counting_init(self, numbered):
+        counts["plans"] += 1
+        init(self, numbered)
+
+    def counting_loop_step(self, graph, index):
+        counts["loop_steps"] += 1
+        return loop_step(self, graph, index)
+
+    def counting_joint_kinematics(*args):
+        counts["tree_joints"] += 1
+        return joint_kinematics(*args)
+
+    monkeypatch.setattr(plan_class, "__init__", counting_init)
+    monkeypatch.setattr(plan_class, "_loop_step", counting_loop_step)
+    monkeypatch.setattr(urdfplus.constraints, "JointKinematics",
+                        counting_joint_kinematics)
+    return counts
+
+
+@pytest.mark.parametrize("command", ["info", "graph"])
+def test_structural_commands_never_build_the_plan(plan_builds, command, capsys):
+    from urdfplus.cli import main
+
+    assert main([command, str(MODELS_DIR / "wrist.urdf")]) == 0
+    capsys.readouterr()
+    assert plan_builds == {"plans": 0, "tree_joints": 0, "loop_steps": 0}
+
+
+@pytest.mark.parametrize("command", ["validate", "constraints"])
+def test_count_check_commands_build_the_plan_once(plan_builds, command, capsys):
+    """`validate` and `constraints` run the count check, on a model loaded
+    for the call: one plan each."""
+    from urdfplus.cli import main
+
+    assert main([command, str(MODELS_DIR / "wrist.urdf")]) == 0
+    capsys.readouterr()
+    assert plan_builds == {"plans": 1, "tree_joints": 4, "loop_steps": 2}
+
+
+def test_repeated_calls_build_the_plan_once(plan_builds):
+    pipe = load_pipeline("wrist.urdf")  # a model of its own, plan not built
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        q = rng.uniform(-1.0, 1.0, pipe.numbered.total_dof)
+        independent_coordinate_check(pipe.numbered, pipe.graph, pipe.lacg, q)
+        explicit_jacobian_for_model(pipe.numbered, pipe.graph)
+    assert plan_builds == {"plans": 1, "tree_joints": pipe.numbered.n_bodies,
+                           "loop_steps": len(pipe.numbered.loop_entries)}
+
+
+def test_coupling_only_model_builds_no_tree_part(plan_builds):
+    pipe = load_pipeline("belt.urdf")
+    for _ in range(2):
+        all_loop_jacobians(pipe.numbered, pipe.graph, np.zeros(pipe.numbered.total_dof))
+    assert plan_builds == {"plans": 1, "tree_joints": 0,
+                           "loop_steps": len(pipe.numbered.loop_entries)}
