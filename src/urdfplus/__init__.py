@@ -26,8 +26,6 @@ from .graphs import (
     constraint_dependency_digraph,
     export_dot,
     loop_aggregated_graph,
-    nearest_common_ancestor,
-    path_subchain,
     strongly_connected_components,
 )
 from .model import (

@@ -15,7 +15,7 @@ import sys
 from . import FORMAT_VERSION, __version__
 from .constraints import (
     RANK_TOL,
-    _explicit_from_jacobians,
+    explicit_jacobian_for_model,
     independent_coordinate_check,
     parse_configuration,
     zero_configuration,
@@ -158,43 +158,50 @@ def _configuration(args, numbered):
     return zero_configuration(numbered)
 
 
-def _counts_line(model) -> str:
-    return (
-        f"{len(model.links)} links, {len(model.tree_joints)} tree joints, "
-        f"{len(model.loop_joints)} loops, {len(model.couplings)} couplings"
-    )
-
-
-def cmd_validate(args) -> int:
+def _run_check(args, show=None):
+    """What `validate` and `constraints` share: load, pipeline, configuration
+    and count check, then `show(numbered, graph, lacg, q, report)`, then the
+    failures on standard error (`validate` also names the declared joints
+    and warns of an open loop without --strict).  Returns (status, model)."""
     model, numbered = _load(args.file)
     if numbered is None:
-        return EXIT_FAILURE
+        return EXIT_FAILURE, model
     graph, _, _, lacg = build_pipeline(numbered)
     q = _configuration(args, numbered)
-    constraint_report = independent_coordinate_check(
-        numbered, graph, lacg, q, tol=args.tolerance
-    )
+    report = independent_coordinate_check(numbered, graph, lacg, q, tol=args.tolerance)
+    if show is not None:
+        show(numbered, graph, lacg, q, report)
+    validating = args.command == "validate"
     status = EXIT_OK
-    if constraint_report.passed is False:
+    if report.passed is False:
+        joints = ", ".join(report.declared_joints) or "none"
         print(
             "error: independent coordinate count mismatch: expected "
-            f"{constraint_report.n_i}, declared {constraint_report.declared_dof} "
-            f"(joints: {', '.join(constraint_report.declared_joints) or 'none'})",
+            f"{report.n_i}, declared {report.declared_dof}"
+            + (f" (joints: {joints})" if validating else ""),
             file=sys.stderr,
         )
         status = EXIT_FAILURE
-    if constraint_report.max_residual > RESIDUAL_LIMIT:
-        message = (
-            f"closure residual {constraint_report.max_residual:.3e} exceeds "
-            f"{RESIDUAL_LIMIT:g} at the evaluation configuration"
+    if report.max_residual > RESIDUAL_LIMIT and (validating or args.strict):
+        print(
+            f"{'error' if args.strict else 'warning'}: closure residual "
+            f"{report.max_residual:.3e} exceeds {RESIDUAL_LIMIT:g}"
+            + (" at the evaluation configuration" if validating else ""),
+            file=sys.stderr,
         )
         if args.strict:
-            print(f"error: {message}", file=sys.stderr)
             status = EXIT_FAILURE
-        else:
-            print(f"warning: {message}", file=sys.stderr)
+    return status, model
+
+
+def cmd_validate(args) -> int:
+    status, model = _run_check(args)
     if status == EXIT_OK:
-        print(f"OK: {model.name} ({_counts_line(model)})")
+        print(
+            f"OK: {model.name} ({len(model.links)} links, "
+            f"{len(model.tree_joints)} tree joints, {len(model.loop_joints)} "
+            f"loops, {len(model.couplings)} couplings)"
+        )
     return status
 
 
@@ -310,40 +317,17 @@ def _print_text_report(payload) -> None:
 
 
 def cmd_constraints(args) -> int:
-    _, numbered = _load(args.file)
-    if numbered is None:
-        return EXIT_FAILURE
-    graph, _, _, lacg = build_pipeline(numbered)
-    q = _configuration(args, numbered)
-    constraint_report = independent_coordinate_check(
-        numbered, graph, lacg, q, tol=args.tolerance
-    )
-    explicit = None
-    if constraint_report.passed:
-        explicit = _explicit_from_jacobians(
-            numbered, constraint_report.jacobians, args.tolerance
-        )
-    payload = _report_payload(numbered, lacg, constraint_report, explicit)
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        _print_text_report(payload)
-    status = EXIT_OK
-    if constraint_report.passed is False:
-        print(
-            "error: independent coordinate count mismatch: expected "
-            f"{constraint_report.n_i}, declared {constraint_report.declared_dof}",
-            file=sys.stderr,
-        )
-        status = EXIT_FAILURE
-    if args.strict and constraint_report.max_residual > RESIDUAL_LIMIT:
-        print(
-            f"error: closure residual {constraint_report.max_residual:.3e} "
-            f"exceeds {RESIDUAL_LIMIT:g}",
-            file=sys.stderr,
-        )
-        status = EXIT_FAILURE
-    return status
+    def show(numbered, graph, lacg, q, report):
+        explicit = None
+        if report.passed:
+            explicit = explicit_jacobian_for_model(numbered, graph, q, args.tolerance)
+        payload = _report_payload(numbered, lacg, report, explicit)
+        if args.json:
+            print(json.dumps(payload, indent=2))
+        else:
+            _print_text_report(payload)
+
+    return _run_check(args, show)[0]
 
 
 def cmd_info(args) -> int:

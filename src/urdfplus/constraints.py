@@ -18,7 +18,7 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -143,24 +143,16 @@ def _loop_index(numbered: NumberedModel, number: int) -> int:
     return index
 
 
-def loop_side_frames(
-    numbered: NumberedModel,
-    loop: LoopJoint,
-    poses: list[SpatialTransform],
-) -> tuple[SpatialTransform, SpatialTransform]:
-    """World poses of the predecessor-side and successor-side loop frames."""
-    p = numbered.body_index(loop.predecessor)
-    s = numbered.body_index(loop.successor)
-    return (
-        compose(poses[p], loop.predecessor_origin),
-        compose(poses[s], loop.successor_origin),
-    )
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
 class LoopJacobian:
     """Constraint rows of one loop joint or coupling over its involved
-    tree joints only (uninvolved columns pruned)."""
+    tree joints only (uninvolved columns pruned).  The library shares one
+    per entry and configuration, so its matrix is read-only."""
 
     number: int
     name: str
@@ -222,10 +214,6 @@ class _CouplingStep:
     jacobian: LoopJacobian
     full_row: np.ndarray
 
-    def rows(self) -> LoopJacobian:
-        """The row, with a matrix of its own for the caller."""
-        return replace(self.jacobian, matrix=self.jacobian.matrix.copy())
-
 
 class KinematicPlan:
     """The configuration-independent part of a numbered model's kinematics,
@@ -234,7 +222,9 @@ class KinematicPlan:
     `tree` has one step per body in numbering order; `loops(graph)` has one
     step per loop entry, its involved joints taken from `graph.subchains`.
     Each part is built once, on its first use, so a coupling-only model
-    never builds the tree part.
+    never builds the tree part.  The plan also keeps the last configuration
+    evaluated (`_key`, the bytes of q): its world poses and each loop entry's
+    (rows, residual), filled on demand by `_loop_terms`.
     """
 
     def __init__(self, numbered: NumberedModel):
@@ -243,6 +233,9 @@ class KinematicPlan:
         self._slices = numbered.coordinate_slices()
         self._entries = numbered.loop_entries
         self._loops = None
+        self._key = None
+        self._poses = None
+        self._terms = {}
 
     @cached_property
     def tree(self) -> tuple[_TreeStep, ...]:
@@ -282,7 +275,7 @@ class KinematicPlan:
                 if start < stop:
                     row[0, start] = 1.0 if joint_number in nu_p else -entry.ratio
             jacobian = LoopJacobian(number, entry.name, "coupling", tuple(joints),
-                                    tuple(columns), row)
+                                    tuple(columns), _read_only(row))
             full_row = jacobian.scatter(self._slices, self._slices[-1].stop)
             return _CouplingStep(jacobian, full_row)
         psi = constraint_force_subspace(entry.joint_type, *_joint_axes(entry))
@@ -330,8 +323,8 @@ def _loop_joint_terms(
     rel = compose(world_to_loop, frame_s)
     residual = psi_t @ np.concatenate([so3_log(rel.rot), rel.trans])
     jacobian = LoopJacobian(step.number, step.name, "loop", step.joint_numbers,
-                            step.joint_columns, matrix)
-    return jacobian, residual
+                            step.joint_columns, _read_only(matrix))
+    return jacobian, _read_only(residual)
 
 
 def _loop_terms(
@@ -340,22 +333,28 @@ def _loop_terms(
     q,
     indices,
 ) -> list[tuple[LoopJacobian, np.ndarray]]:
-    """Rows and residual of the loop entries at `indices`, from one
-    kinematics pass at q when any of them is a loop joint."""
+    """Rows and residual of the loop entries at `indices`.  Calls at one q
+    share the plan's record of it: one kinematics pass, made only when a
+    loop joint needs it, and one assembly per entry."""
     q = _configuration(numbered, q)
-    plan = numbered._kinematics.loops(graph)
-    steps = [plan[index] for index in indices]
-    poses = None
-    if any(isinstance(step, _LoopStep) for step in steps):
-        poses = forward_kinematics(numbered, q)
-    terms = []
-    for step in steps:
+    plan = numbered._kinematics
+    steps = plan.loops(graph)
+    key = q.tobytes()
+    if plan._key != key:
+        plan._key, plan._poses, plan._terms = key, None, {}
+    terms = plan._terms
+    for index in indices:
+        if index in terms:
+            continue
+        step = steps[index]
         if isinstance(step, _CouplingStep):
             # a coupling is linear in q: its row times q is the relation itself
-            terms.append((step.rows(), step.full_row @ q))
+            terms[index] = step.jacobian, _read_only(step.full_row @ q)
         else:
-            terms.append(_loop_joint_terms(step, q, poses))
-    return terms
+            if plan._poses is None:
+                plan._poses = forward_kinematics(numbered, q)
+            terms[index] = _loop_joint_terms(step, q, plan._poses)
+    return [terms[index] for index in indices]
 
 
 def implicit_loop_jacobian(
@@ -364,8 +363,7 @@ def implicit_loop_jacobian(
     number: int,
     q: np.ndarray,
 ) -> LoopJacobian:
-    """Velocity-level constraint rows of one loop joint (or coupling), with
-    the forward kinematics at q computed for this call alone."""
+    """Velocity-level constraint rows of one loop joint (or coupling) at q."""
     return _loop_terms(numbered, graph, q, [_loop_index(numbered, number)])[0][0]
 
 
@@ -378,7 +376,7 @@ def coupling_row(
     index = _loop_index(numbered, number)
     if not isinstance(numbered.loop_entries[index][1], Coupling):
         raise IncompatibleCouplingError(f"joint {number} is not a coupling")
-    return numbered._kinematics.loops(graph)[index].rows()
+    return numbered._kinematics.loops(graph)[index].jacobian
 
 
 def loop_residual(
@@ -504,7 +502,6 @@ class ConstraintReport:
     declared_dof: int | None
     passed: bool | None  # None when no independent attribute is present
     max_residual: float
-    # the assembled rows, for building G without assembling them again
     jacobians: tuple[LoopJacobian, ...] = field(
         default=(), repr=False, compare=False
     )
@@ -531,11 +528,10 @@ def independent_coordinate_check(
     if q is None:
         q = zero_configuration(numbered)
     n = numbered.total_dof
-    jacobians = []
     infos = []
     max_residual = 0.0
-    indices = range(len(numbered.loop_entries))
-    for jac, residual in _loop_terms(numbered, graph, q, indices):
+    terms = _loop_terms(numbered, graph, q, range(len(numbered.loop_entries)))
+    for jac, residual in terms:
         residual_norm = float(np.abs(residual).max()) if residual.size else 0.0
         max_residual = max(max_residual, residual_norm)
         infos.append(
@@ -552,7 +548,6 @@ def independent_coordinate_check(
                 residual_norm=residual_norm,
             )
         )
-        jacobians.append(jac)
 
     n_i = n - sum(info.rank for info in infos)
 
@@ -571,7 +566,7 @@ def independent_coordinate_check(
         passed = declared_dof == n_i
     return ConstraintReport(
         n=n,
-        n_c=sum(jac.rows for jac in jacobians),
+        n_c=sum(info.rows for info in infos),
         n_i=n_i,
         mode=mode,
         loops=tuple(infos),
@@ -579,7 +574,7 @@ def independent_coordinate_check(
         declared_dof=declared_dof,
         passed=passed,
         max_residual=max_residual,
-        jacobians=tuple(jacobians),
+        jacobians=tuple(jac for jac, _ in terms),
     )
 
 
@@ -594,21 +589,15 @@ def independent_coordinate_indices(numbered: NumberedModel) -> list[int]:
     return out
 
 
-def _explicit_from_jacobians(
-    numbered: NumberedModel, jacobians, tol: float
-) -> ExplicitJacobian:
-    """G for the declared independent set from already assembled rows."""
-    k_full = stack_jacobians(numbered, jacobians)
-    return explicit_from_implicit(k_full, independent_coordinate_indices(numbered), tol)
-
-
 def explicit_jacobian_for_model(
     numbered: NumberedModel,
     graph: ConnectivityGraph,
     q: np.ndarray | None = None,
     tol: float = RANK_TOL,
 ) -> ExplicitJacobian:
-    """G over the full coordinate vector for the declared independent set."""
+    """G over the full coordinate vector for the declared independent set;
+    after the count check at the same q it reuses that check's rows."""
     if q is None:
         q = zero_configuration(numbered)
-    return _explicit_from_jacobians(numbered, all_loop_jacobians(numbered, graph, q), tol)
+    k_full = stack_jacobians(numbered, all_loop_jacobians(numbered, graph, q))
+    return explicit_from_implicit(k_full, independent_coordinate_indices(numbered), tol)

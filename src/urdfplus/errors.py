@@ -23,10 +23,6 @@ class InvalidModelError(UrdfPlusError):
         self.violations = tuple(violations)
 
 
-class NotAnAncestorError(UrdfPlusError):
-    """pathSubchain was asked to walk to a body that is not an ancestor."""
-
-
 class DegenerateLoopError(UrdfPlusError):
     """Both subchains of a loop joint are empty (predecessor == successor == NCA)."""
 

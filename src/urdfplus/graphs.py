@@ -16,11 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import (
-    DegenerateLoopError,
-    InternalInconsistencyError,
-    NotAnAncestorError,
-)
+from .errors import DegenerateLoopError, InternalInconsistencyError
 from .model import Coupling, NumberedModel, walk_subchains
 
 
@@ -118,30 +114,6 @@ def connectivity_graph_from_model(numbered: NumberedModel) -> ConnectivityGraph:
         tree_joint_names=tuple(names),
         loop_edges=tuple(loop_edges),
     )
-
-
-def nearest_common_ancestor(graph: ConnectivityGraph, a: int, b: int) -> int:
-    """Deepest body that is an ancestor of both a and b (0 in the worst case)."""
-    nca, _, _ = walk_subchains(graph.parent, a, b)
-    if nca < 0:
-        raise InternalInconsistencyError(
-            f"bodies {a} and {b} share no ancestor; parent map is broken"
-        )
-    return nca
-
-
-def path_subchain(graph: ConnectivityGraph, start: int, ancestor: int) -> list[int]:
-    """Bodies on the walk from `start` up to but excluding `ancestor`.
-
-    Empty when start == ancestor; raises NotAnAncestorError when `ancestor`
-    is not on the root path of `start`.
-    """
-    nca, chain, _ = walk_subchains(graph.parent, start, ancestor)
-    if nca != ancestor or ancestor < 0:
-        raise NotAnAncestorError(
-            f"body {ancestor} is not an ancestor of body {start}"
-        )
-    return chain
 
 
 def loop_subchains(

@@ -8,7 +8,7 @@ every body above its parent) and joint indices 1..N_J.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -89,6 +89,12 @@ class RobotModel:
     def link_names(self) -> list[str]:
         return [link.name for link in self.links]
 
+    @cached_property
+    def _validation(self) -> ValidationReport:
+        """validate_model's report, made on first use: the validator reads
+        only the model's immutable fields."""
+        return _validate(self)
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -138,7 +144,12 @@ def walk_subchains(parent, a: int, b: int) -> tuple[int, list[int], list[int]]:
 
 
 def validate_model(model: RobotModel) -> ValidationReport:
-    """Structural validation; violations are data, nothing is raised."""
+    """Structural validation; violations are data, nothing is raised.  The
+    report is made once per model and shared by every later call."""
+    return model._validation
+
+
+def _validate(model: RobotModel) -> ValidationReport:
     violations: list[Violation] = []
     link_names = model.link_names()
     known = set(link_names)
@@ -511,15 +522,3 @@ def structurally_equal(a: RobotModel, b: RobotModel, tol: float = 1e-12) -> bool
         ):
             return False
     return True
-
-
-def with_independent_flags(
-    model: RobotModel, flags: dict[str, bool | None]
-) -> RobotModel:
-    """Copy of the model with selected tree joints' independent flags replaced
-    (test and tooling convenience)."""
-    joints = tuple(
-        replace(j, independent=flags[j.name]) if j.name in flags else j
-        for j in model.tree_joints
-    )
-    return replace(model, tree_joints=joints)

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     AntipodalRotationError,
+    ConfigurationError,
     DimensionMismatchError,
     NonUnitAxisError,
     SingularDependentBlockError,
@@ -405,6 +406,11 @@ def joint_transform(jt: JointType, axis, axis2, q) -> SpatialTransform:
     return SpatialTransform(*JointKinematics(jt, axis, axis2).transform(q))
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ConfigurationError(f"tolerance must be a finite number > 0, got {tol!r}")
+
+
 def numerical_rank(m, tol: float = 1e-10) -> int:
     """Rank by row reduction with partial pivoting.
 
@@ -419,8 +425,10 @@ def row_reduce_basis(m, tol: float = 1e-10) -> np.ndarray:
 
     Returns the accepted pivot rows of the reduced matrix (full row rank,
     same row space as the input).  The pivot-acceptance threshold is
-    relative to the largest absolute entry of the original matrix.
+    relative to the largest absolute entry of the original matrix; tol must
+    be finite and > 0 (ConfigurationError otherwise).
     """
+    _check_tol(tol)
     a = np.array(m, dtype=float, ndmin=2)
     if a.size == 0:
         return a.reshape(0, a.shape[1] if a.ndim == 2 else 0)
@@ -448,8 +456,10 @@ def solve_with_pivoting(a, b, tol: float = 1e-10) -> np.ndarray:
     """Solve a @ x = b by Gaussian elimination with partial pivoting.
 
     Raises SingularDependentBlockError when any pivot falls below tol times
-    the largest absolute entry of `a`; no least-squares fallback.
+    the largest absolute entry of `a`; no least-squares fallback.  tol must
+    be finite and > 0 (ConfigurationError otherwise).
     """
+    _check_tol(tol)
     a = np.array(a, dtype=float, ndmin=2)
     b = np.array(b, dtype=float)
     if a.shape[0] != a.shape[1]:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,9 +31,8 @@ from urdfplus.model import (
     RobotModel,
     TreeJoint,
     regular_numbering,
-    with_independent_flags,
 )
-from urdfplus.spatial import JointType
+from urdfplus.spatial import JointType, compose
 from urdfplus.xmlio import parse_urdf_plus
 
 
@@ -62,12 +62,12 @@ class TestForwardKinematics:
         assert np.abs(poses[1].rot @ [1, 0, 0] - np.array([0, 1, 0])).max() < 1e-12
 
     def test_fourbar_loop_frames_coincide_at_assembly(self, fourbar):
-        from urdfplus.constraints import loop_side_frames
-
         poses = forward_kinematics(fourbar.numbered,
                                    zero_configuration(fourbar.numbered))
         loop = fourbar.model.loop_joints[0]
-        frame_p, frame_s = loop_side_frames(fourbar.numbered, loop, poses)
+        idx = fourbar.numbered.body_index
+        frame_p = compose(poses[idx(loop.predecessor)], loop.predecessor_origin)
+        frame_s = compose(poses[idx(loop.successor)], loop.successor_origin)
         assert np.abs(frame_p.trans - frame_s.trans).max() < 1e-15
         assert np.abs(frame_p.rot - frame_s.rot).max() < 1e-15
         assert np.allclose(frame_p.trans, [1, 1, 0])
@@ -349,9 +349,10 @@ class TestExplicitJacobian:
         )
 
     def test_belt_with_motor_independent(self, belt):
-        model = with_independent_flags(
-            belt.model, {"knee": True, "motor_rotor": True, "ankle": False}
-        )
+        flags = {"knee": True, "motor_rotor": True, "ankle": False}
+        joints = tuple(replace(j, independent=flags[j.name])
+                       for j in belt.model.tree_joints)
+        model = replace(belt.model, tree_joints=joints)
         numbered, graph, _ = pipeline(model)
         explicit = explicit_jacobian_for_model(numbered, graph)
         # q_foot = -q_shank + 2 q_motor solves the belt relation by hand
@@ -441,6 +442,19 @@ class TestIndependentCheck:
         )
         assert report.mode == "spanning"
         assert report.passed is None
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_tolerance_raises(self, fourbar, tol):
+        """Rank 2 and n_i 1 at the default tolerance; a tolerance that is not
+        finite and > 0 used to report rank 3 or 0 instead of raising."""
+        report = independent_coordinate_check(fourbar.numbered, fourbar.graph,
+                                              fourbar.lacg)
+        assert (report.sum_ranks, report.n_i) == (2, 1)
+        with pytest.raises(ConfigurationError, match="finite number > 0"):
+            independent_coordinate_check(fourbar.numbered, fourbar.graph,
+                                         fourbar.lacg, tol=tol)
+        with pytest.raises(ConfigurationError, match="finite number > 0"):
+            explicit_jacobian_for_model(fourbar.numbered, fourbar.graph, tol=tol)
 
     def test_aggregate_membership_reported(self, wrist):
         report = independent_coordinate_check(

@@ -7,7 +7,7 @@ from helpers import (
     random_tree_model,
     reachability_matrix,
 )
-from urdfplus.errors import DegenerateLoopError, NotAnAncestorError
+from urdfplus.errors import DegenerateLoopError
 from urdfplus.graphs import (
     ConnectivityGraph,
     Digraph,
@@ -18,11 +18,9 @@ from urdfplus.graphs import (
     export_dot,
     loop_aggregated_graph,
     loop_subchains,
-    nearest_common_ancestor,
-    path_subchain,
     strongly_connected_components,
 )
-from urdfplus.model import regular_numbering
+from urdfplus.model import regular_numbering, walk_subchains
 from urdfplus.xmlio import parse_urdf_plus
 
 
@@ -67,19 +65,19 @@ class TestConnectivityGraph:
 class TestAncestry:
     def test_chain_ancestor_case(self):
         g = simple_chain_graph(4)
-        assert nearest_common_ancestor(g, 2, 3) == 2
+        assert walk_subchains(g.parent, 2, 3)[0] == 2
 
     def test_wrist_nca(self, wrist):
         g = wrist.graph
         link2 = wrist.numbered.body_index("Link2")
         output = wrist.numbered.body_index("Output")
-        assert g.body_names[nearest_common_ancestor(g, link2, output)] == "Base"
+        assert g.body_names[walk_subchains(g.parent, link2, output)[0]] == "Base"
 
     def test_belt_nca(self, belt):
         g = belt.graph
         foot = belt.numbered.body_index("foot")
         motor = belt.numbered.body_index("motor")
-        assert g.body_names[nearest_common_ancestor(g, foot, motor)] == "thigh"
+        assert g.body_names[walk_subchains(g.parent, foot, motor)[0]] == "thigh"
 
     def test_belt_subchains(self, belt):
         g = belt.graph
@@ -90,17 +88,7 @@ class TestAncestry:
 
     def test_empty_subchain_walk(self):
         g = simple_chain_graph(4)
-        assert path_subchain(g, 2, 2) == []
-
-    def test_not_an_ancestor(self):
-        g = ConnectivityGraph(
-            body_names=("r", "a", "b"),
-            parent=(-1, 0, 0),
-            tree_joint_names=("", "ja", "jb"),
-            loop_edges=(),
-        )
-        with pytest.raises(NotAnAncestorError):
-            path_subchain(g, 1, 2)
+        assert walk_subchains(g.parent, 2, 2) == (2, [], [])
 
 
 class TestDependencyDigraph:

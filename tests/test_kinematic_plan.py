@@ -22,6 +22,7 @@ from conftest import MODELS_DIR, load_pipeline
 from urdfplus.constraints import (
     LoopJacobian,
     all_loop_jacobians,
+    coupling_row,
     explicit_from_implicit,
     explicit_jacobian_for_model,
     forward_kinematics,
@@ -557,3 +558,85 @@ def test_coupling_only_model_builds_no_tree_part(plan_builds):
         all_loop_jacobians(pipe.numbered, pipe.graph, np.zeros(pipe.numbered.total_dof))
     assert plan_builds == {"plans": 1, "tree_joints": 0,
                            "loop_steps": len(pipe.numbered.loop_entries)}
+
+
+# -- the last configuration's record ------------------------------------------
+
+
+@pytest.fixture
+def fk_calls(monkeypatch):
+    """Counts `forward_kinematics` calls made through `constraints`."""
+    calls = []
+    original = urdfplus.constraints.forward_kinematics
+
+    def counted(numbered, q):
+        calls.append(q)
+        return original(numbered, q)
+
+    monkeypatch.setattr(urdfplus.constraints, "forward_kinematics", counted)
+    return calls
+
+
+FOURBAR_CLOSED = np.array([0.4, 0.4, -0.4])  # crank = rocker = -coupler
+
+
+@pytest.mark.parametrize("name,q", [("wrist.urdf", None),
+                                    ("fourbar.urdf", FOURBAR_CLOSED)])
+def test_check_and_g_at_one_q_share_one_evaluation(fk_calls, name, q):
+    pipe = load_pipeline(name)
+    numbered, graph = pipe.numbered, pipe.graph
+    if q is None:
+        q = np.zeros(numbered.total_dof)
+    report = independent_coordinate_check(numbered, graph, pipe.lacg, q)
+    explicit_jacobian_for_model(numbered, graph, q)
+    for number, _ in numbered.loop_entries:
+        implicit_loop_jacobian(numbered, graph, number, q)
+        loop_residual(numbered, graph, number, q)
+    assert list(all_loop_jacobians(numbered, graph, list(q))) == list(report.jacobians)
+    assert len(fk_calls) == 1
+
+
+def evaluate(pipe, q):
+    """Every configuration-dependent output at q."""
+    numbered, graph = pipe.numbered, pipe.graph
+    report = independent_coordinate_check(numbered, graph, pipe.lacg, q)
+    residuals = [loop_residual(numbered, graph, number, q)
+                 for number, _ in numbered.loop_entries]
+    g = outcome(lambda: explicit_jacobian_for_model(numbered, graph, q).matrix)
+    return report.jacobians, residuals, [info.rank for info in report.loops], g
+
+
+@pytest.mark.parametrize("name", ["wrist.urdf", "fourbar.urdf", "belt.urdf",
+                                  "nested.urdf"])
+def test_each_configuration_matches_a_fresh_model(name):
+    """A new q, and a q changed in place between calls, are evaluated anew:
+    the outputs equal those of a model that never saw another q."""
+    shared = load_pipeline(name)
+    rng = np.random.default_rng(11)
+    q = rng.uniform(-1.0, 1.0, shared.numbered.total_dof)
+    other = rng.uniform(-1.0, 1.0, shared.numbered.total_dof)
+    for step in range(4):
+        if step == 1:
+            q[0] += 0.25  # the same array, a new configuration
+        current = other if step == 2 else q
+        got = evaluate(shared, current)
+        want = evaluate(load_pipeline(name), current.copy())
+        assert_same_value(got[:3], want[:3])
+        assert_same(got[3], want[3])
+
+
+@pytest.mark.parametrize("name", ["wrist.urdf", "belt.urdf"])
+def test_returned_rows_and_residuals_are_read_only(name):
+    pipe = load_pipeline(name)
+    numbered, graph = pipe.numbered, pipe.graph
+    q = np.zeros(numbered.total_dof)
+    report = independent_coordinate_check(numbered, graph, pipe.lacg, q)
+    for jac in report.jacobians:
+        rows = implicit_loop_jacobian(numbered, graph, jac.number, q)
+        residual = loop_residual(numbered, graph, jac.number, q)
+        for array in (jac.matrix, rows.matrix, residual):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        if jac.kind == "coupling":
+            with pytest.raises(ValueError, match="read-only"):
+                coupling_row(numbered, graph, jac.number).matrix[0, 0] = 5.0

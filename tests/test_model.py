@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import urdfplus.model
 from urdfplus.errors import InvalidModelError
 from urdfplus.model import (
     Coupling,
@@ -281,6 +282,26 @@ class TestNumbering:
         assert names == belt.numbered.body_names
         assert parent == belt.numbered.parent
         assert joints == belt.numbered.tree_joint_of
+
+
+    def test_validate_then_number_walks_once(self, monkeypatch):
+        walks = []
+        validate = urdfplus.model._validate
+
+        def counted(model):
+            walks.append(model)
+            return validate(model)
+
+        monkeypatch.setattr(urdfplus.model, "_validate", counted)
+        model = chain(4)
+        report = validate_model(model)
+        numbered = regular_numbering(model)
+        assert validate_model(model) is report
+        assert len(walks) == 1
+        assert numbered.body_names == report.walk[0]
+        # a changed copy is a model of its own, validated afresh
+        assert not validate_model(replace(model, links=model.links[:1])).ok
+        assert len(walks) == 2
 
 
 class TestDofCounting:

@@ -6,6 +6,7 @@ import pytest
 import urdfplus.spatial as sp
 from urdfplus.errors import (
     AntipodalRotationError,
+    ConfigurationError,
     DimensionMismatchError,
     NonUnitAxisError,
 )
@@ -301,6 +302,16 @@ class TestNumericalRank:
         m = np.array([[1.0, 0.0], [0.0, 1e-14]])
         assert sp.numerical_rank(m, tol=1e-10) == 1
         assert sp.numerical_rank(m, tol=1e-16) == 2
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        # 0.0 and inf used to give rank 0 here, nan and -1.0 rank 2
+        with pytest.raises(ConfigurationError, match="finite number > 0"):
+            sp.numerical_rank([[1.0, 0.0], [0.0, 0.0]], tol)
+        with pytest.raises(ConfigurationError, match="finite number > 0"):
+            sp.row_reduce_basis(np.eye(2), tol)
+        with pytest.raises(ConfigurationError, match="finite number > 0"):
+            sp.solve_with_pivoting(np.eye(2), np.ones(2), tol)
 
     def test_row_reduce_basis_spans_row_space(self):
         m = RNG.normal(size=(3, 5))
