@@ -171,6 +171,13 @@ def _run_check(args, show=None):
     report = independent_coordinate_check(numbered, graph, lacg, q, tol=args.tolerance)
     if show is not None:
         show(numbered, graph, lacg, q, report)
+    for aggregate in report.redundant:
+        print(
+            f"warning: aggregate {aggregate.index} has redundant loop "
+            f"constraints: loop ranks sum to {aggregate.sum_rank}, their "
+            f"stacked rows have rank {aggregate.rank}",
+            file=sys.stderr,
+        )
     validating = args.command == "validate"
     status = EXIT_OK
     if report.passed is False:
@@ -265,6 +272,11 @@ def _report_payload(numbered, lacg, report, explicit):
             for aggregate in lacg.aggregates
         ],
     }
+    if report.redundant:
+        payload["redundant_aggregates"] = [
+            {"index": a.index, "sum_rank": a.sum_rank, "rank": a.rank}
+            for a in report.redundant
+        ]
     if report.mode == "independent":
         payload["independent"] = {
             "declared": list(report.declared_joints),

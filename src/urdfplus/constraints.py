@@ -29,12 +29,16 @@ from .errors import (
     DimensionMismatchError,
     IncompatibleCouplingError,
     InternalInconsistencyError,
+    SingularDependentBlockError,
 )
 from .graphs import ConnectivityGraph, LoopAggregatedGraph
 from .model import Coupling, LoopJoint, NumberedModel, TreeJoint
 from .spatial import (
     JointKinematics,
     SpatialTransform,
+    _check_tol,
+    _row_reduce_batch,
+    _solve_batch,
     compose,
     constraint_force_subspace,
     invert,
@@ -215,16 +219,133 @@ class _CouplingStep:
     full_row: np.ndarray
 
 
+class _LoopGroups:
+    """The loop entries split into loop groups: entries joined, directly or
+    through others, by a shared coordinate.  Groups touch disjoint columns,
+    so rank K is the sum of the groups' ranks.  A group's `K_g` stacks its
+    entries' rows, ascending by number, over its coordinates (`columns`, in
+    ascending order); every group lies in one loop aggregate.
+
+    One lock-step elimination reduces every group, each member padded to
+    `shape`: members 0 .. count-1 are the groups, followed by the entries
+    of groups with more than one entry, for their own ranks (a one-entry
+    group's K_g is its entry's K_l).  `entry_member[l]` is the member that
+    holds entry l's rank.
+
+    For G, group g's dependent coordinates d_g (`width[g]` of them) give
+    the system basis_g[:, d_g] X = basis_g[:, independent], its right-hand
+    side zero outside the group.  `complete` says every dependent
+    coordinate lies in a group.
+    """
+
+    def __init__(self, steps, slices, independent):
+        coordinates = []  # per entry, one per K_l column
+        for step in steps:
+            layout = step.jacobian if isinstance(step, _CouplingStep) else step
+            coordinates.append([
+                slices[joint].start + offset
+                for joint, (start, stop) in zip(layout.joint_numbers, layout.joint_columns)
+                for offset in range(stop - start)
+            ])
+        heights = [1 if isinstance(step, _CouplingStep) else step.psi_t.shape[0]
+                   for step in steps]
+        root = list(range(len(steps)))  # the first entry of each one's group
+        owner = {}
+        for entry, columns in enumerate(coordinates):
+            for coordinate in columns:
+                other = root[owner.setdefault(coordinate, entry)]
+                if other != root[entry]:
+                    low, high = sorted((other, root[entry]))
+                    root = [low if r == high else r for r in root]
+        groups = {}
+        for entry, first in enumerate(root):
+            groups.setdefault(first, []).append(entry)
+        self.entries = tuple(tuple(group) for group in groups.values())
+        self.count = len(self.entries)
+        # sorted in Python: np.unique would import numpy.ma
+        self.columns = tuple(
+            np.array(sorted({c for e in group for c in coordinates[e]}), dtype=np.intp)
+            for group in self.entries)
+        self.entry_member = np.zeros(len(steps), dtype=np.intp)
+        self._places = []  # (member, first row, columns, entry)
+        extra = self.count
+        for member, group in enumerate(self.entries):
+            top = 0
+            for entry in group:
+                local = np.searchsorted(self.columns[member], coordinates[entry])
+                self._places.append((member, top, local, entry))
+                self.entry_member[entry] = member
+                if len(group) > 1:
+                    self._places.append((extra, 0, np.arange(len(local)), entry))
+                    self.entry_member[entry] = extra
+                    extra += 1
+                top += heights[entry]
+        self.shape = (extra,
+                      max((sum(heights[e] for e in g) for g in self.entries), default=0),
+                      max((len(columns) for columns in self.columns), default=0))
+
+        self.independent = tuple(independent)
+        chosen = set(self.independent)
+        self.dependent = tuple(c for c in range(slices[-1].stop) if c not in chosen)
+        position = {c: k for k, c in enumerate(self.independent)}
+        self._blocks = []  # per group: local dependent, local and global independent
+        for columns in self.columns:
+            dep = [k for k, c in enumerate(columns.tolist()) if c not in chosen]
+            ind = [k for k, c in enumerate(columns.tolist()) if c in chosen]
+            self._blocks.append((dep, ind, [position[columns[k]] for k in ind]))
+        self.width = np.array([len(dep) for dep, _, _ in self._blocks], dtype=np.intp)
+        self.complete = int(self.width.sum()) == len(self.dependent)
+        # each dependent coordinate's row of the stacked solutions (0 for one
+        # outside every group, where G is not the groups' to give)
+        self._size = size = int(self.width.max(initial=0))
+        rows = {int(columns[local]): member * size + size - len(dep) + k
+                for member, ((dep, _, _), columns) in enumerate(zip(self._blocks,
+                                                                    self.columns))
+                for k, local in enumerate(dep)}
+        self._rows = [rows.get(c, 0) for c in self.dependent]
+
+    def batch(self, matrices) -> np.ndarray:
+        """Every member of the lock-step elimination, zero-padded, from the
+        entries' K_l in entry order."""
+        out = np.zeros(self.shape)
+        for member, top, columns, entry in self._places:
+            matrix = matrices[entry]
+            out[member][top : top + matrix.shape[0], columns] = matrix
+        return out
+
+    def explicit(self, reduced: np.ndarray, tol: float) -> ExplicitJacobian:
+        """G from the groups' bases in `reduced`, whose ranks equal `width`,
+        by one lock-step solve, each group's system in the trailing block of
+        its member; SingularDependentBlockError if a block is singular."""
+        count, size, n_i = self.count, self._size, len(self.independent)
+        a = np.zeros((count, size, size))
+        b = np.zeros((count, size, n_i))
+        for member, (dep, ind, position) in enumerate(self._blocks):
+            basis = reduced[member, : len(dep)]
+            start = size - len(dep)
+            a[member, start:, start:] = basis[:, dep]
+            b[member][start:, position] = basis[:, ind]
+        x = _solve_batch(a, b, size - self.width, tol)
+        return ExplicitJacobian(
+            matrix=np.vstack([np.eye(n_i), -x.reshape(count * size, n_i)[self._rows]]),
+            row_coordinates=self.independent + self.dependent,
+            independent=self.independent,
+        )
+
+
 class KinematicPlan:
     """The configuration-independent part of a numbered model's kinematics,
     built on first use and held by the model (NumberedModel._kinematics).
 
     `tree` has one step per body in numbering order; `loops(graph)` has one
     step per loop entry, its involved joints taken from `graph.subchains`.
+    `groups(graph)` splits the loop entries into loop groups and lays out
+    the declared independent coordinates over them.
     Each part is built once, on its first use, so a coupling-only model
     never builds the tree part.  The plan also keeps the last configuration
-    evaluated (`_key`, the bytes of q): its world poses and each loop entry's
-    (rows, residual), filled on demand by `_loop_terms`.
+    evaluated (`_key`, the bytes of q): its world poses, each loop entry's
+    (rows, residual), filled on demand by `_loop_terms`, and per tolerance
+    the lock-step elimination of every group, made by `_eliminated`.
     """
 
     def __init__(self, numbered: NumberedModel):
@@ -232,10 +353,13 @@ class KinematicPlan:
         self._parent = numbered.parent
         self._slices = numbered.coordinate_slices()
         self._entries = numbered.loop_entries
+        self._independent = independent_coordinate_indices(numbered)
         self._loops = None
+        self._groups = None
         self._key = None
         self._poses = None
         self._terms = {}
+        self._bases = {}
 
     @cached_property
     def tree(self) -> tuple[_TreeStep, ...]:
@@ -256,6 +380,12 @@ class KinematicPlan:
                 self._loop_step(graph, index) for index in range(len(self._entries))
             )
         return self._loops
+
+    def groups(self, graph: ConnectivityGraph) -> _LoopGroups:
+        if self._groups is None:
+            self._groups = _LoopGroups(self.loops(graph), self._slices,
+                                       self._independent)
+        return self._groups
 
     def _loop_step(self, graph: ConnectivityGraph, index: int):
         number, entry = self._entries[index]
@@ -341,7 +471,7 @@ def _loop_terms(
     steps = plan.loops(graph)
     key = q.tobytes()
     if plan._key != key:
-        plan._key, plan._poses, plan._terms = key, None, {}
+        plan._key, plan._poses, plan._terms, plan._bases = key, None, {}, {}
     terms = plan._terms
     for index in indices:
         if index in terms:
@@ -355,6 +485,21 @@ def _loop_terms(
                 plan._poses = forward_kinematics(numbered, q)
             terms[index] = _loop_joint_terms(step, q, plan._poses)
     return [terms[index] for index in indices]
+
+
+def _eliminated(
+    numbered: NumberedModel, graph: ConnectivityGraph, q, tol: float
+) -> tuple[list[tuple[LoopJacobian, np.ndarray]], np.ndarray, np.ndarray]:
+    """Every loop entry's (rows, residual) at q, and the lock-step
+    elimination of every loop group at (q, tol): the reduced batch and each
+    member's rank.  The count check and G at one (q, tol) share it."""
+    terms = _loop_terms(numbered, graph, q, range(len(numbered.loop_entries)))
+    plan = numbered._kinematics
+    if tol not in plan._bases:
+        batch = plan.groups(graph).batch([jac.matrix for jac, _ in terms])
+        ranks = _row_reduce_batch(batch, tol)
+        plan._bases[tol] = _read_only(batch), _read_only(ranks)
+    return terms, *plan._bases[tol]
 
 
 def implicit_loop_jacobian(
@@ -492,6 +637,16 @@ class LoopConstraintInfo:
 
 
 @dataclass(frozen=True)
+class RedundantAggregate:
+    """A loop aggregate whose loops' ranks add up to more than the rank of
+    their stacked rows: some of its constraints repeat others."""
+
+    index: int
+    sum_rank: int
+    rank: int
+
+
+@dataclass(frozen=True)
 class ConstraintReport:
     n: int
     n_c: int
@@ -502,6 +657,7 @@ class ConstraintReport:
     declared_dof: int | None
     passed: bool | None  # None when no independent attribute is present
     max_residual: float
+    redundant: tuple[RedundantAggregate, ...] = ()
     jacobians: tuple[LoopJacobian, ...] = field(
         default=(), repr=False, compare=False
     )
@@ -519,19 +675,22 @@ def independent_coordinate_check(
     tol: float = RANK_TOL,
 ) -> ConstraintReport:
     """Assemble every constraint at the evaluation configuration and verify
-    the declared independent coordinates against n - sum(rank(K_l)).
+    the declared independent coordinates against n - sum(rank(K_g)) over
+    the loop groups (equal to n - rank(K)).
 
     Without any independent attribute the model is only usable through
     spanning-tree coordinates, so the count check is skipped and the report
     says so.
     """
+    _check_tol(tol)
     if q is None:
         q = zero_configuration(numbered)
     n = numbered.total_dof
+    terms, _, ranks = _eliminated(numbered, graph, q, tol)
+    groups = numbered._kinematics.groups(graph)
     infos = []
     max_residual = 0.0
-    terms = _loop_terms(numbered, graph, q, range(len(numbered.loop_entries)))
-    for jac, residual in terms:
+    for (jac, residual), rank in zip(terms, ranks[groups.entry_member].tolist()):
         residual_norm = float(np.abs(residual).max()) if residual.size else 0.0
         max_residual = max(max_residual, residual_norm)
         infos.append(
@@ -541,15 +700,20 @@ def independent_coordinate_check(
                 kind=jac.kind,
                 rows=jac.rows,
                 columns=jac.matrix.shape[1],
-                rank=jac.rank(tol),
+                rank=rank,
                 joint_numbers=jac.joint_numbers,
                 # every involved body lies in the loop's one aggregate
                 aggregate=lacg.body_to_aggregate[jac.joint_numbers[0]],
                 residual_norm=residual_norm,
             )
         )
-
-    n_i = n - sum(info.rank for info in infos)
+    group_ranks = ranks[: groups.count].tolist()
+    n_i = n - sum(group_ranks)
+    redundant = {}  # aggregate: [its loops' ranks summed, its groups' ranks summed]
+    for group, rank in zip(groups.entries, group_ranks):
+        sums = redundant.setdefault(infos[group[0]].aggregate, [0, 0])
+        sums[0] += sum(infos[entry].rank for entry in group)
+        sums[1] += rank
 
     joints = numbered.tree_joint_of[1:]
     if all(joint.independent is None for joint in joints):
@@ -574,6 +738,9 @@ def independent_coordinate_check(
         declared_dof=declared_dof,
         passed=passed,
         max_residual=max_residual,
+        redundant=tuple(RedundantAggregate(index, *sums)
+                        for index, sums in sorted(redundant.items())
+                        if sums[0] > sums[1]),
         jacobians=tuple(jac for jac, _ in terms),
     )
 
@@ -595,9 +762,23 @@ def explicit_jacobian_for_model(
     q: np.ndarray | None = None,
     tol: float = RANK_TOL,
 ) -> ExplicitJacobian:
-    """G over the full coordinate vector for the declared independent set;
-    after the count check at the same q it reuses that check's rows."""
+    """G over the full coordinate vector for the declared independent set.
+
+    Identity rows for the independent coordinates, and one lock-step solve
+    over the loop groups, from the bases that the count check at the same
+    (q, tol) computed.  When a group's rank differs from its dependent
+    count, or its dependent block is singular, the stacked K goes to
+    explicit_from_implicit, so the error type and message are its own.
+    """
+    _check_tol(tol)
     if q is None:
         q = zero_configuration(numbered)
-    k_full = stack_jacobians(numbered, all_loop_jacobians(numbered, graph, q))
-    return explicit_from_implicit(k_full, independent_coordinate_indices(numbered), tol)
+    terms, reduced, ranks = _eliminated(numbered, graph, q, tol)
+    groups = numbered._kinematics.groups(graph)
+    if groups.complete and np.array_equal(ranks[: groups.count], groups.width):
+        try:
+            return groups.explicit(reduced, tol)
+        except SingularDependentBlockError:
+            pass
+    k_full = stack_jacobians(numbered, [jac for jac, _ in terms])
+    return explicit_from_implicit(k_full, groups.independent, tol)

@@ -1,9 +1,10 @@
 """Minimal spatial-vector and dense-matrix kernel.
 
 3D rotations, rigid transforms, 6D motion re-expression, joint motion /
-constraint-force subspaces, and tolerance-based numerical rank.  All 6-vectors
-use Plucker coordinates with the angular part in rows 0-2 and the linear part
-in rows 3-5.
+constraint-force subspaces, and tolerance-based numerical rank, with the
+lock-step Gaussian elimination of a batch of matrices behind it.  All
+6-vectors use Plucker coordinates with the angular part in rows 0-2 and the
+linear part in rows 3-5.
 """
 
 from __future__ import annotations
@@ -193,9 +194,6 @@ class SpatialTransform:
         """Standard URDF origin semantics: position xyz, orientation rpy."""
         r, p, y = _as_vec3(rpy)
         return cls(rot_from_rpy(r, p, y), xyz)
-
-    def apply(self, point) -> np.ndarray:
-        return self.rot @ _as_vec3(point) + self.trans
 
     def is_identity(self, tol: float = 0.0) -> bool:
         return bool(
@@ -428,28 +426,9 @@ def row_reduce_basis(m, tol: float = 1e-10) -> np.ndarray:
     relative to the largest absolute entry of the original matrix; tol must
     be finite and > 0 (ConfigurationError otherwise).
     """
-    _check_tol(tol)
     a = np.array(m, dtype=float, ndmin=2)
-    if a.size == 0:
-        return a.reshape(0, a.shape[1] if a.ndim == 2 else 0)
-    threshold = tol * np.abs(a).max()
-    if threshold == 0.0:
-        return np.zeros((0, a.shape[1]))
-    rows, cols = a.shape
-    row = 0
-    for col in range(cols):
-        if row == rows:
-            break
-        pivot = row + int(np.argmax(np.abs(a[row:, col])))
-        if abs(a[pivot, col]) <= threshold:
-            continue
-        if pivot != row:
-            a[[row, pivot]] = a[[pivot, row]]
-        factors = a[row + 1 :, col] / a[row, col]
-        a[row + 1 :] -= np.outer(factors, a[row])
-        a[row + 1 :, col] = 0.0
-        row += 1
-    return a[:row]
+    rank = _row_reduce_batch(a[None], tol)[0]
+    return a[:rank]
 
 
 def solve_with_pivoting(a, b, tol: float = 1e-10) -> np.ndarray:
@@ -465,29 +444,101 @@ def solve_with_pivoting(a, b, tol: float = 1e-10) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"matrix must be square, got {a.shape}")
     n = a.shape[0]
-    if b.ndim == 1:
+    squeeze = b.ndim == 1
+    if squeeze:
         b = b.reshape(n, 1)
-        squeeze = True
-    else:
-        squeeze = False
     if b.shape[0] != n:
         raise DimensionMismatchError("right-hand side row count mismatch")
-    if n == 0:
-        return b[:, 0] if squeeze else b
-    threshold = tol * max(np.abs(a).max(), 1e-300)
+    x = _solve_batch(a[None], b[None], np.zeros(1, dtype=np.intp), tol)[0]
+    return x[:, 0] if squeeze else x
+
+
+def _row_reduce_batch(a: np.ndarray, tol: float) -> np.ndarray:
+    """Row-reduce a batch of matrices in lock step, in place, and return
+    their ranks.
+
+    `a` is (members, rows, cols), each member zero-padded to that shape.
+    Column by column, every member takes its own partially pivoted step:
+    the largest entry at or below its next pivot row, accepted when it
+    exceeds tol times the member's largest absolute entry.  Each member's
+    arithmetic is that of a Gaussian elimination of the member alone (zero
+    rows and columns never pivot), so member k's basis is
+    a[k, :rank[k]], over its own columns.
+    """
+    _check_tol(tol)
+    count, rows, cols = a.shape
+    rank = np.zeros(count, dtype=np.intp)
+    if a.size == 0:
+        return rank
+    threshold = tol * np.abs(a).max(axis=(1, 2))
+    members = np.arange(count)
+    row_index = np.arange(rows)
+    for col in range(cols):
+        column = np.abs(a[:, :, col])
+        column[row_index < rank[:, None]] = -1.0  # rows that hold a pivot
+        pivot = column.argmax(axis=1)
+        accept = column[members, pivot] > threshold
+        if not accept.any():
+            continue
+        top = np.where(accept, rank, pivot)  # no swap where nothing pivots
+        pivot_rows = a[members, pivot]
+        a[members, pivot] = a[members, top]
+        a[members, top] = pivot_rows
+        below = accept[:, None] & (row_index > top[:, None])
+        # x - 0.0 is x, signed zeros included: rows outside `below` keep
+        # their bits
+        divisor = np.where(accept, pivot_rows[:, col], 1.0)[:, None]
+        factors = np.where(below, a[:, :, col] / divisor, 0.0)
+        a -= np.where(below[:, :, None], factors[:, :, None] * pivot_rows[:, None, :], 0.0)
+        a[:, :, col][below] = 0.0
+        rank += accept
+        if rank.min() == rows:  # every row holds a pivot
+            break
+    return rank
+
+
+def _solve_batch(a: np.ndarray, b: np.ndarray, start: np.ndarray, tol: float
+                 ) -> np.ndarray:
+    """Solve a batch of square systems in lock step by Gaussian elimination
+    with partial pivoting; a and b are overwritten.
+
+    `a` is (members, n, n) and `b` (members, n, m).  Member k's matrix fills
+    a[k, start[k]:, start[k]:], its right-hand side b[k, start[k]:], and
+    everything else is zero; the leading block becomes the identity, so the
+    member's own elimination and back substitution run unchanged in the
+    trailing rows.  Member k's solution is x[k, start[k]:].  Raises
+    SingularDependentBlockError, naming the member's own column, when a
+    pivot is at or below tol times the largest absolute entry of the
+    member's matrix.
+    """
+    _check_tol(tol)
+    count, n, _ = a.shape
+    if a.size == 0:
+        return b
+    threshold = tol * np.maximum(np.abs(a).max(axis=(1, 2)), 1e-300)
+    members = np.arange(count)
+    lead = np.arange(n) < start[:, None]
+    member, diagonal = np.nonzero(lead)
+    a[member, diagonal, diagonal] = 1.0
     for col in range(n):
-        pivot = col + int(np.argmax(np.abs(a[col:, col])))
-        if abs(a[pivot, col]) <= threshold:
+        column = np.abs(a[:, col:, col])
+        pivot = col + column.argmax(axis=1)
+        singular = (column[members, pivot - col] <= threshold) & ~lead[:, col]
+        if singular.any():
+            k = int(singular.argmax())
             raise SingularDependentBlockError(
-                f"pivot {a[pivot, col]:.3e} below tolerance in column {col}"
+                f"pivot {a[k, pivot[k], col]:.3e} below tolerance in column "
+                f"{col - start[k]}"
             )
-        if pivot != col:
-            a[[col, pivot]] = a[[pivot, col]]
-            b[[col, pivot]] = b[[pivot, col]]
-        factors = a[col + 1 :, col] / a[col, col]
-        a[col + 1 :] -= np.outer(factors, a[col])
-        b[col + 1 :] -= np.outer(factors, b[col])
+        for m in (a, b):
+            pivot_rows = m[members, pivot]
+            m[members, pivot] = m[members, col]
+            m[:, col] = pivot_rows
+        factors = a[:, col + 1 :, col] / a[:, col, col, None]
+        a[:, col + 1 :] -= factors[:, :, None] * a[:, col, None, :]
+        b[:, col + 1 :] -= factors[:, :, None] * b[:, col, None, :]
     x = np.zeros_like(b)
     for row in range(n - 1, -1, -1):
-        x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
-    return x[:, 0] if squeeze else x
+        x[:, row] = ((b[:, row] - (a[:, row, None, row + 1 :] @ x[:, row + 1 :])[:, 0])
+                     / a[:, row, row, None])
+    return x

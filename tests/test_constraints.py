@@ -6,6 +6,7 @@ import pytest
 
 from helpers import BRACKET_BELT, fd_loop_jacobian
 from urdfplus.constraints import (
+    RedundantAggregate,
     all_loop_jacobians,
     coupling_row,
     explicit_from_implicit,
@@ -551,6 +552,11 @@ class TestSingularConfigurations:
         q[numbered.coordinate_slices()[numbered.body_index("Output")]] = 0.3
         generic = independent_coordinate_check(numbered, graph, lacg, q)
         assert [info.rank for info in generic.loops] == [4, 4]
-        assert (generic.n_i, generic.passed) == (0, False)
         for jac in generic.jacobians:
             assert svd_rank_gap(jac.matrix)[1] > 1e-6
+        # the two loops share Joint1 and Joint4: their stacked rows have
+        # rank 7, not 8, so n_i = 8 - 7 and the aggregate is redundant
+        assert svd_rank_gap(stack_jacobians(numbered, generic.jacobians))[1] < 1e-15
+        assert (generic.n_i, generic.passed) == (1, False)
+        assert generic.redundant == (RedundantAggregate(1, 8, 7),)
+        assert aligned.redundant == ()
