@@ -158,19 +158,27 @@ def _configuration(args, numbered):
     return zero_configuration(numbered)
 
 
-def _run_check(args, show=None):
-    """What `validate` and `constraints` share: load, pipeline, configuration
-    and count check, then `show(numbered, graph, lacg, q, report)`, then the
-    failures on standard error (`validate` also names the declared joints
-    and warns of an open loop without --strict).  Returns (status, model)."""
+def cmd_check(args) -> int:
+    """`validate` and `constraints`: load, pipeline, configuration and count
+    check.  `constraints` prints its report; both print the failures on
+    standard error (`validate` also names the declared joints and warns of
+    an open loop without --strict); `validate` ends with its OK line."""
     model, numbered = _load(args.file)
     if numbered is None:
-        return EXIT_FAILURE, model
+        return EXIT_FAILURE
     graph, _, _, lacg = build_pipeline(numbered)
     q = _configuration(args, numbered)
     report = independent_coordinate_check(numbered, graph, lacg, q, tol=args.tolerance)
-    if show is not None:
-        show(numbered, graph, lacg, q, report)
+    validating = args.command == "validate"
+    if not validating:
+        explicit = None
+        if report.passed:
+            explicit = explicit_jacobian_for_model(numbered, graph, q, args.tolerance)
+        payload = _report_payload(numbered, lacg, report, explicit)
+        if args.json:
+            print(json.dumps(payload, indent=2))
+        else:
+            _print_text_report(payload)
     for aggregate in report.redundant:
         print(
             f"warning: aggregate {aggregate.index} has redundant loop "
@@ -178,7 +186,6 @@ def _run_check(args, show=None):
             f"stacked rows have rank {aggregate.rank}",
             file=sys.stderr,
         )
-    validating = args.command == "validate"
     status = EXIT_OK
     if report.passed is False:
         joints = ", ".join(report.declared_joints) or "none"
@@ -198,12 +205,7 @@ def _run_check(args, show=None):
         )
         if args.strict:
             status = EXIT_FAILURE
-    return status, model
-
-
-def cmd_validate(args) -> int:
-    status, model = _run_check(args)
-    if status == EXIT_OK:
+    if validating and status == EXIT_OK:
         print(
             f"OK: {model.name} ({len(model.links)} links, "
             f"{len(model.tree_joints)} tree joints, {len(model.loop_joints)} "
@@ -328,20 +330,6 @@ def _print_text_report(payload) -> None:
             print(f"  {row['coordinate']}: {values}")
 
 
-def cmd_constraints(args) -> int:
-    def show(numbered, graph, lacg, q, report):
-        explicit = None
-        if report.passed:
-            explicit = explicit_jacobian_for_model(numbered, graph, q, args.tolerance)
-        payload = _report_payload(numbered, lacg, report, explicit)
-        if args.json:
-            print(json.dumps(payload, indent=2))
-        else:
-            _print_text_report(payload)
-
-    return _run_check(args, show)[0]
-
-
 def cmd_info(args) -> int:
     model, numbered = _load(args.file, "warning")
     print(f"robot: {model.name}")
@@ -374,9 +362,9 @@ def cmd_info(args) -> int:
 
 
 _COMMANDS = {
-    "validate": cmd_validate,
+    "validate": cmd_check,
     "graph": cmd_graph,
-    "constraints": cmd_constraints,
+    "constraints": cmd_check,
     "info": cmd_info,
 }
 

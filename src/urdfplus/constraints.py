@@ -32,7 +32,7 @@ from .errors import (
     SingularDependentBlockError,
 )
 from .graphs import ConnectivityGraph, LoopAggregatedGraph
-from .model import Coupling, LoopJoint, NumberedModel, TreeJoint
+from .model import Coupling, NumberedModel
 from .spatial import (
     JointKinematics,
     SpatialTransform,
@@ -60,6 +60,8 @@ def parse_configuration(text: str, numbered: NumberedModel) -> np.ndarray:
     """Read 'joint-name: v1 v2 ...' lines into a stacked position vector.
 
     Unlisted joints stay at zero.  Blank lines and '#' comments are skipped.
+    A joint name may hold ':': values never do, so a line splits at the
+    last ':' whose text before it names a joint, else at its first ':'.
     """
     by_name = {}
     slices = numbered.coordinate_slices()
@@ -72,8 +74,9 @@ def parse_configuration(text: str, numbered: NumberedModel) -> np.ndarray:
             continue
         if ":" not in line:
             raise ConfigurationError(f"line {lineno}: expected 'name: values'")
-        name, _, values = line.partition(":")
-        name = name.strip()
+        cuts = [i for i, c in enumerate(line) if c == ":"]
+        cut = next((i for i in reversed(cuts) if line[:i].strip() in by_name), cuts[0])
+        name, values = line[:cut].strip(), line[cut + 1 :]
         if name not in by_name:
             raise ConfigurationError(f"line {lineno}: unknown joint {name!r}")
         segment = by_name[name]
@@ -95,12 +98,6 @@ def parse_configuration(text: str, numbered: NumberedModel) -> np.ndarray:
             )
         q[segment] = parsed
     return q
-
-
-def _joint_axes(joint: TreeJoint | LoopJoint):
-    axis = None if joint.axis is None else np.asarray(joint.axis, dtype=float)
-    axis2 = None if joint.axis2 is None else np.asarray(joint.axis2, dtype=float)
-    return axis, axis2
 
 
 def _configuration(numbered: NumberedModel, q) -> np.ndarray:
@@ -365,7 +362,7 @@ class KinematicPlan:
     def tree(self) -> tuple[_TreeStep, ...]:
         return tuple(
             _TreeStep(
-                JointKinematics(joint.joint_type, *_joint_axes(joint)),
+                JointKinematics(joint.joint_type, joint.axis, joint.axis2),
                 joint.origin.rot,
                 joint.origin.trans,
                 self._parent[body],
@@ -408,7 +405,7 @@ class KinematicPlan:
                                     tuple(columns), _read_only(row))
             full_row = jacobian.scatter(self._slices, self._slices[-1].stop)
             return _CouplingStep(jacobian, full_row)
-        psi = constraint_force_subspace(entry.joint_type, *_joint_axes(entry))
+        psi = constraint_force_subspace(entry.joint_type, entry.axis, entry.axis2)
         edge = graph.loop_edges[index]
         moving = tuple(
             (joint_number, start, stop, -1.0 if joint_number in nu_p else 1.0,

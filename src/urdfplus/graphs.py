@@ -279,8 +279,22 @@ def build_pipeline(numbered: NumberedModel):
 # -- DOT rendering ------------------------------------------------------------
 
 
+def _dot_string(text: str) -> str:
+    """A DOT quoted string: backslashes first, then double quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _dot_node(index: int, label: str) -> str:
-    return f'  n{index} [label="{label} ({index})"];'
+    return f"  n{index} [label={_dot_string(f'{label} ({index})')}];"
+
+
+def _dot_edges(graph: ConnectivityGraph) -> list[str]:
+    """Tree edges, then dashed loop edges labelled with their names."""
+    lines = [f"  n{parent} -- n{body};" for body, parent in enumerate(graph.parent) if body]
+    for edge in graph.loop_edges:
+        lines.append(f"  n{edge.predecessor} -- n{edge.successor} "
+                     f"[style=dashed, label={_dot_string(edge.name)}];")
+    return lines
 
 
 def export_dot(obj) -> str:
@@ -293,14 +307,7 @@ def export_dot(obj) -> str:
         lines = ["graph connectivity {"]
         for i, name in enumerate(obj.body_names):
             lines.append(_dot_node(i, name))
-        for body in range(1, obj.n_bodies + 1):
-            lines.append(f"  n{obj.parent[body]} -- n{body};")
-        for edge in obj.loop_edges:
-            lines.append(
-                f"  n{edge.predecessor} -- n{edge.successor} "
-                f'[style=dashed, label="{edge.name}"];'
-            )
-        lines.append("}")
+        lines += _dot_edges(obj)
     elif isinstance(obj, Digraph):
         lines = ["digraph dependencies {"]
         for i in range(obj.n_nodes):
@@ -308,7 +315,6 @@ def export_dot(obj) -> str:
             lines.append(_dot_node(i, label))
         for u, v in obj.edges:
             lines.append(f"  n{u} -> n{v};")
-        lines.append("}")
     elif isinstance(obj, LoopAggregatedGraph):
         graph = obj.graph
         lines = ["graph aggregated {"]
@@ -319,14 +325,8 @@ def export_dot(obj) -> str:
             for body in aggregate.bodies:
                 lines.append("  " + _dot_node(body, graph.body_names[body]))
             lines.append("  }")
-        for body in range(1, graph.n_bodies + 1):
-            lines.append(f"  n{graph.parent[body]} -- n{body};")
-        for edge in graph.loop_edges:
-            lines.append(
-                f"  n{edge.predecessor} -- n{edge.successor} "
-                f'[style=dashed, label="{edge.name}"];'
-            )
-        lines.append("}")
+        lines += _dot_edges(graph)
     else:
         raise TypeError(f"cannot render {type(obj).__name__} as DOT")
+    lines.append("}")
     return "\n".join(lines) + "\n"

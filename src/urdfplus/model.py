@@ -8,7 +8,7 @@ every body above its parent) and joint indices 1..N_J.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cached_property
 
 import numpy as np
@@ -447,78 +447,25 @@ def count_degrees_of_freedom(numbered: NumberedModel) -> tuple[int, int]:
 
 
 def structurally_equal(a: RobotModel, b: RobotModel, tol: float = 1e-12) -> bool:
-    """Field-level equality: same names and types, numerics within tol,
-    preserved payloads byte-identical."""
+    """Field-level equality over the dataclass fields, read recursively:
+    numbers (not bools) and transforms within tol, tuples and arrays element
+    by element, all else (names, joint types, flags, payloads) with ==."""
+    sequences = (tuple, list, np.ndarray)
 
-    def transforms_equal(x: SpatialTransform, y: SpatialTransform) -> bool:
-        return bool(
-            np.abs(x.rot - y.rot).max() <= tol
-            and np.abs(x.trans - y.trans).max() <= tol
-        )
+    def equal(x, y) -> bool:
+        if is_dataclass(x) and type(x) is type(y):
+            return all(equal(getattr(x, f.name), getattr(y, f.name)) for f in fields(x))
+        if isinstance(x, sequences) and isinstance(y, sequences):
+            return len(x) == len(y) and all(map(equal, x, y))
+        if isinstance(x, SpatialTransform) and isinstance(y, SpatialTransform):
+            return bool(np.abs(x.rot - y.rot).max() <= tol
+                        and np.abs(x.trans - y.trans).max() <= tol)
+        if _is_number(x) and _is_number(y):
+            return bool(abs(x - y) <= tol)
+        return x == y
 
-    def vecs_equal(x, y) -> bool:
-        if (x is None) != (y is None):
-            return False
-        if x is None:
-            return True
-        return bool(np.abs(np.asarray(x) - np.asarray(y)).max() <= tol)
+    return equal(a, b)
 
-    if a.name != b.name or a.payload != b.payload:
-        return False
-    if (
-        len(a.links) != len(b.links)
-        or len(a.tree_joints) != len(b.tree_joints)
-        or len(a.loop_joints) != len(b.loop_joints)
-        or len(a.couplings) != len(b.couplings)
-    ):
-        return False
-    for la, lb in zip(a.links, b.links):
-        if la.name != lb.name or la.payload != lb.payload:
-            return False
-        if (la.inertial is None) != (lb.inertial is None):
-            return False
-        if la.inertial is not None:
-            if abs(la.inertial.mass - lb.inertial.mass) > tol:
-                return False
-            if not vecs_equal(la.inertial.center_of_mass, lb.inertial.center_of_mass):
-                return False
-            ia, ib = la.inertial.inertia_matrix(), lb.inertial.inertia_matrix()
-            if np.abs(ia - ib).max() > tol:
-                return False
-    for ja, jb in zip(a.tree_joints, b.tree_joints):
-        if (
-            ja.name != jb.name
-            or ja.joint_type is not jb.joint_type
-            or ja.parent != jb.parent
-            or ja.child != jb.child
-            or ja.independent != jb.independent
-            or ja.payload != jb.payload
-        ):
-            return False
-        if not transforms_equal(ja.origin, jb.origin):
-            return False
-        if not vecs_equal(ja.axis, jb.axis) or not vecs_equal(ja.axis2, jb.axis2):
-            return False
-    for la, lb in zip(a.loop_joints, b.loop_joints):
-        if (
-            la.name != lb.name
-            or la.joint_type is not lb.joint_type
-            or la.predecessor != lb.predecessor
-            or la.successor != lb.successor
-        ):
-            return False
-        if not transforms_equal(la.predecessor_origin, lb.predecessor_origin):
-            return False
-        if not transforms_equal(la.successor_origin, lb.successor_origin):
-            return False
-        if not vecs_equal(la.axis, lb.axis) or not vecs_equal(la.axis2, lb.axis2):
-            return False
-    for ca, cb in zip(a.couplings, b.couplings):
-        if (
-            ca.name != cb.name
-            or ca.predecessor != cb.predecessor
-            or ca.successor != cb.successor
-            or abs(ca.ratio - cb.ratio) > tol
-        ):
-            return False
-    return True
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)

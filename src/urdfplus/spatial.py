@@ -24,6 +24,7 @@ from .errors import (
 
 UNIT_AXIS_TOL = 1e-9
 ORTHOGONAL_AXES_TOL = 1e-9  # |axis . axis2| allowed for a universal joint
+ANTIPODAL_TOL = 1e-9  # so3_log refuses angles this close to pi
 _EYE3 = np.eye(3)  # an operand only, never handed out
 
 
@@ -140,10 +141,10 @@ def _rodrigues(k: np.ndarray, kk: np.ndarray, angle: float) -> np.ndarray:
     return _EYE3 + math.sin(angle) * k + (1.0 - math.cos(angle)) * kk
 
 
-def so3_log(r: np.ndarray, antipodal_tol: float = 1e-9) -> np.ndarray:
+def so3_log(r: np.ndarray) -> np.ndarray:
     """Rotation vector (axis * angle) of a rotation matrix, angle in [0, pi].
 
-    Raises AntipodalRotationError within `antipodal_tol` of a half-turn,
+    Raises AntipodalRotationError within ANTIPODAL_TOL of a half-turn,
     where the direction of the axis becomes numerically meaningless for
     differentiation purposes.
     """
@@ -153,9 +154,9 @@ def so3_log(r: np.ndarray, antipodal_tol: float = 1e-9) -> np.ndarray:
     if angle < 1e-12:
         # first-order: log(R) ~ vee(R - R^T)/2
         return 0.5 * np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-    if math.pi - angle < antipodal_tol:
+    if math.pi - angle < ANTIPODAL_TOL:
         raise AntipodalRotationError(
-            f"rotation angle {angle} is within {antipodal_tol} of pi"
+            f"rotation angle {angle} is within {ANTIPODAL_TOL} of pi"
         )
     w = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
     return w * (angle / (2.0 * math.sin(angle)))
@@ -283,37 +284,20 @@ def motion_subspace(jt: JointType, axis=None, axis2=None) -> np.ndarray:
     return np.eye(6)  # floating
 
 
-def motion_subspace_at(jt: JointType, axis, axis2, q) -> np.ndarray:
-    """Motion subspace at joint position q, expressed in the child frame.
-
-    Identical to motion_subspace() for joints whose subspace does not move
-    with the configuration (fixed, revolute, continuous, prismatic).  For a
-    universal joint the first axis is carried back through the second
-    rotation; for a floating joint the angular columns are the fixed-axis
-    X-Y-Z rate directions and the linear columns are the parent-side
-    translation rates re-expressed in the child frame.
-    """
+def _joint_position(jt: JointType, q) -> np.ndarray:
     q = np.atleast_1d(np.asarray(q, dtype=float))
     if q.shape[0] != jt.dof:
         raise DimensionMismatchError(
             f"joint type {jt.value} takes {jt.dof} coordinates, got {q.shape[0]}"
         )
-    if jt is JointType.UNIVERSAL:
-        a1, a2 = _require_axes(jt, axis, axis2)
-        s = np.zeros((6, 2))
-        s[:3, 0] = rotation_about_axis(a2, q[1]).T @ a1
-        s[:3, 1] = a2
-        return s
-    if jt is JointType.FLOATING:
-        roll, pitch = q[0], q[1]
-        r = rot_from_rpy(q[0], q[1], q[2])
-        s = np.zeros((6, 6))
-        s[:3, 0] = np.array([1.0, 0.0, 0.0])
-        s[:3, 1] = rot_x(roll).T @ np.array([0.0, 1.0, 0.0])
-        s[:3, 2] = rot_x(roll).T @ rot_y(pitch).T @ np.array([0.0, 0.0, 1.0])
-        s[3:, 3:] = r.T
-        return s
-    return motion_subspace(jt, axis, axis2)
+    return q
+
+
+def motion_subspace_at(jt: JointType, axis, axis2, q) -> np.ndarray:
+    """Motion subspace at joint position q, expressed in the child frame
+    (see JointKinematics.motion_subspace_at)."""
+    q = _joint_position(jt, q)
+    return JointKinematics(jt, axis, axis2).motion_subspace_at(q)
 
 
 def constraint_force_subspace(jt: JointType, axis=None, axis2=None) -> np.ndarray:
@@ -353,13 +337,12 @@ class JointKinematics:
     that does not move with the configuration (fixed, revolute, continuous,
     prismatic)."""
 
-    __slots__ = ("joint_type", "axes", "a1", "k1", "kk1", "k2", "kk2", "subspace")
+    __slots__ = ("joint_type", "a1", "a2", "k1", "kk1", "k2", "kk2", "subspace")
 
     def __init__(self, jt: JointType, axis=None, axis2=None):
         a1, a2 = _require_axes(jt, axis, axis2)
         self.joint_type = jt
-        self.axes = (axis, axis2)  # as given, for motion_subspace_at
-        self.a1 = a1
+        self.a1, self.a2 = a1, a2
         self.k1 = self.kk1 = self.k2 = self.kk2 = self.subspace = None
         if jt in (JointType.REVOLUTE, JointType.CONTINUOUS, JointType.UNIVERSAL):
             self.k1 = skew(a1)
@@ -368,7 +351,7 @@ class JointKinematics:
             self.k2 = skew(a2)
             self.kk2 = self.k2 @ self.k2
         elif jt is not JointType.FLOATING:
-            self.subspace = motion_subspace(jt, axis, axis2)
+            self.subspace = motion_subspace(jt, a1)
 
     def transform(self, q) -> tuple[np.ndarray, np.ndarray]:
         """Rotation and translation of the child-side joint frame at the
@@ -387,20 +370,29 @@ class JointKinematics:
         return rot_from_rpy(q[0], q[1], q[2]), q[3:6]
 
     def motion_subspace_at(self, q) -> np.ndarray:
-        """motion_subspace_at for this joint; the constant subspace is shared
-        between calls and must not be written to."""
+        """Motion subspace at joint position q (not checked), in the child
+        frame: the constant one, shared and not to be written to; for a
+        universal joint the first axis carried back through the second
+        rotation, then the second axis; for a floating joint the fixed-axis
+        X-Y-Z rate directions over the parent-side translation rates."""
         if self.subspace is not None:
             return self.subspace
-        return motion_subspace_at(self.joint_type, *self.axes, q)
+        if self.joint_type is JointType.UNIVERSAL:
+            s = np.zeros((6, 2))
+            s[:3, 0] = _rodrigues(self.k2, self.kk2, q[1]).T @ self.a1
+            s[:3, 1] = self.a2
+            return s
+        s = np.zeros((6, 6))
+        s[:3, 0] = np.array([1.0, 0.0, 0.0])
+        s[:3, 1] = rot_x(q[0]).T @ np.array([0.0, 1.0, 0.0])
+        s[:3, 2] = rot_x(q[0]).T @ rot_y(q[1]).T @ np.array([0.0, 0.0, 1.0])
+        s[3:, 3:] = rot_from_rpy(q[0], q[1], q[2]).T
+        return s
 
 
 def joint_transform(jt: JointType, axis, axis2, q) -> SpatialTransform:
     """Pose of the child-side joint frame for joint position q."""
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    if q.shape[0] != jt.dof:
-        raise DimensionMismatchError(
-            f"joint type {jt.value} takes {jt.dof} coordinates, got {q.shape[0]}"
-        )
+    q = _joint_position(jt, q)
     return SpatialTransform(*JointKinematics(jt, axis, axis2).transform(q))
 
 

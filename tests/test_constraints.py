@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -106,6 +107,36 @@ class TestConfigurationFile:
     def test_non_finite_number(self, wrist, bad):
         with pytest.raises(ConfigurationError, match="line 2: non-finite number"):
             parse_configuration(f"Joint4: 0.1 0.2\nJoint1: {bad}\n", wrist.numbered)
+
+
+class TestColonInJointName:
+    """A joint name may hold ':'; values never do."""
+
+    @pytest.fixture
+    def numbered(self):
+        names = ("arm:shoulder", "a", "a:b")
+        links = tuple(Link(name=f"l{i}") for i in range(len(names) + 1))
+        joints = tuple(
+            TreeJoint(name=name, joint_type=JointType.REVOLUTE, parent=f"l{i}",
+                      child=f"l{i + 1}", axis=(0.0, 0.0, 1.0))
+            for i, name in enumerate(names)
+        )
+        return regular_numbering(RobotModel(name="colons", links=links,
+                                            tree_joints=joints))
+
+    def test_sets_the_named_joint(self, numbered):
+        q = parse_configuration("arm:shoulder: 0.5\na:b: -1\na :2.5\n", numbered)
+        assert q.tolist() == [0.5, 2.5, -1.0]
+
+    @pytest.mark.parametrize("text, message", [
+        ("arm: 0.5\n", "line 1: unknown joint 'arm'"),
+        ("ghost:a: 1\n", "line 1: unknown joint 'ghost'"),
+        ("a: 1:2\n", "line 1: invalid number in '1:2'"),
+        ("a:b: 1 2\n", "line 1: joint 'a:b' takes 1 values, got 2"),
+    ])
+    def test_errors_keep_their_messages(self, numbered, text, message):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            parse_configuration(text, numbered)
 
 
 def wrist_oracle_block(r_joint, r_loop):

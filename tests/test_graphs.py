@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from helpers import (
     random_tree_model,
     reachability_matrix,
 )
+from urdfplus.cli import main
 from urdfplus.errors import DegenerateLoopError
 from urdfplus.graphs import (
     ConnectivityGraph,
@@ -284,3 +287,59 @@ class TestDotExport:
     def test_deterministic_output(self, wrist):
         assert export_dot(wrist.graph) == export_dot(wrist.graph)
         assert export_dot(wrist.digraph) == export_dot(wrist.digraph)
+
+
+_DOT_QUOTED = r'"((?:[^"\\]|\\.)*)"'
+_DOT_NODE = re.compile(rf"^ *n(\d+) \[label={_DOT_QUOTED}\];$")
+_DOT_LOOP_EDGE = re.compile(rf"^  n\d+ -- n\d+ \[style=dashed, label={_DOT_QUOTED}\];$")
+
+
+def _dot_unquote(text: str) -> str:
+    return re.sub(r"\\(.)", r"\1", text)
+
+
+def _fourbar_named(crank: str, rocker: str, loop: str) -> str:
+    """The four-bar with the given link and loop names (neither ' nor &), in
+    single-quoted attributes so that a double quote is legal XML."""
+    return f"""<robot name="named">
+  <link name="ground"/><link name='{crank}'/><link name='{rocker}'/>
+  <link name="coupler"/>
+  <joint name="j1" type="revolute"><parent link="ground"/>
+    <child link='{crank}'/><axis xyz="0 0 1"/></joint>
+  <joint name="j2" type="revolute"><origin xyz="1 0 0"/><parent link="ground"/>
+    <child link='{rocker}'/><axis xyz="0 0 1"/></joint>
+  <joint name="j3" type="revolute"><origin xyz="0 1 0"/>
+    <parent link='{crank}'/><child link="coupler"/><axis xyz="0 0 1"/></joint>
+  <loop name='{loop}' type="revolute">
+    <predecessor name="coupler"><origin xyz="1 0 0"/></predecessor>
+    <successor name='{rocker}'><origin xyz="0 1 0"/></successor>
+    <axis xyz="0 0 1"/></loop>
+</robot>
+"""
+
+
+class TestDotEscaping:
+    """Every node and edge label is a valid DOT quoted string that reads
+    back as its name, whatever quotes and backslashes the name holds."""
+
+    @pytest.mark.parametrize("kind", ["cg", "cdd", "lacg"])
+    @pytest.mark.parametrize("loop", ["x\\", 'y"z', '\\"'])
+    def test_labels_parse_back(self, capsys, tmp_path, kind, loop):
+        crank, rocker = 'a"b', "c\\"
+        path = tmp_path / "named.urdf"
+        path.write_text(_fourbar_named(crank, rocker, loop), encoding="utf-8")
+        assert main(["graph", str(path), "--kind", kind]) == 0
+        out = capsys.readouterr().out
+        expected = {0: "ground", 1: crank, 2: rocker, 3: "coupler"}
+        nodes, loops = {}, []
+        for line in out.splitlines():
+            if match := _DOT_NODE.match(line):
+                nodes[int(match[1])] = _dot_unquote(match[2])
+            elif match := _DOT_LOOP_EDGE.match(line):
+                loops.append(_dot_unquote(match[1]))
+            else:
+                assert "label=" not in line or line.strip() in (
+                    'label="root";', 'label="aggregate 1";'), line
+        assert nodes == {i: f"{name} ({i})" for i, name in expected.items()}
+        assert loops == ([] if kind == "cdd" else [loop])
+

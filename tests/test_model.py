@@ -1,4 +1,5 @@
-from dataclasses import replace
+import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,9 +15,10 @@ from urdfplus.model import (
     TreeJoint,
     count_degrees_of_freedom,
     regular_numbering,
+    structurally_equal,
     validate_model,
 )
-from urdfplus.spatial import JointType
+from urdfplus.spatial import JointType, SpatialTransform
 
 
 def chain(n, jtype=JointType.REVOLUTE):
@@ -327,3 +329,123 @@ class TestDofCounting:
         numbered = wrist.numbered
         assert numbered.n_bodies == len(numbered.model.links) - 1
         assert numbered.n_joints == numbered.n_bodies + len(numbered.loop_entries)
+
+
+def _full_model(mass=2.0, axis=(1.0, 0.0, 0.0)) -> RobotModel:
+    """A model with every field of every model class set."""
+    inertia = ((1.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 3.0))
+    origin = SpatialTransform.from_rpy_xyz((0.1, 0.2, 0.3), (1.0, 2.0, 3.0))
+    return RobotModel(
+        name="full",
+        links=(Link("base", Inertial(mass, (0.1, 0.2, 0.3), inertia), ("<visual/>",)),
+               Link("arm")),
+        tree_joints=(TreeJoint("j", JointType.UNIVERSAL, "base", "arm", origin, axis,
+                               (0.0, 1.0, 0.0), None, ("<limit effort='1'/>",)),),
+        loop_joints=(LoopJoint("l", JointType.REVOLUTE, "arm", "base", origin, origin,
+                               (0.0, 0.0, 1.0), None),),
+        couplings=(Coupling("c", "arm", "base", 0.5),),
+        payload=("<material name='m'/>",),
+    )
+
+
+def _nudged(x: SpatialTransform, entry) -> SpatialTransform:
+    """x with one rotation (2 indices) or translation (1 index) entry moved
+    by 1e-9, beyond the default tolerance."""
+    rot, trans = x.rot.copy(), x.trans.copy()
+    (rot if len(entry) == 2 else trans)[entry] += 1e-9
+    return SpatialTransform(rot, trans)
+
+
+_FULL = _full_model()
+# one different value for every field of every model class
+_ONE_FIELD_CHANGES = {
+    RobotModel: {
+        "name": "other",
+        "links": _FULL.links[:1],
+        "tree_joints": (),
+        "loop_joints": (),
+        "couplings": (),
+        "payload": ("<material name='n'/>",),
+    },
+    Link: {"name": "base2", "inertial": None, "payload": ("<visual />",)},
+    Inertial: {
+        "mass": 2.0 + 1e-9,
+        "center_of_mass": (0.1, 0.2, 0.3 + 1e-9),
+        "inertia": ((1.0, 0.0, 0.0), (0.0, 2.0, 1e-9), (0.0, 0.0, 3.0)),
+    },
+    TreeJoint: {
+        "name": "j2",
+        "joint_type": JointType.FLOATING,
+        "parent": "arm",
+        "child": "base",
+        "origin": _nudged(_FULL.tree_joints[0].origin, (0, 1)),
+        "axis": (1.0, 1e-9, 0.0),
+        "axis2": None,
+        "independent": False,
+        "payload": ("<limit effort='2'/>",),
+    },
+    LoopJoint: {
+        "name": "l2",
+        "joint_type": JointType.CONTINUOUS,
+        "predecessor": "base",
+        "successor": "arm",
+        "predecessor_origin": _nudged(_FULL.loop_joints[0].predecessor_origin, (2,)),
+        "successor_origin": _nudged(_FULL.loop_joints[0].successor_origin, (2, 2)),
+        "axis": None,
+        "axis2": (1.0, 0.0, 0.0),
+    },
+    Coupling: {"name": "c2", "predecessor": "base", "successor": "arm",
+               "ratio": 0.5 - 1e-9},
+}
+
+
+def _with_change(model: RobotModel, cls, name: str, value) -> RobotModel:
+    """model with field `name` of its first object of class cls set to value."""
+    if cls is RobotModel:
+        return replace(model, **{name: value})
+    if cls in (Link, Inertial):
+        first, *rest = model.links
+        if cls is Link:
+            first = replace(first, **{name: value})
+        else:
+            first = replace(first, inertial=replace(first.inertial, **{name: value}))
+        return replace(model, links=(first, *rest))
+    attr = {TreeJoint: "tree_joints", LoopJoint: "loop_joints", Coupling: "couplings"}[cls]
+    first, *rest = getattr(model, attr)
+    return replace(model, **{attr: (replace(first, **{name: value}), *rest)})
+
+
+class TestStructurallyEqual:
+    def test_an_equal_copy(self):
+        assert structurally_equal(_FULL, _full_model())
+        assert structurally_equal(_FULL, _full_model(), tol=0.0)
+
+    @pytest.mark.parametrize("cls", list(_ONE_FIELD_CHANGES), ids=lambda c: c.__name__)
+    def test_each_field_is_compared(self, cls):
+        changes = _ONE_FIELD_CHANGES[cls]
+        assert set(changes) == {f.name for f in fields(cls)}
+        for name, value in changes.items():
+            other = _with_change(_FULL, cls, name, value)
+            assert other != _FULL
+            assert not structurally_equal(_FULL, other), (cls.__name__, name)
+            assert not structurally_equal(other, _FULL), (cls.__name__, name)
+
+    def test_bools_are_not_numbers(self):
+        true, false = (_with_change(_FULL, TreeJoint, "independent", flag)
+                       for flag in (True, False))
+        assert not structurally_equal(true, false, tol=1.0)
+
+    def test_numbers_within_tolerance(self):
+        near = _full_model(mass=2.0 + 1e-13)
+        assert structurally_equal(_FULL, near)
+        assert not structurally_equal(_FULL, near, tol=0.0)
+
+    def test_nan_mass_is_never_equal(self):
+        nan = _full_model(mass=float("nan"))
+        assert not structurally_equal(nan, nan)
+        assert not structurally_equal(nan, _full_model(), tol=math.inf)
+
+    def test_int_and_array_axes_match_the_float_axis(self):
+        assert structurally_equal(_full_model(axis=(1, 0, 0)), _FULL)
+        assert structurally_equal(_full_model(axis=(1, 0, 0)), _FULL, tol=0.0)
+        assert structurally_equal(_full_model(axis=np.array([1.0, 0.0, 0.0])), _FULL)
