@@ -59,7 +59,8 @@ def zero_configuration(numbered: NumberedModel) -> np.ndarray:
 def parse_configuration(text: str, numbered: NumberedModel) -> np.ndarray:
     """Read 'joint-name: v1 v2 ...' lines into a stacked position vector.
 
-    Unlisted joints stay at zero.  Blank lines and '#' comments are skipped.
+    Unlisted joints stay at zero; a joint listed twice is an error.  Blank
+    lines and '#' comments are skipped.
     A joint name may hold ':': values never do, so a line splits at the
     last ':' whose text before it names a joint, else at its first ':'.
     """
@@ -67,6 +68,7 @@ def parse_configuration(text: str, numbered: NumberedModel) -> np.ndarray:
     slices = numbered.coordinate_slices()
     for body in range(1, numbered.n_bodies + 1):
         by_name[numbered.tree_joint_of[body].name] = slices[body]
+    set_on = {}  # joint name -> the line that set it
     q = zero_configuration(numbered)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -79,6 +81,9 @@ def parse_configuration(text: str, numbered: NumberedModel) -> np.ndarray:
         name, values = line[:cut].strip(), line[cut + 1 :]
         if name not in by_name:
             raise ConfigurationError(f"line {lineno}: unknown joint {name!r}")
+        if set_on.setdefault(name, lineno) != lineno:
+            raise ConfigurationError(
+                f"line {lineno}: joint {name!r} already set on line {set_on[name]}")
         segment = by_name[name]
         width = segment.stop - segment.start
         try:

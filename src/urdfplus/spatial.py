@@ -402,11 +402,8 @@ def _check_tol(tol: float) -> None:
 
 
 def numerical_rank(m, tol: float = 1e-10) -> int:
-    """Rank by row reduction with partial pivoting.
-
-    A pivot is accepted when its magnitude exceeds tol times the largest
-    absolute entry of the original matrix.  The zero matrix has rank 0.
-    """
+    """Rank by row reduction with partial pivoting: the row count of
+    row_reduce_basis(m, tol).  The zero matrix has rank 0."""
     return len(row_reduce_basis(m, tol))
 
 
@@ -435,102 +432,102 @@ def solve_with_pivoting(a, b, tol: float = 1e-10) -> np.ndarray:
     b = np.array(b, dtype=float)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"matrix must be square, got {a.shape}")
-    n = a.shape[0]
     squeeze = b.ndim == 1
     if squeeze:
-        b = b.reshape(n, 1)
-    if b.shape[0] != n:
+        b = b.reshape(len(a), 1)
+    if b.shape[0] != len(a):
         raise DimensionMismatchError("right-hand side row count mismatch")
     x = _solve_batch(a[None], b[None], np.zeros(1, dtype=np.intp), tol)[0]
     return x[:, 0] if squeeze else x
 
 
 def _row_reduce_batch(a: np.ndarray, tol: float) -> np.ndarray:
-    """Row-reduce a batch of matrices in lock step, in place, and return
-    their ranks.
-
-    `a` is (members, rows, cols), each member zero-padded to that shape.
-    Column by column, every member takes its own partially pivoted step:
-    the largest entry at or below its next pivot row, accepted when it
-    exceeds tol times the member's largest absolute entry.  Each member's
-    arithmetic is that of a Gaussian elimination of the member alone (zero
-    rows and columns never pivot), so member k's basis is
-    a[k, :rank[k]], over its own columns.
-    """
+    """Row-reduce a batch of zero-padded matrices (members, rows, cols) in
+    lock step, in place, and return their ranks.  A pivot is accepted when
+    it exceeds tol times the member's largest absolute entry; zero rows and
+    columns never pivot, so member k's basis is a[k, :rank[k]]."""
     _check_tol(tol)
-    count, rows, cols = a.shape
-    rank = np.zeros(count, dtype=np.intp)
-    if a.size == 0:
-        return rank
-    threshold = tol * np.abs(a).max(axis=(1, 2))
-    members = np.arange(count)
-    row_index = np.arange(rows)
-    for col in range(cols):
-        column = np.abs(a[:, :, col])
-        column[row_index < rank[:, None]] = -1.0  # rows that hold a pivot
-        pivot = column.argmax(axis=1)
-        accept = column[members, pivot] > threshold
-        if not accept.any():
-            continue
-        top = np.where(accept, rank, pivot)  # no swap where nothing pivots
-        pivot_rows = a[members, pivot]
-        a[members, pivot] = a[members, top]
-        a[members, top] = pivot_rows
-        below = accept[:, None] & (row_index > top[:, None])
-        # x - 0.0 is x, signed zeros included: rows outside `below` keep
-        # their bits
-        divisor = np.where(accept, pivot_rows[:, col], 1.0)[:, None]
-        factors = np.where(below, a[:, :, col] / divisor, 0.0)
-        a -= np.where(below[:, :, None], factors[:, :, None] * pivot_rows[:, None, :], 0.0)
-        a[:, :, col][below] = 0.0
-        rank += accept
-        if rank.min() == rows:  # every row holds a pivot
-            break
-    return rank
+    threshold = tol * np.abs(a).max(axis=(1, 2), initial=0.0)
+    return _forward_pass(a, [threshold] * a.shape[2])
 
 
 def _solve_batch(a: np.ndarray, b: np.ndarray, start: np.ndarray, tol: float
                  ) -> np.ndarray:
     """Solve a batch of square systems in lock step by Gaussian elimination
-    with partial pivoting; a and b are overwritten.
+    with partial pivoting: a is (members, n, n) and b (members, n, m).
 
-    `a` is (members, n, n) and `b` (members, n, m).  Member k's matrix fills
-    a[k, start[k]:, start[k]:], its right-hand side b[k, start[k]:], and
-    everything else is zero; the leading block becomes the identity, so the
-    member's own elimination and back substitution run unchanged in the
-    trailing rows.  Member k's solution is x[k, start[k]:].  Raises
-    SingularDependentBlockError, naming the member's own column, when a
-    pivot is at or below tol times the largest absolute entry of the
-    member's matrix.
+    Member k's matrix fills a[k, start[k]:, start[k]:] and its right-hand
+    side b[k, start[k]:], the rest is zero; the leading block becomes the
+    identity, its pivots exempt from the threshold, and x[k, start[k]:] is
+    the member's solution.  Raises SingularDependentBlockError, naming the
+    member's own column, when a pivot is at or below tol times the largest
+    absolute entry of the member's matrix.
     """
     _check_tol(tol)
-    count, n, _ = a.shape
-    if a.size == 0:
-        return b
-    threshold = tol * np.maximum(np.abs(a).max(axis=(1, 2)), 1e-300)
-    members = np.arange(count)
+    n = a.shape[1]
+    threshold = tol * np.abs(a).max(axis=(1, 2), initial=1e-300)
     lead = np.arange(n) < start[:, None]
+    system = np.concatenate((a, b), axis=2)
     member, diagonal = np.nonzero(lead)
-    a[member, diagonal, diagonal] = 1.0
-    for col in range(n):
-        column = np.abs(a[:, col:, col])
-        pivot = col + column.argmax(axis=1)
-        singular = (column[members, pivot - col] <= threshold) & ~lead[:, col]
-        if singular.any():
-            k = int(singular.argmax())
-            raise SingularDependentBlockError(
-                f"pivot {a[k, pivot[k], col]:.3e} below tolerance in column "
-                f"{col - start[k]}"
-            )
-        for m in (a, b):
-            pivot_rows = m[members, pivot]
-            m[members, pivot] = m[members, col]
-            m[:, col] = pivot_rows
-        factors = a[:, col + 1 :, col] / a[:, col, col, None]
-        a[:, col + 1 :] -= factors[:, :, None] * a[:, col, None, :]
-        b[:, col + 1 :] -= factors[:, :, None] * b[:, col, None, :]
+    system[member, diagonal, diagonal] = 1.0
+    rank = _forward_pass(system, np.where(lead, 0.0, threshold[:, None]).T,
+                         stop_at_refusal=True)
+    if rank.min(initial=n) < n:
+        k = int(rank.argmin())  # the first member that refused, in column rank[k]
+        column = system[k, rank[k] :, rank[k]]
+        raise SingularDependentBlockError(f"pivot {column[np.abs(column).argmax()]:.3e} "
+                                          f"below tolerance in column {rank[k] - start[k]}")
+    a, b = system[:, :, :n], system[:, :, n:]
     x = np.zeros_like(b)
     for row in range(n - 1, -1, -1):
         x[:, row] = ((b[:, row] - (a[:, row, None, row + 1 :] @ x[:, row + 1 :])[:, 0])
                      / a[:, row, row, None])
     return x
+
+
+def _forward_pass(a: np.ndarray, thresholds, stop_at_refusal: bool = False) -> np.ndarray:
+    """Forward elimination with partial pivoting of a batch of matrices
+    (members, rows, cols) in lock step, in place; returns their ranks.
+
+    In each column c < len(thresholds) (later ones are carried along), every
+    member takes the largest entry at or below its next pivot row, accepts
+    it when it exceeds its entry of thresholds[c], swaps it into place and
+    eliminates below it; every other row keeps its bits.  With
+    stop_at_refusal the pass ends after the first column that some member
+    refuses, leaving that member as it was."""
+    count, rows, cols = a.shape
+    t = a.transpose(1, 0, 2).copy()  # row r of member k is by_id[r * count + k]
+    by_id = t.reshape(rows * count, cols)
+    ids = np.arange(rows * count).reshape(rows, count)
+    slot = np.arange(count)  # the id of each member's next pivot row
+    lead = 0  # every member has pivoted in each of the first `lead` columns
+    for col, threshold in enumerate(thresholds):
+        if lead == rows:  # every row holds a pivot
+            break
+        column = np.abs(t[:, :, col])
+        column[ids < slot] = -1.0  # rows that hold a pivot
+        pivot = column.argmax(axis=0) * count + ids[0]  # ids[0]: the member indices
+        accept = column.take(pivot) > threshold
+        accepted = np.count_nonzero(accept)
+        if accepted:
+            pivot_rows = by_id.take(pivot, axis=0)
+            dest, last, divisor = slot, slot, pivot_rows[:, col]
+            if accepted < count:  # a member that refuses keeps its rows
+                dest = np.where(accept, slot, pivot)
+                last = np.where(accept, slot, ids.size)
+                divisor = np.where(accept, divisor, 1.0)
+            by_id[pivot] = by_id.take(dest, axis=0)
+            by_id[dest] = pivot_rows
+            rest = t[lead + 1 :]  # the rows below every member's pivot
+            below = ids[lead + 1 :] > last
+            factors = rest[:, :, col] / divisor
+            # masked: outside `below`, x - 0.0 * p can turn -0.0 into 0.0
+            np.subtract(rest, factors[:, :, None] * pivot_rows, out=rest,
+                        where=below[:, :, None])
+            rest[:, :, col][below] = 0.0
+            np.add(slot, count, out=slot, where=accept)
+            lead += accepted == count and lead == col
+        if stop_at_refusal and accepted < count:
+            break
+    a[...] = t.transpose(1, 0, 2)
+    return slot // count

@@ -237,6 +237,21 @@ class _Interpreter:
             )
         return tuple(v / norm for v in vec)
 
+    def joint_axes(self, element: _Element, jtype: JointType, axes: dict, path: str):
+        """The (axis, axis2) a <joint> or <loop> of type jtype keeps from its
+        parsed `axes` by tag: the URDF default axis if it needs one, and no
+        axis it takes none of (dropped with a warning)."""
+        axis, axis2 = axes.get("axis"), axes.get("axis2")
+        if jtype.requires_axis and axis is None:
+            axis = (1.0, 0.0, 0.0)
+        if not jtype.requires_axis and axis is not None:
+            self.warn(element, f"axis ignored on {jtype.value} joint", path)
+            axis = None
+        if axis2 is not None and jtype is not JointType.UNIVERSAL:
+            self.warn(element, f"axis2 ignored on {jtype.value} joint", path)
+            axis2 = None
+        return axis, axis2
+
     def parse_link_ref(self, element: _Element, path: str) -> str:
         # standard URDF spells it link="..."; the loop/coupling templates and
         # some writers use name="..." -- accept both
@@ -329,18 +344,13 @@ class _Interpreter:
                 element.attrib["independent"], element, path
             )
 
-        origin = None
-        axis = axis2 = None
-        parent = child = None
-        mimic = None
-        payload = []
+        origin = parent = child = mimic = None
+        axes, payload = {}, []
         for sub in element.children:
             if sub.tag == "origin":
                 origin = self.parse_origin(sub, self.path(path, "origin"))
-            elif sub.tag == "axis":
-                axis = self.parse_axis(sub, self.path(path, "axis"))
-            elif sub.tag == "axis2":
-                axis2 = self.parse_axis(sub, self.path(path, "axis2"))
+            elif sub.tag in ("axis", "axis2"):
+                axes[sub.tag] = self.parse_axis(sub, self.path(path, sub.tag))
             elif sub.tag == "parent":
                 parent = self.parse_link_ref(sub, self.path(path, "parent"))
             elif sub.tag == "child":
@@ -359,14 +369,7 @@ class _Interpreter:
                 "<joint> requires <parent> and <child> elements",
                 element.line, element.column, path,
             )
-        if jtype.requires_axis and axis is None:
-            axis = (1.0, 0.0, 0.0)  # URDF default
-        if not jtype.requires_axis and axis is not None:
-            self.warn(element, f"axis ignored on {jtype.value} joint", path)
-            axis = None
-        if axis2 is not None and jtype is not JointType.UNIVERSAL:
-            self.warn(element, f"axis2 ignored on {jtype.value} joint", path)
-            axis2 = None
+        axis, axis2 = self.joint_axes(element, jtype, axes, path)
         joint = TreeJoint(
             name=name,
             joint_type=jtype,
@@ -414,21 +417,16 @@ class _Interpreter:
         jtype = self.joint_type(element, path)
         predecessor, pred_origin = self.parse_loop_endpoint(element, "predecessor", path)
         successor, succ_origin = self.parse_loop_endpoint(element, "successor", path)
-        axis = axis2 = None
-        axis_el = element.find("axis")
-        if axis_el is not None:
-            axis = self.parse_axis(axis_el, self.path(path, "axis"))
-        axis2_el = element.find("axis2")
-        if axis2_el is not None:
-            axis2 = self.parse_axis(axis2_el, self.path(path, "axis2"))
+        axes = {}
         for sub in element.children:
-            if sub.tag not in ("predecessor", "successor", "axis", "axis2"):
+            if sub.tag in ("axis", "axis2"):
+                axes[sub.tag] = self.parse_axis(sub, self.path(path, sub.tag))
+            elif sub.tag not in ("predecessor", "successor"):
                 raise UnknownElementError(
                     f"unknown element <{sub.tag}> inside <loop>",
                     sub.line, sub.column, path,
                 )
-        if jtype.requires_axis and axis is None:
-            axis = (1.0, 0.0, 0.0)
+        axis, axis2 = self.joint_axes(element, jtype, axes, path)
         return LoopJoint(
             name=name,
             joint_type=jtype,
@@ -590,6 +588,11 @@ def _origin_line(origin: SpatialTransform, indent: str) -> list[str]:
     ]
 
 
+def _axis_lines(joint) -> list[str]:
+    return [f'    <{tag} xyz="{_fmt_triple(axis)}"/>'
+            for tag, axis in (("axis", joint.axis), ("axis2", joint.axis2)) if axis is not None]
+
+
 def _payload_lines(payload, indent: str) -> list[str]:
     # verbatim blobs; only the leading indent is ours
     return [indent + blob for blob in payload]
@@ -632,10 +635,7 @@ def serialize_urdf_plus(model: RobotModel) -> str:
         out.extend(_origin_line(joint.origin, "    "))
         out.append(f'    <parent link="{_esc(joint.parent)}"/>')
         out.append(f'    <child link="{_esc(joint.child)}"/>')
-        if joint.axis is not None:
-            out.append(f'    <axis xyz="{_fmt_triple(joint.axis)}"/>')
-        if joint.axis2 is not None:
-            out.append(f'    <axis2 xyz="{_fmt_triple(joint.axis2)}"/>')
+        out.extend(_axis_lines(joint))
         out.extend(_payload_lines(joint.payload, "    "))
         out.append("  </joint>")
 
@@ -652,10 +652,7 @@ def serialize_urdf_plus(model: RobotModel) -> str:
                 out.append(f"    </{tag}>")
             else:
                 out.append(f'    <{tag} name="{_esc(link_name)}"/>')
-        if loop.axis is not None:
-            out.append(f'    <axis xyz="{_fmt_triple(loop.axis)}"/>')
-        if loop.axis2 is not None:
-            out.append(f'    <axis2 xyz="{_fmt_triple(loop.axis2)}"/>')
+        out.extend(_axis_lines(loop))
         out.append("  </loop>")
 
     for coupling in model.couplings:

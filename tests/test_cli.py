@@ -240,6 +240,16 @@ class TestConfigurationInput:
         values = line.partition(":")[2].strip()
         assert err == f"error: line 1: non-finite number in {values!r}\n"
 
+    def test_repeated_joint_is_usage_error(self, capsys, tmp_path, models_dir):
+        config = tmp_path / "q.cfg"
+        config.write_text("crank_pivot: 1\ncrank_pivot: 2\n")
+        code, out, err = run(
+            capsys, "constraints", str(models_dir / "fourbar.urdf"), "--config", str(config)
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "error: line 2: joint 'crank_pivot' already set on line 1\n"
+
     def test_non_utf8_config_is_usage_error(self, capsys, tmp_path, models_dir):
         config = tmp_path / "q.cfg"
         config.write_bytes(b"\xff\xfe")

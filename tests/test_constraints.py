@@ -103,6 +103,11 @@ class TestConfigurationFile:
         with pytest.raises(ConfigurationError):
             parse_configuration("crank_pivot: abc\n", fourbar.numbered)
 
+    def test_repeated_joint(self, fourbar):
+        with pytest.raises(ConfigurationError,
+                           match="^line 3: joint 'crank_pivot' already set on line 1$"):
+            parse_configuration("crank_pivot: 1\n\ncrank_pivot: 2\n", fourbar.numbered)
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999"])
     def test_non_finite_number(self, wrist, bad):
         with pytest.raises(ConfigurationError, match="line 2: non-finite number"):

@@ -111,7 +111,8 @@ def oracle_solve_with_pivoting(a, b, tol: float = 1e-10) -> np.ndarray:
 
 # -- end of the oracle -------------------------------------------------------------
 
-TOLERANCES = (1e-10, 1e-3, 0.3)
+# 1.0 refuses every pivot: none exceeds the largest absolute entry
+TOLERANCES = (1e-10, 1e-3, 0.3, 1.0)
 
 
 def outcome(fn):
@@ -220,6 +221,8 @@ def test_solve_batch_matches_oracle(seed):
         for _ in range(int(rng.integers(1, 7))):
             n = int(rng.integers(0, 7))
             systems.append((random_matrix(rng, n, n), rng.normal(size=(n, width))))
+        # tol * max|A| > 1: held to that, its identity-lead pivots (1.0) would fail
+        systems.append((1e12 * np.array([[2.0, 1.0], [1.0, 3.0]]), np.ones((2, width))))
         check_solve_batch(systems, tol)
 
 

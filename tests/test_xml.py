@@ -376,6 +376,24 @@ class TestRoundTrip:
         second = parse_urdf_plus(serialize_urdf_plus(first)).model
         assert second.tree_joints[0].axis2 == (0.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("old, new, message, field", [
+        ('<axis xyz="0 0 1"/>\n  </loop>',
+         '<axis xyz="0 0 1"/>\n    <axis2 xyz="0 1 0"/>\n  </loop>',
+         "axis2 ignored on revolute joint", "axis2"),
+        ('<loop name="closure" type="revolute">', '<loop name="closure" type="fixed">',
+         "axis ignored on fixed joint", "axis"),
+    ])
+    def test_loop_drops_an_axis_its_type_takes_none_of(self, models_dir, old, new,
+                                                       message, field):
+        text = (models_dir / "fourbar.urdf").read_text()
+        assert old in text
+        result = parse_urdf_plus(text.replace(old, new))
+        assert [w.message for w in result.warnings] == [message]
+        assert getattr(result.model.loop_joints[0], field) is None
+        again = parse_urdf_plus(serialize_urdf_plus(result.model))
+        assert structurally_equal(result.model, again.model)
+        assert not again.warnings
+
     def test_rpy_survives_round_trip(self, plain_paths):
         path = [p for p in plain_paths if p.name == "branched.urdf"][0]
         first = parse_file(path).model
