@@ -112,20 +112,38 @@ def rot_z(a: float) -> np.ndarray:
 
 def rot_from_rpy(roll: float, pitch: float, yaw: float) -> np.ndarray:
     """Fixed-axis X-Y-Z rotation: Rz(yaw) @ Ry(pitch) @ Rx(roll)."""
-    return rot_z(yaw) @ rot_y(pitch) @ rot_x(roll)
+    return _rots_from_rpy([(roll, pitch, yaw)])[0]
+
+
+def _rots_from_rpy(triples) -> np.ndarray:
+    """rot_from_rpy of each (roll, pitch, yaw) triple, as one (K, 3, 3) array.
+
+    The factors are rot_z(yaw), rot_y(pitch) and rot_x(roll) entry for entry,
+    and one stacked product multiplies them in that order, so a rotation has
+    the same bits whether it is made alone or among many."""
+    rows = []
+    for roll, pitch, yaw in triples:
+        cr, sr = math.cos(roll), math.sin(roll)
+        cp, sp = math.cos(pitch), math.sin(pitch)
+        cy, sy = math.cos(yaw), math.sin(yaw)
+        rows.append((cy, -sy, 0.0, sy, cy, 0.0, 0.0, 0.0, 1.0,
+                     cp, 0.0, sp, 0.0, 1.0, 0.0, -sp, 0.0, cp,
+                     1.0, 0.0, 0.0, 0.0, cr, -sr, 0.0, sr, cr))
+    factors = np.array(rows).reshape(-1, 3, 3, 3)
+    return factors[:, 0] @ factors[:, 1] @ factors[:, 2]
 
 
 def rpy_from_rot(r: np.ndarray) -> tuple[float, float, float]:
     """Inverse of rot_from_rpy (roll = 0 at the pitch = +/-pi/2 singularity)."""
-    r = np.asarray(r, dtype=float)
-    cos_pitch = math.hypot(r[0, 0], r[1, 0])
-    pitch = math.atan2(-r[2, 0], cos_pitch)
+    (r00, r01, _), (r10, r11, _), (r20, r21, r22) = np.asarray(r, dtype=float)[:3, :3].tolist()
+    cos_pitch = math.hypot(r00, r10)
+    pitch = math.atan2(-r20, cos_pitch)
     if cos_pitch > 1e-9:
-        roll = math.atan2(r[2, 1], r[2, 2])
-        yaw = math.atan2(r[1, 0], r[0, 0])
+        roll = math.atan2(r21, r22)
+        yaw = math.atan2(r10, r00)
     else:
         roll = 0.0
-        yaw = math.atan2(-r[0, 1], r[1, 1])
+        yaw = math.atan2(-r01, r11)
     return roll, pitch, yaw
 
 
@@ -496,6 +514,8 @@ def _forward_pass(a: np.ndarray, thresholds, stop_at_refusal: bool = False) -> n
     stop_at_refusal the pass ends after the first column that some member
     refuses, leaving that member as it was."""
     count, rows, cols = a.shape
+    if not a.size:  # no member, row or column: nothing to eliminate
+        return np.zeros(count, dtype=np.intp)
     t = a.transpose(1, 0, 2).copy()  # row r of member k is by_id[r * count + k]
     by_id = t.reshape(rows * count, cols)
     ids = np.arange(rows * count).reshape(rows, count)

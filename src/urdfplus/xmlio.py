@@ -24,6 +24,8 @@ import re
 import xml.parsers.expat as expat
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import (
     InvalidNumberError,
     MissingAttributeError,
@@ -36,6 +38,7 @@ from .model import Coupling, Inertial, Link, LoopJoint, RobotModel, TreeJoint
 from .spatial import (
     JointType,
     SpatialTransform,
+    _rots_from_rpy,
     rot_from_rpy,
     rpy_from_rot,
 )
@@ -44,6 +47,7 @@ from .spatial import (
 _JOINT_PAYLOAD_TAGS = {"limit", "dynamics", "calibration", "safety_controller"}
 # robot children preserved verbatim
 _ROBOT_PAYLOAD_TAGS = {"material", "transmission", "gazebo", "sensor"}
+_JOINT_TYPES = {jt.value: jt for jt in JointType}
 
 
 @dataclass(frozen=True)
@@ -74,7 +78,7 @@ class _Element:
     def __init__(self, tag, attrib, line, column, start_byte):
         self.tag = tag
         self.attrib = attrib
-        self.children: list[_Element] = []
+        self.children: list[_Element] | tuple = ()  # a list from the first child on
         self.line = line
         self.column = column
         self.start_byte = start_byte  # the '<' of the start tag
@@ -101,16 +105,22 @@ def _build_tree(data: bytes) -> _Element:
     and end events are heard: `_Interpreter.raw` finds an element's source
     from the byte indices of its start tag and its end event alone."""
     parser = expat.ParserCreate()
-    stack = [_Element("", {}, 0, 0, 0)]  # its one child is the document element
+    document = _Element("", {}, 0, 0, 0)  # its one child is the document element
+    stack = [document]
+    push, pop = stack.append, stack.pop
 
     def on_start(tag, attrs):
         element = _Element(tag, attrs, parser.CurrentLineNumber,
                            parser.CurrentColumnNumber + 1, parser.CurrentByteIndex)
-        stack[-1].children.append(element)
-        stack.append(element)
+        parent = stack[-1]
+        if parent.children:
+            parent.children.append(element)
+        else:
+            parent.children = [element]
+        push(element)
 
     def on_end(_tag):
-        stack.pop().close_byte = parser.CurrentByteIndex
+        pop().close_byte = parser.CurrentByteIndex
 
     parser.StartElementHandler = on_start
     parser.EndElementHandler = on_end
@@ -120,7 +130,11 @@ def _build_tree(data: bytes) -> _Element:
         raise XmlSyntaxError(
             expat.errors.messages[exc.code], exc.lineno, exc.offset + 1
         ) from exc
-    return stack[0].children[0]
+    finally:
+        # the handlers hold the parser and the parser holds them: without
+        # this the element tree would live until the cyclic collector runs
+        parser.StartElementHandler = parser.EndElementHandler = None
+    return document.children[0]
 
 
 class _Interpreter:
@@ -130,6 +144,10 @@ class _Interpreter:
         self.data = data
         self.warnings: list[ParseDiagnostic] = []
         self.counters = {"joint": 0, "loop": 0, "coupling": 0}
+        # each <origin>'s transform with its rpy and xyz: one stacked product
+        # at the end of interpret gives all their rotations, so no origin
+        # costs numpy calls of its own
+        self.origins: list[tuple[SpatialTransform, tuple, tuple]] = []
 
     def warn(self, element: _Element, message: str, path: str = ""):
         self.warnings.append(
@@ -157,9 +175,6 @@ class _Interpreter:
         raise XmlSyntaxError(
             f"preserved <{element.tag}> is not UTF-8", element.line, element.column
         )
-
-    def path(self, *parts: str) -> str:
-        return "/".join(parts)
 
     # -- attribute and numeric helpers ------------------------------------
 
@@ -192,7 +207,15 @@ class _Interpreter:
                 f"expected 3 numbers, got {len(parts)} in {text!r}",
                 element.line, element.column, path,
             )
-        return tuple(self.parse_float(p, element, path) for p in parts)
+        try:
+            x, y, z = map(float, parts)
+        except ValueError:
+            pass
+        else:
+            if math.isfinite(x) and math.isfinite(y) and math.isfinite(z):
+                return x, y, z
+        # raises, naming the first part that is not a finite number
+        return tuple([self.parse_float(p, element, path) for p in parts])
 
     def parse_bool(self, text: str, element: _Element, path: str) -> bool:
         if text == "true":
@@ -215,36 +238,41 @@ class _Interpreter:
     # -- shared sub-elements ----------------------------------------------
 
     def parse_origin(self, element: _Element | None, path: str) -> SpatialTransform:
+        """The pose an <origin> states (the identity when there is none);
+        interpret sets its rot and trans once the document is read."""
         if element is None:
             return SpatialTransform.identity()
-        xyz = (0.0, 0.0, 0.0)
-        rpy = (0.0, 0.0, 0.0)
-        if "xyz" in element.attrib:
-            xyz = self.parse_triple(element.attrib["xyz"], element, path)
-        if "rpy" in element.attrib:
-            rpy = self.parse_triple(element.attrib["rpy"], element, path)
-        return SpatialTransform.from_rpy_xyz(rpy, xyz)
+        attrib = element.attrib
+        xyz = rpy = (0.0, 0.0, 0.0)
+        if "xyz" in attrib:
+            xyz = self.parse_triple(attrib["xyz"], element, path)
+        if "rpy" in attrib:
+            rpy = self.parse_triple(attrib["rpy"], element, path)
+        origin = SpatialTransform._raw(None, None)
+        self.origins.append((origin, rpy, xyz))
+        return origin
 
     def parse_axis(self, element: _Element, path: str):
         """Unit direction from an <axis>/<axis2> element; nonzero vectors
         are normalized, matching common URDF tooling."""
         xyz = element.attrib.get("xyz", "1 0 0")
-        vec = self.parse_triple(xyz, element, path)
-        norm = math.sqrt(sum(v * v for v in vec))
+        x, y, z = self.parse_triple(xyz, element, path)
+        norm = math.sqrt(sum([x * x, y * y, z * z]))
         if norm < 1e-12:
             raise InvalidNumberError(
                 f"axis {xyz!r} has zero length", element.line, element.column, path
             )
-        return tuple(v / norm for v in vec)
+        return x / norm, y / norm, z / norm
 
     def joint_axes(self, element: _Element, jtype: JointType, axes: dict, path: str):
         """The (axis, axis2) a <joint> or <loop> of type jtype keeps from its
         parsed `axes` by tag: the URDF default axis if it needs one, and no
         axis it takes none of (dropped with a warning)."""
         axis, axis2 = axes.get("axis"), axes.get("axis2")
-        if jtype.requires_axis and axis is None:
+        requires_axis = jtype.requires_axis
+        if requires_axis and axis is None:
             axis = (1.0, 0.0, 0.0)
-        if not jtype.requires_axis and axis is not None:
+        if not requires_axis and axis is not None:
             self.warn(element, f"axis ignored on {jtype.value} joint", path)
             axis = None
         if axis2 is not None and jtype is not JointType.UNIVERSAL:
@@ -271,24 +299,23 @@ class _Interpreter:
                 "prismatic joints and a continuous joint",
                 element.line, element.column, path,
             )
-        try:
-            return JointType(text)
-        except ValueError:
+        jtype = _JOINT_TYPES.get(text)
+        if jtype is None:
             raise UnknownJointTypeError(
                 f"unknown joint type {text!r}", element.line, element.column, path
-            ) from None
+            )
+        return jtype
 
     # -- element interpreters ----------------------------------------------
 
     def parse_link(self, element: _Element) -> Link:
-        path = self.path("robot", "link")
-        name = self.require_attr(element, "name", path)
-        path = self.path("robot", f"link({name})")
+        name = self.require_attr(element, "name", "robot/link")
+        path = f"robot/link({name})"
         inertial = None
         payload = []
         for child in element.children:
             if child.tag == "inertial":
-                inertial = self.parse_inertial(child, self.path(path, "inertial"))
+                inertial = self.parse_inertial(child, f"{path}/inertial")
             else:
                 payload.append(self.raw(child))
         return Link(name=name, inertial=inertial, payload=tuple(payload))
@@ -313,17 +340,11 @@ class _Interpreter:
         inertia = ((0.0,) * 3,) * 3
         inertia_el = element.find("inertia")
         if inertia_el is not None:
-            v = {
-                key: self.parse_float(
-                    self.require_attr(inertia_el, key, path), inertia_el, path
-                )
+            ixx, ixy, ixz, iyy, iyz, izz = [
+                self.parse_float(self.require_attr(inertia_el, key, path), inertia_el, path)
                 for key in ("ixx", "ixy", "ixz", "iyy", "iyz", "izz")
-            }
-            inertia = (
-                (v["ixx"], v["ixy"], v["ixz"]),
-                (v["ixy"], v["iyy"], v["iyz"]),
-                (v["ixz"], v["iyz"], v["izz"]),
-            )
+            ]
+            inertia = ((ixx, ixy, ixz), (ixy, iyy, iyz), (ixz, iyz, izz))
         if rot is not None:
             # re-express the inertia tensor in the link frame
             m = rot @ [list(row) for row in inertia] @ rot.T
@@ -334,9 +355,8 @@ class _Interpreter:
         """Returns (TreeJoint, mimic | None); mimic resolution happens after
         every joint is known."""
         self.counters["joint"] += 1
-        path = self.path("robot", "joint")
-        name = self.auto_name(element, "joint", path)
-        path = self.path("robot", f"joint({name})")
+        name = self.auto_name(element, "joint", "robot/joint")
+        path = f"robot/joint({name})"
         jtype = self.joint_type(element, path)
         independent = None
         if "independent" in element.attrib:
@@ -348,15 +368,15 @@ class _Interpreter:
         axes, payload = {}, []
         for sub in element.children:
             if sub.tag == "origin":
-                origin = self.parse_origin(sub, self.path(path, "origin"))
+                origin = self.parse_origin(sub, f"{path}/origin")
             elif sub.tag in ("axis", "axis2"):
-                axes[sub.tag] = self.parse_axis(sub, self.path(path, sub.tag))
+                axes[sub.tag] = self.parse_axis(sub, f"{path}/{sub.tag}")
             elif sub.tag == "parent":
-                parent = self.parse_link_ref(sub, self.path(path, "parent"))
+                parent = self.parse_link_ref(sub, f"{path}/parent")
             elif sub.tag == "child":
-                child = self.parse_link_ref(sub, self.path(path, "child"))
+                child = self.parse_link_ref(sub, f"{path}/child")
             elif sub.tag == "mimic":
-                mimic = self.parse_mimic(sub, name, self.path(path, "mimic"))
+                mimic = self.parse_mimic(sub, name, f"{path}/mimic")
             elif sub.tag in _JOINT_PAYLOAD_TAGS:
                 payload.append(self.raw(sub))
             else:
@@ -405,22 +425,21 @@ class _Interpreter:
                 f"<loop> requires a <{tag}> element",
                 parent_el.line, parent_el.column, path,
             )
-        name = self.parse_link_ref(endpoint, self.path(path, tag))
-        origin = self.parse_origin(endpoint.find("origin"), self.path(path, tag))
+        name = self.parse_link_ref(endpoint, f"{path}/{tag}")
+        origin = self.parse_origin(endpoint.find("origin"), f"{path}/{tag}")
         return name, origin
 
     def parse_loop(self, element: _Element) -> LoopJoint:
         self.counters["loop"] += 1
-        path = self.path("robot", "loop")
-        name = self.auto_name(element, "loop", path)
-        path = self.path("robot", f"loop({name})")
+        name = self.auto_name(element, "loop", "robot/loop")
+        path = f"robot/loop({name})"
         jtype = self.joint_type(element, path)
         predecessor, pred_origin = self.parse_loop_endpoint(element, "predecessor", path)
         successor, succ_origin = self.parse_loop_endpoint(element, "successor", path)
         axes = {}
         for sub in element.children:
             if sub.tag in ("axis", "axis2"):
-                axes[sub.tag] = self.parse_axis(sub, self.path(path, sub.tag))
+                axes[sub.tag] = self.parse_axis(sub, f"{path}/{sub.tag}")
             elif sub.tag not in ("predecessor", "successor"):
                 raise UnknownElementError(
                     f"unknown element <{sub.tag}> inside <loop>",
@@ -440,20 +459,19 @@ class _Interpreter:
 
     def parse_coupling(self, element: _Element) -> Coupling:
         self.counters["coupling"] += 1
-        path = self.path("robot", "coupling")
-        name = self.auto_name(element, "coupling", path)
-        path = self.path("robot", f"coupling({name})")
+        name = self.auto_name(element, "coupling", "robot/coupling")
+        path = f"robot/coupling({name})"
         predecessor = successor = None
         ratio = None
         for sub in element.children:
             if sub.tag == "predecessor":
-                predecessor = self.parse_link_ref(sub, self.path(path, "predecessor"))
+                predecessor = self.parse_link_ref(sub, f"{path}/predecessor")
             elif sub.tag == "successor":
-                successor = self.parse_link_ref(sub, self.path(path, "successor"))
+                successor = self.parse_link_ref(sub, f"{path}/successor")
             elif sub.tag == "ratio":
                 ratio = self.parse_float(
-                    self.require_attr(sub, "value", self.path(path, "ratio")),
-                    sub, self.path(path, "ratio"),
+                    self.require_attr(sub, "value", f"{path}/ratio"),
+                    sub, f"{path}/ratio",
                 )
             else:
                 raise UnknownElementError(
@@ -517,7 +535,7 @@ class _Interpreter:
                 raise UnknownElementError(
                     f"mimic references unknown joint {target!r}",
                     element.line, element.column,
-                    self.path("robot", f"joint({follower})", "mimic"),
+                    f"robot/joint({follower})/mimic",
                 )
             couplings.append(
                 Coupling(
@@ -530,6 +548,10 @@ class _Interpreter:
 
         if not links:
             self.warn(root, "robot has no links", "robot")
+        if self.origins:
+            origins, rpys, xyzs = zip(*self.origins)
+            for origin, rot, trans in zip(origins, _rots_from_rpy(rpys), np.array(xyzs)):
+                origin.rot, origin.trans = rot, trans
 
         return RobotModel(
             name=name,
@@ -562,11 +584,19 @@ def parse_file(path) -> ParseResult:
 # -- serialization ----------------------------------------------------------
 
 
+# tab, newline and carriage return as character references: attribute-value
+# normalization would read them back as spaces
+_ATTR_ENTITIES = {"&": "&amp;", "<": "&lt;", '"': "&quot;",
+                  "\t": "&#9;", "\n": "&#10;", "\r": "&#13;"}
+_ATTR_SPECIAL = re.compile('[&<"\t\n\r]')
+_IDENTITY_ROWS = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
+
 def _esc(value: str) -> str:
     """Escape a string for use inside a double-quoted attribute."""
-    return (
-        value.replace("&", "&amp;").replace("<", "&lt;").replace('"', "&quot;")
-    )
+    if _ATTR_SPECIAL.search(value) is None:
+        return value
+    return _ATTR_SPECIAL.sub(lambda match: _ATTR_ENTITIES[match[0]], value)
 
 
 def _fmt(value: float) -> str:
@@ -575,15 +605,16 @@ def _fmt(value: float) -> str:
 
 
 def _fmt_triple(values) -> str:
-    return " ".join(_fmt(v) for v in values)
+    return " ".join(map(repr, map(float, values)))
 
 
 def _origin_line(origin: SpatialTransform, indent: str) -> list[str]:
-    if origin.is_identity():
+    trans = origin.trans.tolist()
+    if trans == [0.0, 0.0, 0.0] and origin.rot.tolist() == _IDENTITY_ROWS:
         return []
     rpy = rpy_from_rot(origin.rot)
     return [
-        f'{indent}<origin xyz="{_fmt_triple(origin.trans)}" '
+        f'{indent}<origin xyz="{_fmt_triple(trans)}" '
         f'rpy="{_fmt_triple(rpy)}"/>'
     ]
 
@@ -606,7 +637,7 @@ def serialize_urdf_plus(model: RobotModel) -> str:
         inner: list[str] = []
         if link.inertial is not None:
             i = link.inertial
-            m = i.inertia_matrix()
+            (ixx, ixy, ixz), (_, iyy, iyz), (_, _, izz) = i.inertia
             inner.append("    <inertial>")
             if any(i.center_of_mass):
                 inner.append(
@@ -614,9 +645,9 @@ def serialize_urdf_plus(model: RobotModel) -> str:
                 )
             inner.append(f'      <mass value="{_fmt(i.mass)}"/>')
             inner.append(
-                f'      <inertia ixx="{_fmt(m[0, 0])}" ixy="{_fmt(m[0, 1])}" '
-                f'ixz="{_fmt(m[0, 2])}" iyy="{_fmt(m[1, 1])}" '
-                f'iyz="{_fmt(m[1, 2])}" izz="{_fmt(m[2, 2])}"/>'
+                f'      <inertia ixx="{_fmt(ixx)}" ixy="{_fmt(ixy)}" '
+                f'ixz="{_fmt(ixz)}" iyy="{_fmt(iyy)}" '
+                f'iyz="{_fmt(iyz)}" izz="{_fmt(izz)}"/>'
             )
             inner.append("    </inertial>")
         inner.extend(_payload_lines(link.payload, "    "))

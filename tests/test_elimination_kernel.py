@@ -21,6 +21,7 @@ from urdfplus.errors import (
     UrdfPlusError,
 )
 from urdfplus.spatial import (
+    _forward_pass,
     _row_reduce_batch,
     _solve_batch,
     numerical_rank,
@@ -233,6 +234,21 @@ def test_all_zero_and_empty_members():
     assert _row_reduce_batch(np.zeros((2, 0, 3)), 1e-10).tolist() == [0, 0]
 
 
+class _Unread:
+    """Thresholds a pass must not read."""
+
+    def __iter__(self):
+        raise AssertionError("the pass read its thresholds")
+
+
+@pytest.mark.parametrize("shape", [(0, 0, 0), (0, 3, 4), (2, 0, 4), (2, 3, 0)])
+def test_empty_batch_returns_zero_ranks_at_once(shape):
+    """No member, row or column: zero ranks, before any column step."""
+    ranks = _forward_pass(np.zeros(shape), _Unread())
+    assert ranks.dtype == np.intp and ranks.tolist() == [0] * shape[0]
+    assert _row_reduce_batch(np.zeros(shape), 1e-10).tolist() == [0] * shape[0]
+
+
 def test_members_finish_at_different_columns():
     """The tallest member has a pivot in every row after two columns,
     another pivots only in the last column: the batch runs on until every
@@ -261,6 +277,9 @@ def test_singular_member_names_its_own_column():
 def test_kernels_check_the_tolerance(tol):
     with pytest.raises(ConfigurationError, match="finite number > 0"):
         _row_reduce_batch(np.eye(2)[None], tol)
+    # the empty batch of a loop-free model, which skips the pass
+    with pytest.raises(ConfigurationError, match="finite number > 0"):
+        _row_reduce_batch(np.zeros((0, 0, 0)), tol)
     with pytest.raises(ConfigurationError, match="finite number > 0"):
         _solve_batch(np.eye(2)[None], np.ones((1, 2, 1)), np.zeros(1, np.intp), tol)
 

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import pytest
@@ -8,6 +9,7 @@ from urdfplus.errors import (
     UnknownElementError,
     UnknownJointTypeError,
     UnsupportedMimicOffsetError,
+    UrdfPlusError,
     XmlSyntaxError,
 )
 from urdfplus.model import structurally_equal, validate_model
@@ -394,6 +396,23 @@ class TestRoundTrip:
         assert structurally_equal(result.model, again.model)
         assert not again.warnings
 
+    def test_tab_newline_and_return_in_names_survive(self):
+        """Attribute-value normalization reads a literal tab, newline or
+        carriage return back as a space; the writer spells them as
+        character references."""
+        text = ('<robot name="r&#10;x"><link name="a&#9;b"/><link name="c&#13;d"/>'
+                '<joint name="j" type="fixed"><parent link="a&#9;b"/>'
+                '<child link="c&#13;d"/></joint></robot>')
+        first = parse_urdf_plus(text).model
+        assert (first.name, first.link_names()) == ("r\nx", ["a\tb", "c\rd"])
+        out = serialize_urdf_plus(first)
+        assert '<robot name="r&#10;x">' in out
+        assert '<parent link="a&#9;b"/>' in out and '<child link="c&#13;d"/>' in out
+        second = parse_urdf_plus(out).model
+        assert (second.name, second.link_names()) == (first.name, first.link_names())
+        assert structurally_equal(first, second)
+        assert serialize_urdf_plus(second) == out
+
     def test_rpy_survives_round_trip(self, plain_paths):
         path = [p for p in plain_paths if p.name == "branched.urdf"][0]
         first = parse_file(path).model
@@ -415,3 +434,55 @@ class TestRoundTrip:
         assert np.allclose(
             second.loop_joints[0].successor_origin.trans, [0.2, 0, 0]
         )
+
+
+def _ladder(n_bodies: int) -> str:
+    """An n-body chain with inertials, geometry, limits, origins and a loop
+    every tenth body: the element mix of a generated ladder."""
+    out = ['<robot name="ladder">']
+    for i in range(n_bodies + 1):
+        out.append(
+            f'<link name="b{i}"><inertial><origin xyz="0 0 0.{i % 10}"/>'
+            f'<mass value="1.5"/><inertia ixx="0.1" ixy="0" ixz="0" iyy="0.2" '
+            f'iyz="0" izz="0.3"/></inertial>'
+            f'<visual><geometry><box size="0.1 0.2 0.3"/></geometry></visual></link>')
+    for i in range(n_bodies):
+        out.append(
+            f'<joint name="j{i}" type="revolute"><origin xyz="0 0 0.5" '
+            f'rpy="0.{i % 7} -0.{i % 5} 0.{i % 3}"/><parent link="b{i}"/>'
+            f'<child link="b{i + 1}"/><axis xyz="0 0 1"/>'
+            f'<limit lower="-1" upper="1" effort="1" velocity="1"/></joint>')
+    for i in range(0, n_bodies - 2, 10):
+        out.append(
+            f'<loop name="l{i}" type="revolute"><predecessor name="b{i}">'
+            f'<origin xyz="0 0.1 0" rpy="0 0.3 0"/></predecessor>'
+            f'<successor name="b{i + 2}"/><axis xyz="0 0 1"/></loop>')
+    out.append("</robot>")
+    return "\n".join(out)
+
+
+def _parse_outcome(text: str):
+    """None when the text parses, else the type of the error it raises; the
+    parse result and the exception are dropped before this returns."""
+    try:
+        parse_urdf_plus(text)
+    except UrdfPlusError as exc:
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("text, error", [
+    (_ladder(800), None),
+    ('<robot name="r"><link name="a"></robot>', XmlSyntaxError),
+    ('<robot name="r"><link name="a"/><bogus/></robot>', UnknownElementError),
+], ids=["ladder", "syntax-error", "unknown-element"])
+def test_a_parse_leaves_no_cyclic_garbage(text, error):
+    """Everything a parse builds is freed by reference counting alone, so
+    the element tree does not wait for the cyclic collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        assert _parse_outcome(text) is error
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
