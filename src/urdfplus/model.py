@@ -8,6 +8,7 @@ every body above its parent) and joint indices 1..N_J.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cached_property
 
@@ -26,9 +27,6 @@ class Inertial:
         (0.0, 0.0, 0.0),
         (0.0, 0.0, 0.0),
     )
-
-    def inertia_matrix(self) -> np.ndarray:
-        return np.array(self.inertia, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -243,6 +241,10 @@ def _validate(model: RobotModel) -> ValidationReport:
                 Violation("zero-ratio", "coupling ratio must be nonzero",
                           coupling.name)
             )
+        elif not math.isfinite(coupling.ratio):
+            violations.append(
+                Violation("bad-ratio", "coupling ratio must be finite", coupling.name)
+            )
 
     for link in model.links:
         inertial = link.inertial
@@ -252,8 +254,12 @@ def _validate(model: RobotModel) -> ValidationReport:
             violations.append(
                 Violation("bad-inertia", "negative mass", link.name)
             )
-        m = inertial.inertia_matrix()
-        if np.abs(m - m.T).max() > 1e-12:
+        elif not math.isfinite(inertial.mass):
+            violations.append(Violation("bad-inertia", "non-finite mass", link.name))
+        (ixx, ixy, ixz), (iyx, iyy, iyz), (izx, izy, izz) = inertial.inertia
+        if not all(map(math.isfinite, (ixx, ixy, ixz, iyx, iyy, iyz, izx, izy, izz))):
+            violations.append(Violation("bad-inertia", "non-finite inertia", link.name))
+        elif max(abs(ixy - iyx), abs(ixz - izx), abs(iyz - izy)) > 1e-12:
             violations.append(
                 Violation("bad-inertia", "inertia matrix not symmetric", link.name)
             )

@@ -55,7 +55,8 @@ class JointType(enum.Enum):
 
     @property
     def motion_kind(self) -> str:
-        """"rotation", "translation", or "mixed" (used by coupling checks)."""
+        """"rotation", "translation", "mixed", or "none" for a fixed joint
+        (used by coupling checks)."""
         if self in (JointType.REVOLUTE, JointType.CONTINUOUS, JointType.UNIVERSAL):
             return "rotation"
         if self is JointType.PRISMATIC:
@@ -84,7 +85,7 @@ def _as_vec3(v) -> np.ndarray:
 
 def _check_unit_axis(axis: np.ndarray) -> np.ndarray:
     axis = _as_vec3(axis)
-    if abs(np.linalg.norm(axis) - 1.0) > UNIT_AXIS_TOL:
+    if not abs(np.linalg.norm(axis) - 1.0) <= UNIT_AXIS_TOL:  # NaN fails too
         raise NonUnitAxisError(f"axis {axis.tolist()} is not unit-norm")
     return axis
 

@@ -43,7 +43,10 @@ from .spatial import (
     rpy_from_rot,
 )
 
-# joint children preserved verbatim (semantics out of scope, kept for round-trip)
+# the children a <joint> or <loop> takes at most once, and those a <joint>
+# preserves verbatim (semantics out of scope, kept for round-trip)
+_JOINT_ONCE_TAGS = {"origin", "parent", "child", "axis", "axis2", "mimic"}
+_LOOP_ONCE_TAGS = {"predecessor", "successor", "axis", "axis2"}
 _JOINT_PAYLOAD_TAGS = {"limit", "dynamics", "calibration", "safety_controller"}
 # robot children preserved verbatim
 _ROBOT_PAYLOAD_TAGS = {"material", "transmission", "gazebo", "sensor"}
@@ -82,12 +85,6 @@ class _Element:
         self.line = line
         self.column = column
         self.start_byte = start_byte  # the '<' of the start tag
-
-    def find(self, tag):
-        for child in self.children:
-            if child.tag == tag:
-                return child
-        return None
 
 
 _TAG = re.compile(rb"""[^"'>]*(?:(?:"[^"]*"|'[^']*')[^"'>]*)*>""")
@@ -264,11 +261,15 @@ class _Interpreter:
             )
         return x / norm, y / norm, z / norm
 
-    def joint_axes(self, element: _Element, jtype: JointType, axes: dict, path: str):
+    def joint_axes(self, element: _Element, jtype: JointType, found: dict, path: str):
         """The (axis, axis2) a <joint> or <loop> of type jtype keeps from its
-        parsed `axes` by tag: the URDF default axis if it needs one, and no
-        axis it takes none of (dropped with a warning)."""
-        axis, axis2 = axes.get("axis"), axes.get("axis2")
+        children `found` by tag: the URDF default axis if it needs one, and
+        no axis it takes none of (dropped with a warning)."""
+        axis, axis2 = found.get("axis"), found.get("axis2")
+        if axis is not None:
+            axis = self.parse_axis(axis, f"{path}/axis")
+        if axis2 is not None:
+            axis2 = self.parse_axis(axis2, f"{path}/axis2")
         requires_axis = jtype.requires_axis
         if requires_axis and axis is None:
             axis = (1.0, 0.0, 0.0)
@@ -306,30 +307,52 @@ class _Interpreter:
             )
         return jtype
 
+    def read_children(self, element: _Element, path: str, once, preserved=()):
+        """The one child rule: a tag in `once` comes back by tag in a dict,
+        a repeat of it an error; a tag in `preserved` (every other tag when
+        it is None) adds its source text to the payload in document order;
+        any other tag is an error.  Both errors sit at the child."""
+        found, payload = {}, []
+        for child in element.children:
+            tag = child.tag
+            if tag in once:
+                if tag in found:
+                    raise UnknownElementError(
+                        f"repeated <{tag}> inside <{element.tag}>",
+                        child.line, child.column, path,
+                    )
+                found[tag] = child
+            elif preserved is None or tag in preserved:
+                payload.append(self.raw(child))
+            else:
+                raise UnknownElementError(
+                    f"unknown element <{tag}> inside <{element.tag}>",
+                    child.line, child.column, path,
+                )
+        return found, tuple(payload)
+
     # -- element interpreters ----------------------------------------------
 
     def parse_link(self, element: _Element) -> Link:
         name = self.require_attr(element, "name", "robot/link")
         path = f"robot/link({name})"
-        inertial = None
-        payload = []
-        for child in element.children:
-            if child.tag == "inertial":
-                inertial = self.parse_inertial(child, f"{path}/inertial")
-            else:
-                payload.append(self.raw(child))
-        return Link(name=name, inertial=inertial, payload=tuple(payload))
+        found, payload = self.read_children(element, path, ("inertial",), preserved=None)
+        inertial = found.get("inertial")
+        if inertial is not None:
+            inertial = self.parse_inertial(inertial, f"{path}/inertial")
+        return Link(name=name, inertial=inertial, payload=payload)
 
     def parse_inertial(self, element: _Element, path: str) -> Inertial:
+        found, _ = self.read_children(element, path, ("origin", "mass", "inertia"))
         mass = 0.0
-        mass_el = element.find("mass")
+        mass_el = found.get("mass")
         if mass_el is not None:
             mass = self.parse_float(
                 self.require_attr(mass_el, "value", path), mass_el, path
             )
         com = (0.0, 0.0, 0.0)
         rot = None
-        origin_el = element.find("origin")
+        origin_el = found.get("origin")
         if origin_el is not None:
             if "xyz" in origin_el.attrib:
                 com = self.parse_triple(origin_el.attrib["xyz"], origin_el, path)
@@ -338,7 +361,7 @@ class _Interpreter:
                 if any(rpy):
                     rot = rot_from_rpy(*rpy)
         inertia = ((0.0,) * 3,) * 3
-        inertia_el = element.find("inertia")
+        inertia_el = found.get("inertia")
         if inertia_el is not None:
             ixx, ixy, ixz, iyy, iyz, izz = [
                 self.parse_float(self.require_attr(inertia_el, key, path), inertia_el, path)
@@ -363,43 +386,30 @@ class _Interpreter:
             independent = self.parse_bool(
                 element.attrib["independent"], element, path
             )
-
-        origin = parent = child = mimic = None
-        axes, payload = {}, []
-        for sub in element.children:
-            if sub.tag == "origin":
-                origin = self.parse_origin(sub, f"{path}/origin")
-            elif sub.tag in ("axis", "axis2"):
-                axes[sub.tag] = self.parse_axis(sub, f"{path}/{sub.tag}")
-            elif sub.tag == "parent":
-                parent = self.parse_link_ref(sub, f"{path}/parent")
-            elif sub.tag == "child":
-                child = self.parse_link_ref(sub, f"{path}/child")
-            elif sub.tag == "mimic":
-                mimic = self.parse_mimic(sub, name, f"{path}/mimic")
-            elif sub.tag in _JOINT_PAYLOAD_TAGS:
-                payload.append(self.raw(sub))
-            else:
-                raise UnknownElementError(
-                    f"unknown element <{sub.tag}> inside <joint>",
-                    sub.line, sub.column, path,
-                )
-        if parent is None or child is None:
+        found, payload = self.read_children(element, path, _JOINT_ONCE_TAGS,
+                                            _JOINT_PAYLOAD_TAGS)
+        if "parent" not in found or "child" not in found:
             raise MissingAttributeError(
                 "<joint> requires <parent> and <child> elements",
                 element.line, element.column, path,
             )
-        axis, axis2 = self.joint_axes(element, jtype, axes, path)
+        origin = self.parse_origin(found.get("origin"), f"{path}/origin")
+        parent = self.parse_link_ref(found["parent"], f"{path}/parent")
+        child = self.parse_link_ref(found["child"], f"{path}/child")
+        axis, axis2 = self.joint_axes(element, jtype, found, path)
+        mimic = found.get("mimic")
+        if mimic is not None:
+            mimic = self.parse_mimic(mimic, name, f"{path}/mimic")
         joint = TreeJoint(
             name=name,
             joint_type=jtype,
             parent=parent,
             child=child,
-            origin=SpatialTransform.identity() if origin is None else origin,
+            origin=origin,
             axis=axis,
             axis2=axis2,
             independent=independent,
-            payload=tuple(payload),
+            payload=payload,
         )
         return joint, mimic
 
@@ -418,78 +428,50 @@ class _Interpreter:
             )
         return (follower, target, multiplier, element)
 
-    def parse_loop_endpoint(self, parent_el: _Element, tag: str, path: str):
-        endpoint = parent_el.find(tag)
-        if endpoint is None:
-            raise MissingAttributeError(
-                f"<loop> requires a <{tag}> element",
-                parent_el.line, parent_el.column, path,
-            )
-        name = self.parse_link_ref(endpoint, f"{path}/{tag}")
-        origin = self.parse_origin(endpoint.find("origin"), f"{path}/{tag}")
-        return name, origin
-
     def parse_loop(self, element: _Element) -> LoopJoint:
         self.counters["loop"] += 1
         name = self.auto_name(element, "loop", "robot/loop")
         path = f"robot/loop({name})"
         jtype = self.joint_type(element, path)
-        predecessor, pred_origin = self.parse_loop_endpoint(element, "predecessor", path)
-        successor, succ_origin = self.parse_loop_endpoint(element, "successor", path)
-        axes = {}
-        for sub in element.children:
-            if sub.tag in ("axis", "axis2"):
-                axes[sub.tag] = self.parse_axis(sub, f"{path}/{sub.tag}")
-            elif sub.tag not in ("predecessor", "successor"):
-                raise UnknownElementError(
-                    f"unknown element <{sub.tag}> inside <loop>",
-                    sub.line, sub.column, path,
+        found, _ = self.read_children(element, path, _LOOP_ONCE_TAGS)
+        links, origins = [], []  # of the predecessor, then the successor
+        for tag in ("predecessor", "successor"):
+            if tag not in found:
+                raise MissingAttributeError(
+                    f"<loop> requires a <{tag}> element",
+                    element.line, element.column, path,
                 )
-        axis, axis2 = self.joint_axes(element, jtype, axes, path)
-        return LoopJoint(
-            name=name,
-            joint_type=jtype,
-            predecessor=predecessor,
-            successor=successor,
-            predecessor_origin=pred_origin,
-            successor_origin=succ_origin,
-            axis=axis,
-            axis2=axis2,
-        )
+            end, end_path = found[tag], f"{path}/{tag}"
+            origin = self.read_children(end, end_path, ("origin",))[0].get("origin")
+            links.append(self.parse_link_ref(end, end_path))
+            origins.append(self.parse_origin(origin, end_path))
+        axis, axis2 = self.joint_axes(element, jtype, found, path)
+        return LoopJoint(name, jtype, *links, *origins, axis=axis, axis2=axis2)
 
     def parse_coupling(self, element: _Element) -> Coupling:
         self.counters["coupling"] += 1
         name = self.auto_name(element, "coupling", "robot/coupling")
         path = f"robot/coupling({name})"
-        predecessor = successor = None
-        ratio = None
-        for sub in element.children:
-            if sub.tag == "predecessor":
-                predecessor = self.parse_link_ref(sub, f"{path}/predecessor")
-            elif sub.tag == "successor":
-                successor = self.parse_link_ref(sub, f"{path}/successor")
-            elif sub.tag == "ratio":
-                ratio = self.parse_float(
-                    self.require_attr(sub, "value", f"{path}/ratio"),
-                    sub, f"{path}/ratio",
-                )
-            else:
-                raise UnknownElementError(
-                    f"unknown element <{sub.tag}> inside <coupling>",
-                    sub.line, sub.column, path,
-                )
-        if predecessor is None or successor is None:
+        found, _ = self.read_children(element, path, ("predecessor", "successor", "ratio"))
+        if "predecessor" not in found or "successor" not in found:
             raise MissingAttributeError(
                 "<coupling> requires <predecessor> and <successor> elements",
                 element.line, element.column, path,
             )
-        if ratio is None:
+        if "ratio" not in found:
             raise MissingAttributeError(
                 "<coupling> requires a <ratio> element with a 'value' attribute",
                 element.line, element.column, path,
             )
+        ratio_el = found["ratio"]
         return Coupling(
-            name=name, predecessor=predecessor, successor=successor, ratio=ratio
+            name=name,
+            predecessor=self.parse_link_ref(found["predecessor"], f"{path}/predecessor"),
+            successor=self.parse_link_ref(found["successor"], f"{path}/successor"),
+            ratio=self.parse_float(
+                self.require_attr(ratio_el, "value", f"{path}/ratio"),
+                ratio_el, f"{path}/ratio",
+            ),
         )
 
     def interpret(self, root: _Element) -> RobotModel:

@@ -24,6 +24,7 @@ from urdfplus.errors import (
     ConfigurationError,
     CountMismatchError,
     DimensionMismatchError,
+    NonUnitAxisError,
     SingularDependentBlockError,
 )
 from urdfplus.graphs import build_pipeline
@@ -73,6 +74,13 @@ class TestForwardKinematics:
         assert np.abs(frame_p.trans - frame_s.trans).max() < 1e-15
         assert np.abs(frame_p.rot - frame_s.rot).max() < 1e-15
         assert np.allclose(frame_p.trans, [1, 1, 0])
+
+    def test_nan_axis_is_rejected_not_propagated(self, fourbar):
+        joints = tuple(replace(j, axis=(math.nan, 0.0, 0.0)) if j.name == "crank_pivot"
+                       else j for j in fourbar.model.tree_joints)
+        numbered, graph, lacg = pipeline(replace(fourbar.model, tree_joints=joints))
+        with pytest.raises(NonUnitAxisError):
+            independent_coordinate_check(numbered, graph, lacg)
 
     def test_dimension_mismatch(self, fourbar):
         with pytest.raises(DimensionMismatchError):

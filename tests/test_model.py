@@ -191,8 +191,44 @@ class TestValidation:
     def test_bad_inertia(self):
         bad = Inertial(mass=-1.0, inertia=((1, 0.5, 0), (0, 1, 0), (0, 0, 1)))
         model = RobotModel(name="inertia", links=(Link(name="a", inertial=bad),))
-        report = validate_model(model)
-        assert sum(v.code == "bad-inertia" for v in report.violations) == 2
+        assert [str(v) for v in validate_model(model).violations] == [
+            "bad-inertia: negative mass (a)",
+            "bad-inertia: inertia matrix not symmetric (a)",
+        ]
+
+    @pytest.mark.parametrize("mass", [math.nan, math.inf])
+    def test_non_finite_mass(self, mass):
+        model = RobotModel(name="m", links=(Link(name="a", inertial=Inertial(mass=mass)),))
+        assert [str(v) for v in validate_model(model).violations] == [
+            "bad-inertia: non-finite mass (a)"
+        ]
+
+    @pytest.mark.parametrize("row, col, value, message", [
+        (0, 0, math.nan, "non-finite inertia"),
+        (0, 1, math.nan, "non-finite inertia"),
+        (2, 1, -math.inf, "non-finite inertia"),
+        (1, 0, 1e-9, "inertia matrix not symmetric"),
+        (0, 2, 1e-9, "inertia matrix not symmetric"),
+        (2, 1, 1e-9, "inertia matrix not symmetric"),
+        (1, 2, 1e-13, None),
+    ])
+    def test_inertia_entries(self, row, col, value, message):
+        inertia = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        inertia[row][col] = value
+        inertial = Inertial(mass=1.0, inertia=tuple(map(tuple, inertia)))
+        model = RobotModel(name="i", links=(Link(name="a", inertial=inertial),))
+        assert [str(v) for v in validate_model(model).violations] == (
+            [f"bad-inertia: {message} (a)"] if message else [])
+
+    @pytest.mark.parametrize("ratio", [math.nan, -math.inf])
+    def test_non_finite_ratio(self, belt, ratio):
+        coupling = replace(belt.model.couplings[0], ratio=ratio)
+        model = replace(belt.model, couplings=(coupling,))
+        assert [str(v) for v in validate_model(model).violations] == [
+            "bad-ratio: coupling ratio must be finite (belt_drive)"
+        ]
+        with pytest.raises(InvalidModelError):
+            regular_numbering(model)
 
     def test_axis_requirements(self):
         links = (Link(name="a"), Link(name="b"))

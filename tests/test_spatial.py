@@ -199,6 +199,11 @@ class TestSubspaces:
         with pytest.raises(NonUnitAxisError):
             sp.motion_subspace(JointType.REVOLUTE, [0, 0, 2])
 
+    @pytest.mark.parametrize("axis", [[math.nan, 0, 0], [0, 0, math.inf]])
+    def test_non_finite_axis_rejected(self, axis):
+        with pytest.raises(NonUnitAxisError):
+            sp.motion_subspace(JointType.REVOLUTE, axis)
+
     def test_universal_without_second_axis_uses_default(self):
         s = sp.motion_subspace(JointType.UNIVERSAL, [0, 0, 1])
         psi = sp.constraint_force_subspace(JointType.UNIVERSAL, [0, 0, 1])

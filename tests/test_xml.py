@@ -1,8 +1,10 @@
 import gc
 import math
+import random
 
 import pytest
 
+from test_mutation_fuzz import MODELS, SEED, mutate
 from urdfplus.errors import (
     InvalidNumberError,
     MissingAttributeError,
@@ -242,6 +244,123 @@ class TestErrors:
                 '<parent link="a"/><child link="b"/></joint></robot>'
             )
         assert "joint(lift)" in err.value.path
+
+
+def robot_ab(*lines: str) -> str:
+    """A robot with links a and b; `lines` follow from line 4 on."""
+    return "\n".join(['<robot name="r">', '<link name="a"/>', '<link name="b"/>',
+                      *lines, "</robot>"])
+
+
+JOINT = ['<joint name="j" type="universal">', '  <parent link="a"/>',
+         '  <child link="b"/>']  # lines 4-6
+LOOP = ['<loop name="l" type="universal">', '  <predecessor link="a"/>',
+        '  <successor link="b"/>']
+COUPLING = ['<coupling name="c">', '  <predecessor name="a"/>',
+            '  <successor name="b"/>', '  <ratio value="2"/>']
+INERTIAL = ['<link name="c">', '  <inertial>']  # its children from line 6 on
+
+# name -> (elements from line 4 on, message, line, column, path): each holds
+# one child too many, or one no rule admits, at that line and column
+REJECTED_CHILDREN = {
+    "link_inertial": (['<link name="c">', "  <inertial/>", "  <inertial/>", "</link>"],
+                      "repeated <inertial> inside <link>", 6, 3, "robot/link(c)"),
+    **{f"inertial_{tag}": (
+        [*INERTIAL, f"    {child}", f"    {child}", "  </inertial>", "</link>"],
+        f"repeated <{tag}> inside <inertial>", 7, 5, "robot/link(c)/inertial")
+       for tag, child in [("origin", '<origin xyz="0 0 1"/>'), ("mass", '<mass value="1"/>'),
+                          ("inertia", '<inertia ixx="1" ixy="0" ixz="0" iyy="1" '
+                                      'iyz="0" izz="1"/>')]},
+    "inertial_unknown": ([*INERTIAL, '    <Tass value="1"/>', "  </inertial>", "</link>"],
+                         "unknown element <Tass> inside <inertial>", 6, 5,
+                         "robot/link(c)/inertial"),
+    "joint_parent": ([*JOINT, '  <parent link="b"/>', "</joint>"],
+                     "repeated <parent> inside <joint>", 7, 3, "robot/joint(j)"),
+    "joint_child": ([*JOINT, '  <child link="a"/>', "</joint>"],
+                    "repeated <child> inside <joint>", 7, 3, "robot/joint(j)"),
+    **{f"joint_{tag}": ([*JOINT, f"  {child}", f"  {child}", "</joint>"],
+                        f"repeated <{tag}> inside <joint>", 8, 3, "robot/joint(j)")
+       for tag, child in [("origin", "<origin/>"), ("axis", '<axis xyz="1 0 0"/>'),
+                          ("axis2", '<axis2 xyz="0 1 0"/>'), ("mimic", '<mimic joint="j"/>')]},
+    "loop_predecessor": ([*LOOP, '  <predecessor link="b"/>', "</loop>"],
+                         "repeated <predecessor> inside <loop>", 7, 3, "robot/loop(l)"),
+    "loop_successor": ([*LOOP, '  <successor link="a"/>', "</loop>"],
+                       "repeated <successor> inside <loop>", 7, 3, "robot/loop(l)"),
+    **{f"loop_{tag}": ([*LOOP, f"  {child}", f"  {child}", "</loop>"],
+                       f"repeated <{tag}> inside <loop>", 8, 3, "robot/loop(l)")
+       for tag, child in [("axis", '<axis xyz="1 0 0"/>'), ("axis2", '<axis2 xyz="0 1 0"/>')]},
+    "endpoint_origin": (['<loop name="l" type="fixed">', '  <predecessor link="a">',
+                         "    <origin/>", "    <origin/>", "  </predecessor>",
+                         '  <successor link="b"/>', "</loop>"],
+                        "repeated <origin> inside <predecessor>", 7, 5,
+                        "robot/loop(l)/predecessor"),
+    "endpoint_unknown": (['<loop name="l" type="fixed">', '  <predecessor link="a"/>',
+                          '  <successor link="b">', '    <axis xyz="0 0 1"/>',
+                          "  </successor>", "</loop>"],
+                         "unknown element <axis> inside <successor>", 7, 5,
+                         "robot/loop(l)/successor"),
+    "coupling_predecessor": ([*COUPLING, '  <predecessor name="b"/>', "</coupling>"],
+                             "repeated <predecessor> inside <coupling>", 8, 3,
+                             "robot/coupling(c)"),
+    "coupling_successor": ([*COUPLING, '  <successor name="a"/>', "</coupling>"],
+                           "repeated <successor> inside <coupling>", 8, 3,
+                           "robot/coupling(c)"),
+    "coupling_ratio": ([*COUPLING, '  <ratio value="3"/>', "</coupling>"],
+                       "repeated <ratio> inside <coupling>", 8, 3, "robot/coupling(c)"),
+}
+
+
+def fuzz_mutant(index: int) -> bytes:
+    """Mutant `index` of tests/test_mutation_fuzz.py's seeded sequence."""
+    rng = random.Random(SEED)
+    sources = [path.read_bytes() for path in MODELS]
+    for _ in range(index):
+        mutate(rng, rng.choice(sources))
+    return mutate(rng, rng.choice(sources))
+
+
+class TestChildRule:
+    """Each interpreted element takes each of its own children at most
+    once, preserves only its payload tags, and rejects any other child."""
+
+    @pytest.mark.parametrize("case", REJECTED_CHILDREN)
+    def test_rejected_child_is_located(self, case):
+        lines, message, line, column, path = REJECTED_CHILDREN[case]
+        with pytest.raises(UnknownElementError) as err:
+            parse_urdf_plus(robot_ab(*lines))
+        assert (err.value.message, err.value.line, err.value.column, err.value.path) == (
+            message, line, column, path)
+
+    def test_each_child_once_parses(self):
+        lines = [*INERTIAL, '    <origin xyz="0 0 1"/>', '    <mass value="2"/>',
+                 "  </inertial>", "  <visual/>", "  <visual/>", "</link>",
+                 *JOINT, '  <axis xyz="1 0 0"/>', '  <axis2 xyz="0 1 0"/>',
+                 '  <limit effort="1"/>', '  <limit effort="2"/>', "</joint>",
+                 *LOOP, "</loop>", *COUPLING, "</coupling>"]
+        model = parse_urdf_plus(robot_ab(*lines)).model
+        link, joint = model.links[2], model.tree_joints[0]
+        assert (link.inertial.mass, link.payload) == (2.0, ("<visual/>", "<visual/>"))
+        assert (joint.axis, joint.axis2) == ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+        assert joint.payload == ('<limit effort="1"/>', '<limit effort="2"/>')
+        assert model.loop_joints[0].predecessor == "a"
+        assert model.couplings[0].ratio == 2.0
+
+    @pytest.mark.parametrize("index, source, message, line, column, path", [
+        # wrist's <axis2> of Joint3 became a second <axis>
+        (404, b'<axis xyz="1 0 0"/>\n    <axis xyz="0 1 0"/>',
+         "repeated <axis> inside <joint>", 34, 5, "robot/joint(Joint3)"),
+        # rover's <mass value="25.0"/> became <Tass value="25.0"/>
+        (1168, b'<Tass value="25.0"/>',
+         "unknown element <Tass> inside <inertial>", 6, 7, "robot/link(chassis)/inertial"),
+    ], ids=["mutant404", "mutant1168"])
+    def test_fuzz_mutants_that_parsed_are_rejected(self, index, source, message,
+                                                   line, column, path):
+        data = fuzz_mutant(index)
+        assert source in data
+        with pytest.raises(UnknownElementError) as err:
+            parse_urdf_plus(data)
+        assert (err.value.message, err.value.line, err.value.column, err.value.path) == (
+            message, line, column, path)
 
 
 # name -> (where the source goes, that source, the payload it must give);
