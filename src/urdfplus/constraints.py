@@ -36,13 +36,14 @@ from .model import Coupling, NumberedModel
 from .spatial import (
     JointKinematics,
     SpatialTransform,
+    _back_substitute,
     _check_tol,
+    _composed,
+    _eliminate_batch,
+    _JointStack,
+    _motion_maps,
     _row_reduce_batch,
-    _solve_batch,
-    compose,
     constraint_force_subspace,
-    invert,
-    motion_map,
     numerical_rank,
     row_reduce_basis,
     so3_log,
@@ -125,18 +126,13 @@ def _configuration(numbered: NumberedModel, q) -> np.ndarray:
 def forward_kinematics(
     numbered: NumberedModel, q: np.ndarray
 ) -> list[SpatialTransform]:
-    """World pose of every body frame; entry 0 (the root) is the identity."""
+    """World pose of every body frame; entry 0 (the root) is the identity.
+    The poses are read-only views of the arrays that the model's kinematic
+    plan keeps as its last poses."""
     q = _configuration(numbered, q)
-    poses = [SpatialTransform.identity()]
-    for step in numbered._kinematics.tree:
-        rot, trans = step.joint.transform(q[step.coordinates])
-        parent = poses[step.parent]
-        local_rot = step.origin_rot @ rot
-        local_trans = step.origin_rot @ trans + step.origin_trans
-        poses.append(SpatialTransform._raw(
-            parent.rot @ local_rot, parent.rot @ local_trans + parent.trans
-        ))
-    return poses
+    plan = numbered._kinematics
+    plan._poses = rot, trans = plan.tree.poses(q)
+    return [SpatialTransform._raw(r, t) for r, t in zip(rot, trans)]
 
 
 def _loop_index(numbered: NumberedModel, number: int) -> int:
@@ -182,33 +178,59 @@ class LoopJacobian:
         return full
 
 
-@dataclass(frozen=True)
-class _TreeStep:
-    """One tree joint of the forward-kinematics sweep."""
+def _stack(transforms) -> tuple[np.ndarray, np.ndarray]:
+    """Rotations (K, 3, 3) and translations (K, 3) of K SpatialTransforms."""
+    transforms = list(transforms)
+    return (np.array([x.rot for x in transforms]).reshape(-1, 3, 3),
+            np.array([x.trans for x in transforms]).reshape(-1, 3))
 
-    joint: JointKinematics
-    origin_rot: np.ndarray
-    origin_trans: np.ndarray
-    parent: int
-    coordinates: slice
+
+class _Tree:
+    """The tree joints, stacked: their kinematics, their origins, and each
+    tree level below the root as (bodies, their parents)."""
+
+    def __init__(self, joints, parent, slices):
+        joints = joints[1:]
+        self.joints = _JointStack(
+            [JointKinematics(joint.joint_type, joint.axis, joint.axis2) for joint in joints],
+            [segment.start for segment in slices[1:]])
+        self.origins = _stack(joint.origin for joint in joints)
+        depth, levels = [0], {}
+        for body in range(1, len(joints) + 1):
+            depth.append(depth[parent[body]] + 1)
+            levels.setdefault(depth[body], []).append(body)
+        self.levels = [(np.array(bodies), np.array([parent[b] for b in bodies]))
+                       for _, bodies in sorted(levels.items())]
+
+    def poses(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """World rotations (N+1, 3, 3) and translations (N+1, 3) at q,
+        read-only: every joint's origin composed with its joint transform,
+        then one composition with the parents' poses per tree level."""
+        local_rot, local_trans = _composed(*self.origins, *self.joints.transforms(q))
+        rot = np.zeros((len(local_rot) + 1, 3, 3))
+        rot[0] = np.eye(3)
+        trans = np.zeros((len(local_rot) + 1, 3))
+        for bodies, parents in self.levels:
+            rot[bodies], trans[bodies] = _composed(rot[parents], trans[parents],
+                                                   local_rot[bodies - 1], local_trans[bodies - 1])
+        return _read_only(rot), _read_only(trans)
 
 
 @dataclass(frozen=True)
 class _LoopStep:
-    """One loop joint: Psi^T, its body indices and side frames, and a
-    (joint number, start, stop, sign, tree step) entry per involved joint
-    that moves."""
+    """One loop joint: Psi, its body indices and side frames, and a
+    (joint number, start, stop, sign) entry per involved joint that moves."""
 
     number: int
     name: str
     joint_numbers: tuple[int, ...]
     joint_columns: tuple[tuple[int, int], ...]
-    psi_t: np.ndarray
+    psi: np.ndarray
     predecessor: int
     successor: int
     predecessor_origin: SpatialTransform
     successor_origin: SpatialTransform
-    moving: tuple[tuple[int, int, int, float, _TreeStep], ...]
+    moving: tuple[tuple[int, int, int, float], ...]
     width: int
 
 
@@ -235,9 +257,11 @@ class _LoopGroups:
     holds entry l's rank.
 
     For G, group g's dependent coordinates d_g (`width[g]` of them) give
-    the system basis_g[:, d_g] X = basis_g[:, independent], its right-hand
-    side zero outside the group.  `complete` says every dependent
-    coordinate lies in a group.
+    the system basis_g[:, d_g] X = basis_g[:, i_g] over the group's own
+    independent coordinates i_g.  The elimination carries only those
+    columns; the back substitution then runs over all of G's columns, zero
+    outside the group, since the bits of its products depend on the width.
+    `complete` says every dependent coordinate lies in a group.
     """
 
     def __init__(self, steps, slices, independent):
@@ -249,7 +273,7 @@ class _LoopGroups:
                 for joint, (start, stop) in zip(layout.joint_numbers, layout.joint_columns)
                 for offset in range(stop - start)
             ])
-        heights = [1 if isinstance(step, _CouplingStep) else step.psi_t.shape[0]
+        heights = [1 if isinstance(step, _CouplingStep) else step.psi.shape[1]
                    for step in steps]
         root = list(range(len(steps)))  # the first entry of each one's group
         owner = {}
@@ -321,13 +345,17 @@ class _LoopGroups:
         its member; SingularDependentBlockError if a block is singular."""
         count, size, n_i = self.count, self._size, len(self.independent)
         a = np.zeros((count, size, size))
-        b = np.zeros((count, size, n_i))
-        for member, (dep, ind, position) in enumerate(self._blocks):
+        b = np.zeros((count, size, max((len(ind) for _, ind, _ in self._blocks), default=0)))
+        for member, (dep, ind, _) in enumerate(self._blocks):
             basis = reduced[member, : len(dep)]
             start = size - len(dep)
             a[member, start:, start:] = basis[:, dep]
-            b[member][start:, position] = basis[:, ind]
-        x = _solve_batch(a, b, size - self.width, tol)
+            b[member, start:, : len(ind)] = basis[:, ind]
+        a, b = _eliminate_batch(a, b, size - self.width, tol)
+        wide = np.zeros((count, size, n_i))
+        for member, (_, ind, position) in enumerate(self._blocks):
+            wide[member][:, position] = b[member, :, : len(ind)]
+        x = _back_substitute(a, wide)
         return ExplicitJacobian(
             matrix=np.vstack([np.eye(n_i), -x.reshape(count * size, n_i)[self._rows]]),
             row_coordinates=self.independent + self.dependent,
@@ -335,19 +363,79 @@ class _LoopGroups:
         )
 
 
+class _LoopAssembly:
+    """Every loop joint's rows and closure pose at a configuration, in one
+    pass; loop joint i (`position[entry]`) gets its rows in
+    `[i, :rows, :width]` of one (loops, 6, widest) array.
+
+    Block column j is sign * Psi^T * S_j with S_j carried into the
+    predecessor-side loop frame along the kinematic chain; the sign is -1
+    on the predecessor subchain and +1 on the successor subchain.  The
+    (loop, moving joint) pairs are stacked by the joint's DoF, with Psi^T
+    the transpose view of Psi padded with zero columns and world_to_loop's
+    rotation the transpose view of the loop frame's, so each product keeps
+    the layout, and the bits, it has for one pair alone."""
+
+    def __init__(self, steps):
+        loops = [(index, step) for index, step in enumerate(steps)
+                 if isinstance(step, _LoopStep)]
+        self.position = {index: i for i, (index, _) in enumerate(loops)}
+        steps = [step for _, step in loops]
+        self.predecessor = np.array([step.predecessor for step in steps], dtype=np.intp)
+        self.successor = np.array([step.successor for step in steps], dtype=np.intp)
+        self.predecessor_origins = _stack(step.predecessor_origin for step in steps)
+        self.successor_origins = _stack(step.successor_origin for step in steps)
+        psi = np.zeros((len(steps), 6, 6))
+        for i, step in enumerate(steps):
+            psi[i, :, : step.psi.shape[1]] = step.psi
+        width = max((step.width for step in steps), default=0)
+        self.shape = (len(steps), 6, width)
+        by_dof = {}
+        for i, step in enumerate(steps):
+            for joint, start, stop, sign in step.moving:
+                by_dof.setdefault(stop - start, []).append((i, joint, start, sign))
+        self.pairs = []  # per DoF: loops, joints, signs, Psi^T, places in the rows
+        for dof, pairs in sorted(by_dof.items()):
+            loop, joint, start, sign = (np.array(column) for column in zip(*pairs))
+            places = ((loop[:, None, None] * 6 + np.arange(6)[:, None]) * width
+                      + start[:, None, None] + np.arange(dof))
+            self.pairs.append((loop, joint, sign[:, None, None],
+                               psi[loop].transpose(0, 2, 1), places.ravel()))
+
+    def evaluate(self, joints: _JointStack, rot: np.ndarray, trans: np.ndarray,
+                 q: np.ndarray):
+        """The rows (read-only) and each successor frame's rotation and
+        translation in its predecessor frame, at q with world poses (rot,
+        trans)."""
+        p, s = self.predecessor, self.successor
+        rot_p, trans_p = _composed(rot[p], trans[p], *self.predecessor_origins)
+        to_loop_trans = -(rot_p.transpose(0, 2, 1) @ trans_p[:, :, None])[:, :, 0]
+        rows = np.zeros(self.shape)
+        for loop, joint, sign, psi_t, places in self.pairs:
+            to_joint = _composed(rot_p[loop].transpose(0, 2, 1), to_loop_trans[loop],
+                                 rot[joint], trans[joint])
+            maps = _motion_maps(*to_joint, joints.subspaces(q, joint - 1))
+            rows.put(places, sign * (psi_t @ maps))
+        frame_s = _composed(rot[s], trans[s], *self.successor_origins)
+        return _read_only(rows), *_composed(rot_p.transpose(0, 2, 1), to_loop_trans, *frame_s)
+
+
 class KinematicPlan:
     """The configuration-independent part of a numbered model's kinematics,
     built on first use and held by the model (NumberedModel._kinematics).
 
-    `tree` has one step per body in numbering order; `loops(graph)` has one
-    step per loop entry, its involved joints taken from `graph.subchains`.
+    `tree` stacks the tree joints by type and the bodies by tree level;
+    `loops(graph)` has one step per loop entry, its involved joints taken
+    from `graph.subchains`, and `assembly(graph)` stacks the loop joints'
+    rows.
     `groups(graph)` splits the loop entries into loop groups and lays out
     the declared independent coordinates over them.
     Each part is built once, on its first use, so a coupling-only model
-    never builds the tree part.  The plan also keeps the last configuration
-    evaluated (`_key`, the bytes of q): its world poses, each loop entry's
-    (rows, residual), filled on demand by `_loop_terms`, and per tolerance
-    the lock-step elimination of every group, made by `_eliminated`.
+    never builds the tree part.  `_poses` holds the pose arrays of the last
+    forward_kinematics call.  The plan also keeps the last configuration
+    evaluated (`_key`, the bytes of q): its loop assembly (`_rows`), each
+    loop entry's (rows, residual), filled on demand by `_loop_terms`, and per
+    tolerance the lock-step elimination of every group, made by `_eliminated`.
     """
 
     def __init__(self, numbered: NumberedModel):
@@ -357,24 +445,17 @@ class KinematicPlan:
         self._entries = numbered.loop_entries
         self._independent = independent_coordinate_indices(numbered)
         self._loops = None
+        self._assembly = None
         self._groups = None
-        self._key = None
         self._poses = None
+        self._key = None
+        self._rows = None
         self._terms = {}
         self._bases = {}
 
     @cached_property
-    def tree(self) -> tuple[_TreeStep, ...]:
-        return tuple(
-            _TreeStep(
-                JointKinematics(joint.joint_type, joint.axis, joint.axis2),
-                joint.origin.rot,
-                joint.origin.trans,
-                self._parent[body],
-                self._slices[body],
-            )
-            for body, joint in enumerate(self._joints[1:], start=1)
-        )
+    def tree(self) -> _Tree:
+        return _Tree(self._joints, self._parent, self._slices)
 
     def loops(self, graph: ConnectivityGraph) -> tuple[_LoopStep | _CouplingStep, ...]:
         if self._loops is None:
@@ -382,6 +463,11 @@ class KinematicPlan:
                 self._loop_step(graph, index) for index in range(len(self._entries))
             )
         return self._loops
+
+    def assembly(self, graph: ConnectivityGraph) -> _LoopAssembly:
+        if self._assembly is None:
+            self._assembly = _LoopAssembly(self.loops(graph))
+        return self._assembly
 
     def groups(self, graph: ConnectivityGraph) -> _LoopGroups:
         if self._groups is None:
@@ -413,8 +499,7 @@ class KinematicPlan:
         psi = constraint_force_subspace(entry.joint_type, entry.axis, entry.axis2)
         edge = graph.loop_edges[index]
         moving = tuple(
-            (joint_number, start, stop, -1.0 if joint_number in nu_p else 1.0,
-             self.tree[joint_number - 1])
+            (joint_number, start, stop, -1.0 if joint_number in nu_p else 1.0)
             for joint_number, (start, stop) in zip(joints, columns)
             if start < stop
         )
@@ -423,7 +508,7 @@ class KinematicPlan:
             entry.name,
             tuple(joints),
             tuple(columns),
-            psi.T,
+            psi,
             edge.predecessor,
             edge.successor,
             entry.predecessor_origin,
@@ -433,32 +518,6 @@ class KinematicPlan:
         )
 
 
-def _loop_joint_terms(
-    step: _LoopStep, q: np.ndarray, poses: list[SpatialTransform]
-) -> tuple[LoopJacobian, np.ndarray]:
-    """Constraint rows and closure residual of a loop joint, given the world
-    poses at q.
-
-    Block column j is sign * Psi^T * S_j with S_j carried into the
-    predecessor-side loop frame along the kinematic chain; the sign is -1
-    on the predecessor subchain and +1 on the successor subchain.
-    """
-    frame_p = compose(poses[step.predecessor], step.predecessor_origin)
-    frame_s = compose(poses[step.successor], step.successor_origin)
-    world_to_loop = invert(frame_p)
-    psi_t = step.psi_t
-    matrix = np.zeros((psi_t.shape[0], step.width))
-    for joint_number, start, stop, sign, tree_step in step.moving:
-        s_local = tree_step.joint.motion_subspace_at(q[tree_step.coordinates])
-        x = compose(world_to_loop, poses[joint_number])
-        matrix[:, start:stop] = sign * (psi_t @ motion_map(x, s_local))
-    rel = compose(world_to_loop, frame_s)
-    residual = psi_t @ np.concatenate([so3_log(rel.rot), rel.trans])
-    jacobian = LoopJacobian(step.number, step.name, "loop", step.joint_numbers,
-                            step.joint_columns, _read_only(matrix))
-    return jacobian, _read_only(residual)
-
-
 def _loop_terms(
     numbered: NumberedModel,
     graph: ConnectivityGraph,
@@ -466,14 +525,15 @@ def _loop_terms(
     indices,
 ) -> list[tuple[LoopJacobian, np.ndarray]]:
     """Rows and residual of the loop entries at `indices`.  Calls at one q
-    share the plan's record of it: one kinematics pass, made only when a
-    loop joint needs it, and one assembly per entry."""
+    share the plan's record of it: one kinematics pass and one assembly of
+    every loop joint's rows, made only when a loop joint needs them, and one
+    residual per entry."""
     q = _configuration(numbered, q)
     plan = numbered._kinematics
     steps = plan.loops(graph)
     key = q.tobytes()
     if plan._key != key:
-        plan._key, plan._poses, plan._terms, plan._bases = key, None, {}, {}
+        plan._key, plan._rows, plan._terms, plan._bases = key, None, {}, {}
     terms = plan._terms
     for index in indices:
         if index in terms:
@@ -483,9 +543,17 @@ def _loop_terms(
             # a coupling is linear in q: its row times q is the relation itself
             terms[index] = step.jacobian, _read_only(step.full_row @ q)
         else:
-            if plan._poses is None:
-                plan._poses = forward_kinematics(numbered, q)
-            terms[index] = _loop_joint_terms(step, q, plan._poses)
+            assembly = plan.assembly(graph)
+            if plan._rows is None:
+                forward_kinematics(numbered, q)  # sets plan._poses
+                plan._rows = assembly.evaluate(plan.tree.joints, *plan._poses, q)
+            rows, rel_rot, rel_trans = plan._rows
+            i = assembly.position[index]
+            residual = step.psi.T @ np.concatenate([so3_log(rel_rot[i]), rel_trans[i]])
+            terms[index] = (LoopJacobian(step.number, step.name, "loop", step.joint_numbers,
+                                         step.joint_columns,
+                                         rows[i, : step.psi.shape[1], : step.width]),
+                            _read_only(residual))
     return [terms[index] for index in indices]
 
 

@@ -92,8 +92,7 @@ def _check_unit_axis(axis: np.ndarray) -> np.ndarray:
 
 def skew(v) -> np.ndarray:
     """Cross-product matrix: skew(v) @ w == cross(v, w)."""
-    x, y, z = _as_vec3(v)
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    return _skews(_as_vec3(v)[None])[0]
 
 
 def rot_x(a: float) -> np.ndarray:
@@ -119,9 +118,15 @@ def rot_from_rpy(roll: float, pitch: float, yaw: float) -> np.ndarray:
 def _rots_from_rpy(triples) -> np.ndarray:
     """rot_from_rpy of each (roll, pitch, yaw) triple, as one (K, 3, 3) array.
 
-    The factors are rot_z(yaw), rot_y(pitch) and rot_x(roll) entry for entry,
-    and one stacked product multiplies them in that order, so a rotation has
-    the same bits whether it is made alone or among many."""
+    One stacked product multiplies the factors of _rpy_factors in order, so
+    a rotation has the same bits whether it is made alone or among many."""
+    factors = _rpy_factors(triples)
+    return factors[:, 0] @ factors[:, 1] @ factors[:, 2]
+
+
+def _rpy_factors(triples) -> np.ndarray:
+    """rot_z(yaw), rot_y(pitch) and rot_x(roll) of each (roll, pitch, yaw)
+    triple, entry for entry, as one (K, 3, 3, 3) array."""
     rows = []
     for roll, pitch, yaw in triples:
         cr, sr = math.cos(roll), math.sin(roll)
@@ -130,8 +135,7 @@ def _rots_from_rpy(triples) -> np.ndarray:
         rows.append((cy, -sy, 0.0, sy, cy, 0.0, 0.0, 0.0, 1.0,
                      cp, 0.0, sp, 0.0, 1.0, 0.0, -sp, 0.0, cp,
                      1.0, 0.0, 0.0, 0.0, cr, -sr, 0.0, sr, cr))
-    factors = np.array(rows).reshape(-1, 3, 3, 3)
-    return factors[:, 0] @ factors[:, 1] @ factors[:, 2]
+    return np.array(rows).reshape(-1, 3, 3, 3)
 
 
 def rpy_from_rot(r: np.ndarray) -> tuple[float, float, float]:
@@ -151,13 +155,17 @@ def rpy_from_rot(r: np.ndarray) -> tuple[float, float, float]:
 def rotation_about_axis(axis, angle: float) -> np.ndarray:
     """Rodrigues rotation about a unit axis."""
     k = skew(_check_unit_axis(axis))
-    return _rodrigues(k, k @ k, angle)
+    return _rodrigues(k[None], (k @ k)[None], [angle])[0]
 
 
-def _rodrigues(k: np.ndarray, kk: np.ndarray, angle: float) -> np.ndarray:
-    """Rotation by `angle` about the unit axis whose skew matrix is k; kk is
-    k @ k."""
-    return _EYE3 + math.sin(angle) * k + (1.0 - math.cos(angle)) * kk
+def _rodrigues(k: np.ndarray, kk: np.ndarray, angles) -> np.ndarray:
+    """Rotations by `angles` about the unit axes whose skew matrices are the
+    (K, 3, 3) stack k; kk is k @ k.  Sines and cosines come from `math`, so
+    a rotation has the same bits whether it is made alone or among many."""
+    angles = np.asarray(angles, dtype=float).tolist()
+    sines = np.array([math.sin(a) for a in angles])
+    versines = np.array([1.0 - math.cos(a) for a in angles])
+    return _EYE3 + sines[:, None, None] * k + versines[:, None, None] * kk
 
 
 def so3_log(r: np.ndarray) -> np.ndarray:
@@ -252,6 +260,32 @@ def motion_map(x: SpatialTransform, v) -> np.ndarray:
     return np.concatenate([w, x.rot @ v[3:] + skew(x.trans) @ w], axis=0)
 
 
+# Stacked forms of the kernels above, for K poses (rot (K, 3, 3), trans
+# (K, 3)) at once.  Each is the same expression, products through `matmul`
+# and transposes as views, so every pose gets the bits it gets alone.
+
+
+def _skews(v: np.ndarray) -> np.ndarray:
+    """The cross-product matrix of each row of a (K, 3) array."""
+    x, y, z = v.T
+    out = np.zeros((len(v), 3, 3))
+    out[:, 0, 1], out[:, 0, 2] = -z, y
+    out[:, 1, 0], out[:, 1, 2] = z, -x
+    out[:, 2, 0], out[:, 2, 1] = -y, x
+    return out
+
+
+def _composed(a_rot, a_trans, b_rot, b_trans) -> tuple[np.ndarray, np.ndarray]:
+    """compose of K pose pairs."""
+    return a_rot @ b_rot, (a_rot @ b_trans[:, :, None])[:, :, 0] + a_trans
+
+
+def _motion_maps(rot: np.ndarray, trans: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """motion_map of K poses and K 6 x k matrices v (K, 6, k)."""
+    w = rot @ v[:, :3]
+    return np.concatenate([w, rot @ v[:, 3:] + _skews(trans) @ w], axis=1)
+
+
 def orthonormal_complement_2(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Two unit vectors completing `axis` to a right-handed orthonormal triad.
 
@@ -314,9 +348,9 @@ def _joint_position(jt: JointType, q) -> np.ndarray:
 
 def motion_subspace_at(jt: JointType, axis, axis2, q) -> np.ndarray:
     """Motion subspace at joint position q, expressed in the child frame
-    (see JointKinematics.motion_subspace_at)."""
+    (see _JointStack.subspaces)."""
     q = _joint_position(jt, q)
-    return JointKinematics(jt, axis, axis2).motion_subspace_at(q)
+    return _JointStack([JointKinematics(jt, axis, axis2)], [0]).subspaces(q, [0])[0]
 
 
 def constraint_force_subspace(jt: JointType, axis=None, axis2=None) -> np.ndarray:
@@ -351,68 +385,92 @@ def constraint_force_subspace(jt: JointType, axis=None, axis2=None) -> np.ndarra
 
 class JointKinematics:
     """The configuration-independent part of one joint's kinematics: its
-    unit axes, checked once with the errors of _require_axes, the Rodrigues
-    matrices K and K @ K of its rotation axes, and its motion subspace when
-    that does not move with the configuration (fixed, revolute, continuous,
-    prismatic)."""
+    type and unit axes, checked once with the errors of _require_axes, a
+    zero vector for an axis it lacks."""
 
-    __slots__ = ("joint_type", "a1", "a2", "k1", "kk1", "k2", "kk2", "subspace")
+    __slots__ = ("joint_type", "a1", "a2")
 
     def __init__(self, jt: JointType, axis=None, axis2=None):
-        a1, a2 = _require_axes(jt, axis, axis2)
         self.joint_type = jt
-        self.a1, self.a2 = a1, a2
-        self.k1 = self.kk1 = self.k2 = self.kk2 = self.subspace = None
-        if jt in (JointType.REVOLUTE, JointType.CONTINUOUS, JointType.UNIVERSAL):
-            self.k1 = skew(a1)
-            self.kk1 = self.k1 @ self.k1
-        if jt is JointType.UNIVERSAL:
-            self.k2 = skew(a2)
-            self.kk2 = self.k2 @ self.k2
-        elif jt is not JointType.FLOATING:
-            self.subspace = motion_subspace(jt, a1)
+        self.a1, self.a2 = (np.zeros(3) if a is None else a
+                            for a in _require_axes(jt, axis, axis2))
 
-    def transform(self, q) -> tuple[np.ndarray, np.ndarray]:
-        """Rotation and translation of the child-side joint frame at the
-        joint position q (jt.dof entries, not checked)."""
-        jt = self.joint_type
-        if jt is JointType.FIXED:
-            return np.eye(3), np.zeros(3)
-        if jt in (JointType.REVOLUTE, JointType.CONTINUOUS):
-            return _rodrigues(self.k1, self.kk1, q[0]), np.zeros(3)
-        if jt is JointType.PRISMATIC:
-            return np.eye(3), q[0] * self.a1
-        if jt is JointType.UNIVERSAL:
-            first = _rodrigues(self.k1, self.kk1, q[0])
-            return first @ _rodrigues(self.k2, self.kk2, q[1]), np.zeros(3)
-        # floating: rotate by rpy, place the child origin at xyz
-        return rot_from_rpy(q[0], q[1], q[2]), q[3:6]
 
-    def motion_subspace_at(self, q) -> np.ndarray:
-        """Motion subspace at joint position q (not checked), in the child
-        frame: the constant one, shared and not to be written to; for a
-        universal joint the first axis carried back through the second
-        rotation, then the second axis; for a floating joint the fixed-axis
-        X-Y-Z rate directions over the parent-side translation rates."""
-        if self.subspace is not None:
-            return self.subspace
-        if self.joint_type is JointType.UNIVERSAL:
-            s = np.zeros((6, 2))
-            s[:3, 0] = _rodrigues(self.k2, self.kk2, q[1]).T @ self.a1
-            s[:3, 1] = self.a2
+class _JointStack:
+    """The kinematics of many joints at once, from their JointKinematics and
+    the position of each one's first coordinate in one position vector.
+    Every joint of a type goes through one stacked expression, sines and
+    cosines through `math`, so each joint's transform and subspace have the
+    bits they have for that joint alone."""
+
+    def __init__(self, joints, starts):
+        kinds = [joint.joint_type for joint in joints]
+        self.dof = np.array([kind.dof for kind in kinds], dtype=np.intp)
+        self.starts = np.array(starts, dtype=np.intp).reshape(len(kinds))
+        self._spin, self._slide, self._cross, self._free = (
+            np.array([i for i, kind in enumerate(kinds) if kind in group], dtype=np.intp)
+            for group in ((JointType.REVOLUTE, JointType.CONTINUOUS),
+                          (JointType.PRISMATIC,), (JointType.UNIVERSAL,),
+                          (JointType.FLOATING,)))
+        self._a1 = np.array([joint.a1 for joint in joints]).reshape(-1, 3)
+        self._a2 = np.array([joint.a2 for joint in joints]).reshape(-1, 3)
+        k1, k2 = _skews(self._a1), _skews(self._a2)
+        self._k = k1, k1 @ k1, k2, k2 @ k2  # the Rodrigues K and K @ K of each axis
+        self._constant = np.zeros((len(kinds), 6, 1))  # subspaces of 1-DoF joints
+        self._constant[self._spin, :3, 0] = self._a1[self._spin]
+        self._constant[self._slide, 3:, 0] = self._a1[self._slide]
+
+    def transforms(self, q) -> tuple[np.ndarray, np.ndarray]:
+        """Rotations (count, 3, 3) and translations (count, 3) of the
+        child-side joint frames at the position vector q (not checked)."""
+        rot = np.repeat(_EYE3[None], len(self.dof), axis=0)
+        trans = np.zeros((len(self.dof), 3))
+        (k1, kk1, k2, kk2), start = self._k, self.starts
+        if (j := self._spin).size:
+            rot[j] = _rodrigues(k1[j], kk1[j], q[start[j]])
+        if (j := self._slide).size:
+            trans[j] = q[start[j], None] * self._a1[j]
+        if (j := self._cross).size:
+            rot[j] = (_rodrigues(k1[j], kk1[j], q[start[j]])
+                      @ _rodrigues(k2[j], kk2[j], q[start[j] + 1]))
+        if (j := self._free).size:  # rotate by rpy, place the child origin at xyz
+            position = q[start[j, None] + np.arange(6)]
+            rot[j] = _rots_from_rpy(position[:, :3].tolist())
+            trans[j] = position[:, 3:]
+        return rot, trans
+
+    def subspaces(self, q, joints) -> np.ndarray:
+        """Motion subspaces at the position vector q (not checked) of
+        `joints`, which share one DoF k, as (len(joints), 6, k) in the child
+        frames: the constant one of a joint with k < 2; for a universal
+        joint the first axis carried back through the second rotation, then
+        the second axis; for a floating joint the fixed-axis X-Y-Z rate
+        directions over the parent-side translation rates."""
+        dof = int(self.dof[joints[0]])
+        if dof < 2:
+            return self._constant[joints][:, :, :dof]
+        start = self.starts[joints]
+        s = np.zeros((len(start), 6, dof))
+        if dof == 2:
+            back = _rodrigues(self._k[2][joints], self._k[3][joints], q[start + 1])
+            s[:, :3, 0] = (back.transpose(0, 2, 1) @ self._a1[joints][:, :, None])[:, :, 0]
+            s[:, :3, 1] = self._a2[joints]
             return s
-        s = np.zeros((6, 6))
-        s[:3, 0] = np.array([1.0, 0.0, 0.0])
-        s[:3, 1] = rot_x(q[0]).T @ np.array([0.0, 1.0, 0.0])
-        s[:3, 2] = rot_x(q[0]).T @ rot_y(q[1]).T @ np.array([0.0, 0.0, 1.0])
-        s[3:, 3:] = rot_from_rpy(q[0], q[1], q[2]).T
+        rpy = q[start[:, None] + np.arange(3)].tolist()
+        factors = _rpy_factors(rpy)
+        x_t, y_t = factors[:, 2].transpose(0, 2, 1), factors[:, 1].transpose(0, 2, 1)
+        s[:, 0, 0] = 1.0
+        s[:, :3, 1] = x_t @ np.array([0.0, 1.0, 0.0])
+        s[:, :3, 2] = x_t @ y_t @ np.array([0.0, 0.0, 1.0])
+        s[:, 3:, 3:] = _rots_from_rpy(rpy).transpose(0, 2, 1)
         return s
 
 
 def joint_transform(jt: JointType, axis, axis2, q) -> SpatialTransform:
     """Pose of the child-side joint frame for joint position q."""
     q = _joint_position(jt, q)
-    return SpatialTransform(*JointKinematics(jt, axis, axis2).transform(q))
+    rot, trans = _JointStack([JointKinematics(jt, axis, axis2)], [0]).transforms(q)
+    return SpatialTransform(rot[0], trans[0])
 
 
 def _check_tol(tol: float) -> None:
@@ -482,6 +540,13 @@ def _solve_batch(a: np.ndarray, b: np.ndarray, start: np.ndarray, tol: float
     member's own column, when a pivot is at or below tol times the largest
     absolute entry of the member's matrix.
     """
+    return _back_substitute(*_eliminate_batch(a, b, start, tol))
+
+
+def _eliminate_batch(a: np.ndarray, b: np.ndarray, start: np.ndarray, tol: float
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The forward elimination of _solve_batch, as (a, b).  It works on each
+    right-hand side column entry by entry, apart from the others."""
     _check_tol(tol)
     n = a.shape[1]
     threshold = tol * np.abs(a).max(axis=(1, 2), initial=1e-300)
@@ -496,9 +561,14 @@ def _solve_batch(a: np.ndarray, b: np.ndarray, start: np.ndarray, tol: float
         column = system[k, rank[k] :, rank[k]]
         raise SingularDependentBlockError(f"pivot {column[np.abs(column).argmax()]:.3e} "
                                           f"below tolerance in column {rank[k] - start[k]}")
-    a, b = system[:, :, :n], system[:, :, n:]
+    return system[:, :, :n], system[:, :, n:]
+
+
+def _back_substitute(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with a @ x = b for a batch of upper triangular a.  Each row is one
+    product over all of b's columns, whose bits depend on their number."""
     x = np.zeros_like(b)
-    for row in range(n - 1, -1, -1):
+    for row in range(a.shape[1] - 1, -1, -1):
         x[:, row] = ((b[:, row] - (a[:, row, None, row + 1 :] @ x[:, row + 1 :])[:, 0])
                      / a[:, row, row, None])
     return x

@@ -4,6 +4,7 @@ the check and G at one (q, tol) share one lock-step elimination."""
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +12,19 @@ import pytest
 
 import urdfplus.constraints
 from conftest import load_pipeline
+from test_kinematic_plan import (
+    MODEL_FILES,
+    configurations,
+    generated_pipelines,
+    loadable,
+    outcome,
+)
 from urdfplus.cli import main
 from urdfplus.constraints import (
+    RANK_TOL,
+    ExplicitJacobian,
     RedundantAggregate,
+    _eliminated,
     all_loop_jacobians,
     explicit_from_implicit,
     explicit_jacobian_for_model,
@@ -24,6 +35,7 @@ from urdfplus.constraints import (
 from urdfplus.errors import ConfigurationError
 from urdfplus.graphs import build_pipeline
 from urdfplus.model import regular_numbering
+from urdfplus.spatial import _solve_batch
 from urdfplus.xmlio import parse_urdf_plus
 
 DOUBLE_PARALLELOGRAM = (Path(__file__).resolve().parent / "models"
@@ -176,3 +188,97 @@ def test_each_group_eliminated_once_per_q_and_tol(eliminations):
     independent_coordinate_check(numbered, graph, lacg, q + 0.1, tol=1e-8)
     explicit_jacobian_for_model(numbered, graph, q + 0.1, tol=1e-8)
     assert eliminations == [members] * 3
+
+
+# -- G's narrowed solve against the full-width one ---------------------------
+
+
+def full_width_explicit(groups, reduced, tol):
+    """G as `_LoopGroups.explicit` gave it before the elimination carried
+    only each group's own independent columns, copied verbatim (with the
+    lines of `_LoopGroups.__init__` it read): every member's right-hand
+    side as wide as G, zero outside the group."""
+    chosen = set(groups.independent)
+    position = {c: k for k, c in enumerate(groups.independent)}
+    blocks = []  # per group: local dependent, local and global independent
+    for columns in groups.columns:
+        dep = [k for k, c in enumerate(columns.tolist()) if c not in chosen]
+        ind = [k for k, c in enumerate(columns.tolist()) if c in chosen]
+        blocks.append((dep, ind, [position[columns[k]] for k in ind]))
+    width = np.array([len(dep) for dep, _, _ in blocks], dtype=np.intp)
+    size = int(width.max(initial=0))
+    rows = {int(columns[local]): member * size + size - len(dep) + k
+            for member, ((dep, _, _), columns) in enumerate(zip(blocks, groups.columns))
+            for k, local in enumerate(dep)}
+    rows = [rows.get(c, 0) for c in groups.dependent]
+
+    count, n_i = groups.count, len(groups.independent)
+    a = np.zeros((count, size, size))
+    b = np.zeros((count, size, n_i))
+    for member, (dep, ind, position) in enumerate(blocks):
+        basis = reduced[member, : len(dep)]
+        start = size - len(dep)
+        a[member, start:, start:] = basis[:, dep]
+        b[member][start:, position] = basis[:, ind]
+    x = _solve_batch(a, b, size - width, tol)
+    return ExplicitJacobian(
+        matrix=np.vstack([np.eye(n_i), -x.reshape(count * size, n_i)[rows]]),
+        row_coordinates=groups.independent + groups.dependent,
+        independent=groups.independent,
+    )
+
+
+def check_g_bytes(numbered, graph, q):
+    """G's bytes, signed zeros included, equal the full-width solve's at q
+    when the group path gives G; returns G's matrix then, else None."""
+    _, reduced, ranks = _eliminated(numbered, graph, q, RANK_TOL)
+    groups = numbered._kinematics.groups(graph)
+    if not (groups.complete and np.array_equal(ranks[: groups.count], groups.width)):
+        return None
+    want = outcome(lambda: full_width_explicit(groups, reduced, RANK_TOL))
+    got = outcome(lambda: groups.explicit(reduced, RANK_TOL))
+    assert got[0] == want[0]
+    if want[0] == "error":
+        assert got[1] == want[1]
+        return None
+    assert got[1].row_coordinates == want[1].row_coordinates
+    assert got[1].matrix.tobytes() == want[1].matrix.tobytes()
+    matrix = explicit_jacobian_for_model(numbered, graph, q).matrix
+    assert matrix.tobytes() == want[1].matrix.tobytes()
+    return matrix
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_narrow_g_keeps_the_full_width_bytes_on_the_sweep_model(seed, monkeypatch):
+    """The benchmark's 100-body sweep model at its 16 configurations.  At
+    seed 2, a back substitution over the narrowed columns alone moved 22
+    entries of G by an ulp or so, because the bits of a row's product
+    depend on how many columns it spans."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    monkeypatch.delitem(sys.modules, "generator", raising=False)
+    import workloads
+
+    _, numbered, graph, _, qs = workloads.sweep_model(seed, workloads.SWEEP_BODIES,
+                                                      workloads.SWEEP_LOOPS)
+    assert numbered._kinematics.groups(graph).count > 1
+    negative_zeros = 0
+    for q in qs:
+        g = check_g_bytes(numbered, graph, q)
+        negative_zeros += int(np.count_nonzero(np.signbit(g) & (g == 0.0)))
+    assert negative_zeros > 0  # the zeros outside a row's group, -(+0.0 / pivot)
+
+
+def test_narrow_g_keeps_the_full_width_bytes_on_multi_group_models():
+    """Every `models/` file and generated model of the kinematic-plan oracle
+    with more than one loop group, at the oracle's configurations."""
+    cases = [(pipe.numbered, pipe.graph, [np.zeros(pipe.numbered.total_dof),
+                                          *configurations(np.random.default_rng(7),
+                                                          pipe.numbered)])
+             for pipe in map(loadable, MODEL_FILES) if pipe is not None]
+    cases += [(numbered, graph, qs) for numbered, graph, _, qs in generated_pipelines()]
+    checked = 0
+    for numbered, graph, qs in cases:
+        if numbered._kinematics.groups(graph).count > 1:
+            checked += sum(check_g_bytes(numbered, graph, q) is not None for q in qs)
+    assert checked >= 50  # 60 (model, q) pairs with two groups or more
