@@ -15,6 +15,12 @@ limit/dynamics family inside ``<joint>``, and material/transmission/gazebo/
 sensor elements under ``<robot>`` are preserved as verbatim text blobs and
 written back untouched.  ``<mimic>`` children are translated into couplings
 (zero offset only).  Every parse failure carries a line and column.
+
+The reader streams: one expat pass checks ``<robot>`` at its start event and
+interprets each child of ``<robot>`` at that child's end event, so only one
+top-level element's subtree is alive at a time.  A syntax error anywhere
+wins; otherwise the first interpretation error in document order is raised
+once expat has read the whole document.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import math
 import re
 import xml.parsers.expat as expat
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -32,6 +39,7 @@ from .errors import (
     UnknownElementError,
     UnknownJointTypeError,
     UnsupportedMimicOffsetError,
+    UrdfPlusError,
     XmlSyntaxError,
 )
 from .model import Coupling, Inertial, Link, LoopJoint, RobotModel, TreeJoint
@@ -51,6 +59,8 @@ _JOINT_PAYLOAD_TAGS = {"limit", "dynamics", "calibration", "safety_controller"}
 # robot children preserved verbatim
 _ROBOT_PAYLOAD_TAGS = {"material", "transmission", "gazebo", "sensor"}
 _JOINT_TYPES = {jt.value: jt for jt in JointType}
+# what the child rule reads from an element without children, shared
+_NO_CHILDREN = (MappingProxyType({}), ())
 
 
 @dataclass(frozen=True)
@@ -97,54 +107,25 @@ def _scan_tag_end(data: bytes, start: int) -> int:
     return match.end() if match else len(data)
 
 
-def _build_tree(data: bytes) -> _Element:
-    """Parse bytes into a positioned element tree (expat-based).  Only start
-    and end events are heard: `_Interpreter.raw` finds an element's source
-    from the byte indices of its start tag and its end event alone."""
-    parser = expat.ParserCreate()
-    document = _Element("", {}, 0, 0, 0)  # its one child is the document element
-    stack = [document]
-    push, pop = stack.append, stack.pop
-
-    def on_start(tag, attrs):
-        element = _Element(tag, attrs, parser.CurrentLineNumber,
-                           parser.CurrentColumnNumber + 1, parser.CurrentByteIndex)
-        parent = stack[-1]
-        if parent.children:
-            parent.children.append(element)
-        else:
-            parent.children = [element]
-        push(element)
-
-    def on_end(_tag):
-        pop().close_byte = parser.CurrentByteIndex
-
-    parser.StartElementHandler = on_start
-    parser.EndElementHandler = on_end
-    try:
-        parser.Parse(data, True)
-    except expat.ExpatError as exc:
-        raise XmlSyntaxError(
-            expat.errors.messages[exc.code], exc.lineno, exc.offset + 1
-        ) from exc
-    finally:
-        # the handlers hold the parser and the parser holds them: without
-        # this the element tree would live until the cyclic collector runs
-        parser.StartElementHandler = parser.EndElementHandler = None
-    return document.children[0]
-
-
 class _Interpreter:
-    """Turns the positioned element tree into a RobotModel."""
+    """Reads a document into a RobotModel in one expat pass, one child of
+    <robot> at a time."""
 
     def __init__(self, data: bytes):
         self.data = data
         self.warnings: list[ParseDiagnostic] = []
         self.counters = {"joint": 0, "loop": 0, "coupling": 0}
         # each <origin>'s transform with its rpy and xyz: one stacked product
-        # at the end of interpret gives all their rotations, so no origin
+        # at the end of the read gives all their rotations, so no origin
         # costs numpy calls of its own
         self.origins: list[tuple[SpatialTransform, tuple, tuple]] = []
+        self.root: _Element | None = None
+        self.links: list[Link] = []
+        self.joints: list[TreeJoint] = []
+        self.loops: list[LoopJoint] = []
+        self.couplings: list[Coupling] = []
+        self.payload: list[str] = []
+        self.mimics: list[tuple] = []
 
     def warn(self, element: _Element, message: str, path: str = ""):
         self.warnings.append(
@@ -312,6 +293,8 @@ class _Interpreter:
         a repeat of it an error; a tag in `preserved` (every other tag when
         it is None) adds its source text to the payload in document order;
         any other tag is an error.  Both errors sit at the child."""
+        if not element.children:
+            return _NO_CHILDREN
         found, payload = {}, []
         for child in element.children:
             tag = child.tag
@@ -474,45 +457,43 @@ class _Interpreter:
             ),
         )
 
-    def interpret(self, root: _Element) -> RobotModel:
+    # -- the read: <robot>, then each of its children, then the finish -----
+
+    def start_robot(self, root: _Element):
         if root.tag != "robot":
             raise UnknownElementError(
                 f"expected <robot> document element, got <{root.tag}>",
                 root.line, root.column, "",
             )
-        name = root.attrib.get("name")
-        if name is None:
+        self.root = root
+        if "name" not in root.attrib:
             self.warn(root, "<robot> has no name attribute", "robot")
-            name = "robot"
 
-        links: list[Link] = []
-        joints: list[TreeJoint] = []
-        loops: list[LoopJoint] = []
-        couplings: list[Coupling] = []
-        payload: list[str] = []
-        mimics = []
-        for child in root.children:
-            if child.tag == "link":
-                links.append(self.parse_link(child))
-            elif child.tag == "joint":
-                joint, mimic = self.parse_joint(child)
-                joints.append(joint)
-                if mimic is not None:
-                    mimics.append(mimic)
-            elif child.tag == "loop":
-                loops.append(self.parse_loop(child))
-            elif child.tag == "coupling":
-                couplings.append(self.parse_coupling(child))
-            elif child.tag in _ROBOT_PAYLOAD_TAGS:
-                payload.append(self.raw(child))
-            else:
-                raise UnknownElementError(
-                    f"unknown element <{child.tag}> under <robot>",
-                    child.line, child.column, "robot",
-                )
+    def interpret(self, child: _Element):
+        tag = child.tag
+        if tag == "link":
+            self.links.append(self.parse_link(child))
+        elif tag == "joint":
+            joint, mimic = self.parse_joint(child)
+            self.joints.append(joint)
+            if mimic is not None:
+                self.mimics.append(mimic)
+        elif tag == "loop":
+            self.loops.append(self.parse_loop(child))
+        elif tag == "coupling":
+            self.couplings.append(self.parse_coupling(child))
+        elif tag in _ROBOT_PAYLOAD_TAGS:
+            self.payload.append(self.raw(child))
+        else:
+            raise UnknownElementError(
+                f"unknown element <{tag}> under <robot>",
+                child.line, child.column, "robot",
+            )
 
-        by_name = {j.name: j for j in joints}
-        for follower, target, multiplier, element in mimics:
+    def finish(self) -> RobotModel:
+        root, couplings = self.root, self.couplings
+        by_name = {j.name: j for j in self.joints}
+        for follower, target, multiplier, element in self.mimics:
             if target not in by_name:
                 raise UnknownElementError(
                     f"mimic references unknown joint {target!r}",
@@ -528,7 +509,7 @@ class _Interpreter:
                 )
             )
 
-        if not links:
+        if not self.links:
             self.warn(root, "robot has no links", "robot")
         if self.origins:
             origins, rpys, xyzs = zip(*self.origins)
@@ -536,13 +517,76 @@ class _Interpreter:
                 origin.rot, origin.trans = rot, trans
 
         return RobotModel(
-            name=name,
-            links=tuple(links),
-            tree_joints=tuple(joints),
-            loop_joints=tuple(loops),
+            name=root.attrib.get("name", "robot"),
+            links=tuple(self.links),
+            tree_joints=tuple(self.joints),
+            loop_joints=tuple(self.loops),
             couplings=tuple(couplings),
-            payload=tuple(payload),
+            payload=tuple(self.payload),
         )
+
+    def read(self, parser) -> RobotModel:
+        """The one expat pass (see the module docstring).  Only start and end
+        events are heard: `raw` finds an element's source from the byte
+        indices of its start tag and its end event alone.  The first
+        interpretation error stops the interpreting but not expat."""
+        stack: list[_Element] = []  # the open elements below <robot>
+        push, pop = stack.append, stack.pop
+        held = []  # the first interpretation error
+        interpret = self.interpret
+
+        def hold(error):
+            # raised later without the handler's frame, from the interpreter's
+            # frames on; `held` is emptied before the read ends, as those
+            # frames hold it
+            held.append(error.with_traceback(error.__traceback__.tb_next))
+            parser.StartElementHandler = parser.EndElementHandler = None
+
+        def on_robot(tag, attrs):
+            parser.StartElementHandler, parser.EndElementHandler = on_start, on_end
+            try:
+                self.start_robot(_Element(tag, attrs, parser.CurrentLineNumber,
+                                          parser.CurrentColumnNumber + 1,
+                                          parser.CurrentByteIndex))
+            except UrdfPlusError as exc:
+                hold(exc)
+
+        def on_start(tag, attrs):
+            element = _Element(tag, attrs, parser.CurrentLineNumber,
+                               parser.CurrentColumnNumber + 1, parser.CurrentByteIndex)
+            if stack:
+                parent = stack[-1]
+                if parent.children:
+                    parent.children.append(element)
+                else:
+                    parent.children = [element]
+            push(element)
+
+        def on_end(_tag):
+            if stack:  # else it is </robot>
+                element = pop()
+                element.close_byte = parser.CurrentByteIndex
+                if not stack:
+                    try:
+                        interpret(element)
+                    except UrdfPlusError as exc:
+                        hold(exc)
+
+        parser.StartElementHandler = on_robot
+        try:
+            parser.Parse(self.data, True)
+        except expat.ExpatError as exc:
+            held.clear()  # a syntax error wins
+            raise XmlSyntaxError(
+                expat.errors.messages[exc.code], exc.lineno, exc.offset + 1
+            ) from exc
+        finally:
+            # the handlers hold the parser and the parser holds them: without
+            # this the last subtree would live until the cyclic collector runs
+            parser.StartElementHandler = parser.EndElementHandler = None
+        if held:
+            raise held.pop()  # from no local, so the raising frame keeps none
+        return self.finish()
 
 
 def parse_urdf_plus(text: str | bytes) -> ParseResult:
@@ -550,11 +594,15 @@ def parse_urdf_plus(text: str | bytes) -> ParseResult:
 
     Raises subclasses of UrdfXmlError (each with .line/.column) on malformed
     input.  Structural problems beyond the syntax level are left to
-    model.validate_model so they can all be reported together.
+    model.validate_model so they can all be reported together.  A str is
+    text already decoded, so the encoding its declaration names is ignored.
     """
-    data = text.encode("utf-8") if isinstance(text, str) else bytes(text)
+    if isinstance(text, str):
+        data, encoding = text.encode("utf-8"), "utf-8"
+    else:
+        data, encoding = bytes(text), None
     interpreter = _Interpreter(data)
-    model = interpreter.interpret(_build_tree(data))
+    model = interpreter.read(expat.ParserCreate(encoding))
     return ParseResult(model, interpreter.warnings)
 
 

@@ -451,6 +451,23 @@ class TestUtf16:
         assert utf16.warnings == utf8.warnings
 
 
+class TestDeclaredEncoding:
+    """A str is text already decoded: the encoding its declaration names no
+    longer applies.  Bytes are decoded as their declaration says."""
+
+    @pytest.mark.parametrize("encoding", ["ISO-8859-1", "UTF-16"])
+    def test_str_ignores_the_declaration(self, encoding):
+        text = (f'<?xml version="1.0" encoding="{encoding}"?>\n'
+                '<robot name="\u00e9"><link name="\u00e9"/></robot>')
+        model = parse_urdf_plus(text).model
+        assert (model.name, model.links[0].name) == ("\u00e9", "\u00e9")
+
+    def test_bytes_follow_the_declaration(self):
+        data = ('<?xml version="1.0" encoding="ISO-8859-1"?>\n'
+                '<robot name="\u00e9"/>').encode("latin-1")
+        assert parse_urdf_plus(data).model.name == "\u00e9"
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize(
         "name",
@@ -594,7 +611,12 @@ def _parse_outcome(text: str):
     (_ladder(800), None),
     ('<robot name="r"><link name="a"></robot>', XmlSyntaxError),
     ('<robot name="r"><link name="a"/><bogus/></robot>', UnknownElementError),
-], ids=["ladder", "syntax-error", "unknown-element"])
+    # the reader holds this error while expat reads the 800 elements after it
+    ('<robot name="r"><link name="a"><inertial><bogus/></inertial></link>'
+     + '<link name="b"/>' * 800 + "</robot>", UnknownElementError),
+    ('<robot name="r"><link name="a"><inertial><bogus/></inertial></link>'
+     + '<link name="b"/>' * 800 + "</robt>", XmlSyntaxError),
+], ids=["ladder", "syntax-error", "unknown-element", "held-error", "held-then-syntax"])
 def test_a_parse_leaves_no_cyclic_garbage(text, error):
     """Everything a parse builds is freed by reference counting alone, so
     the element tree does not wait for the cyclic collector."""
