@@ -24,6 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    AntipodalRotationError,
     ConfigurationError,
     CountMismatchError,
     DimensionMismatchError,
@@ -186,34 +187,52 @@ def _stack(transforms) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Tree:
-    """The tree joints, stacked: their kinematics, their origins, and each
-    tree level below the root as (bodies, their parents)."""
+    """The tree joints, stacked in tree-level order: the bodies sorted by
+    depth, ties by body number, so that each level below the root is one
+    contiguous slice of the stacks.  `slot[b]` is body b's place in that
+    order (the root's is 0), and joint b's place in `joints` and `origins`
+    is slot[b] - 1.  `levels` holds, per level, its slice bounds and the
+    slots of its bodies' parents.  The regular numbering is breadth-first,
+    so there the level order is the body order; a numbering that
+    interleaves depths is reordered."""
 
     def __init__(self, joints, parent, slices):
-        joints = joints[1:]
-        self.joints = _JointStack(
-            [JointKinematics(joint.joint_type, joint.axis, joint.axis2) for joint in joints],
-            [segment.start for segment in slices[1:]])
-        self.origins = _stack(joint.origin for joint in joints)
-        depth, levels = [0], {}
-        for body in range(1, len(joints) + 1):
+        depth = [0]
+        for body in range(1, len(joints)):
             depth.append(depth[parent[body]] + 1)
-            levels.setdefault(depth[body], []).append(body)
-        self.levels = [(np.array(bodies), np.array([parent[b] for b in bodies]))
-                       for _, bodies in sorted(levels.items())]
+        order = sorted(range(len(joints)), key=depth.__getitem__)  # stable: root first
+        slot = [0] * len(order)
+        for place, body in enumerate(order):
+            slot[body] = place
+        self.slot = np.array(slot, dtype=np.intp)
+        self.joints = _JointStack(
+            [JointKinematics(joints[b].joint_type, joints[b].axis, joints[b].axis2)
+             for b in order[1:]],
+            [slices[b].start for b in order[1:]])
+        self.origins = _stack(joints[b].origin for b in order[1:])
+        bounds = [k for k in range(1, len(order)) if depth[order[k]] != depth[order[k - 1]]]
+        self.levels = [(low, high, np.array([slot[parent[b]] for b in order[low:high]],
+                                            dtype=np.intp))
+                       for low, high in zip(bounds, bounds[1:] + [len(order)])]
 
     def poses(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """World rotations (N+1, 3, 3) and translations (N+1, 3) at q,
-        read-only: every joint's origin composed with its joint transform,
-        then one composition with the parents' poses per tree level."""
+        """World rotations (N+1, 3, 3) and translations (N+1, 3) at q in
+        body order, read-only: every joint's origin composed with its joint
+        transform, then, level by level, the parents' poses gathered once
+        and composed with the level's local transforms straight into the
+        level's slice; one gather at the end returns the body order."""
         local_rot, local_trans = _composed(*self.origins, *self.joints.transforms(q))
-        rot = np.zeros((len(local_rot) + 1, 3, 3))
+        rot = np.empty((len(local_rot) + 1, 3, 3))
         rot[0] = np.eye(3)
-        trans = np.zeros((len(local_rot) + 1, 3))
-        for bodies, parents in self.levels:
-            rot[bodies], trans[bodies] = _composed(rot[parents], trans[parents],
-                                                   local_rot[bodies - 1], local_trans[bodies - 1])
-        return _read_only(rot), _read_only(trans)
+        trans = np.empty((len(local_rot) + 1, 3))
+        trans[0] = 0.0
+        for low, high, parents in self.levels:
+            rot_p = rot.take(parents, axis=0)
+            np.matmul(rot_p, local_rot[low - 1 : high - 1], out=rot[low:high])
+            np.add((rot_p @ local_trans[low - 1 : high - 1, :, None])[:, :, 0],
+                   trans.take(parents, axis=0), out=trans[low:high])
+        return (_read_only(rot.take(self.slot, axis=0)),
+                _read_only(trans.take(self.slot, axis=0)))
 
 
 @dataclass(frozen=True)
@@ -243,12 +262,21 @@ class _CouplingStep:
     full_row: np.ndarray
 
 
+def _row_layout(steps) -> tuple[dict[int, int], int]:
+    """Where the loop assembly keeps each loop joint's rows: the joint's
+    position among the loop joints, by entry index, and the widest K_l."""
+    loops = [index for index, step in enumerate(steps) if isinstance(step, _LoopStep)]
+    return ({index: i for i, index in enumerate(loops)},
+            max((steps[index].width for index in loops), default=0))
+
+
 class _LoopGroups:
     """The loop entries split into loop groups: entries joined, directly or
     through others, by a shared coordinate.  Groups touch disjoint columns,
     so rank K is the sum of the groups' ranks.  A group's `K_g` stacks its
     entries' rows, ascending by number, over its coordinates (`columns`, in
-    ascending order); every group lies in one loop aggregate.
+    ascending order); every group lies in one loop aggregate, that of its
+    `first` entry.
 
     One lock-step elimination reduces every group, each member padded to
     `shape`: members 0 .. count-1 are the groups, followed by the entries
@@ -262,9 +290,17 @@ class _LoopGroups:
     columns; the back substitution then runs over all of G's columns, zero
     outside the group, since the bits of its products depend on the width.
     `complete` says every dependent coordinate lies in a group.
+
+    Both steps run without a loop over the groups, through flat (to, from)
+    index arrays built once per model, `batch`'s here and `explicit`'s on
+    its first call: `batch` copies a template that holds the couplings'
+    constant rows and puts the loop joints' rows, taken from the loop
+    assembly's rows, into it; `explicit` takes the dependent and the
+    independent blocks out of the reduced batch, and after the elimination
+    puts each group's right-hand side into its columns of G.
     """
 
-    def __init__(self, steps, slices, independent):
+    def __init__(self, steps, slices, independent, row_layout):
         coordinates = []  # per entry, one per K_l column
         for step in steps:
             layout = step.jacobian if isinstance(step, _CouplingStep) else step
@@ -273,8 +309,6 @@ class _LoopGroups:
                 for joint, (start, stop) in zip(layout.joint_numbers, layout.joint_columns)
                 for offset in range(stop - start)
             ])
-        heights = [1 if isinstance(step, _CouplingStep) else step.psi.shape[1]
-                   for step in steps]
         root = list(range(len(steps)))  # the first entry of each one's group
         owner = {}
         for entry, columns in enumerate(coordinates):
@@ -288,55 +322,108 @@ class _LoopGroups:
             groups.setdefault(first, []).append(entry)
         self.entries = tuple(tuple(group) for group in groups.values())
         self.count = len(self.entries)
+        self.first = list(groups)
         # sorted in Python: np.unique would import numpy.ma
-        self.columns = tuple(
-            np.array(sorted({c for e in group for c in coordinates[e]}), dtype=np.intp)
-            for group in self.entries)
-        self.entry_member = np.zeros(len(steps), dtype=np.intp)
-        self._places = []  # (member, first row, columns, entry)
-        extra = self.count
-        for member, group in enumerate(self.entries):
-            top = 0
-            for entry in group:
-                local = np.searchsorted(self.columns[member], coordinates[entry])
-                self._places.append((member, top, local, entry))
-                self.entry_member[entry] = member
-                if len(group) > 1:
-                    self._places.append((extra, 0, np.arange(len(local)), entry))
-                    self.entry_member[entry] = extra
-                    extra += 1
-                top += heights[entry]
-        self.shape = (extra,
-                      max((sum(heights[e] for e in g) for g in self.entries), default=0),
-                      max((len(columns) for columns in self.columns), default=0))
+        columns = [sorted({c for e in group for c in coordinates[e]})
+                   for group in self.entries]
+        self.columns = tuple(np.array(group, dtype=np.intp) for group in columns)
+        self._plan_batch(steps, coordinates, columns, row_layout)
 
         self.independent = tuple(independent)
         chosen = set(self.independent)
         self.dependent = tuple(c for c in range(slices[-1].stop) if c not in chosen)
         position = {c: k for k, c in enumerate(self.independent)}
         self._blocks = []  # per group: local dependent, local and global independent
-        for columns in self.columns:
-            dep = [k for k, c in enumerate(columns.tolist()) if c not in chosen]
-            ind = [k for k, c in enumerate(columns.tolist()) if c in chosen]
-            self._blocks.append((dep, ind, [position[columns[k]] for k in ind]))
-        self.width = np.array([len(dep) for dep, _, _ in self._blocks], dtype=np.intp)
-        self.complete = int(self.width.sum()) == len(self.dependent)
+        for group in columns:
+            dep = [k for k, c in enumerate(group) if c not in chosen]
+            ind = [k for k, c in enumerate(group) if c in chosen]
+            self._blocks.append((dep, ind, [position[group[k]] for k in ind]))
+        widths = [len(dep) for dep, _, _ in self._blocks]
+        self.width = np.array(widths, dtype=np.intp)
+        self.complete = sum(widths) == len(self.dependent)
         # each dependent coordinate's row of the stacked solutions (0 for one
         # outside every group, where G is not the groups' to give)
-        self._size = size = int(self.width.max(initial=0))
-        rows = {int(columns[local]): member * size + size - len(dep) + k
-                for member, ((dep, _, _), columns) in enumerate(zip(self._blocks,
-                                                                    self.columns))
+        self._size = size = max(widths, default=0)
+        rows = {group[local]: member * size + size - len(dep) + k
+                for member, ((dep, _, _), group) in enumerate(zip(self._blocks, columns))
                 for k, local in enumerate(dep)}
         self._rows = [rows.get(c, 0) for c in self.dependent]
+        self._rhs = max((len(ind) for _, ind, _ in self._blocks), default=0)
 
-    def batch(self, matrices) -> np.ndarray:
+    def _plan_batch(self, steps, coordinates, columns, row_layout):
+        """`shape`, `entry_member`, and the template and the flat (to, from)
+        indices of `batch`, whose rows come as `row_layout` (_row_layout of
+        the steps) places them."""
+        heights = [1 if isinstance(step, _CouplingStep) else step.psi.shape[1]
+                   for step in steps]
+        position, widest = row_layout
+        height = max((sum(heights[e] for e in group) for group in self.entries), default=0)
+        width = max(map(len, columns), default=0)
+        extra = self.count
+        self.shape = (extra + sum(len(group) for group in self.entries if len(group) > 1),
+                      height, width)
+        template = np.zeros(self.shape)
+        member_of = [0] * len(steps)
+        to, source = [], []
+        for member, group in enumerate(self.entries):
+            where = {c: k for k, c in enumerate(columns[member])}
+            top = 0
+            for entry in group:
+                local = [where[c] for c in coordinates[entry]]
+                places = [(member, top, local)]
+                member_of[entry] = member
+                if len(group) > 1:
+                    places.append((extra, 0, list(range(len(local)))))
+                    member_of[entry] = extra
+                    extra += 1
+                step = steps[entry]
+                if isinstance(step, _CouplingStep):
+                    for at, first, cols in places:
+                        template[at, first, cols] = step.jacobian.matrix[0]
+                else:
+                    rows = range(position[entry] * 6, position[entry] * 6 + heights[entry])
+                    source += [r * widest + k for r in rows for k in range(len(local))
+                               ] * len(places)
+                    for at, first, cols in places:
+                        to += [(at * height + first + r) * width + k
+                               for r in range(heights[entry]) for k in cols]
+                top += heights[entry]
+        self.entry_member = np.array(member_of, dtype=np.intp)
+        self._template = _read_only(template)
+        self._batch_index = np.array(to + source, dtype=np.intp).reshape(2, -1)
+
+    @cached_property
+    def _solve_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The flat (to, from) indices of `explicit`, built on its first
+        call: each group's dependent block `a` and independent block `b` in
+        the trailing rows of its member, from the first `width[g]` rows of
+        its reduced member, and the eliminated `b` in G's columns of the
+        wide right-hand side."""
+        _, height, width = self.shape
+        size, n_i, rhs = self._size, len(self.independent), self._rhs
+        a_to, a_from, b_to, b_from, wide_to, wide_from = [], [], [], [], [], []
+        for member, (dep, ind, position) in enumerate(self._blocks):
+            start = size - len(dep)
+            for r in range(len(dep)):
+                basis_row = (member * height + r) * width
+                a_from += [basis_row + k for k in dep]
+                b_from += [basis_row + k for k in ind]
+                row = member * size + start + r
+                a_to += range(row * size + start, (row + 1) * size)
+                b_to += range(row * rhs, row * rhs + len(ind))
+            for row in range(member * size, (member + 1) * size):
+                wide_from += range(row * rhs, row * rhs + len(ind))
+                wide_to += [row * n_i + p for p in position]
+        return tuple(np.array(to + source, dtype=np.intp).reshape(2, -1)
+                     for to, source in ((a_to, a_from), (b_to, b_from), (wide_to, wide_from)))
+
+    def batch(self, rows: np.ndarray) -> np.ndarray:
         """Every member of the lock-step elimination, zero-padded, from the
-        entries' K_l in entry order."""
-        out = np.zeros(self.shape)
-        for member, top, columns, entry in self._places:
-            matrix = matrices[entry]
-            out[member][top : top + matrix.shape[0], columns] = matrix
+        loop assembly's rows (an empty array on a model without a loop
+        joint)."""
+        to, source = self._batch_index
+        out = self._template.copy()
+        out.put(to, rows.take(source))
         return out
 
     def explicit(self, reduced: np.ndarray, tol: float) -> ExplicitJacobian:
@@ -344,17 +431,14 @@ class _LoopGroups:
         by one lock-step solve, each group's system in the trailing block of
         its member; SingularDependentBlockError if a block is singular."""
         count, size, n_i = self.count, self._size, len(self.independent)
+        (a_to, a_from), (b_to, b_from), (wide_to, wide_from) = self._solve_index
         a = np.zeros((count, size, size))
-        b = np.zeros((count, size, max((len(ind) for _, ind, _ in self._blocks), default=0)))
-        for member, (dep, ind, _) in enumerate(self._blocks):
-            basis = reduced[member, : len(dep)]
-            start = size - len(dep)
-            a[member, start:, start:] = basis[:, dep]
-            b[member, start:, : len(ind)] = basis[:, ind]
+        a.put(a_to, reduced.take(a_from))
+        b = np.zeros((count, size, self._rhs))
+        b.put(b_to, reduced.take(b_from))
         a, b = _eliminate_batch(a, b, size - self.width, tol)
         wide = np.zeros((count, size, n_i))
-        for member, (_, ind, position) in enumerate(self._blocks):
-            wide[member][:, position] = b[member, :, : len(ind)]
+        wide.put(wide_to, b.take(wide_from))
         x = _back_substitute(a, wide)
         return ExplicitJacobian(
             matrix=np.vstack([np.eye(n_i), -x.reshape(count * size, n_i)[self._rows]]),
@@ -374,13 +458,13 @@ class _LoopAssembly:
     (loop, moving joint) pairs are stacked by the joint's DoF, with Psi^T
     the transpose view of Psi padded with zero columns and world_to_loop's
     rotation the transpose view of the loop frame's, so each product keeps
-    the layout, and the bits, it has for one pair alone."""
+    the layout, and the bits, it has for one pair alone.  `row_layout` is
+    _row_layout of the steps, and `slot` the tree's level-order place of
+    each body, which gives a joint's place in the tree's joint stack."""
 
-    def __init__(self, steps):
-        loops = [(index, step) for index, step in enumerate(steps)
-                 if isinstance(step, _LoopStep)]
-        self.position = {index: i for i, (index, _) in enumerate(loops)}
-        steps = [step for _, step in loops]
+    def __init__(self, steps, slot, row_layout):
+        self.position, width = row_layout
+        steps = [steps[index] for index in self.position]
         self.predecessor = np.array([step.predecessor for step in steps], dtype=np.intp)
         self.successor = np.array([step.successor for step in steps], dtype=np.intp)
         self.predecessor_origins = _stack(step.predecessor_origin for step in steps)
@@ -388,18 +472,19 @@ class _LoopAssembly:
         psi = np.zeros((len(steps), 6, 6))
         for i, step in enumerate(steps):
             psi[i, :, : step.psi.shape[1]] = step.psi
-        width = max((step.width for step in steps), default=0)
         self.shape = (len(steps), 6, width)
         by_dof = {}
         for i, step in enumerate(steps):
             for joint, start, stop, sign in step.moving:
                 by_dof.setdefault(stop - start, []).append((i, joint, start, sign))
-        self.pairs = []  # per DoF: loops, joints, signs, Psi^T, places in the rows
+        # per DoF: loops, joints, their places in the joint stack, signs,
+        # Psi^T, and places in the rows
+        self.pairs = []
         for dof, pairs in sorted(by_dof.items()):
             loop, joint, start, sign = (np.array(column) for column in zip(*pairs))
             places = ((loop[:, None, None] * 6 + np.arange(6)[:, None]) * width
                       + start[:, None, None] + np.arange(dof))
-            self.pairs.append((loop, joint, sign[:, None, None],
+            self.pairs.append((loop, joint, slot[joint] - 1, sign[:, None, None],
                                psi[loop].transpose(0, 2, 1), places.ravel()))
 
     def evaluate(self, joints: _JointStack, rot: np.ndarray, trans: np.ndarray,
@@ -411,31 +496,38 @@ class _LoopAssembly:
         rot_p, trans_p = _composed(rot[p], trans[p], *self.predecessor_origins)
         to_loop_trans = -(rot_p.transpose(0, 2, 1) @ trans_p[:, :, None])[:, :, 0]
         rows = np.zeros(self.shape)
-        for loop, joint, sign, psi_t, places in self.pairs:
+        for loop, joint, stacked, sign, psi_t, places in self.pairs:
             to_joint = _composed(rot_p[loop].transpose(0, 2, 1), to_loop_trans[loop],
                                  rot[joint], trans[joint])
-            maps = _motion_maps(*to_joint, joints.subspaces(q, joint - 1))
+            maps = _motion_maps(*to_joint, joints.subspaces(q, stacked))
             rows.put(places, sign * (psi_t @ maps))
         frame_s = _composed(rot[s], trans[s], *self.successor_origins)
         return _read_only(rows), *_composed(rot_p.transpose(0, 2, 1), to_loop_trans, *frame_s)
+
+
+_NO_ROWS = _read_only(np.zeros((0, 6, 0)))  # the loop assembly's rows without a loop joint
 
 
 class KinematicPlan:
     """The configuration-independent part of a numbered model's kinematics,
     built on first use and held by the model (NumberedModel._kinematics).
 
-    `tree` stacks the tree joints by type and the bodies by tree level;
-    `loops(graph)` has one step per loop entry, its involved joints taken
-    from `graph.subchains`, and `assembly(graph)` stacks the loop joints'
-    rows.
-    `groups(graph)` splits the loop entries into loop groups and lays out
-    the declared independent coordinates over them.
+    `tree` stacks the tree joints by type and the bodies in tree-level
+    order; `loops(graph)` has one step per loop entry, its involved joints
+    taken from `graph.subchains`, and `assembly(graph)` stacks the loop
+    joints' rows.
+    `groups(graph)` splits the loop entries into loop groups, lays out the
+    declared independent coordinates over them, and holds the flat index
+    arrays through which the rank elimination and G gather their blocks.
+    `_declared` is the count check's reading of the independent attributes.
     Each part is built once, on its first use, so a coupling-only model
     never builds the tree part.  `_poses` holds the pose arrays of the last
     forward_kinematics call.  The plan also keeps the last configuration
-    evaluated (`_key`, the bytes of q): its loop assembly (`_rows`), each
-    loop entry's (rows, residual), filled on demand by `_loop_terms`, and per
-    tolerance the lock-step elimination of every group, made by `_eliminated`.
+    evaluated (`_key`, the bytes of q): its loop assembly's rows (`_rows`),
+    the entries' residuals (`_residuals`), every loop entry's (rows,
+    residual) (`_terms`) and the half-turn error messages of its entries
+    (`_failed`), all made at once by `_loop_terms`, and per tolerance the
+    lock-step elimination of every group, made by `_eliminated`.
     """
 
     def __init__(self, numbered: NumberedModel):
@@ -450,29 +542,44 @@ class KinematicPlan:
         self._poses = None
         self._key = None
         self._rows = None
-        self._terms = {}
+        self._residuals = None
+        self._terms = None
+        self._failed = {}
         self._bases = {}
 
     @cached_property
     def tree(self) -> _Tree:
         return _Tree(self._joints, self._parent, self._slices)
 
+    @cached_property
+    def _declared(self) -> tuple[str, tuple[str, ...], int | None]:
+        """(mode, declared joint names, their DoF) for the count check."""
+        joints = self._joints[1:]
+        if all(joint.independent is None for joint in joints):
+            return "spanning", (), None
+        # joints without the attribute count as not chosen
+        chosen = [joint for joint in joints if joint.independent]
+        return ("independent", tuple(joint.name for joint in chosen),
+                sum(joint.joint_type.dof for joint in chosen))
+
     def loops(self, graph: ConnectivityGraph) -> tuple[_LoopStep | _CouplingStep, ...]:
         if self._loops is None:
             self._loops = tuple(
                 self._loop_step(graph, index) for index in range(len(self._entries))
             )
+            self._row_layout = _row_layout(self._loops)
         return self._loops
 
     def assembly(self, graph: ConnectivityGraph) -> _LoopAssembly:
         if self._assembly is None:
-            self._assembly = _LoopAssembly(self.loops(graph))
+            self._assembly = _LoopAssembly(self.loops(graph), self.tree.slot,
+                                           self._row_layout)
         return self._assembly
 
     def groups(self, graph: ConnectivityGraph) -> _LoopGroups:
         if self._groups is None:
             self._groups = _LoopGroups(self.loops(graph), self._slices,
-                                       self._independent)
+                                       self._independent, self._row_layout)
         return self._groups
 
     def _loop_step(self, graph: ConnectivityGraph, index: int):
@@ -525,36 +632,67 @@ def _loop_terms(
     indices,
 ) -> list[tuple[LoopJacobian, np.ndarray]]:
     """Rows and residual of the loop entries at `indices`.  Calls at one q
-    share the plan's record of it: one kinematics pass and one assembly of
-    every loop joint's rows, made only when a loop joint needs them, and one
-    residual per entry."""
+    share the plan's record of it, made once for every entry by
+    `_evaluated`.  An entry whose closure is a half-turn raises its
+    AntipodalRotationError when it is asked for."""
     q = _configuration(numbered, q)
     plan = numbered._kinematics
-    steps = plan.loops(graph)
     key = q.tobytes()
     if plan._key != key:
-        plan._key, plan._rows, plan._terms, plan._bases = key, None, {}, {}
-    terms = plan._terms
-    for index in indices:
-        if index in terms:
-            continue
-        step = steps[index]
-        if isinstance(step, _CouplingStep):
-            # a coupling is linear in q: its row times q is the relation itself
-            terms[index] = step.jacobian, _read_only(step.full_row @ q)
-        else:
-            assembly = plan.assembly(graph)
-            if plan._rows is None:
-                forward_kinematics(numbered, q)  # sets plan._poses
-                plan._rows = assembly.evaluate(plan.tree.joints, *plan._poses, q)
-            rows, rel_rot, rel_trans = plan._rows
-            i = assembly.position[index]
-            residual = step.psi.T @ np.concatenate([so3_log(rel_rot[i]), rel_trans[i]])
-            terms[index] = (LoopJacobian(step.number, step.name, "loop", step.joint_numbers,
-                                         step.joint_columns,
-                                         rows[i, : step.psi.shape[1], : step.width]),
-                            _read_only(residual))
-    return [terms[index] for index in indices]
+        plan._key, plan._terms, plan._bases = key, None, {}
+    if plan._terms is None:
+        evaluated = _evaluated(numbered, graph, q)
+        plan._rows, plan._residuals, plan._terms, plan._failed = evaluated
+    for index in indices if plan._failed else ():
+        if index in plan._failed:
+            raise AntipodalRotationError(plan._failed[index])
+    return [plan._terms[index] for index in indices]
+
+
+def _evaluated(numbered: NumberedModel, graph: ConnectivityGraph, q: np.ndarray):
+    """At q: the loop assembly's rows, made with one kinematics pass when
+    the model has a loop joint; every residual, entry l's in row l of one
+    read-only (entries, 6) array, zero beyond it; every entry's (rows,
+    residual); and, by entry, the message of each half-turn error.  A
+    finite q can still overflow the poses: one check over the rows and the
+    residuals raises ConfigurationError, naming the first entry with a value
+    that is not finite, and no numpy warning escapes."""
+    plan = numbered._kinematics
+    steps = plan.loops(graph)
+    position, _ = plan._row_layout
+    residuals = np.zeros((len(steps), 6))
+    rows, terms, failed = _NO_ROWS, [], {}
+    with np.errstate(all="ignore"):  # an overflow is reported below, by entry
+        if position:
+            forward_kinematics(numbered, q)  # sets plan._poses
+            rows, rel_rot, rel_trans = plan.assembly(graph).evaluate(plan.tree.joints,
+                                                                     *plan._poses, q)
+        for index, step in enumerate(steps):
+            if isinstance(step, _CouplingStep):
+                residual = residuals[index, :1]
+                # a coupling is linear in q: its row times q is the relation itself
+                np.matmul(step.full_row, q, out=residual)
+                terms.append((step.jacobian, _read_only(residual)))
+                continue
+            i = position[index]
+            residual = residuals[index, : step.psi.shape[1]]
+            try:
+                log = so3_log(rel_rot[i])
+            except AntipodalRotationError as exc:
+                failed[index] = str(exc)
+            else:
+                np.matmul(step.psi.T, np.concatenate([log, rel_trans[i]]), out=residual)
+            terms.append((LoopJacobian(step.number, step.name, "loop", step.joint_numbers,
+                                       step.joint_columns,
+                                       rows[i, : step.psi.shape[1], : step.width]),
+                          _read_only(residual)))
+    if not (np.isfinite(rows).all() and np.isfinite(_read_only(residuals)).all()):
+        jac, part = next((jac, part) for jac, residual in terms
+                         for part, values in (("row", jac.matrix), ("residual", residual))
+                         if not np.isfinite(values).all())
+        raise ConfigurationError(f"configuration overflows: {jac.kind} {jac.name!r} "
+                                 f"(joint {jac.number}) has a non-finite {part} entry")
+    return rows, residuals, terms, failed
 
 
 def _eliminated(
@@ -566,7 +704,7 @@ def _eliminated(
     terms = _loop_terms(numbered, graph, q, range(len(numbered.loop_entries)))
     plan = numbered._kinematics
     if tol not in plan._bases:
-        batch = plan.groups(graph).batch([jac.matrix for jac, _ in terms])
+        batch = plan.groups(graph).batch(plan._rows)
         ranks = _row_reduce_batch(batch, tol)
         plan._bases[tol] = _read_only(batch), _read_only(ranks)
     return terms, *plan._bases[tol]
@@ -647,8 +785,7 @@ class ExplicitJacobian:
     def in_coordinate_order(self) -> np.ndarray:
         """Rows permuted back to plain coordinate order."""
         out = np.zeros_like(self.matrix)
-        for row, coord in enumerate(self.row_coordinates):
-            out[coord] = self.matrix[row]
+        out[np.array(self.row_coordinates, dtype=np.intp)] = self.matrix
         return out
 
 
@@ -757,12 +894,12 @@ def independent_coordinate_check(
         q = zero_configuration(numbered)
     n = numbered.total_dof
     terms, _, ranks = _eliminated(numbered, graph, q, tol)
-    groups = numbered._kinematics.groups(graph)
+    plan = numbered._kinematics
+    groups = plan.groups(graph)
+    entry_ranks = ranks[groups.entry_member]
+    norms = np.abs(plan._residuals).max(axis=1, initial=0.0)
     infos = []
-    max_residual = 0.0
-    for (jac, residual), rank in zip(terms, ranks[groups.entry_member].tolist()):
-        residual_norm = float(np.abs(residual).max()) if residual.size else 0.0
-        max_residual = max(max_residual, residual_norm)
+    for (jac, _), rank, residual_norm in zip(terms, entry_ranks.tolist(), norms.tolist()):
         infos.append(
             LoopConstraintInfo(
                 number=jac.number,
@@ -777,27 +914,21 @@ def independent_coordinate_check(
                 residual_norm=residual_norm,
             )
         )
-    group_ranks = ranks[: groups.count].tolist()
-    n_i = n - sum(group_ranks)
-    redundant = {}  # aggregate: [its loops' ranks summed, its groups' ranks summed]
-    for group, rank in zip(groups.entries, group_ranks):
-        sums = redundant.setdefault(infos[group[0]].aggregate, [0, 0])
-        sums[0] += sum(infos[entry].rank for entry in group)
-        sums[1] += rank
-
-    joints = numbered.tree_joint_of[1:]
-    if all(joint.independent is None for joint in joints):
-        mode = "spanning"
-        declared_joints: tuple[str, ...] = ()
-        declared_dof = None
-        passed = None
-    else:
-        mode = "independent"
-        # joints without the attribute count as not chosen
-        chosen = [joint for joint in joints if joint.independent]
-        declared_joints = tuple(joint.name for joint in chosen)
-        declared_dof = sum(joint.joint_type.dof for joint in chosen)
-        passed = declared_dof == n_i
+    group_ranks = ranks[: groups.count]
+    n_i = n - int(group_ranks.sum())
+    redundant = ()
+    if groups.shape[0] > groups.count:  # only a group of two or more entries
+        # per aggregate: its loops' ranks summed, and its groups' ranks summed
+        aggregates = np.array([info.aggregate for info in infos], dtype=np.intp)
+        loop_sums, group_sums = (
+            np.bincount(at, weights=weights, minlength=len(lacg.aggregates)).astype(np.intp)
+            for at, weights in ((aggregates, entry_ranks),
+                                (aggregates[groups.first], group_ranks)))
+        redundant = tuple(RedundantAggregate(index, int(loop_sums[index]),
+                                             int(group_sums[index]))
+                          for index in np.flatnonzero(loop_sums > group_sums).tolist())
+    mode, declared_joints, declared_dof = plan._declared
+    passed = None if declared_dof is None else declared_dof == n_i
     return ConstraintReport(
         n=n,
         n_c=sum(info.rows for info in infos),
@@ -807,10 +938,8 @@ def independent_coordinate_check(
         declared_joints=declared_joints,
         declared_dof=declared_dof,
         passed=passed,
-        max_residual=max_residual,
-        redundant=tuple(RedundantAggregate(index, *sums)
-                        for index, sums in sorted(redundant.items())
-                        if sums[0] > sums[1]),
+        max_residual=float(norms.max(initial=0.0)),
+        redundant=redundant,
         jacobians=tuple(jac for jac, _ in terms),
     )
 

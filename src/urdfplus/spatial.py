@@ -173,20 +173,22 @@ def so3_log(r: np.ndarray) -> np.ndarray:
 
     Raises AntipodalRotationError within ANTIPODAL_TOL of a half-turn,
     where the direction of the axis becomes numerically meaningless for
-    differentiation purposes.
+    differentiation purposes.  The 3 x 3 is read as Python floats and
+    summed and scaled in the order np.trace and numpy's elementwise
+    products use, so the result has the bits of the array expression.
     """
-    r = np.asarray(r, dtype=float)
-    cos_angle = np.clip((np.trace(r) - 1.0) * 0.5, -1.0, 1.0)
-    angle = math.acos(cos_angle)
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = np.asarray(r, dtype=float).tolist()
+    # NaN passes through the clamp, as through np.clip
+    angle = math.acos(min(max(((r00 + r11) + r22 - 1.0) * 0.5, -1.0), 1.0))
     if angle < 1e-12:
         # first-order: log(R) ~ vee(R - R^T)/2
-        return 0.5 * np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
+        return np.array([0.5 * (r21 - r12), 0.5 * (r02 - r20), 0.5 * (r10 - r01)])
     if math.pi - angle < ANTIPODAL_TOL:
         raise AntipodalRotationError(
             f"rotation angle {angle} is within {ANTIPODAL_TOL} of pi"
         )
-    w = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-    return w * (angle / (2.0 * math.sin(angle)))
+    scale = angle / (2.0 * math.sin(angle))
+    return np.array([(r21 - r12) * scale, (r02 - r20) * scale, (r10 - r01) * scale])
 
 
 class SpatialTransform:

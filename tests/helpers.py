@@ -1,5 +1,5 @@
 """Shared test utilities: brute-force graph oracles, random model
-generation, and finite-difference Jacobians.
+generation, finite-difference Jacobians, and the benchmark's workloads.
 
 Everything here is deliberately independent of the library's own graph and
 Jacobian code paths so it can serve as an oracle.
@@ -7,12 +7,29 @@ Jacobian code paths so it can serve as an oracle.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from urdfplus.constraints import implicit_loop_jacobian, loop_residual
 from urdfplus.graphs import Digraph
 from urdfplus.model import Link, LoopJoint, RobotModel, TreeJoint
 from urdfplus.spatial import JointType
+
+
+PERFBENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def perfbench_workloads(monkeypatch):
+    """perfbench/workloads.py, imported afresh with its directory on
+    sys.path for the test's duration."""
+    monkeypatch.syspath_prepend(str(PERFBENCH_DIR))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    monkeypatch.delitem(sys.modules, "generator", raising=False)
+    import workloads
+
+    return workloads
 
 
 def reachability_matrix(digraph: Digraph) -> np.ndarray:

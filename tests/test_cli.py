@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import BRACKET_BELT
+from helpers import BRACKET_BELT, perfbench_workloads
 
 import urdfplus
 from urdfplus.cli import main
@@ -372,6 +372,40 @@ class TestFixedJointOnCoupledPath:
         g = np.array([by_label[c] for c in
                       ("knee[0]", "motor_rotor[0]", "ankle[0]")])
         assert np.abs(k @ g).max() < 1e-12
+
+
+class TestOverflowingConfiguration:
+    """A finite configuration whose constraint values overflow is a usage
+    error (exit 3) with one line on standard error: no report, no numpy
+    warning and no `Infinity` in the JSON."""
+
+    @pytest.mark.parametrize("args", [("constraints", "--json"), ("constraints",),
+                                      ("validate",)])
+    def test_mimic_gripper(self, capsys, tmp_path, models_dir, args):
+        config = tmp_path / "q.cfg"
+        config.write_text("drive: 1e308\nfollower: -1e308\ngear: 1e308\n")
+        code, out, err = run(capsys, args[0], str(models_dir / "mimic_gripper.urdf"),
+                             *args[1:], "--config", str(config))
+        assert (code, out) == (3, "")
+        assert err == ("error: configuration overflows: coupling 'follower_mimic' "
+                       "(joint 4) has a non-finite residual entry\n")
+
+    def test_sweep_model_at_1e308(self, capsys, tmp_path, monkeypatch):
+        workloads = perfbench_workloads(monkeypatch)
+        gen, numbered, *_ = workloads.sweep_model(1, workloads.SWEEP_BODIES,
+                                                  workloads.SWEEP_LOOPS)
+        model = tmp_path / "sweep.urdf"
+        model.write_bytes(gen.text)
+        config = tmp_path / "q.cfg"
+        config.write_text("".join(
+            f"{joint.name}: {' '.join(['1e308'] * joint.joint_type.dof)}\n"
+            for joint in numbered.tree_joint_of[1:] if joint.joint_type.dof))
+        for args in (("constraints", "--json"), ("validate",)):
+            code, out, err = run(capsys, args[0], str(model), *args[1:],
+                                 "--config", str(config))
+            assert (code, out) == (3, "")
+            assert err == ("error: configuration overflows: loop 'loop0' (joint 101) "
+                           "has a non-finite row entry\n")
 
 
 class TestStageCounts:

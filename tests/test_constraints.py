@@ -1,12 +1,17 @@
 import math
 import re
+import traceback
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from helpers import BRACKET_BELT, fd_loop_jacobian
+from conftest import load_pipeline
+from helpers import BRACKET_BELT, fd_loop_jacobian, perfbench_workloads
+from test_kinematic_plan import check_against_oracle
 from urdfplus.constraints import (
+    ExplicitJacobian,
     RedundantAggregate,
     all_loop_jacobians,
     coupling_row,
@@ -21,6 +26,7 @@ from urdfplus.constraints import (
     zero_configuration,
 )
 from urdfplus.errors import (
+    AntipodalRotationError,
     ConfigurationError,
     CountMismatchError,
     DimensionMismatchError,
@@ -442,6 +448,18 @@ class TestExplicitJacobian:
         n_i = explicit.matrix.shape[1]
         assert np.array_equal(explicit.matrix[:n_i], np.eye(n_i))
 
+    @pytest.mark.parametrize("shape", [(5, 2), (4, 0), (0, 0), (1, 1)])
+    def test_coordinate_order_moves_each_row(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        matrix = rng.normal(size=shape)
+        matrix[matrix < -1.0] = -0.0
+        coordinates = tuple(rng.permutation(shape[0]).tolist())
+        explicit = ExplicitJacobian(matrix, coordinates, coordinates[: shape[1]])
+        want = np.zeros(shape)
+        for row, coordinate in enumerate(coordinates):
+            want[coordinate] = matrix[row]
+        assert explicit.in_coordinate_order().tobytes() == want.tobytes()
+
 
 class TestIndependentCheck:
     def test_wrist_passes(self, wrist):
@@ -547,6 +565,113 @@ class TestBadConfiguration:
 
     def test_list_of_numbers_accepted(self, belt, function):
         Q_FUNCTIONS[function](belt, [0.0, 0.1, 0.2])
+
+
+OVERFLOWING_GRIPPER = "drive: 1e308\nfollower: -1e308\ngear: 1e308\n"
+LOOP_FUNCTIONS = sorted(set(Q_FUNCTIONS) - {"forward_kinematics"})
+
+
+HALF_TURN = """<robot name="flip">
+  <link name="base"/><link name="a"/><link name="b"/>
+  <joint name="ja" type="revolute"><parent link="base"/><child link="a"/>
+    <axis xyz="0 0 1"/></joint>
+  <joint name="jb" type="revolute"><parent link="base"/><child link="b"/>
+    <axis xyz="0 0 1"/></joint>
+  <loop name="flip" type="revolute"><predecessor name="base"/><successor name="a"/>
+    <axis xyz="0 0 1"/></loop>
+  <loop name="calm" type="revolute"><predecessor name="base"/><successor name="b"/>
+    <axis xyz="0 0 1"/></loop>
+</robot>"""
+
+
+class TestHalfTurnClosure:
+    """At q = (pi, 0.3) loop `flip` closes at a half-turn, where so3_log
+    refuses.  Every entry is evaluated at once, but only a call that asks
+    for `flip` raises its AntipodalRotationError, as when each entry was
+    evaluated on its own; `calm` keeps its rows and residual."""
+
+    def test_only_the_half_turn_raises(self):
+        numbered, graph, lacg = pipeline(parse_urdf_plus(HALF_TURN).model)
+        q = np.array([math.pi, 0.3])
+        check_against_oracle(numbered, graph, lacg, q)
+        flip, calm = (number for number, _ in numbered.loop_entries)
+        assert loop_residual(numbered, graph, calm, q).shape == (5,)
+        assert implicit_loop_jacobian(numbered, graph, calm, q).matrix.shape == (5, 1)
+        calls = [lambda: loop_residual(numbered, graph, flip, q),
+                 lambda: implicit_loop_jacobian(numbered, graph, flip, q),
+                 lambda: all_loop_jacobians(numbered, graph, q),
+                 lambda: independent_coordinate_check(numbered, graph, lacg, q),
+                 lambda: explicit_jacobian_for_model(numbered, graph, q)]
+        for call in calls:
+            depths = set()
+            for _ in range(3):
+                with pytest.raises(AntipodalRotationError, match="^rotation angle ") as err:
+                    call()
+                depths.add(len(traceback.extract_tb(err.value.__traceback__)))
+            assert len(depths) == 1  # raised afresh: the traceback does not grow
+
+
+class TestOverflowingConfiguration:
+    """A finite q whose rows or residuals overflow: one check per q over
+    both raises ConfigurationError naming the first entry with a value that
+    is not finite, and no numpy warning escapes (pytest makes a warning an
+    error here).  The plan is left fit for the next q."""
+
+    @pytest.mark.parametrize("function", LOOP_FUNCTIONS)
+    def test_mimic_gripper(self, function):
+        pipe = load_pipeline("mimic_gripper.urdf")
+        q = parse_configuration(OVERFLOWING_GRIPPER, pipe.numbered)
+        assert np.isfinite(q).all()
+        message = ("configuration overflows: coupling 'follower_mimic' (joint 4) "
+                   "has a non-finite residual entry")
+        for _ in range(2):
+            with pytest.raises(ConfigurationError, match=re.escape(message)):
+                Q_FUNCTIONS[function](pipe, q)
+        report = independent_coordinate_check(pipe.numbered, pipe.graph, pipe.lacg)
+        assert report.max_residual == 0.0
+
+    def test_rows_overflow_where_the_residual_does_not(self):
+        """Two prismatic joints put the revolute joint's frame at (1.5e308,
+        1.5e308, 0), a finite lever arm, but its cross product with the
+        joint's axis is not finite, so the loop's rows overflow while its
+        residual, that position, stays finite."""
+        text = """<robot name="far">
+          <link name="base"/><link name="a"/><link name="b"/><link name="c"/>
+          <joint name="x" type="prismatic"><parent link="base"/><child link="a"/>
+            <axis xyz="1 0 0"/></joint>
+          <joint name="y" type="prismatic"><parent link="a"/><child link="b"/>
+            <axis xyz="0 1 0"/></joint>
+          <joint name="spin" type="revolute"><parent link="b"/><child link="c"/>
+            <axis xyz="-0.7071067811865476 0.7071067811865476 0"/></joint>
+          <loop name="closure" type="revolute"><predecessor name="base"/>
+            <successor name="c"/><axis xyz="0 0 1"/></loop>
+        </robot>"""
+        numbered, graph, lacg = pipeline(parse_urdf_plus(text).model)
+        q = np.array([1.5e308, 1.5e308, 0.0])
+        poses = forward_kinematics(numbered, q)
+        assert all(np.isfinite(pose.trans).all() for pose in poses)
+        message = ("configuration overflows: loop 'closure' (joint 4) has a "
+                   "non-finite row entry")
+        bundle = SimpleNamespace(numbered=numbered, graph=graph, lacg=lacg)
+        for function in LOOP_FUNCTIONS:
+            with pytest.raises(ConfigurationError, match=re.escape(message)):
+                Q_FUNCTIONS[function](bundle, q)
+
+    def test_sweep_model_at_1e308(self, monkeypatch):
+        """Every coordinate of the benchmark's seed-1 sweep model at 1e308:
+        the prismatic lever arms overflow, and the first loop's rows hold
+        inf.  Before the check every rank came out 0."""
+        workloads = perfbench_workloads(monkeypatch)
+        _, numbered, graph, lacg, qs = workloads.sweep_model(1, workloads.SWEEP_BODIES,
+                                                             workloads.SWEEP_LOOPS)
+        bundle = SimpleNamespace(numbered=numbered, graph=graph, lacg=lacg)
+        q = np.full(numbered.total_dof, 1e308)
+        message = ("configuration overflows: loop 'loop0' (joint 101) has a "
+                   "non-finite row entry")
+        for function in LOOP_FUNCTIONS:
+            with pytest.raises(ConfigurationError, match=re.escape(message)):
+                Q_FUNCTIONS[function](bundle, q)
+        assert independent_coordinate_check(numbered, graph, lacg, qs[0]).passed
 
 
 def svd_rank_gap(matrix):

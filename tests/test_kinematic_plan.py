@@ -5,7 +5,7 @@ per-call `forward_kinematics` and loop-entry assembly of `constraints`,
 which re-derived axes, subspaces, Psi, layouts and signs at every
 configuration, and the parts of `spatial` they used that have since
 changed (`rotation_about_axis`, `compose`, `invert`, `motion_subspace_at`,
-`joint_transform`).  Poses, every K_l, every residual and G must be
+`joint_transform`, `so3_log`).  Poses, every K_l, every residual and G must be
 bit-identical (`np.array_equal`) on every `models/` file and on seeded
 generated models with all six joint types on loop paths.
 """
@@ -32,7 +32,7 @@ from urdfplus.constraints import (
     loop_residual,
     stack_jacobians,
 )
-from urdfplus.errors import DimensionMismatchError, UrdfPlusError
+from urdfplus.errors import AntipodalRotationError, DimensionMismatchError, UrdfPlusError
 from urdfplus.graphs import ConnectivityGraph, build_pipeline
 from urdfplus.model import (
     Coupling,
@@ -44,6 +44,7 @@ from urdfplus.model import (
     regular_numbering,
 )
 from urdfplus.spatial import (
+    ANTIPODAL_TOL,
     JointType,
     SpatialTransform,
     _check_unit_axis,
@@ -55,10 +56,30 @@ from urdfplus.spatial import (
     rot_x,
     rot_y,
     skew,
-    so3_log,
 )
 
 # -- oracle: spatial -----------------------------------------------------------
+
+
+def so3_log(r: np.ndarray) -> np.ndarray:
+    """Rotation vector (axis * angle) of a rotation matrix, angle in [0, pi].
+
+    Raises AntipodalRotationError within ANTIPODAL_TOL of a half-turn,
+    where the direction of the axis becomes numerically meaningless for
+    differentiation purposes.
+    """
+    r = np.asarray(r, dtype=float)
+    cos_angle = np.clip((np.trace(r) - 1.0) * 0.5, -1.0, 1.0)
+    angle = math.acos(cos_angle)
+    if angle < 1e-12:
+        # first-order: log(R) ~ vee(R - R^T)/2
+        return 0.5 * np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
+    if math.pi - angle < ANTIPODAL_TOL:
+        raise AntipodalRotationError(
+            f"rotation angle {angle} is within {ANTIPODAL_TOL} of pi"
+        )
+    w = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
+    return w * (angle / (2.0 * math.sin(angle)))
 
 
 def rotation_about_axis(axis, angle: float) -> np.ndarray:

@@ -66,6 +66,73 @@ class TestRotations:
             sp.so3_log(sp.rotation_about_axis([0, 0, 1], math.pi))
 
 
+def log_outcome(log, r):
+    """The bytes of log(r), or the type and message of its error."""
+    try:
+        return "value", log(r).tobytes()
+    except AntipodalRotationError as exc:
+        return "error", (type(exc), str(exc))
+
+
+def rodrigues_stack(axes, angles):
+    """Rotations about the rows of `axes` by `angles`, as one (K, 3, 3)
+    array; any rounding will do, both logs get the same matrices."""
+    k = sp._skews(axes / np.linalg.norm(axes, axis=1)[:, None])
+    return (np.eye(3) + np.sin(angles)[:, None, None] * k
+            + (1.0 - np.cos(angles))[:, None, None] * (k @ k))
+
+
+class TestSo3LogAgainstPinnedOracle:
+    """so3_log reads the 3 x 3 as Python floats; the array version it
+    replaced, pinned in the kinematic-plan oracle, must give the same bits
+    or the same error."""
+
+    def test_seeded_rotations(self):
+        from test_kinematic_plan import so3_log as oracle
+
+        rng = np.random.default_rng(314159)
+        count = 100_000
+        angles = np.concatenate([
+            rng.uniform(0.0, math.pi, count - 2_000),
+            10.0 ** rng.uniform(-16.0, -11.0, 1_000),  # the first-order branch
+            math.pi - 10.0 ** rng.uniform(-12.0, -7.0, 1_000),  # near a half-turn
+        ])
+        rotations = rodrigues_stack(rng.normal(size=(count, 3)), angles)
+        # off-orthogonal by rounding-sized noise too, as composed poses are
+        rotations[::2] += rng.normal(scale=1e-15, size=rotations[::2].shape)
+        outcomes = {"value": 0, "error": 0}
+        for r in rotations:
+            want = log_outcome(oracle, r)
+            assert log_outcome(sp.so3_log, r) == want, r.tolist()
+            outcomes[want[0]] += 1
+        assert outcomes["error"] > 0 and outcomes["value"] > count - 2_000
+
+    def test_first_order_branch(self):
+        from test_kinematic_plan import so3_log as oracle
+
+        tiny = rodrigues_stack(np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 1.0]]),
+                               np.array([1e-13, 5e-15]))
+        over = np.eye(3) + np.diag([1e-15, 2e-16, 0.0])  # trace above 3: clamped
+        skewed = np.eye(3) + np.array([[0.0, -3e-14, 1e-14],
+                                       [3e-14, 0.0, -2e-14],
+                                       [-1e-14, 2e-14, 0.0]])
+        signed = np.where(np.eye(3) == 1.0, 1.0, -0.0)  # negative zeros off the diagonal
+        for r in (np.eye(3), *tiny, over, skewed, signed):
+            angle = math.acos(min(max((np.trace(r) - 1.0) * 0.5, -1.0), 1.0))
+            assert angle < 1e-12
+            assert log_outcome(sp.so3_log, r) == log_outcome(oracle, r)
+
+    def test_half_turn_error(self):
+        from test_kinematic_plan import so3_log as oracle
+
+        turns = rodrigues_stack(np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]),
+                                np.array([math.pi, math.pi - 1e-10]))
+        for r in (*turns, np.diag([1.0, -1.0, -1.0])):
+            got, want = log_outcome(sp.so3_log, r), log_outcome(oracle, r)
+            assert got[0] == "error" and got == want
+            assert got[1][1].startswith("rotation angle ")
+
+
 class TestTransforms:
     def test_compose_identity(self):
         x = random_transform()

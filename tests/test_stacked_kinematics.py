@@ -2,18 +2,27 @@
 poses it hands out.
 
 Forward kinematics and the loop rows take one stacked path for every model:
-the joint transforms by joint type, the poses by tree level and the
-(loop, moving joint) pairs by the joint's DoF.  The models here are built in
+the joint transforms by joint type, the poses by tree level (the bodies
+kept in level order, whatever the numbering) and the (loop, moving joint)
+pairs by the joint's DoF.  The models here are built in
 code so that some of those stacks come out empty, or a loop's K_l has no
 columns, and each is checked bit for bit against the verbatim oracle of
 `tests/test_kinematic_plan.py`.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import load_pipeline
-from test_kinematic_plan import _axes, _origin, check_against_oracle
+from test_kinematic_plan import (
+    _axes,
+    _origin,
+    assert_same_value,
+    check_against_oracle,
+    oracle_forward_kinematics,
+)
 from urdfplus.constraints import (
     all_loop_jacobians,
     forward_kinematics,
@@ -21,7 +30,14 @@ from urdfplus.constraints import (
     loop_residual,
 )
 from urdfplus.graphs import build_pipeline
-from urdfplus.model import Link, LoopJoint, RobotModel, TreeJoint, regular_numbering
+from urdfplus.model import (
+    Link,
+    LoopJoint,
+    NumberedModel,
+    RobotModel,
+    TreeJoint,
+    regular_numbering,
+)
 from urdfplus.spatial import JointType
 
 CONFIGURATIONS = 6
@@ -124,3 +140,97 @@ def test_returned_poses_are_read_only(part):
            for number in (first, second)]
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
     assert np.array_equal(loop_residual(numbered, graph, first, q), residual)
+
+
+# -- tree-level order -----------------------------------------------------------
+
+
+def depth_first(numbered):
+    """The same model numbered depth-first, children in body order: every
+    body still numbered above its parent, but the depths interleave."""
+    children = {}
+    for body in range(1, numbered.n_bodies + 1):
+        children.setdefault(numbered.parent[body], []).append(body)
+    order, stack = [], [0]
+    while stack:
+        body = stack.pop()
+        order.append(body)
+        stack.extend(reversed(children.get(body, [])))
+    new = {old: k for k, old in enumerate(order)}
+    return NumberedModel(numbered.model, tuple(numbered.body_names[b] for b in order),
+                         tuple(-1 if b == 0 else new[numbered.parent[b]] for b in order),
+                         tuple(numbered.tree_joint_of[b] for b in order),
+                         numbered.loop_entries)
+
+
+def assert_poses_match_oracle(numbered, qs):
+    for q in qs:
+        assert_same_value(forward_kinematics(numbered, q),
+                          oracle_forward_kinematics(numbered, q))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_numbering_that_interleaves_depths(seed):
+    """A hand-numbered model whose depths go 1 2 3 2 1 2 3 ...: the plan
+    stacks its joints in level order and gathers the poses back into body
+    order, bit for bit as the per-body oracle composes them."""
+    regular, *_ = built(
+        20 + seed,
+        [(JointType.REVOLUTE, 0), (JointType.FLOATING, 0), (JointType.PRISMATIC, 1),
+         (JointType.UNIVERSAL, 1), (JointType.CONTINUOUS, 2), (JointType.REVOLUTE, 3),
+         (JointType.FIXED, 4), (JointType.REVOLUTE, 6)],
+        [(JointType.REVOLUTE, 8, 5), (JointType.UNIVERSAL, 7, 2),
+         (JointType.PRISMATIC, 6, 0)])
+    numbered = depth_first(regular)
+    depth = [0]
+    for body in range(1, numbered.n_bodies + 1):
+        depth.append(depth[numbered.parent[body]] + 1)
+    assert depth != sorted(depth)
+    graph, _, _, lacg = build_pipeline(numbered)
+    tree = numbered._kinematics.tree
+    assert tree.slot.tolist() != list(range(numbered.n_bodies + 1))
+    rng = np.random.default_rng(seed)
+    check(numbered, graph, lacg, rng)
+    qs = [rng.uniform(-1.0, 1.0, numbered.total_dof) for _ in range(CONFIGURATIONS)]
+    assert_poses_match_oracle(numbered, qs)
+    # the regular numbering of the same model gives each body the same pose
+    for q_regular in qs[:2]:
+        q_dfs = np.zeros(numbered.total_dof)
+        dfs_slices = numbered.coordinate_slices()
+        regular_slices = regular.coordinate_slices()
+        for body, name in enumerate(numbered.body_names[1:], start=1):
+            q_dfs[dfs_slices[body]] = q_regular[regular_slices[regular.body_index(name)]]
+        by_name = dict(zip(regular.body_names, forward_kinematics(regular, q_regular)))
+        for name, pose in zip(numbered.body_names, forward_kinematics(numbered, q_dfs)):
+            assert_same_value(pose, by_name[name])
+
+
+def test_snake_levels():
+    """plain/snake.urdf: a chain of 6 tree levels below the root, one body
+    each."""
+    pipe = load_pipeline("plain/snake.urdf")
+    numbered = pipe.numbered
+    tree = numbered._kinematics.tree
+    assert [high - low for low, high, _ in tree.levels] == [1] * 6
+    rng = np.random.default_rng(7)
+    assert_poses_match_oracle(numbered, [np.zeros(numbered.total_dof)] + [
+        rng.uniform(-3.0, 3.0, numbered.total_dof) for _ in range(CONFIGURATIONS)])
+
+
+def test_g_where_the_groups_are_not_complete():
+    """A dependent coordinate outside every loop group (joint j4, unflagged,
+    on no loop path): G goes to the stacked K, whose error the oracle
+    gives too."""
+    regular, *_ = built(
+        30, [(JointType.REVOLUTE, 0), (JointType.REVOLUTE, 1), (JointType.REVOLUTE, 0),
+             (JointType.REVOLUTE, 3)],
+        [(JointType.REVOLUTE, 2, 0)])
+    flags = {"j1": True, "j3": True}
+    joints = tuple(dataclasses.replace(joint, independent=flags.get(joint.name))
+                   for joint in regular.model.tree_joints)
+    numbered = regular_numbering(dataclasses.replace(regular.model, tree_joints=joints))
+    graph, _, _, lacg = build_pipeline(numbered)
+    groups = numbered._kinematics.groups(graph)
+    assert groups.count == 1 and not groups.complete
+    rng = np.random.default_rng(30)
+    check(numbered, graph, lacg, rng)
