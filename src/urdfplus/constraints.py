@@ -107,32 +107,13 @@ def parse_configuration(text: str, numbered: NumberedModel) -> np.ndarray:
     return q
 
 
-def _configuration(numbered: NumberedModel, q) -> np.ndarray:
-    """q as a float vector of the model's length with finite entries; the
-    one check on every configuration a public function is given."""
-    try:
-        q = np.asarray(q, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigurationError("configuration is not a vector of numbers") from None
-    if q.shape != (numbered.total_dof,):
-        raise DimensionMismatchError(
-            f"configuration has {q.shape} entries, model takes "
-            f"({numbered.total_dof},)"
-        )
-    if not np.isfinite(q).all():
-        raise ConfigurationError("configuration has non-finite entries")
-    return q
-
-
 def forward_kinematics(
     numbered: NumberedModel, q: np.ndarray
 ) -> list[SpatialTransform]:
     """World pose of every body frame; entry 0 (the root) is the identity.
-    The poses are read-only views of the arrays that the model's kinematic
-    plan keeps as its last poses."""
-    q = _configuration(numbered, q)
-    plan = numbered._kinematics
-    plan._poses = rot, trans = plan.tree.poses(q)
+    The poses are read-only views of the pose arrays in the kinematic plan's
+    record of q, so at a q already evaluated no pose is computed."""
+    rot, trans = numbered._kinematics.record(q).poses
     return [SpatialTransform._raw(r, t) for r, t in zip(rot, trans)]
 
 
@@ -487,11 +468,10 @@ class _LoopAssembly:
             self.pairs.append((loop, joint, slot[joint] - 1, sign[:, None, None],
                                psi[loop].transpose(0, 2, 1), places.ravel()))
 
-    def evaluate(self, joints: _JointStack, rot: np.ndarray, trans: np.ndarray,
-                 q: np.ndarray):
+    def evaluate(self, record: _Record):
         """The rows (read-only) and each successor frame's rotation and
-        translation in its predecessor frame, at q with world poses (rot,
-        trans)."""
+        translation in its predecessor frame, at the record's q and poses."""
+        (rot, trans), q, joints = record.poses, record.q, record.plan.tree.joints
         p, s = self.predecessor, self.successor
         rot_p, trans_p = _composed(rot[p], trans[p], *self.predecessor_origins)
         to_loop_trans = -(rot_p.transpose(0, 2, 1) @ trans_p[:, :, None])[:, :, 0]
@@ -508,6 +488,76 @@ class _LoopAssembly:
 _NO_ROWS = _read_only(np.zeros((0, 6, 0)))  # the loop assembly's rows without a loop joint
 
 
+class _Record:
+    """A kinematic plan's record of one configuration: `key`, the bytes of
+    q, and `q`, a read-only copy of it.  Its parts are each made on first
+    use and kept: `poses`, the world pose arrays; by `evaluate`, the loop
+    assembly's `rows`, the read-only (entries, 6) `residuals` (entry l's in
+    row l, zero beyond it), every entry's (rows, residual) in `terms` and
+    the half-turn error messages by entry in `failed`; and per tolerance,
+    by `eliminated`, the lock-step elimination of every loop group.  A part
+    whose making raises is not kept, so asking for it again raises again."""
+
+    def __init__(self, plan: KinematicPlan, key: bytes, q: np.ndarray):
+        self.plan, self.key, self.q = plan, key, _read_only(q.copy())
+        self.terms = None
+        self._bases = {}
+
+    @cached_property
+    def poses(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.plan.tree.poses(self.q)
+
+    def evaluate(self, graph: ConnectivityGraph) -> _Record:
+        """Every loop entry evaluated, the rows made from `poses` only when
+        there is a loop joint.  A finite q can still overflow: one check over
+        the rows and the residuals raises ConfigurationError, naming the
+        first entry with a value that is not finite; no numpy warning escapes."""
+        if self.terms is not None:
+            return self
+        plan, q = self.plan, self.q
+        steps = plan.loops(graph)
+        position, _ = plan._row_layout
+        residuals = np.zeros((len(steps), 6))
+        rows, terms, failed = _NO_ROWS, [], {}
+        with np.errstate(all="ignore"):  # an overflow is reported below, by entry
+            if position:
+                rows, rel_rot, rel_trans = plan.assembly(graph).evaluate(self)
+            for index, step in enumerate(steps):
+                if isinstance(step, _CouplingStep):
+                    residual = residuals[index, :1]
+                    # a coupling is linear in q: its row times q is the relation itself
+                    np.matmul(step.full_row, q, out=residual)
+                    terms.append((step.jacobian, _read_only(residual)))
+                    continue
+                i = position[index]
+                residual = residuals[index, : step.psi.shape[1]]
+                try:
+                    log = so3_log(rel_rot[i])
+                except AntipodalRotationError as exc:
+                    failed[index] = str(exc)
+                else:
+                    np.matmul(step.psi.T, np.concatenate([log, rel_trans[i]]), out=residual)
+                matrix = rows[i, : step.psi.shape[1], : step.width]
+                terms.append((LoopJacobian(step.number, step.name, "loop", step.joint_numbers,
+                                           step.joint_columns, matrix), _read_only(residual)))
+        if not (np.isfinite(rows).all() and np.isfinite(_read_only(residuals)).all()):
+            jac, part = next((jac, part) for jac, residual in terms
+                             for part, values in (("row", jac.matrix), ("residual", residual))
+                             if not np.isfinite(values).all())
+            raise ConfigurationError(f"configuration overflows: {jac.kind} {jac.name!r} "
+                                     f"(joint {jac.number}) has a non-finite {part} entry")
+        self.rows, self.residuals, self.terms, self.failed = rows, residuals, terms, failed
+        return self
+
+    def eliminated(self, graph: ConnectivityGraph, tol: float) -> tuple:
+        """The reduced batch and each member's rank, read-only."""
+        if tol not in self._bases:
+            batch = self.plan.groups(graph).batch(self.evaluate(graph).rows)
+            ranks = _row_reduce_batch(batch, tol)
+            self._bases[tol] = _read_only(batch), _read_only(ranks)
+        return self._bases[tol]
+
+
 class KinematicPlan:
     """The configuration-independent part of a numbered model's kinematics,
     built on first use and held by the model (NumberedModel._kinematics).
@@ -521,13 +571,9 @@ class KinematicPlan:
     arrays through which the rank elimination and G gather their blocks.
     `_declared` is the count check's reading of the independent attributes.
     Each part is built once, on its first use, so a coupling-only model
-    never builds the tree part.  `_poses` holds the pose arrays of the last
-    forward_kinematics call.  The plan also keeps the last configuration
-    evaluated (`_key`, the bytes of q): its loop assembly's rows (`_rows`),
-    the entries' residuals (`_residuals`), every loop entry's (rows,
-    residual) (`_terms`) and the half-turn error messages of its entries
-    (`_failed`), all made at once by `_loop_terms`, and per tolerance the
-    lock-step elimination of every group, made by `_eliminated`.
+    never builds the tree part.  The plan also keeps the record of the last
+    configuration asked for (`record(q)`), which every function that takes
+    q reads.
     """
 
     def __init__(self, numbered: NumberedModel):
@@ -539,13 +585,27 @@ class KinematicPlan:
         self._loops = None
         self._assembly = None
         self._groups = None
-        self._poses = None
-        self._key = None
-        self._rows = None
-        self._residuals = None
-        self._terms = None
-        self._failed = {}
-        self._bases = {}
+        self._record = None
+
+    def record(self, q) -> _Record:
+        """The record of q, after the one check on every configuration a
+        public function is given: the kept record while q's bytes are its
+        key, else a new one, which replaces it."""
+        try:
+            q = np.asarray(q, dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigurationError("configuration is not a vector of numbers") from None
+        if q.shape != (self._slices[-1].stop,):
+            raise DimensionMismatchError(
+                f"configuration has {q.shape} entries, model takes "
+                f"({self._slices[-1].stop},)"
+            )
+        if not np.isfinite(q).all():
+            raise ConfigurationError("configuration has non-finite entries")
+        key = q.tobytes()
+        if self._record is None or self._record.key != key:
+            self._record = _Record(self, key, q)
+        return self._record
 
     @cached_property
     def tree(self) -> _Tree:
@@ -625,89 +685,27 @@ class KinematicPlan:
         )
 
 
-def _loop_terms(
-    numbered: NumberedModel,
-    graph: ConnectivityGraph,
-    q,
-    indices,
-) -> list[tuple[LoopJacobian, np.ndarray]]:
-    """Rows and residual of the loop entries at `indices`.  Calls at one q
-    share the plan's record of it, made once for every entry by
-    `_evaluated`.  An entry whose closure is a half-turn raises its
+def _loop_terms(numbered: NumberedModel, graph: ConnectivityGraph, q, indices
+                ) -> list[tuple[LoopJacobian, np.ndarray]]:
+    """Rows and residual of the loop entries at `indices`, read from the
+    plan's record of q.  An entry whose closure is a half-turn raises its
     AntipodalRotationError when it is asked for."""
-    q = _configuration(numbered, q)
-    plan = numbered._kinematics
-    key = q.tobytes()
-    if plan._key != key:
-        plan._key, plan._terms, plan._bases = key, None, {}
-    if plan._terms is None:
-        evaluated = _evaluated(numbered, graph, q)
-        plan._rows, plan._residuals, plan._terms, plan._failed = evaluated
-    for index in indices if plan._failed else ():
-        if index in plan._failed:
-            raise AntipodalRotationError(plan._failed[index])
-    return [plan._terms[index] for index in indices]
-
-
-def _evaluated(numbered: NumberedModel, graph: ConnectivityGraph, q: np.ndarray):
-    """At q: the loop assembly's rows, made with one kinematics pass when
-    the model has a loop joint; every residual, entry l's in row l of one
-    read-only (entries, 6) array, zero beyond it; every entry's (rows,
-    residual); and, by entry, the message of each half-turn error.  A
-    finite q can still overflow the poses: one check over the rows and the
-    residuals raises ConfigurationError, naming the first entry with a value
-    that is not finite, and no numpy warning escapes."""
-    plan = numbered._kinematics
-    steps = plan.loops(graph)
-    position, _ = plan._row_layout
-    residuals = np.zeros((len(steps), 6))
-    rows, terms, failed = _NO_ROWS, [], {}
-    with np.errstate(all="ignore"):  # an overflow is reported below, by entry
-        if position:
-            forward_kinematics(numbered, q)  # sets plan._poses
-            rows, rel_rot, rel_trans = plan.assembly(graph).evaluate(plan.tree.joints,
-                                                                     *plan._poses, q)
-        for index, step in enumerate(steps):
-            if isinstance(step, _CouplingStep):
-                residual = residuals[index, :1]
-                # a coupling is linear in q: its row times q is the relation itself
-                np.matmul(step.full_row, q, out=residual)
-                terms.append((step.jacobian, _read_only(residual)))
-                continue
-            i = position[index]
-            residual = residuals[index, : step.psi.shape[1]]
-            try:
-                log = so3_log(rel_rot[i])
-            except AntipodalRotationError as exc:
-                failed[index] = str(exc)
-            else:
-                np.matmul(step.psi.T, np.concatenate([log, rel_trans[i]]), out=residual)
-            terms.append((LoopJacobian(step.number, step.name, "loop", step.joint_numbers,
-                                       step.joint_columns,
-                                       rows[i, : step.psi.shape[1], : step.width]),
-                          _read_only(residual)))
-    if not (np.isfinite(rows).all() and np.isfinite(_read_only(residuals)).all()):
-        jac, part = next((jac, part) for jac, residual in terms
-                         for part, values in (("row", jac.matrix), ("residual", residual))
-                         if not np.isfinite(values).all())
-        raise ConfigurationError(f"configuration overflows: {jac.kind} {jac.name!r} "
-                                 f"(joint {jac.number}) has a non-finite {part} entry")
-    return rows, residuals, terms, failed
+    record = numbered._kinematics.record(q).evaluate(graph)
+    for index in indices if record.failed else ():
+        if index in record.failed:
+            raise AntipodalRotationError(record.failed[index])
+    return [record.terms[index] for index in indices]
 
 
 def _eliminated(
     numbered: NumberedModel, graph: ConnectivityGraph, q, tol: float
-) -> tuple[list[tuple[LoopJacobian, np.ndarray]], np.ndarray, np.ndarray]:
-    """Every loop entry's (rows, residual) at q, and the lock-step
-    elimination of every loop group at (q, tol): the reduced batch and each
-    member's rank.  The count check and G at one (q, tol) share it."""
-    terms = _loop_terms(numbered, graph, q, range(len(numbered.loop_entries)))
-    plan = numbered._kinematics
-    if tol not in plan._bases:
-        batch = plan.groups(graph).batch(plan._rows)
-        ranks = _row_reduce_batch(batch, tol)
-        plan._bases[tol] = _read_only(batch), _read_only(ranks)
-    return terms, *plan._bases[tol]
+) -> tuple[_Record, np.ndarray, np.ndarray]:
+    """The plan's record of q, evaluated, and its elimination at tol, which
+    the count check and G share; a half-turn closure raises its error."""
+    record = numbered._kinematics.record(q).evaluate(graph)
+    if record.failed:
+        raise AntipodalRotationError(next(iter(record.failed.values())))
+    return record, *record.eliminated(graph, tol)
 
 
 def implicit_loop_jacobian(
@@ -893,13 +891,12 @@ def independent_coordinate_check(
     if q is None:
         q = zero_configuration(numbered)
     n = numbered.total_dof
-    terms, _, ranks = _eliminated(numbered, graph, q, tol)
-    plan = numbered._kinematics
-    groups = plan.groups(graph)
+    record, _, ranks = _eliminated(numbered, graph, q, tol)
+    groups = record.plan.groups(graph)
     entry_ranks = ranks[groups.entry_member]
-    norms = np.abs(plan._residuals).max(axis=1, initial=0.0)
+    norms = np.abs(record.residuals).max(axis=1, initial=0.0)
     infos = []
-    for (jac, _), rank, residual_norm in zip(terms, entry_ranks.tolist(), norms.tolist()):
+    for (jac, _), rank, norm in zip(record.terms, entry_ranks.tolist(), norms.tolist()):
         infos.append(
             LoopConstraintInfo(
                 number=jac.number,
@@ -911,7 +908,7 @@ def independent_coordinate_check(
                 joint_numbers=jac.joint_numbers,
                 # every involved body lies in the loop's one aggregate
                 aggregate=lacg.body_to_aggregate[jac.joint_numbers[0]],
-                residual_norm=residual_norm,
+                residual_norm=norm,
             )
         )
     group_ranks = ranks[: groups.count]
@@ -927,7 +924,7 @@ def independent_coordinate_check(
         redundant = tuple(RedundantAggregate(index, int(loop_sums[index]),
                                              int(group_sums[index]))
                           for index in np.flatnonzero(loop_sums > group_sums).tolist())
-    mode, declared_joints, declared_dof = plan._declared
+    mode, declared_joints, declared_dof = record.plan._declared
     passed = None if declared_dof is None else declared_dof == n_i
     return ConstraintReport(
         n=n,
@@ -940,7 +937,7 @@ def independent_coordinate_check(
         passed=passed,
         max_residual=float(norms.max(initial=0.0)),
         redundant=redundant,
-        jacobians=tuple(jac for jac, _ in terms),
+        jacobians=tuple(jac for jac, _ in record.terms),
     )
 
 
@@ -972,12 +969,12 @@ def explicit_jacobian_for_model(
     _check_tol(tol)
     if q is None:
         q = zero_configuration(numbered)
-    terms, reduced, ranks = _eliminated(numbered, graph, q, tol)
+    record, reduced, ranks = _eliminated(numbered, graph, q, tol)
     groups = numbered._kinematics.groups(graph)
     if groups.complete and np.array_equal(ranks[: groups.count], groups.width):
         try:
             return groups.explicit(reduced, tol)
         except SingularDependentBlockError:
             pass
-    k_full = stack_jacobians(numbered, [jac for jac, _ in terms])
+    k_full = stack_jacobians(numbered, [jac for jac, _ in record.terms])
     return explicit_from_implicit(k_full, groups.independent, tol)

@@ -411,13 +411,13 @@ class TestOverflowingConfiguration:
 class TestStageCounts:
     def test_each_stage_once_per_call(self, capsys, models_dir, monkeypatch):
         """One `constraints` call validates once, walks each loop edge's
-        subchains once and runs forward kinematics once."""
+        subchains once and makes one pose pass."""
         calls = {}
         modules = [m for name, m in sys.modules.items()
                    if name.startswith("urdfplus.")]
         for home, name in ((urdfplus.model, "validate_model"),
                            (urdfplus.graphs, "loop_subchains"),
-                           (urdfplus.constraints, "forward_kinematics")):
+                           (urdfplus.constraints._Tree, "poses")):
             original = getattr(home, name)
             calls[name] = 0
 
@@ -425,11 +425,10 @@ class TestStageCounts:
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
-            for module in modules:
-                if getattr(module, name, None) is original:
-                    monkeypatch.setattr(module, name, counted)
+            for target in {home, *modules}:
+                if getattr(target, name, None) is original:
+                    monkeypatch.setattr(target, name, counted)
 
         code, _, _ = run(capsys, "constraints", str(models_dir / "wrist.urdf"))
         assert code == 0
-        assert calls == {"validate_model": 1, "loop_subchains": 2,
-                         "forward_kinematics": 1}
+        assert calls == {"validate_model": 1, "loop_subchains": 2, "poses": 1}

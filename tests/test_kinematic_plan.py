@@ -586,15 +586,16 @@ def test_coupling_only_model_builds_no_tree_part(plan_builds):
 
 @pytest.fixture
 def fk_calls(monkeypatch):
-    """Counts `forward_kinematics` calls made through `constraints`."""
+    """Counts the pose passes (`_Tree.poses` calls), the forward kinematics
+    that every function taking q shares."""
     calls = []
-    original = urdfplus.constraints.forward_kinematics
+    original = urdfplus.constraints._Tree.poses
 
-    def counted(numbered, q):
+    def counted(tree, q):
         calls.append(q)
-        return original(numbered, q)
+        return original(tree, q)
 
-    monkeypatch.setattr(urdfplus.constraints, "forward_kinematics", counted)
+    monkeypatch.setattr(urdfplus.constraints._Tree, "poses", counted)
     return calls
 
 
