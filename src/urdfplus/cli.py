@@ -1,6 +1,7 @@
 """Command-line front end: validate, graph, constraints, info.
 
-Exit codes: 0 success, 1 validation or constraint failure, 2 parse error,
+Exit codes: 0 success, 1 validation or constraint failure (also when
+standard output is closed before the results are written), 2 parse error,
 3 usage error.  Results go to standard output, diagnostics to standard
 error, so the tool composes in pipelines.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import FORMAT_VERSION, __version__
@@ -378,7 +380,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help / --version
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader has gone: later flushes, at exit too, go to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAILURE
     except _UsageError:
         return EXIT_USAGE
     except ConfigurationError as exc:

@@ -488,6 +488,13 @@ class _LoopAssembly:
 _NO_ROWS = _read_only(np.zeros((0, 6, 0)))  # the loop assembly's rows without a loop joint
 
 
+def _overflow(jac: LoopJacobian, part: str) -> ConfigurationError:
+    """The error of a finite configuration whose values overflow, naming the
+    loop entry `jac` and the part of its values that is not finite."""
+    return ConfigurationError(f"configuration overflows: {jac.kind} {jac.name!r} "
+                              f"(joint {jac.number}) has a non-finite {part}")
+
+
 class _Record:
     """A kinematic plan's record of one configuration: `key`, the bytes of
     q, and `q`, a read-only copy of it.  Its parts are each made on first
@@ -544,16 +551,25 @@ class _Record:
             jac, part = next((jac, part) for jac, residual in terms
                              for part, values in (("row", jac.matrix), ("residual", residual))
                              if not np.isfinite(values).all())
-            raise ConfigurationError(f"configuration overflows: {jac.kind} {jac.name!r} "
-                                     f"(joint {jac.number}) has a non-finite {part} entry")
+            raise _overflow(jac, f"{part} entry")
         self.rows, self.residuals, self.terms, self.failed = rows, residuals, terms, failed
         return self
 
     def eliminated(self, graph: ConnectivityGraph, tol: float) -> tuple:
-        """The reduced batch and each member's rank, read-only."""
+        """The reduced batch and each member's rank, read-only.  A member
+        that overflows raises ConfigurationError naming its first entry,
+        and no numpy warning escapes."""
         if tol not in self._bases:
-            batch = self.plan.groups(graph).batch(self.evaluate(graph).rows)
-            ranks = _row_reduce_batch(batch, tol)
+            groups = self.plan.groups(graph)
+            batch = groups.batch(self.evaluate(graph).rows)
+            with np.errstate(all="ignore"):  # an overflow is reported below
+                ranks = _row_reduce_batch(batch, tol)
+            finite = np.isfinite(batch).all(axis=(1, 2))
+            if not finite.all():
+                member = int(finite.argmin())
+                entry = (groups.first[member] if member < groups.count
+                         else int((groups.entry_member == member).argmax()))
+                raise _overflow(self.terms[entry][0], "entry in the rank elimination")
             self._bases[tol] = _read_only(batch), _read_only(ranks)
         return self._bases[tol]
 
@@ -970,11 +986,19 @@ def explicit_jacobian_for_model(
     if q is None:
         q = zero_configuration(numbered)
     record, reduced, ranks = _eliminated(numbered, graph, q, tol)
-    groups = numbered._kinematics.groups(graph)
+    groups = record.plan.groups(graph)
     if groups.complete and np.array_equal(ranks[: groups.count], groups.width):
         try:
-            return groups.explicit(reduced, tol)
+            with np.errstate(all="ignore"):  # an overflow is reported below
+                explicit = groups.explicit(reduced, tol)
         except SingularDependentBlockError:
             pass
+        else:
+            if np.isfinite(explicit.matrix).all():
+                return explicit
+            finite = np.isfinite(explicit.in_coordinate_order()).all(axis=1)
+            member = next(m for m, columns in enumerate(groups.columns)
+                          if not finite[columns].all())
+            raise _overflow(record.terms[groups.first[member]][0], "entry in the solve for G")
     k_full = stack_jacobians(numbered, [jac for jac, _ in record.terms])
     return explicit_from_implicit(k_full, groups.independent, tol)

@@ -172,3 +172,29 @@ BRACKET_BELT = """<robot name="bracket_belt">
     <successor name="motor"/><ratio value="2.0"/></coupling>
 </robot>
 """
+
+
+def far_fourbar(length: float) -> str:
+    """A planar four-bar with every bar `length` long, closed by a universal
+    loop joint (its blocked rotation lies outside the plane, so only its
+    two in-plane translation rows are nonzero).  Ground pivots at (0, L)
+    and (3L, 0); at q = 0 the crank ends at (L, 0) and the coupler and
+    rocker meet at (2L, 0), where the two are aligned.  Coordinates: crank,
+    rocker, coupler; the crank is independent."""
+    return f"""<robot name="far_fourbar">
+  <link name="ground"/><link name="crank"/><link name="rocker"/><link name="coupler"/>
+  <joint name="crank_pivot" type="revolute" independent="true">
+    <origin xyz="0 {length!r} 0"/><parent link="ground"/><child link="crank"/>
+    <axis xyz="0 0 1"/></joint>
+  <joint name="rocker_pivot" type="revolute" independent="false">
+    <origin xyz="{3 * length!r} 0 0"/><parent link="ground"/><child link="rocker"/>
+    <axis xyz="0 0 1"/></joint>
+  <joint name="coupler_pivot" type="revolute" independent="false">
+    <origin xyz="{length!r} {-length!r} 0"/><parent link="crank"/>
+    <child link="coupler"/><axis xyz="0 0 1"/></joint>
+  <loop name="closure" type="universal">
+    <predecessor name="coupler"><origin xyz="{length!r} 0 0"/></predecessor>
+    <successor name="rocker"><origin xyz="{-length!r} 0 0"/></successor>
+    <axis xyz="0 0 1"/><axis2 xyz="1 0 0"/></loop>
+</robot>
+"""

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import BRACKET_BELT, perfbench_workloads
+from helpers import BRACKET_BELT, far_fourbar, perfbench_workloads
 
 import urdfplus
 from urdfplus.cli import main
@@ -135,6 +135,30 @@ class TestGraph:
             capsys, "graph", str(models_dir / "belt.urdf"), "--kind", "bogus"
         )
         assert code == 3
+
+    @pytest.mark.parametrize("bodies", [None, 400])
+    def test_closed_stdout(self, tmp_path, models_dir, monkeypatch, bodies):
+        """Standard output is a pipe whose read end was closed before the
+        process started: exit 1, with nothing on standard error (no
+        traceback, no "Exception ignored" line), whether the DOT waits in
+        the output buffer until the flush (wrist.urdf) or overflows it and
+        fails in the write (a generated 400-body model)."""
+        path = models_dir / "wrist.urdf"
+        if bodies:
+            path = tmp_path / "generated.urdf"
+            path.write_bytes(perfbench_workloads(monkeypatch).generate(1, bodies, 40).text)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "urdfplus.cli", "graph", str(path), "--kind", "cdd"],
+                stdout=write, stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+        finally:
+            os.close(write)
+        assert (result.returncode, result.stderr) == (1, "")
 
 
 class TestConstraints:
@@ -406,6 +430,49 @@ class TestOverflowingConfiguration:
             assert (code, out) == (3, "")
             assert err == ("error: configuration overflows: loop 'loop0' (joint 101) "
                            "has a non-finite row entry\n")
+
+    @pytest.mark.parametrize("value", ["1e200", "1e300"])
+    def test_sweep_model_far_out(self, capsys, tmp_path, monkeypatch, value):
+        """At these values the lock-step elimination overflows only in
+        products that its masked subtract discards: standard error holds
+        the count check's one line and no numpy warning (pytest makes a
+        warning an error here)."""
+        workloads = perfbench_workloads(monkeypatch)
+        gen, numbered, *_ = workloads.sweep_model(1, workloads.SWEEP_BODIES,
+                                                  workloads.SWEEP_LOOPS)
+        model = tmp_path / "sweep.urdf"
+        model.write_bytes(gen.text)
+        config = tmp_path / "q.cfg"
+        config.write_text("".join(
+            f"{joint.name}: {' '.join([value] * joint.joint_type.dof)}\n"
+            for joint in numbered.tree_joint_of[1:] if joint.joint_type.dof))
+        code, out, err = run(capsys, "constraints", str(model), "--json",
+                             "--config", str(config))
+        assert code == 1
+        assert json.loads(out)["independent"]["pass"] is False
+        assert err.startswith("error: independent coordinate count mismatch: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("length,q,part,commands", [
+        ("5e307", "2.1 -2.0 -2.0", "entry in the rank elimination",
+         ("validate", "constraints")),
+        ("1e300", "0.0 0.0 1e-9", "entry in the solve for G", ("constraints",)),
+    ])
+    def test_far_fourbar(self, capsys, tmp_path, length, q, part, commands):
+        """Finite rows and residuals whose elimination overflows: a usage
+        error with one line, naming the loop, and an empty standard output."""
+        model = tmp_path / "far.urdf"
+        model.write_text(far_fourbar(float(length)))
+        config = tmp_path / "q.cfg"
+        config.write_text("".join(
+            f"{name}: {value}\n"
+            for name, value in zip(("crank_pivot", "rocker_pivot", "coupler_pivot"),
+                                   q.split())))
+        for command in commands:
+            code, out, err = run(capsys, command, str(model), "--config", str(config))
+            assert (code, out) == (3, "")
+            assert err == ("error: configuration overflows: loop 'closure' (joint 4) "
+                           f"has a non-finite {part}\n")
 
 
 class TestStageCounts:

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from conftest import load_pipeline
-from helpers import BRACKET_BELT, fd_loop_jacobian, perfbench_workloads
+from helpers import BRACKET_BELT, fd_loop_jacobian, far_fourbar, perfbench_workloads
 from test_kinematic_plan import check_against_oracle
 from urdfplus.constraints import (
+    RANK_TOL,
     ExplicitJacobian,
+    _eliminated,
     RedundantAggregate,
     all_loop_jacobians,
     coupling_row,
@@ -671,6 +673,51 @@ class TestOverflowingConfiguration:
             with pytest.raises(ConfigurationError, match=re.escape(message)):
                 Q_FUNCTIONS[function](bundle, q)
         assert independent_coordinate_check(numbered, graph, lacg, qs[0]).passed
+
+    @pytest.mark.parametrize("value", [1e200, 1e300])
+    def test_sweep_model_far_out(self, monkeypatch, value):
+        """Every coordinate of the sweep model at 1e200 or 1e300: the rows
+        and residuals are finite, and the lock-step elimination overflows
+        only in products that its masked subtract discards, so no numpy
+        warning escapes and the reduced batch is finite.  The ranks are
+        still wrong, since each group's pivot threshold scales with its
+        lever arms, so G, whose elimination is made first here, goes to
+        explicit_from_implicit and fails its count."""
+        workloads = perfbench_workloads(monkeypatch)
+        _, numbered, graph, lacg, qs = workloads.sweep_model(1, workloads.SWEEP_BODIES,
+                                                             workloads.SWEEP_LOOPS)
+        q = np.full(numbered.total_dof, value)
+        with pytest.raises(CountMismatchError):
+            explicit_jacobian_for_model(numbered, graph, q)
+        assert independent_coordinate_check(numbered, graph, lacg, q).passed is False
+        assert np.isfinite(_eliminated(numbered, graph, q, RANK_TOL)[1]).all()
+        assert independent_coordinate_check(numbered, graph, lacg, qs[0]).passed
+
+    @pytest.mark.parametrize("length,q,part", [
+        (5e307, [2.1, -2.0, -2.0], "entry in the rank elimination"),
+        (5e307, [2.0, -2.0, -2.5], "entry in the solve for G"),
+        (1e300, [0.0, 0.0, 1e-9], "entry in the solve for G"),
+    ])
+    def test_elimination_overflows(self, length, q, part):
+        """Finite rows and residuals whose elimination overflows: in the
+        rank pass, or in G's solve, where the coupler 1e-9 from alignment
+        with the rocker gives G entries near 1e9, whose products with the
+        1e300 dependent block overflow in the back substitution.  The
+        error names the loop of the group, and asking again raises again."""
+        numbered, graph, lacg = pipeline(parse_urdf_plus(far_fourbar(length)).model)
+        q = np.array(q)
+        [jac] = all_loop_jacobians(numbered, graph, q)
+        assert np.isfinite(jac.matrix).all()
+        assert np.isfinite(loop_residual(numbered, graph, jac.number, q)).all()
+        message = f"configuration overflows: loop 'closure' (joint 4) has a non-finite {part}"
+        calls = [lambda: explicit_jacobian_for_model(numbered, graph, q)]
+        if "rank" in part:
+            calls.append(lambda: independent_coordinate_check(numbered, graph, lacg, q))
+        else:
+            assert independent_coordinate_check(numbered, graph, lacg, q).passed
+        for call in calls * 2:
+            with pytest.raises(ConfigurationError, match=re.escape(message)):
+                call()
 
 
 def svd_rank_gap(matrix):

@@ -13,12 +13,14 @@ generated models with all six joint types on loop paths.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import urdfplus.constraints
 from conftest import MODELS_DIR, load_pipeline
+from helpers import far_fourbar
 from urdfplus.constraints import (
     LoopJacobian,
     all_loop_jacobians,
@@ -30,9 +32,15 @@ from urdfplus.constraints import (
     independent_coordinate_check,
     independent_coordinate_indices,
     loop_residual,
+    parse_configuration,
     stack_jacobians,
 )
-from urdfplus.errors import AntipodalRotationError, DimensionMismatchError, UrdfPlusError
+from urdfplus.errors import (
+    AntipodalRotationError,
+    ConfigurationError,
+    DimensionMismatchError,
+    UrdfPlusError,
+)
 from urdfplus.graphs import ConnectivityGraph, build_pipeline
 from urdfplus.model import (
     Coupling,
@@ -57,6 +65,7 @@ from urdfplus.spatial import (
     rot_y,
     skew,
 )
+from urdfplus.xmlio import parse_urdf_plus
 
 # -- oracle: spatial -----------------------------------------------------------
 
@@ -616,6 +625,64 @@ def test_check_and_g_at_one_q_share_one_evaluation(fk_calls, name, q):
         loop_residual(numbered, graph, number, q)
     assert list(all_loop_jacobians(numbered, graph, list(q))) == list(report.jacobians)
     assert len(fk_calls) == 1
+
+
+@pytest.mark.parametrize("name", ["wrist.urdf", "belt.urdf"])
+def test_forward_kinematics_reads_the_record(fk_calls, name):
+    """After the count check and G at q, forward_kinematics at q makes no
+    pose pass (wrist.urdf) or makes the one it is asked for (belt.urdf, whose
+    coupling needs none), and returns views of the record's pose arrays."""
+    pipe = load_pipeline(name)
+    numbered, graph = pipe.numbered, pipe.graph
+    q = np.zeros(numbered.total_dof)
+    independent_coordinate_check(numbered, graph, pipe.lacg, q)
+    explicit_jacobian_for_model(numbered, graph, q)
+    assert len(fk_calls) == (name == "wrist.urdf")
+    for _ in range(2):
+        poses = forward_kinematics(numbered, list(q))
+        rot, trans = numbered._kinematics.record(q).poses
+        assert len(poses) == len(rot) == numbered.n_bodies + 1
+        assert all(pose.rot.base is rot and pose.trans.base is trans for pose in poses)
+        assert len(fk_calls) == 1
+
+
+def test_record_keeps_its_own_q():
+    """The record copies q: on belt.urdf the count check makes no poses, so
+    forward_kinematics at the checked values, asked for after the checked
+    array was changed in place, computes them from the record's copy."""
+    pipe = load_pipeline("belt.urdf")
+    q = np.array([0.3, -0.2, 0.4])
+    independent_coordinate_check(pipe.numbered, pipe.graph, pipe.lacg, q)
+    checked = q.copy()
+    q[:] = 0.0
+    assert_same_value(forward_kinematics(pipe.numbered, checked),
+                      oracle_forward_kinematics(pipe.numbered, checked))
+
+
+def far_fourbar_pipeline(length):
+    numbered = regular_numbering(parse_urdf_plus(far_fourbar(length)).model)
+    graph, _, _, lacg = build_pipeline(numbered)
+    return SimpleNamespace(numbered=numbered, graph=graph, lacg=lacg)
+
+
+@pytest.mark.parametrize("make,q", [
+    (lambda: load_pipeline("mimic_gripper.urdf"), "drive: 1e308\nfollower: -1e308\ngear: 1e308\n"),
+    (lambda: far_fourbar_pipeline(5e307), [2.1, -2.0, -2.0]),  # the rank elimination
+    (lambda: far_fourbar_pipeline(1e300), [0.0, 0.0, 1e-9]),  # G's solve
+], ids=["residual", "rank elimination", "solve for G"])
+def test_an_overflow_leaves_no_half_made_record(make, q):
+    """A q whose values overflow raises ConfigurationError each time it is
+    asked for, and the next q gives what a model that never saw it gives."""
+    pipe = make()
+    if isinstance(q, str):
+        q = parse_configuration(q, pipe.numbered)
+    for _ in range(2):
+        with pytest.raises(ConfigurationError, match="^configuration overflows: "):
+            explicit_jacobian_for_model(pipe.numbered, pipe.graph, q)
+    good = np.full(pipe.numbered.total_dof, 0.1)
+    got, want = evaluate(pipe, good), evaluate(make(), good)
+    assert_same_value(got[:3], want[:3])
+    assert_same(got[3], want[3])
 
 
 def evaluate(pipe, q):
