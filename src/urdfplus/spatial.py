@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +30,9 @@ _EYE3 = np.eye(3)  # an operand only, never handed out
 
 
 class JointType(enum.Enum):
+    """A URDF joint type; its derived attributes are cached on the member, as
+    reading members off the class costs a reader or validator per joint."""
+
     FIXED = "fixed"
     REVOLUTE = "revolute"
     CONTINUOUS = "continuous"
@@ -36,15 +40,15 @@ class JointType(enum.Enum):
     UNIVERSAL = "universal"
     FLOATING = "floating"
 
-    @property
+    @cached_property
     def dof(self) -> int:
         return _JOINT_DOF[self]
 
-    @property
+    @cached_property
     def constraint_count(self) -> int:
         return 6 - _JOINT_DOF[self]
 
-    @property
+    @cached_property
     def requires_axis(self) -> bool:
         return self in (
             JointType.REVOLUTE,
@@ -53,7 +57,7 @@ class JointType(enum.Enum):
             JointType.UNIVERSAL,
         )
 
-    @property
+    @cached_property
     def motion_kind(self) -> str:
         """"rotation", "translation", "mixed", or "none" for a fixed joint
         (used by coupling checks)."""
@@ -124,23 +128,34 @@ def _rots_from_rpy(triples) -> np.ndarray:
     return factors[:, 0] @ factors[:, 1] @ factors[:, 2]
 
 
+# where each entry of _rpy_factors' three matrices comes from among
+# cos(roll, pitch, yaw) 0-2, their sines 3-5, the negated sines 6-8, 0.0, 1.0
+_RPY_FACTOR_AT = np.array([2, 8, 9, 5, 2, 9, 9, 9, 10,
+                           1, 9, 4, 9, 10, 9, 7, 9, 1,
+                           10, 9, 9, 9, 0, 6, 9, 3, 0])
+
+
 def _rpy_factors(triples) -> np.ndarray:
     """rot_z(yaw), rot_y(pitch) and rot_x(roll) of each (roll, pitch, yaw)
-    triple, entry for entry, as one (K, 3, 3, 3) array."""
-    rows = []
+    triple, entry for entry, as one (K, 3, 3, 3) array.  Each triple gives
+    eleven values, and one gather places them: a 27-entry row per triple
+    would cost numpy a conversion per entry."""
+    values = []
     for roll, pitch, yaw in triples:
-        cr, sr = math.cos(roll), math.sin(roll)
-        cp, sp = math.cos(pitch), math.sin(pitch)
-        cy, sy = math.cos(yaw), math.sin(yaw)
-        rows.append((cy, -sy, 0.0, sy, cy, 0.0, 0.0, 0.0, 1.0,
-                     cp, 0.0, sp, 0.0, 1.0, 0.0, -sp, 0.0, cp,
-                     1.0, 0.0, 0.0, 0.0, cr, -sr, 0.0, sr, cr))
-    return np.array(rows).reshape(-1, 3, 3, 3)
+        sr, sp, sy = math.sin(roll), math.sin(pitch), math.sin(yaw)
+        values += (math.cos(roll), math.cos(pitch), math.cos(yaw),
+                   sr, sp, sy, -sr, -sp, -sy, 0.0, 1.0)
+    return np.array(values).reshape(-1, 11)[:, _RPY_FACTOR_AT].reshape(-1, 3, 3, 3)
 
 
 def rpy_from_rot(r: np.ndarray) -> tuple[float, float, float]:
     """Inverse of rot_from_rpy (roll = 0 at the pitch = +/-pi/2 singularity)."""
-    (r00, r01, _), (r10, r11, _), (r20, r21, r22) = np.asarray(r, dtype=float)[:3, :3].tolist()
+    return _rpy_from_rows(np.asarray(r, dtype=float)[:3, :3].tolist())
+
+
+def _rpy_from_rows(rows) -> tuple[float, float, float]:
+    """rpy_from_rot of a rotation given as three rows of Python floats."""
+    (r00, r01, _), (r10, r11, _), (r20, r21, r22) = rows
     cos_pitch = math.hypot(r00, r10)
     pitch = math.atan2(-r20, cos_pitch)
     if cos_pitch > 1e-9:

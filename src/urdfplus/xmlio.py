@@ -18,9 +18,14 @@ written back untouched.  ``<mimic>`` children are translated into couplings
 
 The reader streams: one expat pass checks ``<robot>`` at its start event and
 interprets each child of ``<robot>`` at that child's end event, so only one
-top-level element's subtree is alive at a time.  A syntax error anywhere
-wins; otherwise the first interpretation error in document order is raised
-once expat has read the whole document.
+top-level element's subtree is alive at a time.  In that subtree an
+_Element is made only for an element whose children an interpreter reads
+and for a preserved element, which keeps the byte indices of its start and
+end tags; a leaf an interpreter reads (origin, axis, mass, parent, ratio,
+mimic, ...) is a _Leaf, its attribute dict with its position, and nothing
+below a leaf or inside a preserved element is kept.  A syntax error
+anywhere wins; otherwise the first interpretation error in document order
+is raised once expat has read the whole document.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from __future__ import annotations
 import math
 import re
 import xml.parsers.expat as expat
+from collections import namedtuple
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -47,16 +53,30 @@ from .spatial import (
     JointType,
     SpatialTransform,
     _rots_from_rpy,
+    _rpy_from_rows,
     rot_from_rpy,
-    rpy_from_rot,
 )
 
-# the children a <joint> or <loop> takes at most once, and those a <joint>
-# preserves verbatim (semantics out of scope, kept for round-trip)
-_JOINT_ONCE_TAGS = {"origin", "parent", "child", "axis", "axis2", "mimic"}
-_LOOP_ONCE_TAGS = {"predecessor", "successor", "axis", "axis2"}
+# The streaming reader's rules: by tag, what it keeps of each child of an
+# element whose children an interpreter reads.  A nested rule keeps an
+# _Element whose own children that rule reads; _LEAF keeps a _Leaf; a tag
+# missing from the rule keeps an _Element whose descendants go unread (a
+# preserved payload, or an unknown element for the child rule to report).
+# A rule's tags are also the tags its element takes at most once.
+_LEAF = "leaf"
+_UNREAD = (None, None)  # the reader's frame for a leaf and for what goes unread
+_INERTIAL_RULE = dict.fromkeys(("origin", "mass", "inertia"), _LEAF)
+_JOINT_RULE = dict.fromkeys(("origin", "parent", "child", "axis", "axis2", "mimic"), _LEAF)
+_LOOP_END_RULE = {"origin": _LEAF}
+_LOOP_RULE = {"predecessor": _LOOP_END_RULE, "successor": _LOOP_END_RULE,
+              "axis": _LEAF, "axis2": _LEAF}
+_COUPLING_RULE = dict.fromkeys(("predecessor", "successor", "ratio"), _LEAF)
+_LINK_RULE = {"inertial": _INERTIAL_RULE}
+_ROBOT_RULE = {"link": _LINK_RULE, "joint": _JOINT_RULE, "loop": _LOOP_RULE,
+               "coupling": _COUPLING_RULE}
+# the children a <joint> preserves verbatim (semantics out of scope, kept
+# for round-trip), and the robot children preserved verbatim
 _JOINT_PAYLOAD_TAGS = {"limit", "dynamics", "calibration", "safety_controller"}
-# robot children preserved verbatim
 _ROBOT_PAYLOAD_TAGS = {"material", "transmission", "gazebo", "sensor"}
 _JOINT_TYPES = {jt.value: jt for jt in JointType}
 # what the child rule reads from an element without children, shared
@@ -91,10 +111,15 @@ class _Element:
     def __init__(self, tag, attrib, line, column, start_byte):
         self.tag = tag
         self.attrib = attrib
-        self.children: list[_Element] | tuple = ()  # a list from the first child on
+        self.children: list[_Element | _Leaf] | tuple = ()  # a list from the first child on
         self.line = line
         self.column = column
         self.start_byte = start_byte  # the '<' of the start tag
+
+
+# an element read for its attributes alone: a tuple, made without an
+# __init__, that an interpreter reads as it reads an _Element
+_Leaf = namedtuple("_Leaf", ("tag", "attrib", "line", "column"))
 
 
 _TAG = re.compile(rb"""[^"'>]*(?:(?:"[^"]*"|'[^']*')[^"'>]*)*>""")
@@ -179,20 +204,21 @@ class _Interpreter:
         return value
 
     def parse_triple(self, text: str, element: _Element, path: str):
+        try:
+            x, y, z = map(float, text.split())
+        except ValueError:  # not three numbers
+            pass
+        else:
+            if math.isfinite(x + y + z):  # no part is an inf or a nan
+                return x, y, z
         parts = text.split()
         if len(parts) != 3:
             raise InvalidNumberError(
                 f"expected 3 numbers, got {len(parts)} in {text!r}",
                 element.line, element.column, path,
             )
-        try:
-            x, y, z = map(float, parts)
-        except ValueError:
-            pass
-        else:
-            if math.isfinite(x) and math.isfinite(y) and math.isfinite(z):
-                return x, y, z
-        # raises, naming the first part that is not a finite number
+        # raises, naming the first part that is not a finite number, unless
+        # only the sum overflowed
         return tuple([self.parse_float(p, element, path) for p in parts])
 
     def parse_bool(self, text: str, element: _Element, path: str) -> bool:
@@ -236,6 +262,10 @@ class _Interpreter:
         xyz = element.attrib.get("xyz", "1 0 0")
         x, y, z = self.parse_triple(xyz, element, path)
         norm = math.sqrt(sum([x * x, y * y, z * z]))
+        if not math.isfinite(norm):  # the squares overflow: scale down first
+            scale = max(abs(x), abs(y), abs(z))
+            x, y, z = x / scale, y / scale, z / scale
+            norm = math.sqrt(sum([x * x, y * y, z * z]))
         if norm < 1e-12:
             raise InvalidNumberError(
                 f"axis {xyz!r} has zero length", element.line, element.column, path
@@ -319,14 +349,14 @@ class _Interpreter:
     def parse_link(self, element: _Element) -> Link:
         name = self.require_attr(element, "name", "robot/link")
         path = f"robot/link({name})"
-        found, payload = self.read_children(element, path, ("inertial",), preserved=None)
+        found, payload = self.read_children(element, path, _LINK_RULE, preserved=None)
         inertial = found.get("inertial")
         if inertial is not None:
             inertial = self.parse_inertial(inertial, f"{path}/inertial")
         return Link(name=name, inertial=inertial, payload=payload)
 
     def parse_inertial(self, element: _Element, path: str) -> Inertial:
-        found, _ = self.read_children(element, path, ("origin", "mass", "inertia"))
+        found, _ = self.read_children(element, path, _INERTIAL_RULE)
         mass = 0.0
         mass_el = found.get("mass")
         if mass_el is not None:
@@ -346,10 +376,18 @@ class _Interpreter:
         inertia = ((0.0,) * 3,) * 3
         inertia_el = found.get("inertia")
         if inertia_el is not None:
-            ixx, ixy, ixz, iyy, iyz, izz = [
-                self.parse_float(self.require_attr(inertia_el, key, path), inertia_el, path)
-                for key in ("ixx", "ixy", "ixz", "iyy", "iyz", "izz")
-            ]
+            attrib, keys = inertia_el.attrib, ("ixx", "ixy", "ixz", "iyy", "iyz", "izz")
+            try:
+                values = [float(attrib[key]) for key in keys]
+                finite = math.isfinite(sum(values))
+            except (KeyError, ValueError):  # missing or not a number
+                finite = False
+            if not finite:
+                # raises at the first missing or non-finite value, unless
+                # only the sum overflowed
+                values = [self.parse_float(self.require_attr(inertia_el, key, path),
+                                           inertia_el, path) for key in keys]
+            ixx, ixy, ixz, iyy, iyz, izz = values
             inertia = ((ixx, ixy, ixz), (ixy, iyy, iyz), (ixz, iyz, izz))
         if rot is not None:
             # re-express the inertia tensor in the link frame
@@ -369,7 +407,7 @@ class _Interpreter:
             independent = self.parse_bool(
                 element.attrib["independent"], element, path
             )
-        found, payload = self.read_children(element, path, _JOINT_ONCE_TAGS,
+        found, payload = self.read_children(element, path, _JOINT_RULE,
                                             _JOINT_PAYLOAD_TAGS)
         if "parent" not in found or "child" not in found:
             raise MissingAttributeError(
@@ -416,7 +454,7 @@ class _Interpreter:
         name = self.auto_name(element, "loop", "robot/loop")
         path = f"robot/loop({name})"
         jtype = self.joint_type(element, path)
-        found, _ = self.read_children(element, path, _LOOP_ONCE_TAGS)
+        found, _ = self.read_children(element, path, _LOOP_RULE)
         links, origins = [], []  # of the predecessor, then the successor
         for tag in ("predecessor", "successor"):
             if tag not in found:
@@ -425,7 +463,7 @@ class _Interpreter:
                     element.line, element.column, path,
                 )
             end, end_path = found[tag], f"{path}/{tag}"
-            origin = self.read_children(end, end_path, ("origin",))[0].get("origin")
+            origin = self.read_children(end, end_path, _LOOP_END_RULE)[0].get("origin")
             links.append(self.parse_link_ref(end, end_path))
             origins.append(self.parse_origin(origin, end_path))
         axis, axis2 = self.joint_axes(element, jtype, found, path)
@@ -435,7 +473,7 @@ class _Interpreter:
         self.counters["coupling"] += 1
         name = self.auto_name(element, "coupling", "robot/coupling")
         path = f"robot/coupling({name})"
-        found, _ = self.read_children(element, path, ("predecessor", "successor", "ratio"))
+        found, _ = self.read_children(element, path, _COUPLING_RULE)
         if "predecessor" not in found or "successor" not in found:
             raise MissingAttributeError(
                 "<coupling> requires <predecessor> and <successor> elements",
@@ -530,10 +568,12 @@ class _Interpreter:
         events are heard: `raw` finds an element's source from the byte
         indices of its start tag and its end event alone.  The first
         interpretation error stops the interpreting but not expat."""
-        stack: list[_Element] = []  # the open elements below <robot>
+        # a frame per open element: the rule for its children (None when
+        # they go unread) and its _Element (None for <robot> and leaves)
+        stack: list[tuple] = []
         push, pop = stack.append, stack.pop
         held = []  # the first interpretation error
-        interpret = self.interpret
+        interpret, new_leaf = self.interpret, tuple.__new__
 
         def hold(error):
             # raised later without the handler's frame, from the interpreter's
@@ -544,6 +584,7 @@ class _Interpreter:
 
         def on_robot(tag, attrs):
             parser.StartElementHandler, parser.EndElementHandler = on_start, on_end
+            push((_ROBOT_RULE, None))
             try:
                 self.start_robot(_Element(tag, attrs, parser.CurrentLineNumber,
                                           parser.CurrentColumnNumber + 1,
@@ -552,21 +593,31 @@ class _Interpreter:
                 hold(exc)
 
         def on_start(tag, attrs):
-            element = _Element(tag, attrs, parser.CurrentLineNumber,
-                               parser.CurrentColumnNumber + 1, parser.CurrentByteIndex)
-            if stack:
-                parent = stack[-1]
+            rule, parent = stack[-1]
+            if rule is None:  # below a leaf or an unread element
+                push(_UNREAD)
+                return
+            kind = rule.get(tag)
+            if kind is _LEAF:
+                child = new_leaf(_Leaf, (tag, attrs, parser.CurrentLineNumber,
+                                         parser.CurrentColumnNumber + 1))
+                push(_UNREAD)
+            else:
+                child = _Element(tag, attrs, parser.CurrentLineNumber,
+                                 parser.CurrentColumnNumber + 1, parser.CurrentByteIndex)
+                push((kind, child))
+            if parent is not None:
                 if parent.children:
-                    parent.children.append(element)
+                    parent.children.append(child)
                 else:
-                    parent.children = [element]
-            push(element)
+                    parent.children = [child]
 
         def on_end(_tag):
-            if stack:  # else it is </robot>
-                element = pop()
-                element.close_byte = parser.CurrentByteIndex
-                if not stack:
+            rule, element = pop()
+            if element is not None:  # else a leaf, an unread element or <robot> ends
+                if rule is None:  # `raw` may read up to its end tag
+                    element.close_byte = parser.CurrentByteIndex
+                if len(stack) == 1:  # a child of <robot> ends
                     try:
                         interpret(element)
                     except UrdfPlusError as exc:
@@ -635,94 +686,88 @@ def _fmt(value: float) -> str:
 
 
 def _fmt_triple(values) -> str:
-    return " ".join(map(repr, map(float, values)))
+    x, y, z = values
+    return f"{float(x)!r} {float(y)!r} {float(z)!r}"
 
 
-def _origin_line(origin: SpatialTransform, indent: str) -> list[str]:
-    trans = origin.trans.tolist()
-    if trans == [0.0, 0.0, 0.0] and origin.rot.tolist() == _IDENTITY_ROWS:
-        return []
-    rpy = rpy_from_rot(origin.rot)
-    return [
-        f'{indent}<origin xyz="{_fmt_triple(trans)}" '
-        f'rpy="{_fmt_triple(rpy)}"/>'
-    ]
+def _origin_line(origin: SpatialTransform, indent: str) -> str:
+    """The <origin> line of a pose, or "" for the identity."""
+    trans, rot = origin.trans.tolist(), origin.rot.tolist()
+    if trans == [0.0, 0.0, 0.0] and rot == _IDENTITY_ROWS:
+        return ""
+    return (f'{indent}<origin xyz="{_fmt_triple(trans)}" '
+            f'rpy="{_fmt_triple(_rpy_from_rows(rot))}"/>\n')
 
 
-def _axis_lines(joint) -> list[str]:
-    return [f'    <{tag} xyz="{_fmt_triple(axis)}"/>'
-            for tag, axis in (("axis", joint.axis), ("axis2", joint.axis2)) if axis is not None]
+def _axis_lines(joint) -> str:
+    lines = ""
+    if joint.axis is not None:
+        lines = f'    <axis xyz="{_fmt_triple(joint.axis)}"/>\n'
+    if joint.axis2 is not None:
+        lines += f'    <axis2 xyz="{_fmt_triple(joint.axis2)}"/>\n'
+    return lines
 
 
-def _payload_lines(payload, indent: str) -> list[str]:
+def _inertial_lines(inertial: Inertial) -> str:
+    (ixx, ixy, ixz), (_, iyy, iyz), (_, _, izz) = inertial.inertia
+    com = inertial.center_of_mass
+    return ("    <inertial>\n"
+            + (f'      <origin xyz="{_fmt_triple(com)}"/>\n' if any(com) else "")
+            + f'      <mass value="{_fmt(inertial.mass)}"/>\n'
+            f'      <inertia ixx="{_fmt(ixx)}" ixy="{_fmt(ixy)}" ixz="{_fmt(ixz)}" '
+            f'iyy="{_fmt(iyy)}" iyz="{_fmt(iyz)}" izz="{_fmt(izz)}"/>\n'
+            "    </inertial>\n")
+
+
+def _payload_lines(payload, indent: str) -> str:
     # verbatim blobs; only the leading indent is ours
-    return [indent + blob for blob in payload]
+    return "".join([f"{indent}{blob}\n" for blob in payload])
 
 
 def serialize_urdf_plus(model: RobotModel) -> str:
     """Canonical 2-space-indented serialization; parses back to a
-    structurally equal model."""
-    out: list[str] = ['<?xml version="1.0"?>', f'<robot name="{_esc(model.name)}">']
+    structurally equal model.  Each element's lines go out as one string."""
+    out: list[str] = ['<?xml version="1.0"?>\n', f'<robot name="{_esc(model.name)}">\n']
     for link in model.links:
-        inner: list[str] = []
+        inner = _payload_lines(link.payload, "    ")
         if link.inertial is not None:
-            i = link.inertial
-            (ixx, ixy, ixz), (_, iyy, iyz), (_, _, izz) = i.inertia
-            inner.append("    <inertial>")
-            if any(i.center_of_mass):
-                inner.append(
-                    f'      <origin xyz="{_fmt_triple(i.center_of_mass)}"/>'
-                )
-            inner.append(f'      <mass value="{_fmt(i.mass)}"/>')
-            inner.append(
-                f'      <inertia ixx="{_fmt(ixx)}" ixy="{_fmt(ixy)}" '
-                f'ixz="{_fmt(ixz)}" iyy="{_fmt(iyy)}" '
-                f'iyz="{_fmt(iyz)}" izz="{_fmt(izz)}"/>'
-            )
-            inner.append("    </inertial>")
-        inner.extend(_payload_lines(link.payload, "    "))
-        if inner:
-            out.append(f'  <link name="{_esc(link.name)}">')
-            out.extend(inner)
-            out.append("  </link>")
-        else:
-            out.append(f'  <link name="{_esc(link.name)}"/>')
+            inner = _inertial_lines(link.inertial) + inner
+        name = _esc(link.name)
+        out.append(f'  <link name="{name}">\n{inner}  </link>\n' if inner
+                   else f'  <link name="{name}"/>\n')
 
     for joint in model.tree_joints:
         attrs = f'name="{_esc(joint.name)}" type="{joint.joint_type.value}"'
         if joint.independent is not None:
             attrs += f' independent="{"true" if joint.independent else "false"}"'
-        out.append(f"  <joint {attrs}>")
-        out.extend(_origin_line(joint.origin, "    "))
-        out.append(f'    <parent link="{_esc(joint.parent)}"/>')
-        out.append(f'    <child link="{_esc(joint.child)}"/>')
-        out.extend(_axis_lines(joint))
-        out.extend(_payload_lines(joint.payload, "    "))
-        out.append("  </joint>")
+        out.append(
+            f"  <joint {attrs}>\n"
+            f'{_origin_line(joint.origin, "    ")}'
+            f'    <parent link="{_esc(joint.parent)}"/>\n'
+            f'    <child link="{_esc(joint.child)}"/>\n'
+            f'{_axis_lines(joint)}{_payload_lines(joint.payload, "    ")}  </joint>\n'
+        )
 
     for loop in model.loop_joints:
-        out.append(f'  <loop name="{_esc(loop.name)}" type="{loop.joint_type.value}">')
+        out.append(f'  <loop name="{_esc(loop.name)}" type="{loop.joint_type.value}">\n')
         for tag, link_name, origin in (
             ("predecessor", loop.predecessor, loop.predecessor_origin),
             ("successor", loop.successor, loop.successor_origin),
         ):
-            origin_lines = _origin_line(origin, "      ")
-            if origin_lines:
-                out.append(f'    <{tag} name="{_esc(link_name)}">')
-                out.extend(origin_lines)
-                out.append(f"    </{tag}>")
-            else:
-                out.append(f'    <{tag} name="{_esc(link_name)}"/>')
-        out.extend(_axis_lines(loop))
-        out.append("  </loop>")
+            name, origin_line = _esc(link_name), _origin_line(origin, "      ")
+            out.append(f'    <{tag} name="{name}">\n{origin_line}    </{tag}>\n' if origin_line
+                       else f'    <{tag} name="{name}"/>\n')
+        out.append(f"{_axis_lines(loop)}  </loop>\n")
 
     for coupling in model.couplings:
-        out.append(f'  <coupling name="{_esc(coupling.name)}">')
-        out.append(f'    <predecessor name="{_esc(coupling.predecessor)}"/>')
-        out.append(f'    <successor name="{_esc(coupling.successor)}"/>')
-        out.append(f'    <ratio value="{_fmt(coupling.ratio)}"/>')
-        out.append("  </coupling>")
+        out.append(
+            f'  <coupling name="{_esc(coupling.name)}">\n'
+            f'    <predecessor name="{_esc(coupling.predecessor)}"/>\n'
+            f'    <successor name="{_esc(coupling.successor)}"/>\n'
+            f'    <ratio value="{_fmt(coupling.ratio)}"/>\n'
+            "  </coupling>\n"
+        )
 
-    out.extend(_payload_lines(model.payload, "  "))
-    out.append("</robot>")
-    return "\n".join(out) + "\n"
+    out.append(_payload_lines(model.payload, "  "))
+    out.append("</robot>\n")
+    return "".join(out)

@@ -132,6 +132,30 @@ class TestParsing:
         ).model
         assert model.tree_joints[0].axis == (0.0, 0.0, 1.0)
 
+    @staticmethod
+    def revolute_axis(xyz: str) -> str:
+        return ('<robot name="r"><link name="a"/><link name="b"/>\n'
+                '<joint name="j" type="revolute"><parent link="a"/>'
+                f'<child link="b"/><axis xyz="{xyz}"/></joint></robot>')
+
+    def test_huge_axis_components_still_normalize(self):
+        """Components whose squares overflow are scaled down first, so a
+        huge axis is not read as the zero axis."""
+        def axis(xyz):
+            return parse_urdf_plus(self.revolute_axis(xyz)).model.tree_joints[0].axis
+
+        assert axis("1e200 0 0") == (1.0, 0.0, 0.0)
+        assert axis("0 -1e300 0") == (0.0, -1.0, 0.0)
+        x, y, z = axis("1e300 1e300 0")
+        assert x == y > 0.0 and z == 0.0 and math.isclose(math.hypot(x, y), 1.0)
+
+    @pytest.mark.parametrize("xyz", ["0 0 0", "1e-13 0 0"])
+    def test_zero_axis_is_a_located_error(self, xyz):
+        with pytest.raises(InvalidNumberError, match="has zero length") as err:
+            parse_urdf_plus(self.revolute_axis(xyz))
+        assert (err.value.line, err.value.column, err.value.path) == (
+            2, 68, "robot/joint(j)/axis")
+
     def test_inertial_parsed(self, plain_paths):
         model = parse_file([p for p in plain_paths if p.name == "pendulum.urdf"][0]).model
         upper = next(l for l in model.links if l.name == "upper")
