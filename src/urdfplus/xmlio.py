@@ -680,11 +680,8 @@ def _esc(value: str) -> str:
     return _ATTR_SPECIAL.sub(lambda match: _ATTR_ENTITIES[match[0]], value)
 
 
-def _fmt(value: float) -> str:
-    """Shortest decimal that round-trips to the same float."""
-    return repr(float(value))
-
-
+# a number goes out as the shortest decimal that reads back to the same
+# float, `{float(x)!r}`; float() also turns a numpy scalar into a float
 def _fmt_triple(values) -> str:
     x, y, z = values
     return f"{float(x)!r} {float(y)!r} {float(z)!r}"
@@ -713,9 +710,9 @@ def _inertial_lines(inertial: Inertial) -> str:
     com = inertial.center_of_mass
     return ("    <inertial>\n"
             + (f'      <origin xyz="{_fmt_triple(com)}"/>\n' if any(com) else "")
-            + f'      <mass value="{_fmt(inertial.mass)}"/>\n'
-            f'      <inertia ixx="{_fmt(ixx)}" ixy="{_fmt(ixy)}" ixz="{_fmt(ixz)}" '
-            f'iyy="{_fmt(iyy)}" iyz="{_fmt(iyz)}" izz="{_fmt(izz)}"/>\n'
+            + f'      <mass value="{float(inertial.mass)!r}"/>\n'
+            f'      <inertia ixx="{float(ixx)!r}" ixy="{float(ixy)!r}" ixz="{float(ixz)!r}" '
+            f'iyy="{float(iyy)!r}" iyz="{float(iyz)!r}" izz="{float(izz)!r}"/>\n'
             "    </inertial>\n")
 
 
@@ -764,7 +761,7 @@ def serialize_urdf_plus(model: RobotModel) -> str:
             f'  <coupling name="{_esc(coupling.name)}">\n'
             f'    <predecessor name="{_esc(coupling.predecessor)}"/>\n'
             f'    <successor name="{_esc(coupling.successor)}"/>\n'
-            f'    <ratio value="{_fmt(coupling.ratio)}"/>\n'
+            f'    <ratio value="{float(coupling.ratio)!r}"/>\n'
             "  </coupling>\n"
         )
 
