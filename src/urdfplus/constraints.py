@@ -18,7 +18,7 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import cached_property
 
 import numpy as np
@@ -33,7 +33,7 @@ from .errors import (
     SingularDependentBlockError,
 )
 from .graphs import ConnectivityGraph, LoopAggregatedGraph
-from .model import Coupling, NumberedModel
+from .model import Coupling, NumberedModel, _record
 from .spatial import (
     JointKinematics,
     SpatialTransform,
@@ -132,7 +132,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@dataclass(frozen=True)
+@_record
 class LoopJacobian:
     """Constraint rows of one loop joint or coupling over its involved
     tree joints only (uninvolved columns pruned).  The library shares one
@@ -216,7 +216,7 @@ class _Tree:
                 _read_only(trans.take(self.slot, axis=0)))
 
 
-@dataclass(frozen=True)
+@_record
 class _LoopStep:
     """One loop joint: Psi, its body indices and side frames, and a
     (joint number, start, stop, sign) entry per involved joint that moves."""
@@ -234,7 +234,7 @@ class _LoopStep:
     width: int
 
 
-@dataclass(frozen=True)
+@_record
 class _CouplingStep:
     """One coupling: its configuration-independent row, and that row over
     the full coordinate vector, whose product with q is the residual."""
@@ -422,9 +422,9 @@ class _LoopGroups:
         wide.put(wide_to, b.take(wide_from))
         x = _back_substitute(a, wide)
         return ExplicitJacobian(
-            matrix=np.vstack([np.eye(n_i), -x.reshape(count * size, n_i)[self._rows]]),
-            row_coordinates=self.independent + self.dependent,
-            independent=self.independent,
+            np.vstack([np.eye(n_i), -x.reshape(count * size, n_i)[self._rows]]),
+            self.independent + self.dependent,
+            self.independent,
         )
 
 
@@ -785,7 +785,7 @@ def stack_jacobians(
     return np.vstack(blocks)
 
 
-@dataclass(frozen=True)
+@_record
 class ExplicitJacobian:
     """Mapping from independent coordinate rates to the full coordinate
     rates.  Rows are ordered independent-first (identity block), then the
@@ -844,7 +844,7 @@ def explicit_from_implicit(
     )
 
 
-@dataclass(frozen=True)
+@_record
 class LoopConstraintInfo:
     number: int
     name: str
@@ -857,7 +857,7 @@ class LoopConstraintInfo:
     residual_norm: float
 
 
-@dataclass(frozen=True)
+@_record
 class RedundantAggregate:
     """A loop aggregate whose loops' ranks add up to more than the rank of
     their stacked rows: some of its constraints repeat others."""
@@ -867,7 +867,7 @@ class RedundantAggregate:
     rank: int
 
 
-@dataclass(frozen=True)
+@_record
 class ConstraintReport:
     n: int
     n_c: int
@@ -913,20 +913,11 @@ def independent_coordinate_check(
     norms = np.abs(record.residuals).max(axis=1, initial=0.0)
     infos = []
     for (jac, _), rank, norm in zip(record.terms, entry_ranks.tolist(), norms.tolist()):
-        infos.append(
-            LoopConstraintInfo(
-                number=jac.number,
-                name=jac.name,
-                kind=jac.kind,
-                rows=jac.rows,
-                columns=jac.matrix.shape[1],
-                rank=rank,
-                joint_numbers=jac.joint_numbers,
-                # every involved body lies in the loop's one aggregate
-                aggregate=lacg.body_to_aggregate[jac.joint_numbers[0]],
-                residual_norm=norm,
-            )
-        )
+        rows, columns = jac.matrix.shape
+        # every involved body lies in the loop's one aggregate
+        aggregate = lacg.body_to_aggregate[jac.joint_numbers[0]]
+        infos.append(LoopConstraintInfo(jac.number, jac.name, jac.kind, rows, columns, rank,
+                                        jac.joint_numbers, aggregate, norm))
     group_ranks = ranks[: groups.count]
     n_i = n - int(group_ranks.sum())
     redundant = ()
@@ -942,19 +933,10 @@ def independent_coordinate_check(
                           for index in np.flatnonzero(loop_sums > group_sums).tolist())
     mode, declared_joints, declared_dof = record.plan._declared
     passed = None if declared_dof is None else declared_dof == n_i
-    return ConstraintReport(
-        n=n,
-        n_c=sum(info.rows for info in infos),
-        n_i=n_i,
-        mode=mode,
-        loops=tuple(infos),
-        declared_joints=declared_joints,
-        declared_dof=declared_dof,
-        passed=passed,
-        max_residual=float(norms.max(initial=0.0)),
-        redundant=redundant,
-        jacobians=tuple(jac for jac, _ in record.terms),
-    )
+    return ConstraintReport(n, sum(info.rows for info in infos), n_i, mode, tuple(infos),
+                            declared_joints, declared_dof, passed,
+                            float(norms.max(initial=0.0)), redundant,
+                            tuple(jac for jac, _ in record.terms))
 
 
 def independent_coordinate_indices(numbered: NumberedModel) -> list[int]:

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DegenerateLoopError, InternalInconsistencyError
-from .model import Coupling, NumberedModel, walk_subchains
+from .model import Coupling, NumberedModel, _record, walk_subchains
 
 
-@dataclass(frozen=True)
+@_record
 class LoopEdge:
     number: int  # regular number in N_B+1..N_J
     name: str
@@ -73,7 +73,7 @@ class Digraph:
                 )
 
 
-@dataclass(frozen=True)
+@_record
 class Aggregate:
     index: int
     bodies: tuple[int, ...]  # ascending
@@ -100,13 +100,8 @@ def connectivity_graph_from_model(numbered: NumberedModel) -> ConnectivityGraph:
     for number, entry in numbered.loop_entries:
         kind = "coupling" if isinstance(entry, Coupling) else "loop"
         loop_edges.append(
-            LoopEdge(
-                number=number,
-                name=entry.name,
-                kind=kind,
-                predecessor=numbered.body_index(entry.predecessor),
-                successor=numbered.body_index(entry.successor),
-            )
+            LoopEdge(number, entry.name, kind, numbered.body_index(entry.predecessor),
+                     numbered.body_index(entry.successor))
         )
     return ConnectivityGraph(
         body_names=numbered.body_names,
@@ -253,12 +248,7 @@ def loop_aggregated_graph(
                 f"aggregate {members} has parent aggregates {sorted(parents)}"
             )
         aggregates.append(
-            Aggregate(
-                index=index,
-                bodies=tuple(members),
-                loop_numbers=tuple(sorted(loops_of[index])),
-                parent=parent,
-            )
+            Aggregate(index, tuple(members), tuple(sorted(loops_of[index])), parent)
         )
     return LoopAggregatedGraph(
         graph=graph,

@@ -4,12 +4,18 @@ A RobotModel is the direct image of one description file: links, the tree
 joints that form the spanning tree, plus the loop joints and couplings that
 close kinematic loops.  Numbering assigns body indices 0..N_B (root = 0,
 every body above its parent) and joint indices 1..N_J.
+
+The records built per element or per configuration, here and in graphs,
+constraints and xmlio, are slotted frozen dataclasses (_record); a class
+that caches values on the instance or checks itself after construction
+stays a plain frozen dataclass.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields, is_dataclass
 from functools import cached_property
 
 import numpy as np
@@ -18,7 +24,43 @@ from .errors import InvalidModelError
 from .spatial import ORTHOGONAL_AXES_TOL, JointType, SpatialTransform
 
 
-@dataclass(frozen=True)
+def _record(cls):
+    """cls as a slotted frozen dataclass whose own __init__, with the
+    generated one's signature, defaults and default factories, stores each
+    field through its slot's setter, where the generated frozen __init__
+    calls object.__setattr__ once per field."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    generated = inspect.signature(cls.__init__).parameters
+    scope, params, body = {}, [], []
+    for f in fields(cls):
+        name, default = f.name, generated[f.name].default
+        # a default factory's default is the generated __init__'s marker
+        scope[f"set_{name}"], scope[f"default_{name}"] = getattr(cls, name).__set__, default
+        params.append(name if default is inspect.Parameter.empty else f"{name}=default_{name}")
+        if f.default_factory is not MISSING:
+            scope[f"make_{name}"] = f.default_factory
+            body.append(f"if {name} is default_{name}: {name} = make_{name}()")
+        body.append(f"set_{name}(self, {name})")
+    exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body), scope)
+    init = scope["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = cls.__init__.__annotations__
+    # the generated __setattr__ and __delattr__ compare type(self) with the
+    # class before slots were added: for a name that is not a field they
+    # raise TypeError, where a frozen dataclass raises FrozenInstanceError
+    cls.__init__, cls.__setattr__, cls.__delattr__ = init, _assign, _delete
+    return cls
+
+
+def _assign(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _delete(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+@_record
 class Inertial:
     mass: float
     center_of_mass: tuple[float, float, float] = (0.0, 0.0, 0.0)
@@ -29,7 +71,7 @@ class Inertial:
     )
 
 
-@dataclass(frozen=True)
+@_record
 class Link:
     name: str
     inertial: Inertial | None = None
@@ -37,7 +79,7 @@ class Link:
     payload: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@_record
 class TreeJoint:
     name: str
     joint_type: JointType
@@ -50,7 +92,7 @@ class TreeJoint:
     payload: tuple[str, ...] = ()  # limit/dynamics/... preserved verbatim
 
 
-@dataclass(frozen=True)
+@_record
 class LoopJoint:
     name: str
     joint_type: JointType
@@ -66,7 +108,7 @@ class LoopJoint:
     axis2: tuple[float, float, float] | None = None
 
 
-@dataclass(frozen=True)
+@_record
 class Coupling:
     name: str
     predecessor: str
@@ -94,7 +136,7 @@ class RobotModel:
         return _validate(self)
 
 
-@dataclass(frozen=True)
+@_record
 class Violation:
     code: str
     message: str

@@ -25,7 +25,14 @@ end tags; a leaf an interpreter reads (origin, axis, mass, parent, ratio,
 mimic, ...) is a _Leaf, its attribute dict with its position, and nothing
 below a leaf or inside a preserved element is kept.  A syntax error
 anywhere wins; otherwise the first interpretation error in document order
-is raised once expat has read the whole document.
+is raised once expat has read the whole document.  The interpreters build
+the model's records positionally, their cheapest call.
+
+The writer emits each element as one string.  One search over all the
+names of a document looks for a character that needs escaping; only when
+there is one are the names escaped, and a name that XML 1.0 cannot carry
+(a C0 control other than tab, newline and carriage return, a surrogate,
+U+FFFE or U+FFFF) is refused, so the text written always parses back.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ import math
 import re
 import xml.parsers.expat as expat
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 
 import numpy as np
@@ -48,7 +55,7 @@ from .errors import (
     UrdfPlusError,
     XmlSyntaxError,
 )
-from .model import Coupling, Inertial, Link, LoopJoint, RobotModel, TreeJoint
+from .model import Coupling, Inertial, Link, LoopJoint, RobotModel, TreeJoint, _record
 from .spatial import (
     JointType,
     SpatialTransform,
@@ -83,7 +90,7 @@ _JOINT_TYPES = {jt.value: jt for jt in JointType}
 _NO_CHILDREN = (MappingProxyType({}), ())
 
 
-@dataclass(frozen=True)
+@_record
 class ParseDiagnostic:
     severity: str  # "error" | "warning"
     line: int
@@ -163,16 +170,17 @@ class _Interpreter:
         a whole empty element, and any other element ends at the '>' after
         the '</' that expat reported at its end event."""
         data, start = self.data, element.start_byte
-        if data[start : start + 1] == b"&":  # elements from an entity sit at its '&'
+        if data.startswith(b"&", start):  # elements from an entity sit at its '&'
             msg = f"preserved <{element.tag}> comes from an entity reference"
             raise XmlSyntaxError(msg, element.line, element.column)
         end = _scan_tag_end(data, start)
-        if data[end - 2 : end] != b"/>":
+        if not data.endswith(b"/>", start, end):
             end = _scan_tag_end(data, element.close_byte)
+        source = data[start:end]
         # expat admits no NUL in an ASCII-compatible encoding: one means UTF-16
-        if b"\0" not in data[start:end]:
+        if b"\0" not in source:
             try:
-                return data[start:end].decode("utf-8")
+                return source.decode("utf-8")
             except UnicodeDecodeError:
                 pass
         raise XmlSyntaxError(
@@ -353,7 +361,7 @@ class _Interpreter:
         inertial = found.get("inertial")
         if inertial is not None:
             inertial = self.parse_inertial(inertial, f"{path}/inertial")
-        return Link(name=name, inertial=inertial, payload=payload)
+        return Link(name, inertial, payload)
 
     def parse_inertial(self, element: _Element, path: str) -> Inertial:
         found, _ = self.read_children(element, path, _INERTIAL_RULE)
@@ -393,7 +401,7 @@ class _Interpreter:
             # re-express the inertia tensor in the link frame
             m = rot @ [list(row) for row in inertia] @ rot.T
             inertia = tuple(tuple(float(x) for x in row) for row in m)
-        return Inertial(mass=mass, center_of_mass=com, inertia=inertia)
+        return Inertial(mass, com, inertia)
 
     def parse_joint(self, element: _Element):
         """Returns (TreeJoint, mimic | None); mimic resolution happens after
@@ -421,18 +429,8 @@ class _Interpreter:
         mimic = found.get("mimic")
         if mimic is not None:
             mimic = self.parse_mimic(mimic, name, f"{path}/mimic")
-        joint = TreeJoint(
-            name=name,
-            joint_type=jtype,
-            parent=parent,
-            child=child,
-            origin=origin,
-            axis=axis,
-            axis2=axis2,
-            independent=independent,
-            payload=payload,
-        )
-        return joint, mimic
+        return TreeJoint(name, jtype, parent, child, origin, axis, axis2, independent,
+                         payload), mimic
 
     def parse_mimic(self, element: _Element, follower: str, path: str):
         target = self.require_attr(element, "joint", path)
@@ -467,7 +465,7 @@ class _Interpreter:
             links.append(self.parse_link_ref(end, end_path))
             origins.append(self.parse_origin(origin, end_path))
         axis, axis2 = self.joint_axes(element, jtype, found, path)
-        return LoopJoint(name, jtype, *links, *origins, axis=axis, axis2=axis2)
+        return LoopJoint(name, jtype, *links, *origins, axis, axis2)
 
     def parse_coupling(self, element: _Element) -> Coupling:
         self.counters["coupling"] += 1
@@ -486,13 +484,11 @@ class _Interpreter:
             )
         ratio_el = found["ratio"]
         return Coupling(
-            name=name,
-            predecessor=self.parse_link_ref(found["predecessor"], f"{path}/predecessor"),
-            successor=self.parse_link_ref(found["successor"], f"{path}/successor"),
-            ratio=self.parse_float(
-                self.require_attr(ratio_el, "value", f"{path}/ratio"),
-                ratio_el, f"{path}/ratio",
-            ),
+            name,
+            self.parse_link_ref(found["predecessor"], f"{path}/predecessor"),
+            self.parse_link_ref(found["successor"], f"{path}/successor"),
+            self.parse_float(self.require_attr(ratio_el, "value", f"{path}/ratio"),
+                             ratio_el, f"{path}/ratio"),
         )
 
     # -- the read: <robot>, then each of its children, then the finish -----
@@ -538,14 +534,8 @@ class _Interpreter:
                     element.line, element.column,
                     f"robot/joint({follower})/mimic",
                 )
-            couplings.append(
-                Coupling(
-                    name=f"{follower}_mimic",
-                    predecessor=by_name[follower].child,
-                    successor=by_name[target].child,
-                    ratio=multiplier,
-                )
-            )
+            couplings.append(Coupling(f"{follower}_mimic", by_name[follower].child,
+                                      by_name[target].child, multiplier))
 
         if not self.links:
             self.warn(root, "robot has no links", "robot")
@@ -649,7 +639,16 @@ def parse_urdf_plus(text: str | bytes) -> ParseResult:
     text already decoded, so the encoding its declaration names is ignored.
     """
     if isinstance(text, str):
-        data, encoding = text.encode("utf-8"), "utf-8"
+        try:
+            data, encoding = text.encode("utf-8"), "utf-8"
+        except UnicodeEncodeError as exc:
+            # located as expat locates a character: lines end at \n, \r\n or
+            # \r, and columns count characters from 1
+            before = text[: exc.start].replace("\r\n", "\n").replace("\r", "\n")
+            raise XmlSyntaxError(
+                f"lone surrogate U+{ord(text[exc.start]):04X} is not a character",
+                before.count("\n") + 1, len(before) - before.rfind("\n"),
+            ) from None
     else:
         data, encoding = bytes(text), None
     interpreter = _Interpreter(data)
@@ -665,19 +664,50 @@ def parse_file(path) -> ParseResult:
 # -- serialization ----------------------------------------------------------
 
 
-# tab, newline and carriage return as character references: attribute-value
-# normalization would read them back as spaces
+# What a name cannot hold as it is: the markup characters, and tab, newline
+# and carriage return, written as character references (attribute-value
+# normalization would read them back as spaces); the other C0 controls, the
+# surrogates, U+FFFE and U+FFFF are not XML 1.0 characters at all.
 _ATTR_ENTITIES = {"&": "&amp;", "<": "&lt;", '"': "&quot;",
                   "\t": "&#9;", "\n": "&#10;", "\r": "&#13;"}
-_ATTR_SPECIAL = re.compile('[&<"\t\n\r]')
+_ATTR_SPECIAL = re.compile(r'[&<"\x00-\x1f\ud800-\udfff\ufffe\uffff]')
+# the name fields of each record the writer emits, by RobotModel field
+_NAME_FIELDS = (("links", "link", ("name",)),
+                ("tree_joints", "joint", ("name", "parent", "child")),
+                ("loop_joints", "loop", ("name", "predecessor", "successor")),
+                ("couplings", "coupling", ("name", "predecessor", "successor")))
+_TYPE_NAMES = {jt: jt.value for jt in JointType}
 _IDENTITY_ROWS = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 
 
-def _esc(value: str) -> str:
-    """Escape a string for use inside a double-quoted attribute."""
-    if _ATTR_SPECIAL.search(value) is None:
-        return value
-    return _ATTR_SPECIAL.sub(lambda match: _ATTR_ENTITIES[match[0]], value)
+def _names(model: RobotModel) -> str:
+    """Every name the writer emits, run together."""
+    return "".join([model.name, *[getattr(record, key) for attr, _, keys in _NAME_FIELDS
+                                  for record in getattr(model, attr) for key in keys]])
+
+
+def _escaped(model: RobotModel) -> RobotModel:
+    """The model with every name escaped for a double-quoted attribute; a
+    character no XML 1.0 document can carry raises UrdfPlusError naming
+    the element and the field, at the first such name in document order."""
+
+    def escape(value: str, tag: str, name: str, key: str) -> str:
+        def entity(match) -> str:
+            if match[0] not in _ATTR_ENTITIES:
+                raise UrdfPlusError(
+                    f"cannot write <{tag}> {name!r}: its {key} holds "
+                    f"U+{ord(match[0]):04X}, which XML 1.0 cannot carry")
+            return _ATTR_ENTITIES[match[0]]
+
+        return _ATTR_SPECIAL.sub(entity, value)
+
+    changes = {"name": escape(model.name, "robot", model.name, "name")}
+    for attr, tag, keys in _NAME_FIELDS:
+        changes[attr] = tuple(
+            replace(record, **{key: escape(getattr(record, key), tag, record.name, key)
+                               for key in keys})
+            for record in getattr(model, attr))
+    return replace(model, **changes)
 
 
 # a number goes out as the shortest decimal that reads back to the same
@@ -716,55 +746,56 @@ def _inertial_lines(inertial: Inertial) -> str:
             "    </inertial>\n")
 
 
-def _payload_lines(payload, indent: str) -> str:
-    # verbatim blobs; only the leading indent is ours
-    return "".join([f"{indent}{blob}\n" for blob in payload])
-
-
 def serialize_urdf_plus(model: RobotModel) -> str:
     """Canonical 2-space-indented serialization; parses back to a
-    structurally equal model.  Each element's lines go out as one string."""
-    out: list[str] = ['<?xml version="1.0"?>\n', f'<robot name="{_esc(model.name)}">\n']
+    structurally equal model.  Each element's lines go out as one string.
+    A name holding a character that XML 1.0 cannot carry (a C0 control
+    other than tab, newline and carriage return, a surrogate, U+FFFE or
+    U+FFFF) raises UrdfPlusError."""
+    if _ATTR_SPECIAL.search(_names(model)) is not None:
+        model = _escaped(model)
+    out: list[str] = ['<?xml version="1.0"?>\n', f'<robot name="{model.name}">\n']
     for link in model.links:
-        inner = _payload_lines(link.payload, "    ")
+        # payload blobs are verbatim; only the leading indent is ours
+        inner = "".join([f"    {blob}\n" for blob in link.payload])
         if link.inertial is not None:
             inner = _inertial_lines(link.inertial) + inner
-        name = _esc(link.name)
-        out.append(f'  <link name="{name}">\n{inner}  </link>\n' if inner
-                   else f'  <link name="{name}"/>\n')
+        out.append(f'  <link name="{link.name}">\n{inner}  </link>\n' if inner
+                   else f'  <link name="{link.name}"/>\n')
 
     for joint in model.tree_joints:
-        attrs = f'name="{_esc(joint.name)}" type="{joint.joint_type.value}"'
+        attrs = f'name="{joint.name}" type="{_TYPE_NAMES[joint.joint_type]}"'
         if joint.independent is not None:
-            attrs += f' independent="{"true" if joint.independent else "false"}"'
+            attrs += ' independent="true"' if joint.independent else ' independent="false"'
+        payload = "".join([f"    {blob}\n" for blob in joint.payload])
         out.append(
             f"  <joint {attrs}>\n"
             f'{_origin_line(joint.origin, "    ")}'
-            f'    <parent link="{_esc(joint.parent)}"/>\n'
-            f'    <child link="{_esc(joint.child)}"/>\n'
-            f'{_axis_lines(joint)}{_payload_lines(joint.payload, "    ")}  </joint>\n'
+            f'    <parent link="{joint.parent}"/>\n'
+            f'    <child link="{joint.child}"/>\n'
+            f"{_axis_lines(joint)}{payload}  </joint>\n"
         )
 
     for loop in model.loop_joints:
-        out.append(f'  <loop name="{_esc(loop.name)}" type="{loop.joint_type.value}">\n')
+        out.append(f'  <loop name="{loop.name}" type="{_TYPE_NAMES[loop.joint_type]}">\n')
         for tag, link_name, origin in (
             ("predecessor", loop.predecessor, loop.predecessor_origin),
             ("successor", loop.successor, loop.successor_origin),
         ):
-            name, origin_line = _esc(link_name), _origin_line(origin, "      ")
-            out.append(f'    <{tag} name="{name}">\n{origin_line}    </{tag}>\n' if origin_line
-                       else f'    <{tag} name="{name}"/>\n')
+            origin_line = _origin_line(origin, "      ")
+            out.append(f'    <{tag} name="{link_name}">\n{origin_line}    </{tag}>\n'
+                       if origin_line else f'    <{tag} name="{link_name}"/>\n')
         out.append(f"{_axis_lines(loop)}  </loop>\n")
 
     for coupling in model.couplings:
         out.append(
-            f'  <coupling name="{_esc(coupling.name)}">\n'
-            f'    <predecessor name="{_esc(coupling.predecessor)}"/>\n'
-            f'    <successor name="{_esc(coupling.successor)}"/>\n'
+            f'  <coupling name="{coupling.name}">\n'
+            f'    <predecessor name="{coupling.predecessor}"/>\n'
+            f'    <successor name="{coupling.successor}"/>\n'
             f'    <ratio value="{float(coupling.ratio)!r}"/>\n'
             "  </coupling>\n"
         )
 
-    out.append(_payload_lines(model.payload, "  "))
+    out += [f"  {blob}\n" for blob in model.payload]
     out.append("</robot>\n")
     return "".join(out)

@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -491,6 +492,29 @@ class TestDeclaredEncoding:
                 '<robot name="\u00e9"/>').encode("latin-1")
         assert parse_urdf_plus(data).model.name == "\u00e9"
 
+    def test_lone_surrogate_in_str_is_located(self):
+        with pytest.raises(XmlSyntaxError, match="lone surrogate U\\+D800") as err:
+            parse_urdf_plus('<robot name="a\ud800"><link name="b"/></robot>')
+        assert (err.value.line, err.value.column) == (1, 15)
+
+    @pytest.mark.parametrize("surrogate", ["\ud800", "\udfff"])
+    def test_lone_surrogate_is_located_as_expat_locates(self, surrogate):
+        """Lines end at \\n, \\r\\n or \\r and columns count characters from
+        1: an unknown element in the surrogate's place reports there too."""
+        before = '<robot name="\u20ac">\r\n<link name="b"/>\r<link name="\u00e9"/>'
+        with pytest.raises(XmlSyntaxError, match="lone surrogate") as err:
+            parse_urdf_plus(f"{before}{surrogate}</robot>")
+        assert (err.value.line, err.value.column) == (3, 17)
+        with pytest.raises(UnknownElementError) as unknown:
+            parse_urdf_plus(f"{before}<bogus/></robot>")
+        assert (unknown.value.line, unknown.value.column) == (3, 17)
+
+    def test_bytes_with_surrogate_bytes_stay_a_syntax_error(self):
+        data = '<robot name="a\ud800"/>'.encode("utf-8", "surrogatepass")
+        with pytest.raises(XmlSyntaxError, match="not well-formed") as err:
+            parse_urdf_plus(data)
+        assert (err.value.line, err.value.column) == (1, 15)
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize(
@@ -572,6 +596,53 @@ class TestRoundTrip:
         assert (second.name, second.link_names()) == (first.name, first.link_names())
         assert structurally_equal(first, second)
         assert serialize_urdf_plus(second) == out
+
+    # each character that no XML 1.0 document can carry, even as a reference
+    REFUSED = ["\x00", "\x01", "\x08", "\x0b", "\x0c", "\x0e", "\x1f",
+               "\ud800", "\udbff", "\udc00", "\udfff", "\ufffe", "\uffff"]
+    NAMED = ('<robot name="r"><link name="a"/><link name="b"/>'
+             '<joint name="j" type="revolute"><parent link="a"/><child link="b"/></joint>'
+             '<loop name="l" type="revolute"><predecessor name="a"/>'
+             '<successor name="b"/></loop>'
+             '<coupling name="c"><predecessor name="a"/><successor name="b"/>'
+             '<ratio value="2"/></coupling></robot>')
+
+    @pytest.mark.parametrize("records, tag, field", [
+        (None, "robot", "name"),
+        ("links", "link", "name"),
+        ("tree_joints", "joint", "name"),
+        ("tree_joints", "joint", "parent"),
+        ("tree_joints", "joint", "child"),
+        ("loop_joints", "loop", "name"),
+        ("loop_joints", "loop", "predecessor"),
+        ("loop_joints", "loop", "successor"),
+        ("couplings", "coupling", "name"),
+        ("couplings", "coupling", "predecessor"),
+        ("couplings", "coupling", "successor"),
+    ])
+    def test_name_xml_cannot_carry_is_refused(self, records, tag, field):
+        model = parse_urdf_plus(self.NAMED).model
+        for char in self.REFUSED:
+            if records is None:
+                bad = replace(model, name=f"x{char}y")
+            else:
+                record = getattr(model, records)[0]
+                bad = replace(model, **{records: (
+                    replace(record, **{field: f"x{char}y"}),)})
+            with pytest.raises(UrdfPlusError) as err:
+                serialize_urdf_plus(bad)
+            message = str(err.value)
+            assert f"<{tag}>" in message, message
+            assert f"its {field} holds U+{ord(char):04X}" in message, message
+
+    def test_character_outside_the_bmp_round_trips(self):
+        text = self.NAMED.replace('"a"', '"a\U0001F916"').replace('"c"', '"\U0001F916"')
+        first = parse_urdf_plus(text).model
+        assert first.links[0].name == "a\U0001F916"
+        out = serialize_urdf_plus(first)
+        assert out.encode("utf-8")
+        second = parse_urdf_plus(out).model
+        assert repr(second) == repr(first)
 
     def test_rpy_survives_round_trip(self, plain_paths):
         path = [p for p in plain_paths if p.name == "branched.urdf"][0]
