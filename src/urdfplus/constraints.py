@@ -30,6 +30,7 @@ from .errors import (
     DimensionMismatchError,
     IncompatibleCouplingError,
     InternalInconsistencyError,
+    InvalidModelError,
     SingularDependentBlockError,
 )
 from .graphs import ConnectivityGraph, LoopAggregatedGraph
@@ -270,7 +271,8 @@ class _LoopGroups:
     independent coordinates i_g.  The elimination carries only those
     columns; the back substitution then runs over all of G's columns, zero
     outside the group, since the bits of its products depend on the width.
-    `complete` says every dependent coordinate lies in a group.
+    `complete` says every dependent coordinate lies in a group; `solved_by`
+    holds each one's (group, place in the group), (-1, 0) outside them all.
 
     Both steps run without a loop over the groups, through flat (to, from)
     index arrays built once per model, `batch`'s here and `explicit`'s on
@@ -322,13 +324,15 @@ class _LoopGroups:
         widths = [len(dep) for dep, _, _ in self._blocks]
         self.width = np.array(widths, dtype=np.intp)
         self.complete = sum(widths) == len(self.dependent)
+        solved_by = {group[local]: (member, k)
+                     for member, ((dep, _, _), group) in enumerate(zip(self._blocks, columns))
+                     for k, local in enumerate(dep)}
+        self.solved_by = [solved_by.get(c, (-1, 0)) for c in self.dependent]
         # each dependent coordinate's row of the stacked solutions (0 for one
         # outside every group, where G is not the groups' to give)
         self._size = size = max(widths, default=0)
-        rows = {group[local]: member * size + size - len(dep) + k
-                for member, ((dep, _, _), group) in enumerate(zip(self._blocks, columns))
-                for k, local in enumerate(dep)}
-        self._rows = [rows.get(c, 0) for c in self.dependent]
+        self._rows = [member * size + size - widths[member] + k if member >= 0 else 0
+                      for member, k in self.solved_by]
         self._rhs = max((len(ind) for _, ind, _ in self._blocks), default=0)
 
     def _plan_batch(self, steps, coordinates, columns, row_layout):
@@ -374,14 +378,17 @@ class _LoopGroups:
         self._batch_index = np.array(to + source, dtype=np.intp).reshape(2, -1)
 
     @cached_property
-    def _solve_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _solve_index(self) -> tuple[np.ndarray, ...]:
         """The flat (to, from) indices of `explicit`, built on its first
         call: each group's dependent block `a` and independent block `b` in
         the trailing rows of its member, from the first `width[g]` rows of
         its reduced member, and the eliminated `b` in G's columns of the
-        wide right-hand side."""
+        wide right-hand side; and each solve column's place among all
+        dependent coordinates (`explicit` runs on complete groups only)."""
         _, height, width = self.shape
         size, n_i, rhs = self._size, len(self.independent), self._rhs
+        places = np.zeros(self.count * size, dtype=np.intp)
+        places[self._rows] = np.arange(len(self._rows))
         a_to, a_from, b_to, b_from, wide_to, wide_from = [], [], [], [], [], []
         for member, (dep, ind, position) in enumerate(self._blocks):
             start = size - len(dep)
@@ -395,8 +402,9 @@ class _LoopGroups:
             for row in range(member * size, (member + 1) * size):
                 wide_from += range(row * rhs, row * rhs + len(ind))
                 wide_to += [row * n_i + p for p in position]
-        return tuple(np.array(to + source, dtype=np.intp).reshape(2, -1)
-                     for to, source in ((a_to, a_from), (b_to, b_from), (wide_to, wide_from)))
+        return (*(np.array(to + source, dtype=np.intp).reshape(2, -1)
+                  for to, source in ((a_to, a_from), (b_to, b_from), (wide_to, wide_from))),
+                places.reshape(self.count, size))
 
     def batch(self, rows: np.ndarray) -> np.ndarray:
         """Every member of the lock-step elimination, zero-padded, from the
@@ -410,14 +418,15 @@ class _LoopGroups:
     def explicit(self, reduced: np.ndarray, tol: float) -> ExplicitJacobian:
         """G from the groups' bases in `reduced`, whose ranks equal `width`,
         by one lock-step solve, each group's system in the trailing block of
-        its member; SingularDependentBlockError if a block is singular."""
+        its member; SingularDependentBlockError if a block is singular,
+        naming the column by its place among all dependent coordinates."""
         count, size, n_i = self.count, self._size, len(self.independent)
-        (a_to, a_from), (b_to, b_from), (wide_to, wide_from) = self._solve_index
+        (a_to, a_from), (b_to, b_from), (wide_to, wide_from), places = self._solve_index
         a = np.zeros((count, size, size))
         a.put(a_to, reduced.take(a_from))
         b = np.zeros((count, size, self._rhs))
         b.put(b_to, reduced.take(b_from))
-        a, b = _eliminate_batch(a, b, size - self.width, tol)
+        a, b = _eliminate_batch(a, b, size - self.width, tol, places)
         wide = np.zeros((count, size, n_i))
         wide.put(wide_to, b.take(wide_from))
         x = _back_substitute(a, wide)
@@ -589,19 +598,48 @@ class KinematicPlan:
     Each part is built once, on its first use, so a coupling-only model
     never builds the tree part.  The plan also keeps the record of the last
     configuration asked for (`record(q)`), which every function that takes
-    q reads.
+    q reads, and the first graph that passed `check`, whose subchains the
+    loop steps hold.
     """
 
     def __init__(self, numbered: NumberedModel):
         self._joints = numbered.tree_joint_of
         self._parent = numbered.parent
+        self._body_index = numbered._index  # the dict, not a method that holds the model
         self._slices = numbered.coordinate_slices()
         self._entries = numbered.loop_entries
         self._independent = independent_coordinate_indices(numbered)
+        self._graph = None
         self._loops = None
         self._assembly = None
         self._groups = None
         self._record = None
+
+    def check(self, graph: ConnectivityGraph) -> KinematicPlan:
+        """The plan, after the one check on every graph a public function is
+        given: the plan's own graph passes at once; any other must have the
+        model's parent map, and each loop edge its entry's number and
+        endpoint bodies, else InvalidModelError names the mismatch."""
+        if graph is self._graph:
+            return self
+        if graph.parent != self._parent:
+            raise InvalidModelError("connectivity graph is not of this model: "
+                                    "its parent map differs from the model's")
+        if len(graph.loop_edges) != len(self._entries):
+            raise InvalidModelError(
+                f"connectivity graph is not of this model: it has {len(graph.loop_edges)} "
+                f"loop edges, the model {len(self._entries)} loop joints and couplings")
+        for edge, (number, entry) in zip(graph.loop_edges, self._entries):
+            want = number, self._body_index[entry.predecessor], self._body_index[entry.successor]
+            if (edge.number, edge.predecessor, edge.successor) != want:
+                raise InvalidModelError(
+                    f"connectivity graph is not of this model: its loop edge {edge.name!r} "
+                    f"is joint {edge.number} from body {edge.predecessor} to body "
+                    f"{edge.successor}, the model's {entry.name!r} is joint {number} "
+                    f"from body {want[1]} to body {want[2]}")
+        if self._graph is None:
+            self._graph = graph
+        return self
 
     def record(self, q) -> _Record:
         """The record of q, after the one check on every configuration a
@@ -706,7 +744,7 @@ def _loop_terms(numbered: NumberedModel, graph: ConnectivityGraph, q, indices
     """Rows and residual of the loop entries at `indices`, read from the
     plan's record of q.  An entry whose closure is a half-turn raises its
     AntipodalRotationError when it is asked for."""
-    record = numbered._kinematics.record(q).evaluate(graph)
+    record = numbered._kinematics.check(graph).record(q).evaluate(graph)
     for index in indices if record.failed else ():
         if index in record.failed:
             raise AntipodalRotationError(record.failed[index])
@@ -718,7 +756,7 @@ def _eliminated(
 ) -> tuple[_Record, np.ndarray, np.ndarray]:
     """The plan's record of q, evaluated, and its elimination at tol, which
     the count check and G share; a half-turn closure raises its error."""
-    record = numbered._kinematics.record(q).evaluate(graph)
+    record = numbered._kinematics.check(graph).record(q).evaluate(graph)
     if record.failed:
         raise AntipodalRotationError(next(iter(record.failed.values())))
     return record, *record.eliminated(graph, tol)
@@ -743,7 +781,7 @@ def coupling_row(
     index = _loop_index(numbered, number)
     if not isinstance(numbered.loop_entries[index][1], Coupling):
         raise IncompatibleCouplingError(f"joint {number} is not a coupling")
-    return numbered._kinematics.loops(graph)[index].jacobian
+    return numbered._kinematics.check(graph).loops(graph)[index].jacobian
 
 
 def loop_residual(
@@ -904,6 +942,8 @@ def independent_coordinate_check(
     says so.
     """
     _check_tol(tol)
+    if lacg.graph is not graph and lacg.graph != graph:
+        raise InvalidModelError("loop-aggregated graph is not of this connectivity graph")
     if q is None:
         q = zero_configuration(numbered)
     n = numbered.total_dof
@@ -960,27 +1000,30 @@ def explicit_jacobian_for_model(
 
     Identity rows for the independent coordinates, and one lock-step solve
     over the loop groups, from the bases that the count check at the same
-    (q, tol) computed.  When a group's rank differs from its dependent
-    count, or its dependent block is singular, the stacked K goes to
-    explicit_from_implicit, so the error type and message are its own.
+    (q, tol) computed; the stacked K is never ranked.  When the declared
+    count differs from the check's n_i, CountMismatchError carries both.
+    When a dependent coordinate lies in no group, or past its group's rank,
+    or a group's solve refuses a pivot, SingularDependentBlockError names
+    the first such column by its place among all dependent coordinates.
     """
     _check_tol(tol)
     if q is None:
         q = zero_configuration(numbered)
     record, reduced, ranks = _eliminated(numbered, graph, q, tol)
     groups = record.plan.groups(graph)
-    if groups.complete and np.array_equal(ranks[: groups.count], groups.width):
-        try:
-            with np.errstate(all="ignore"):  # an overflow is reported below
-                explicit = groups.explicit(reduced, tol)
-        except SingularDependentBlockError:
-            pass
-        else:
-            if np.isfinite(explicit.matrix).all():
-                return explicit
-            finite = np.isfinite(explicit.in_coordinate_order()).all(axis=1)
-            member = next(m for m, columns in enumerate(groups.columns)
-                          if not finite[columns].all())
-            raise _overflow(record.terms[groups.first[member]][0], "entry in the solve for G")
-    k_full = stack_jacobians(numbered, [jac for jac, _ in record.terms])
-    return explicit_from_implicit(k_full, groups.independent, tol)
+    ranks = ranks[: groups.count]
+    expected, declared = numbered.total_dof - int(ranks.sum()), len(groups.independent)
+    if expected != declared:
+        raise CountMismatchError(expected=expected, declared=declared)
+    if not (groups.complete and np.array_equal(ranks, groups.width)):
+        # the counts agree: some group's rank is short, or a coordinate is in none
+        column = next(place for place, (member, k) in enumerate(groups.solved_by)
+                      if member < 0 or k >= ranks[member])
+        raise SingularDependentBlockError(f"pivot {0.0:.3e} below tolerance in column {column}")
+    with np.errstate(all="ignore"):  # an overflow is reported below
+        explicit = groups.explicit(reduced, tol)
+    if np.isfinite(explicit.matrix).all():
+        return explicit
+    finite = np.isfinite(explicit.in_coordinate_order()).all(axis=1)
+    member = next(m for m, columns in enumerate(groups.columns) if not finite[columns].all())
+    raise _overflow(record.terms[groups.first[member]][0], "entry in the solve for G")

@@ -560,10 +560,11 @@ def _solve_batch(a: np.ndarray, b: np.ndarray, start: np.ndarray, tol: float
     return _back_substitute(*_eliminate_batch(a, b, start, tol))
 
 
-def _eliminate_batch(a: np.ndarray, b: np.ndarray, start: np.ndarray, tol: float
-                     ) -> tuple[np.ndarray, np.ndarray]:
+def _eliminate_batch(a: np.ndarray, b: np.ndarray, start: np.ndarray, tol: float,
+                     names: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The forward elimination of _solve_batch, as (a, b).  It works on each
-    right-hand side column entry by entry, apart from the others."""
+    right-hand side column entry by entry, apart from the others.  An error
+    names member k's column c as names[k, c], by default c - start[k]."""
     _check_tol(tol)
     n = a.shape[1]
     threshold = tol * np.abs(a).max(axis=(1, 2), initial=1e-300)
@@ -576,8 +577,9 @@ def _eliminate_batch(a: np.ndarray, b: np.ndarray, start: np.ndarray, tol: float
     if rank.min(initial=n) < n:
         k = int(rank.argmin())  # the first member that refused, in column rank[k]
         column = system[k, rank[k] :, rank[k]]
+        name = rank[k] - start[k] if names is None else names[k, rank[k]]
         raise SingularDependentBlockError(f"pivot {column[np.abs(column).argmax()]:.3e} "
-                                          f"below tolerance in column {rank[k] - start[k]}")
+                                          f"below tolerance in column {name}")
     return system[:, :, :n], system[:, :, n:]
 
 

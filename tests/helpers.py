@@ -174,6 +174,28 @@ BRACKET_BELT = """<robot name="bracket_belt">
 """
 
 
+def _far_fourbar_parts(length: float, suffix: str, flags) -> str:
+    """The links, joints and loop of one far four-bar on the link "ground",
+    each name ending in `suffix`; `flags` are the independent attributes of
+    the crank, rocker and coupler joints."""
+    crank, rocker, coupler = flags
+    return f"""
+  <link name="crank{suffix}"/><link name="rocker{suffix}"/><link name="coupler{suffix}"/>
+  <joint name="crank{suffix}_pivot" type="revolute" independent="{crank}">
+    <origin xyz="0 {length!r} 0"/><parent link="ground"/><child link="crank{suffix}"/>
+    <axis xyz="0 0 1"/></joint>
+  <joint name="rocker{suffix}_pivot" type="revolute" independent="{rocker}">
+    <origin xyz="{3 * length!r} 0 0"/><parent link="ground"/><child link="rocker{suffix}"/>
+    <axis xyz="0 0 1"/></joint>
+  <joint name="coupler{suffix}_pivot" type="revolute" independent="{coupler}">
+    <origin xyz="{length!r} {-length!r} 0"/><parent link="crank{suffix}"/>
+    <child link="coupler{suffix}"/><axis xyz="0 0 1"/></joint>
+  <loop name="closure{suffix}" type="universal">
+    <predecessor name="coupler{suffix}"><origin xyz="{length!r} 0 0"/></predecessor>
+    <successor name="rocker{suffix}"><origin xyz="{-length!r} 0 0"/></successor>
+    <axis xyz="0 0 1"/><axis2 xyz="1 0 0"/></loop>"""
+
+
 def far_fourbar(length: float) -> str:
     """A planar four-bar with every bar `length` long, closed by a universal
     loop joint (its blocked rotation lies outside the plane, so only its
@@ -181,20 +203,15 @@ def far_fourbar(length: float) -> str:
     and (3L, 0); at q = 0 the crank ends at (L, 0) and the coupler and
     rocker meet at (2L, 0), where the two are aligned.  Coordinates: crank,
     rocker, coupler; the crank is independent."""
-    return f"""<robot name="far_fourbar">
-  <link name="ground"/><link name="crank"/><link name="rocker"/><link name="coupler"/>
-  <joint name="crank_pivot" type="revolute" independent="true">
-    <origin xyz="0 {length!r} 0"/><parent link="ground"/><child link="crank"/>
-    <axis xyz="0 0 1"/></joint>
-  <joint name="rocker_pivot" type="revolute" independent="false">
-    <origin xyz="{3 * length!r} 0 0"/><parent link="ground"/><child link="rocker"/>
-    <axis xyz="0 0 1"/></joint>
-  <joint name="coupler_pivot" type="revolute" independent="false">
-    <origin xyz="{length!r} {-length!r} 0"/><parent link="crank"/>
-    <child link="coupler"/><axis xyz="0 0 1"/></joint>
-  <loop name="closure" type="universal">
-    <predecessor name="coupler"><origin xyz="{length!r} 0 0"/></predecessor>
-    <successor name="rocker"><origin xyz="{-length!r} 0 0"/></successor>
-    <axis xyz="0 0 1"/><axis2 xyz="1 0 0"/></loop>
-</robot>
-"""
+    parts = _far_fourbar_parts(length, "", ("true", "false", "false"))
+    return f'<robot name="far_fourbar">\n  <link name="ground"/>{parts}\n</robot>\n'
+
+
+def twin_far_fourbars(length_a: float, length_b: float, flags_a, flags_b) -> str:
+    """Two far four-bars on one ground, bars `length_a` and `length_b`
+    long, names ending in "_a" and "_b"; each copy is one loop group.  The
+    regular numbering puts the coordinates in the order crank_a, rocker_a,
+    crank_b, rocker_b, coupler_a, coupler_b."""
+    return (f'<robot name="twin_far_fourbars">\n  <link name="ground"/>'
+            f'{_far_fourbar_parts(length_a, "_a", flags_a)}'
+            f'{_far_fourbar_parts(length_b, "_b", flags_b)}\n</robot>\n')

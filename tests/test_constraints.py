@@ -32,10 +32,12 @@ from urdfplus.errors import (
     ConfigurationError,
     CountMismatchError,
     DimensionMismatchError,
+    IncompatibleCouplingError,
+    InvalidModelError,
     NonUnitAxisError,
     SingularDependentBlockError,
 )
-from urdfplus.graphs import build_pipeline
+from urdfplus.graphs import LoopAggregatedGraph, build_pipeline
 from urdfplus.model import (
     Link,
     LoopJoint,
@@ -118,6 +120,10 @@ class TestConfigurationFile:
     def test_bad_number(self, fourbar):
         with pytest.raises(ConfigurationError):
             parse_configuration("crank_pivot: abc\n", fourbar.numbered)
+
+    def test_line_without_colon(self, fourbar):
+        with pytest.raises(ConfigurationError, match="^line 2: expected 'name: values'$"):
+            parse_configuration("crank_pivot: 1\ncrank_pivot 2\n", fourbar.numbered)
 
     def test_repeated_joint(self, fourbar):
         with pytest.raises(ConfigurationError,
@@ -331,6 +337,11 @@ class TestCouplings:
         # +1 on the predecessor subchain (shank, foot), -ratio on the motor
         assert np.allclose(jac.matrix, [[1.0, -2.0, 1.0]])
         assert jac.rank() == 1
+
+    def test_coupling_row_of_a_loop_joint(self, fourbar):
+        [(number, _)] = fourbar.numbered.loop_entries
+        with pytest.raises(IncompatibleCouplingError, match=f"^joint {number} is not a coupling$"):
+            coupling_row(fourbar.numbered, fourbar.graph, number)
 
     def test_unity_mimic_row(self, models_dir):
         from urdfplus.xmlio import parse_file
@@ -681,8 +692,8 @@ class TestOverflowingConfiguration:
         only in products that its masked subtract discards, so no numpy
         warning escapes and the reduced batch is finite.  The ranks are
         still wrong, since each group's pivot threshold scales with its
-        lever arms, so G, whose elimination is made first here, goes to
-        explicit_from_implicit and fails its count."""
+        lever arms, so G, whose elimination is made first here, raises the
+        count check's CountMismatchError."""
         workloads = perfbench_workloads(monkeypatch)
         _, numbered, graph, lacg, qs = workloads.sweep_model(1, workloads.SWEEP_BODIES,
                                                              workloads.SWEEP_LOOPS)
@@ -775,3 +786,78 @@ class TestSingularConfigurations:
         assert (generic.n_i, generic.passed) == (1, False)
         assert generic.redundant == (RedundantAggregate(1, 8, 7),)
         assert aligned.redundant == ()
+
+
+def graph_calls(numbered, graph, lacg):
+    """Every public function that takes a connectivity graph, at q = 0."""
+    q = zero_configuration(numbered)
+    number = numbered.loop_entries[0][0]
+    couplings = [n for n, entry in numbered.loop_entries if not isinstance(entry, LoopJoint)]
+    calls = [lambda: all_loop_jacobians(numbered, graph, q),
+             lambda: implicit_loop_jacobian(numbered, graph, number, q),
+             lambda: loop_residual(numbered, graph, number, q),
+             lambda: independent_coordinate_check(numbered, graph, lacg, q),
+             lambda: explicit_jacobian_for_model(numbered, graph, q)]
+    return calls + [lambda: coupling_row(numbered, graph, n) for n in couplings[:1]]
+
+
+class TestGraphOfAnotherModel:
+    """A graph is checked against the model on every public call: the
+    plan's subchains come from the first graph it is given, so a graph of
+    another model gave an IndexError, or the loops of that other model."""
+
+    PARENT = "^connectivity graph is not of this model: its parent map differs"
+
+    @pytest.mark.parametrize("mine,theirs", [("fourbar.urdf", "nested.urdf"),
+                                             ("nested.urdf", "overlapping.urdf"),
+                                             ("belt.urdf", "nested.urdf")])
+    def test_first_call(self, mine, theirs):
+        numbered, other = load_pipeline(mine).numbered, load_pipeline(theirs)
+        for call in graph_calls(numbered, other.graph, other.lacg):
+            with pytest.raises(InvalidModelError, match=self.PARENT):
+                call()
+
+    def test_later_call(self):
+        pipe, other = load_pipeline("nested.urdf"), load_pipeline("overlapping.urdf")
+        numbered = pipe.numbered
+        report = independent_coordinate_check(numbered, pipe.graph, pipe.lacg)
+        assert [info.joint_numbers for info in report.loops] == [(1, 2, 3, 5), (3, 4)]
+        for call in graph_calls(numbered, other.graph, other.lacg):
+            with pytest.raises(InvalidModelError, match=self.PARENT):
+                call()
+        assert independent_coordinate_check(numbered, pipe.graph, pipe.lacg) == report
+
+    def test_loop_edge_of_another_body(self):
+        pipe = load_pipeline("fourbar.urdf")
+        [edge] = pipe.graph.loop_edges
+        moved = replace(pipe.graph, loop_edges=(replace(edge, successor=edge.predecessor),))
+        message = (f"^connectivity graph is not of this model: its loop edge 'closure' is "
+                   f"joint 4 from body {edge.predecessor} to body {edge.predecessor}, the "
+                   f"model's 'closure' is joint 4 from body {edge.predecessor} to body "
+                   f"{edge.successor}$")
+        fewer = replace(pipe.graph, loop_edges=())
+        lacg = replace(pipe.lacg, graph=moved)
+        for call in graph_calls(pipe.numbered, moved, lacg):
+            with pytest.raises(InvalidModelError, match=message):
+                call()
+        with pytest.raises(InvalidModelError, match="it has 0 loop edges, the model 1 "):
+            all_loop_jacobians(pipe.numbered, fewer, np.zeros(3))
+
+    def test_aggregated_graph_of_another_graph(self, nested):
+        pipe = load_pipeline("fourbar.urdf")
+        with pytest.raises(InvalidModelError,
+                           match="^loop-aggregated graph is not of this connectivity graph$"):
+            independent_coordinate_check(pipe.numbered, pipe.graph, nested.lacg)
+
+    def test_rebuilt_graph_is_accepted(self):
+        pipe = load_pipeline("wrist.urdf")
+        q = zero_configuration(pipe.numbered)
+        report = independent_coordinate_check(pipe.numbered, pipe.graph, pipe.lacg, q)
+        g = explicit_jacobian_for_model(pipe.numbered, pipe.graph, q)
+        graph, _, _, lacg = build_pipeline(pipe.numbered)
+        assert graph is not pipe.graph and graph == pipe.graph
+        assert isinstance(lacg, LoopAggregatedGraph)
+        assert independent_coordinate_check(pipe.numbered, graph, lacg, q) == report
+        assert independent_coordinate_check(pipe.numbered, pipe.graph, lacg, q) == report
+        assert np.array_equal(explicit_jacobian_for_model(pipe.numbered, graph, q).matrix,
+                              g.matrix)

@@ -265,6 +265,10 @@ class TestDotExport:
         assert 'label="solo (0)"' in dot
         assert "--" not in dot
 
+    def test_unsupported_object(self):
+        with pytest.raises(TypeError, match="^cannot render dict as DOT$"):
+            export_dot({})
+
     def test_belt_cdd_edge_count(self, belt):
         dot = export_dot(belt.digraph)
         assert dot.startswith("digraph")

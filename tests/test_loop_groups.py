@@ -230,7 +230,8 @@ def full_width_explicit(groups, reduced, tol):
 
 def check_g_bytes(numbered, graph, q):
     """G's bytes, signed zeros included, equal the full-width solve's at q
-    when the group path gives G; returns G's matrix then, else None."""
+    when G reaches the groups' solve (every dependent coordinate in a group
+    whose rank equals its width); returns G's matrix then, else None."""
     _, reduced, ranks = _eliminated(numbered, graph, q, RANK_TOL)
     groups = numbered._kinematics.groups(graph)
     if not (groups.complete and np.array_equal(ranks[: groups.count], groups.width)):

@@ -74,6 +74,41 @@ class TestValidation:
         )
         assert "unknown-link" in codes(validate_model(model))
 
+    def test_report_text(self):
+        assert str(validate_model(chain(3))) == "model valid"
+        model = RobotModel(name="dup", links=(Link(name="a"), Link(name="a"), Link(name="")))
+        assert str(validate_model(model)).splitlines()[:2] == [
+            "duplicate-link: duplicate link name (a)", "empty-name: link with empty name"]
+
+    def test_empty_names(self):
+        model = chain(3)
+        model = RobotModel(
+            name="blank", links=(*model.links, Link(name="")),
+            tree_joints=(replace(model.tree_joints[0], name=""), model.tree_joints[1]),
+            loop_joints=(LoopJoint(name="", joint_type=JointType.FIXED,
+                                   predecessor="l0", successor="l2"),),
+            couplings=(Coupling(name="", predecessor="l1", successor="l2", ratio=1.0),),
+        )
+        messages = [v.message for v in validate_model(model).violations
+                    if v.code == "empty-name"]
+        assert messages == ["link with empty name", "joint with empty name",
+                            "loop with empty name", "coupling with empty name"]
+
+    def test_axis_on_a_joint_that_takes_none(self):
+        model = chain(2, JointType.FIXED)
+        model = replace(model, tree_joints=(replace(model.tree_joints[0],
+                                                    axis=(0.0, 0.0, 1.0)),))
+        [violation] = validate_model(model).violations
+        assert (violation.code, violation.subject) == ("axis-unused", "j1")
+
+    def test_loop_without_a_required_axis(self):
+        model = replace(chain(3), loop_joints=(
+            LoopJoint(name="closure", joint_type=JointType.REVOLUTE,
+                      predecessor="l0", successor="l2"),))
+        [violation] = validate_model(model).violations
+        assert (violation.code, violation.message, violation.subject) == (
+            "axis-missing", "loop type requires an axis", "closure")
+
     def test_multiple_roots(self):
         model = RobotModel(name="forest", links=(Link(name="a"), Link(name="b")))
         assert "multiple-roots" in codes(validate_model(model))

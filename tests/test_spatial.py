@@ -133,6 +133,39 @@ class TestSo3LogAgainstPinnedOracle:
             assert got[1][1].startswith("rotation angle ")
 
 
+    def test_rot_z_quarter_turn(self):
+        assert np.allclose(sp.rot_z(math.pi / 2) @ [1, 0, 0], [0, 1, 0], atol=1e-15)
+        assert np.allclose(sp.rot_z(0.3), sp.rotation_about_axis([0, 0, 1], 0.3), atol=1e-15)
+
+
+class TestPublicArgumentErrors:
+    def test_fixed_joint_moves_nothing(self):
+        assert JointType.FIXED.motion_kind == "none"
+
+    @pytest.mark.parametrize("v", [[1.0, 2.0], np.zeros((2, 2))])
+    def test_not_a_3_vector(self, v):
+        with pytest.raises(DimensionMismatchError, match="^expected a 3-vector, got shape"):
+            sp.skew(v)
+        with pytest.raises(DimensionMismatchError, match="^expected a 3-vector, got shape"):
+            sp.SpatialTransform(trans=v)
+
+    def test_rotation_not_3x3(self):
+        with pytest.raises(DimensionMismatchError, match=r"^rotation must be 3x3, got \(2, 2\)$"):
+            sp.SpatialTransform(rot=np.eye(2))
+
+    def test_motion_vector_not_6_rows(self):
+        with pytest.raises(DimensionMismatchError, match=r"^expected 6 rows, got shape \(3,\)$"):
+            sp.motion_map(sp.SpatialTransform.identity(), np.zeros(3))
+
+    def test_joint_type_requires_an_axis(self):
+        with pytest.raises(NonUnitAxisError, match="^joint type prismatic requires an axis$"):
+            sp.motion_subspace(JointType.PRISMATIC)
+
+    def test_universal_axes_not_orthogonal(self):
+        with pytest.raises(NonUnitAxisError, match="^universal joint axes must be orthogonal$"):
+            sp.motion_subspace(JointType.UNIVERSAL, [1, 0, 0], [0.6, 0.8, 0])
+
+
 class TestTransforms:
     def test_compose_identity(self):
         x = random_transform()

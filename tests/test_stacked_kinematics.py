@@ -219,8 +219,8 @@ def test_snake_levels():
 
 def test_g_where_the_groups_are_not_complete():
     """A dependent coordinate outside every loop group (joint j4, unflagged,
-    on no loop path): G goes to the stacked K, whose error the oracle
-    gives too."""
+    on no loop path): G raises for it the error that the oracle, which
+    ranks the stacked K, gives too."""
     regular, *_ = built(
         30, [(JointType.REVOLUTE, 0), (JointType.REVOLUTE, 1), (JointType.REVOLUTE, 0),
              (JointType.REVOLUTE, 3)],
