@@ -45,10 +45,11 @@ from .spatial import (
     _JointStack,
     _motion_maps,
     _row_reduce_batch,
+    _so3_logs,
+    _solve_layout,
     constraint_force_subspace,
     numerical_rank,
     row_reduce_basis,
-    so3_log,
     solve_with_pivoting,
 )
 
@@ -187,6 +188,7 @@ class _Tree:
         for place, body in enumerate(order):
             slot[body] = place
         self.slot = np.array(slot, dtype=np.intp)
+        self._body_order = order == sorted(order)
         self.joints = _JointStack(
             [JointKinematics(joints[b].joint_type, joints[b].axis, joints[b].axis2)
              for b in order[1:]],
@@ -202,19 +204,21 @@ class _Tree:
         body order, read-only: every joint's origin composed with its joint
         transform, then, level by level, the parents' poses gathered once
         and composed with the level's local transforms straight into the
-        level's slice; one gather at the end returns the body order."""
+        level's slice; one gather returns the body order if that differs."""
         local_rot, local_trans = _composed(*self.origins, *self.joints.transforms(q))
+        local_trans = local_trans[:, :, None]
         rot = np.empty((len(local_rot) + 1, 3, 3))
         rot[0] = np.eye(3)
-        trans = np.empty((len(local_rot) + 1, 3))
-        trans[0] = 0.0
+        trans = np.zeros((len(local_rot) + 1, 3))
+        columns = trans[:, :, None]  # the translations as columns, as the products give them
         for low, high, parents in self.levels:
             rot_p = rot.take(parents, axis=0)
             np.matmul(rot_p, local_rot[low - 1 : high - 1], out=rot[low:high])
-            np.add((rot_p @ local_trans[low - 1 : high - 1, :, None])[:, :, 0],
-                   trans.take(parents, axis=0), out=trans[low:high])
-        return (_read_only(rot.take(self.slot, axis=0)),
-                _read_only(trans.take(self.slot, axis=0)))
+            np.add(rot_p @ local_trans[low - 1 : high - 1], columns.take(parents, axis=0),
+                   out=columns[low:high])
+        if not self._body_order:
+            rot, trans = rot.take(self.slot, axis=0), trans.take(self.slot, axis=0)
+        return _read_only(rot), _read_only(trans)
 
 
 @_record
@@ -381,30 +385,27 @@ class _LoopGroups:
     def _solve_index(self) -> tuple[np.ndarray, ...]:
         """The flat (to, from) indices of `explicit`, built on its first
         call: each group's dependent block `a` and independent block `b` in
-        the trailing rows of its member, from the first `width[g]` rows of
-        its reduced member, and the eliminated `b` in G's columns of the
-        wide right-hand side; and each solve column's place among all
-        dependent coordinates (`explicit` runs on complete groups only)."""
+        the trailing rows of its member of the system [a | b], from its
+        reduced member's first `width[g]` rows, and the eliminated `b` in G's
+        columns of the wide right-hand side; and the system's _solve_layout,
+        naming each column by its place among all dependent coordinates."""
         _, height, width = self.shape
         size, n_i, rhs = self._size, len(self.independent), self._rhs
         places = np.zeros(self.count * size, dtype=np.intp)
         places[self._rows] = np.arange(len(self._rows))
-        a_to, a_from, b_to, b_from, wide_to, wide_from = [], [], [], [], [], []
+        system_to, system_from, wide_to, wide_from = [], [], [], []
         for member, (dep, ind, position) in enumerate(self._blocks):
             start = size - len(dep)
             for r in range(len(dep)):
-                basis_row = (member * height + r) * width
-                a_from += [basis_row + k for k in dep]
-                b_from += [basis_row + k for k in ind]
-                row = member * size + start + r
-                a_to += range(row * size + start, (row + 1) * size)
-                b_to += range(row * rhs, row * rhs + len(ind))
+                system_from += [(member * height + r) * width + k for k in dep + ind]
+                row = (member * size + start + r) * (size + rhs)
+                system_to += range(row + start, row + size + len(ind))
             for row in range(member * size, (member + 1) * size):
                 wide_from += range(row * rhs, row * rhs + len(ind))
                 wide_to += [row * n_i + p for p in position]
         return (*(np.array(to + source, dtype=np.intp).reshape(2, -1)
-                  for to, source in ((a_to, a_from), (b_to, b_from), (wide_to, wide_from))),
-                places.reshape(self.count, size))
+                  for to, source in ((system_to, system_from), (wide_to, wide_from))),
+                _solve_layout(size - self.width, size, places.reshape(self.count, size)))
 
     def batch(self, rows: np.ndarray) -> np.ndarray:
         """Every member of the lock-step elimination, zero-padded, from the
@@ -421,12 +422,10 @@ class _LoopGroups:
         its member; SingularDependentBlockError if a block is singular,
         naming the column by its place among all dependent coordinates."""
         count, size, n_i = self.count, self._size, len(self.independent)
-        (a_to, a_from), (b_to, b_from), (wide_to, wide_from), places = self._solve_index
-        a = np.zeros((count, size, size))
-        a.put(a_to, reduced.take(a_from))
-        b = np.zeros((count, size, self._rhs))
-        b.put(b_to, reduced.take(b_from))
-        a, b = _eliminate_batch(a, b, size - self.width, tol, places)
+        (system_to, system_from), (wide_to, wide_from), layout = self._solve_index
+        system = np.zeros((count, size, size + self._rhs))
+        system.put(system_to, reduced.take(system_from))
+        a, b = _eliminate_batch(system, layout, tol)
         wide = np.zeros((count, size, n_i))
         wide.put(wide_to, b.take(wide_from))
         x = _back_substitute(a, wide)
@@ -438,8 +437,8 @@ class _LoopGroups:
 
 
 class _LoopAssembly:
-    """Every loop joint's rows and closure pose at a configuration, in one
-    pass; loop joint i (`position[entry]`) gets its rows in
+    """Every loop joint's rows and closure residual at a configuration, in
+    one pass; loop joint i (`position[entry]`) gets its rows in
     `[i, :rows, :width]` of one (loops, 6, widest) array.
 
     Block column j is sign * Psi^T * S_j with S_j carried into the
@@ -450,7 +449,8 @@ class _LoopAssembly:
     rotation the transpose view of the loop frame's, so each product keeps
     the layout, and the bits, it has for one pair alone.  `row_layout` is
     _row_layout of the steps, and `slot` the tree's level-order place of
-    each body, which gives a joint's place in the tree's joint stack."""
+    each body, which gives a joint's place in the tree's joint stack.  The
+    residuals are one padded product of `psi_t` with the stacked pose errors."""
 
     def __init__(self, steps, slot, row_layout):
         self.position, width = row_layout
@@ -463,6 +463,9 @@ class _LoopAssembly:
         for i, step in enumerate(steps):
             psi[i, :, : step.psi.shape[1]] = step.psi
         self.shape = (len(steps), 6, width)
+        self.psi_t = psi.transpose(0, 2, 1)
+        self.residual_index = np.array([(entry * 6 + r, i * 6 + r) for i, entry in enumerate(
+            self.position) for r in range(steps[i].psi.shape[1])], np.intp).reshape(-1, 2).T
         by_dof = {}
         for i, step in enumerate(steps):
             for joint, start, stop, sign in step.moving:
@@ -477,9 +480,9 @@ class _LoopAssembly:
             self.pairs.append((loop, joint, slot[joint] - 1, sign[:, None, None],
                                psi[loop].transpose(0, 2, 1), places.ravel()))
 
-    def evaluate(self, record: _Record):
-        """The rows (read-only) and each successor frame's rotation and
-        translation in its predecessor frame, at the record's q and poses."""
+    def evaluate(self, record: _Record, residuals: np.ndarray):
+        """The rows (read-only) at the record's q and poses, and the half-turn
+        error messages by entry; each other residual goes into `residuals`."""
         (rot, trans), q, joints = record.poses, record.q, record.plan.tree.joints
         p, s = self.predecessor, self.successor
         rot_p, trans_p = _composed(rot[p], trans[p], *self.predecessor_origins)
@@ -491,7 +494,15 @@ class _LoopAssembly:
             maps = _motion_maps(*to_joint, joints.subspaces(q, stacked))
             rows.put(places, sign * (psi_t @ maps))
         frame_s = _composed(rot[s], trans[s], *self.successor_origins)
-        return _read_only(rows), *_composed(rot_p.transpose(0, 2, 1), to_loop_trans, *frame_s)
+        rel_rot, rel_trans = _composed(rot_p.transpose(0, 2, 1), to_loop_trans, *frame_s)
+        logs, failed = _so3_logs(rel_rot)
+        errors = np.concatenate((logs, rel_trans), axis=1)[:, :, None]
+        to, source = self.residual_index
+        residuals.put(to, (self.psi_t @ errors).take(source))
+        failed = {list(self.position)[i]: message for i, message in failed.items()}
+        if failed:  # a half-turn's residual stays unread, and zero
+            residuals[list(failed)] = 0.0
+        return _read_only(rows), failed
 
 
 _NO_ROWS = _read_only(np.zeros((0, 6, 0)))  # the loop assembly's rows without a loop joint
@@ -524,43 +535,37 @@ class _Record:
         return self.plan.tree.poses(self.q)
 
     def evaluate(self, graph: ConnectivityGraph) -> _Record:
-        """Every loop entry evaluated, the rows made from `poses` only when
-        there is a loop joint.  A finite q can still overflow: one check over
-        the rows and the residuals raises ConfigurationError, naming the
-        first entry with a value that is not finite; no numpy warning escapes."""
+        """Every loop entry evaluated, as views of `rows` and `residuals`, the
+        rows made from `poses` only when there is a loop joint.  A finite q can
+        still overflow: one check over both raises ConfigurationError, naming
+        the first entry with a value that is not finite; no numpy warning escapes."""
         if self.terms is not None:
             return self
-        plan, q = self.plan, self.q
-        steps = plan.loops(graph)
+        plan, steps = self.plan, self.plan.loops(graph)
         position, _ = plan._row_layout
+        couplings, coupling_rows = plan._couplings
         residuals = np.zeros((len(steps), 6))
-        rows, terms, failed = _NO_ROWS, [], {}
+        rows, failed = _NO_ROWS, {}
         with np.errstate(all="ignore"):  # an overflow is reported below, by entry
             if position:
-                rows, rel_rot, rel_trans = plan.assembly(graph).evaluate(self)
-            for index, step in enumerate(steps):
-                if isinstance(step, _CouplingStep):
-                    residual = residuals[index, :1]
-                    # a coupling is linear in q: its row times q is the relation itself
-                    np.matmul(step.full_row, q, out=residual)
-                    terms.append((step.jacobian, _read_only(residual)))
-                    continue
-                i = position[index]
-                residual = residuals[index, : step.psi.shape[1]]
-                try:
-                    log = so3_log(rel_rot[i])
-                except AntipodalRotationError as exc:
-                    failed[index] = str(exc)
-                else:
-                    np.matmul(step.psi.T, np.concatenate([log, rel_trans[i]]), out=residual)
-                matrix = rows[i, : step.psi.shape[1], : step.width]
-                terms.append((LoopJacobian(step.number, step.name, "loop", step.joint_numbers,
-                                           step.joint_columns, matrix), _read_only(residual)))
-        if not (np.isfinite(rows).all() and np.isfinite(_read_only(residuals)).all()):
-            jac, part = next((jac, part) for jac, residual in terms
-                             for part, values in (("row", jac.matrix), ("residual", residual))
-                             if not np.isfinite(values).all())
-            raise _overflow(jac, f"{part} entry")
+                rows, failed = plan.assembly(graph).evaluate(self, residuals)
+            if couplings:
+                # a coupling is linear in q: its row times q is the relation itself
+                residuals[couplings, 0] = coupling_rows @ self.q
+        residuals, terms = _read_only(residuals), []
+        for index, step in enumerate(steps):
+            if isinstance(step, _CouplingStep):
+                terms.append((step.jacobian, residuals[index, :1]))
+                continue
+            height, i = step.psi.shape[1], position[index]
+            terms.append((LoopJacobian(step.number, step.name, "loop", step.joint_numbers,
+                                       step.joint_columns, rows[i, :height, : step.width]),
+                          residuals[index, :height]))
+        if not (np.isfinite(rows).all() and np.isfinite(residuals).all()):
+            for jac, residual in terms:  # no entry reads the padding around its rows
+                for part, values in (("row", jac.matrix), ("residual", residual)):
+                    if not np.isfinite(values).all():
+                        raise _overflow(jac, f"{part} entry")
         self.rows, self.residuals, self.terms, self.failed = rows, residuals, terms, failed
         return self
 
@@ -609,11 +614,7 @@ class KinematicPlan:
         self._slices = numbered.coordinate_slices()
         self._entries = numbered.loop_entries
         self._independent = independent_coordinate_indices(numbered)
-        self._graph = None
-        self._loops = None
-        self._assembly = None
-        self._groups = None
-        self._record = None
+        self._graph = self._loops = self._assembly = self._groups = self._record = None
 
     def check(self, graph: ConnectivityGraph) -> KinematicPlan:
         """The plan, after the one check on every graph a public function is
@@ -678,10 +679,11 @@ class KinematicPlan:
 
     def loops(self, graph: ConnectivityGraph) -> tuple[_LoopStep | _CouplingStep, ...]:
         if self._loops is None:
-            self._loops = tuple(
-                self._loop_step(graph, index) for index in range(len(self._entries))
-            )
+            self._loops = tuple(self._loop_step(graph, i) for i in range(len(self._entries)))
             self._row_layout = _row_layout(self._loops)
+            rows = [(i, step.full_row[0]) for i, step in enumerate(self._loops)
+                    if isinstance(step, _CouplingStep)]
+            self._couplings = [i for i, _ in rows], np.array([row for _, row in rows])
         return self._loops
 
     def assembly(self, graph: ConnectivityGraph) -> _LoopAssembly:
@@ -724,19 +726,9 @@ class KinematicPlan:
             for joint_number, (start, stop) in zip(joints, columns)
             if start < stop
         )
-        return _LoopStep(
-            number,
-            entry.name,
-            tuple(joints),
-            tuple(columns),
-            psi,
-            edge.predecessor,
-            edge.successor,
-            entry.predecessor_origin,
-            entry.successor_origin,
-            moving,
-            offset,
-        )
+        return _LoopStep(number, entry.name, tuple(joints), tuple(columns), psi,
+                         edge.predecessor, edge.successor, entry.predecessor_origin,
+                         entry.successor_origin, moving, offset)
 
 
 def _loop_terms(numbered: NumberedModel, graph: ConnectivityGraph, q, indices
@@ -846,13 +838,19 @@ def explicit_from_implicit(
     independent: list[int] | tuple[int, ...],
     tol: float = RANK_TOL,
 ) -> ExplicitJacobian:
-    """Derive the explicit constraint Jacobian G with K @ G = 0.
+    """Derive the explicit constraint Jacobian G with K @ G = 0 from one
+    stacked K, ranked at one threshold, tol times max|K|.
 
     `independent` selects coordinate columns of `k_full`; its size must equal
     the column count minus the numerical row rank (CountMismatchError
     otherwise).  The square dependent block is solved by Gaussian elimination
     with partial pivoting; a singular block means the independent choice is
     invalid (SingularDependentBlockError); there is no least-squares fallback.
+    One threshold cannot serve loops of different scale: on two four-bars
+    with bars 1 and 1e-11 long (`tests/helpers.twin_far_fourbars`) it lies
+    above every entry of the small loop, and the G returned gives
+    max|K_B @ G| / max|K_B| = 1.0.  `explicit_jacobian_for_model` ranks each
+    loop group at its own threshold.
     """
     k_full = np.asarray(k_full, dtype=float)
     n_cols = k_full.shape[1]
@@ -1015,7 +1013,7 @@ def explicit_jacobian_for_model(
     expected, declared = numbered.total_dof - int(ranks.sum()), len(groups.independent)
     if expected != declared:
         raise CountMismatchError(expected=expected, declared=declared)
-    if not (groups.complete and np.array_equal(ranks, groups.width)):
+    if not (groups.complete and (ranks == groups.width).all()):
         # the counts agree: some group's rank is short, or a coordinate is in none
         column = next(place for place, (member, k) in enumerate(groups.solved_by)
                       if member < 0 or k >= ranks[member])

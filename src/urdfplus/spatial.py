@@ -188,22 +188,32 @@ def so3_log(r: np.ndarray) -> np.ndarray:
 
     Raises AntipodalRotationError within ANTIPODAL_TOL of a half-turn,
     where the direction of the axis becomes numerically meaningless for
-    differentiation purposes.  The 3 x 3 is read as Python floats and
-    summed and scaled in the order np.trace and numpy's elementwise
-    products use, so the result has the bits of the array expression.
+    differentiation purposes (_so3_logs of the one matrix).
     """
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = np.asarray(r, dtype=float).tolist()
-    # NaN passes through the clamp, as through np.clip
-    angle = math.acos(min(max(((r00 + r11) + r22 - 1.0) * 0.5, -1.0), 1.0))
-    if angle < 1e-12:
-        # first-order: log(R) ~ vee(R - R^T)/2
-        return np.array([0.5 * (r21 - r12), 0.5 * (r02 - r20), 0.5 * (r10 - r01)])
-    if math.pi - angle < ANTIPODAL_TOL:
-        raise AntipodalRotationError(
-            f"rotation angle {angle} is within {ANTIPODAL_TOL} of pi"
-        )
-    scale = angle / (2.0 * math.sin(angle))
-    return np.array([(r21 - r12) * scale, (r02 - r20) * scale, (r10 - r01) * scale])
+    logs, failed = _so3_logs(np.asarray(r, dtype=float)[None])
+    if failed:
+        raise AntipodalRotationError(failed[0])
+    return logs[0]
+
+
+def _so3_logs(rotations: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
+    """so3_log of each 3 x 3 of a (K, 3, 3) array as a (K, 3) array, zero at a
+    half-turn, and the half-turns' error messages by index.  Each 3 x 3 is read
+    as Python floats and summed and scaled as np.trace and numpy's products do."""
+    values, failed = [], {}
+    for k, ((r00, r01, r02), (r10, r11, r12), (r20, r21, r22)) in enumerate(rotations.tolist()):
+        # NaN passes through the clamp, as through np.clip
+        angle = math.acos(min(max(((r00 + r11) + r22 - 1.0) * 0.5, -1.0), 1.0))
+        if angle < 1e-12:
+            # first-order: log(R) ~ vee(R - R^T)/2
+            values += (0.5 * (r21 - r12), 0.5 * (r02 - r20), 0.5 * (r10 - r01))
+        elif math.pi - angle < ANTIPODAL_TOL:
+            failed[k] = f"rotation angle {angle} is within {ANTIPODAL_TOL} of pi"
+            values += (0.0, 0.0, 0.0)
+        else:
+            scale = angle / (2.0 * math.sin(angle))
+            values += ((r21 - r12) * scale, (r02 - r20) * scale, (r10 - r01) * scale)
+    return np.array(values).reshape(-1, 3), failed
 
 
 class SpatialTransform:
@@ -280,16 +290,13 @@ def motion_map(x: SpatialTransform, v) -> np.ndarray:
 # Stacked forms of the kernels above, for K poses (rot (K, 3, 3), trans
 # (K, 3)) at once.  Each is the same expression, products through `matmul`
 # and transposes as views, so every pose gets the bits it gets alone.
+_SKEW_AT = np.array([3, 6, 1, 2, 3, 4, 5, 0, 3])  # skew entries among x, y, z, 0, -x, -y, -z
 
 
 def _skews(v: np.ndarray) -> np.ndarray:
     """The cross-product matrix of each row of a (K, 3) array."""
-    x, y, z = v.T
-    out = np.zeros((len(v), 3, 3))
-    out[:, 0, 1], out[:, 0, 2] = -z, y
-    out[:, 1, 0], out[:, 1, 2] = z, -x
-    out[:, 2, 0], out[:, 2, 1] = -y, x
-    return out
+    values = np.concatenate((v, np.zeros((len(v), 1)), -v), axis=1)
+    return values.take(_SKEW_AT, axis=1).reshape(-1, 3, 3)
 
 
 def _composed(a_rot, a_trans, b_rot, b_trans) -> tuple[np.ndarray, np.ndarray]:
@@ -433,6 +440,11 @@ class _JointStack:
         self._a2 = np.array([joint.a2 for joint in joints]).reshape(-1, 3)
         k1, k2 = _skews(self._a1), _skews(self._a2)
         self._k = k1, k1 @ k1, k2, k2 @ k2  # the Rodrigues K and K @ K of each axis
+        # gathered once: K, K @ K and the angle's place in q of each axis that turns
+        turns, cross = np.concatenate((self._spin, self._cross)), self._cross
+        self._turns = (np.concatenate((k1[turns], k2[cross])),
+                       np.concatenate((self._k[1][turns], self._k[3][cross])),
+                       np.concatenate((self.starts[turns], self.starts[cross] + 1)))
         self._constant = np.zeros((len(kinds), 6, 1))  # subspaces of 1-DoF joints
         self._constant[self._spin, :3, 0] = self._a1[self._spin]
         self._constant[self._slide, 3:, 0] = self._a1[self._slide]
@@ -442,14 +454,14 @@ class _JointStack:
         child-side joint frames at the position vector q (not checked)."""
         rot = np.repeat(_EYE3[None], len(self.dof), axis=0)
         trans = np.zeros((len(self.dof), 3))
-        (k1, kk1, k2, kk2), start = self._k, self.starts
-        if (j := self._spin).size:
-            rot[j] = _rodrigues(k1[j], kk1[j], q[start[j]])
+        start, spin, cross = self.starts, len(self._spin), len(self._cross)
+        if spin + cross:  # one Rodrigues expression: spin axes, cross first axes, cross second
+            k, kk, at = self._turns
+            turns = _rodrigues(k, kk, q[at])
+            rot[self._spin] = turns[:spin]
+            rot[self._cross] = turns[spin : spin + cross] @ turns[spin + cross :]
         if (j := self._slide).size:
             trans[j] = q[start[j], None] * self._a1[j]
-        if (j := self._cross).size:
-            rot[j] = (_rodrigues(k1[j], kk1[j], q[start[j]])
-                      @ _rodrigues(k2[j], kk2[j], q[start[j] + 1]))
         if (j := self._free).size:  # rotate by rpy, place the child origin at xyz
             position = q[start[j, None] + np.arange(6)]
             rot[j] = _rots_from_rpy(position[:, :3].tolist())
@@ -557,29 +569,35 @@ def _solve_batch(a: np.ndarray, b: np.ndarray, start: np.ndarray, tol: float
     member's own column, when a pivot is at or below tol times the largest
     absolute entry of the member's matrix.
     """
-    return _back_substitute(*_eliminate_batch(a, b, start, tol))
-
-
-def _eliminate_batch(a: np.ndarray, b: np.ndarray, start: np.ndarray, tol: float,
-                     names: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The forward elimination of _solve_batch, as (a, b).  It works on each
-    right-hand side column entry by entry, apart from the others.  An error
-    names member k's column c as names[k, c], by default c - start[k]."""
-    _check_tol(tol)
-    n = a.shape[1]
-    threshold = tol * np.abs(a).max(axis=(1, 2), initial=1e-300)
-    lead = np.arange(n) < start[:, None]
     system = np.concatenate((a, b), axis=2)
-    member, diagonal = np.nonzero(lead)
+    return _back_substitute(*_eliminate_batch(system, _solve_layout(start, a.shape[1]), tol))
+
+
+def _solve_layout(start: np.ndarray, n: int, names: np.ndarray | None = None) -> tuple:
+    """What _eliminate_batch reads of each member's start in n columns: the
+    (n, members) mask of the leading columns, exempt from the threshold, the
+    leading identity's indices, and the names of columns c, default c - start[k]."""
+    lead = np.arange(n) < start[:, None]
+    return (lead.T, *np.nonzero(lead),
+            np.arange(n) - start[:, None] if names is None else names)
+
+
+def _eliminate_batch(system: np.ndarray, layout: tuple, tol: float
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The forward elimination of _solve_batch, in place on the systems
+    [a | b] (members, n, n + m), as (a, b), given the _solve_layout of
+    their start.  It works on each column of b apart from the others."""
+    _check_tol(tol)
+    exempt, member, diagonal, names = layout
+    n = system.shape[1]
+    threshold = tol * np.abs(system[:, :, :n]).max(axis=(1, 2), initial=1e-300)
     system[member, diagonal, diagonal] = 1.0
-    rank = _forward_pass(system, np.where(lead, 0.0, threshold[:, None]).T,
-                         stop_at_refusal=True)
+    rank = _forward_pass(system, np.where(exempt, 0.0, threshold), stop_at_refusal=True)
     if rank.min(initial=n) < n:
         k = int(rank.argmin())  # the first member that refused, in column rank[k]
         column = system[k, rank[k] :, rank[k]]
-        name = rank[k] - start[k] if names is None else names[k, rank[k]]
         raise SingularDependentBlockError(f"pivot {column[np.abs(column).argmax()]:.3e} "
-                                          f"below tolerance in column {name}")
+                                          f"below tolerance in column {names[k, rank[k]]}")
     return system[:, :, :n], system[:, :, n:]
 
 
@@ -600,7 +618,8 @@ def _forward_pass(a: np.ndarray, thresholds, stop_at_refusal: bool = False) -> n
     In each column c < len(thresholds) (later ones are carried along), every
     member takes the largest entry at or below its next pivot row, accepts
     it when it exceeds its entry of thresholds[c], swaps it into place and
-    eliminates below it; every other row keeps its bits.  With
+    eliminates below it; every other row keeps its bits.  While every member
+    has accepted every column, a column needs no mask.  With
     stop_at_refusal the pass ends after the first column that some member
     refuses, leaving that member as it was."""
     count, rows, cols = a.shape
@@ -614,29 +633,37 @@ def _forward_pass(a: np.ndarray, thresholds, stop_at_refusal: bool = False) -> n
     for col, threshold in enumerate(thresholds):
         if lead == rows:  # every row holds a pivot
             break
-        column = np.abs(t[:, :, col])
-        column[ids < slot] = -1.0  # rows that hold a pivot
+        column = np.abs(t[lead:, :, col])  # the rows above `lead` hold pivots
+        if lead < col:  # a member has refused a column: hide its later pivot rows
+            column[ids[lead:] < slot] = -1.0
         pivot = column.argmax(axis=0) * count + ids[0]  # ids[0]: the member indices
         accept = column.take(pivot) > threshold
+        pivot += lead * count
         accepted = np.count_nonzero(accept)
-        if accepted:
+        if accepted == count and lead == col:  # unmasked: slot is ids[lead]
             pivot_rows = by_id.take(pivot, axis=0)
-            dest, last, divisor = slot, slot, pivot_rows[:, col]
-            if accepted < count:  # a member that refuses keeps its rows
-                dest = np.where(accept, slot, pivot)
-                last = np.where(accept, slot, ids.size)
-                divisor = np.where(accept, divisor, 1.0)
+            by_id[pivot] = t[lead]
+            t[lead] = pivot_rows
+            rest = t[lead + 1 :]
+            rest -= rest[:, :, col, None] / pivot_rows[:, col, None] * pivot_rows
+            rest[:, :, col] = 0.0
+            slot += count
+            lead += 1
+        elif accepted:  # masked: only rows below an accepted pivot get factors and products
+            pivot_rows = by_id.take(pivot, axis=0)
+            dest = np.where(accept, slot, pivot)  # a member that refuses keeps its rows
             by_id[pivot] = by_id.take(dest, axis=0)
             by_id[dest] = pivot_rows
             rest = t[lead + 1 :]  # the rows below every member's pivot
-            below = ids[lead + 1 :] > last
-            factors = rest[:, :, col] / divisor
-            # masked: outside `below`, x - 0.0 * p can turn -0.0 into 0.0
-            np.subtract(rest, factors[:, :, None] * pivot_rows, out=rest,
-                        where=below[:, :, None])
+            below = ids[lead + 1 :] > np.where(accept, slot, ids.size)
+            where = below[:, :, None]  # elsewhere x - 0.0 * p can turn -0.0 into 0.0
+            # out=None: unset outside `where`, and never read there
+            factors = np.divide(rest[:, :, col, None], pivot_rows[:, col, None], out=None,
+                                where=where)
+            np.subtract(rest, np.multiply(factors, pivot_rows, out=None, where=where),
+                        out=rest, where=where)
             rest[:, :, col][below] = 0.0
             np.add(slot, count, out=slot, where=accept)
-            lead += accepted == count and lead == col
         if stop_at_refusal and accepted < count:
             break
     a[...] = t.transpose(1, 0, 2)

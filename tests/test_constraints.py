@@ -688,9 +688,9 @@ class TestOverflowingConfiguration:
     @pytest.mark.parametrize("value", [1e200, 1e300])
     def test_sweep_model_far_out(self, monkeypatch, value):
         """Every coordinate of the sweep model at 1e200 or 1e300: the rows
-        and residuals are finite, and the lock-step elimination overflows
-        only in products that its masked subtract discards, so no numpy
-        warning escapes and the reduced batch is finite.  The ranks are
+        and residuals are finite, and the lock-step elimination makes no
+        product for a row it leaves as it was, so nothing overflows and the
+        reduced batch is finite.  The ranks are
         still wrong, since each group's pivot threshold scales with its
         lever arms, so G, whose elimination is made first here, raises the
         count check's CountMismatchError."""

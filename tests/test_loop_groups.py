@@ -12,6 +12,8 @@ import pytest
 
 import urdfplus.constraints
 from conftest import load_pipeline
+from helpers import twin_far_fourbars
+from test_elimination_kernel import oracle_solve_with_pivoting
 from test_kinematic_plan import (
     MODEL_FILES,
     configurations,
@@ -228,10 +230,37 @@ def full_width_explicit(groups, reduced, tol):
     )
 
 
+def among_all_dependent(groups, reduced, tol, error):
+    """The full-width solve's error, which names a refused pivot's column by
+    its place in its group, with that column named by its place among all
+    dependent coordinates, as `_LoopGroups.explicit` names it.  The lock
+    step stops at the first padded column that some member refuses, and
+    names the first such member: each group's own solve, by the verbatim
+    one-matrix oracle, gives its refused column, and `groups.solved_by` its
+    place among all."""
+    kind, message = error
+    size = int(groups.width.max(initial=0))
+    first = None  # (padded column, member, column in the group)
+    for member, columns in enumerate(groups.columns):
+        dep = [k for k, c in enumerate(columns.tolist()) if c not in groups.independent]
+        ind = [k for k, c in enumerate(columns.tolist()) if c in groups.independent]
+        basis = reduced[member, : len(dep)]
+        refused = outcome(lambda: oracle_solve_with_pivoting(basis[:, dep], basis[:, ind], tol))
+        if refused[0] == "error":
+            column = int(refused[1][1].rsplit(" ", 1)[1])
+            first = min(first or (size + 1,), (size - len(dep) + column, member, column))
+    _, member, column = first
+    head, named = message.rsplit(" ", 1)
+    assert int(named) == column
+    return kind, f"{head} {groups.solved_by.index((member, column))}"
+
+
 def check_g_bytes(numbered, graph, q):
     """G's bytes, signed zeros included, equal the full-width solve's at q
     when G reaches the groups' solve (every dependent coordinate in a group
-    whose rank equals its width); returns G's matrix then, else None."""
+    whose rank equals its width); returns G's matrix then, else None.  A
+    refused pivot gives the same error, its column named as
+    `among_all_dependent` translates it."""
     _, reduced, ranks = _eliminated(numbered, graph, q, RANK_TOL)
     groups = numbered._kinematics.groups(graph)
     if not (groups.complete and np.array_equal(ranks[: groups.count], groups.width)):
@@ -240,7 +269,7 @@ def check_g_bytes(numbered, graph, q):
     got = outcome(lambda: groups.explicit(reduced, RANK_TOL))
     assert got[0] == want[0]
     if want[0] == "error":
-        assert got[1] == want[1]
+        assert got[1] == among_all_dependent(groups, reduced, RANK_TOL, want[1])
         return None
     assert got[1].row_coordinates == want[1].row_coordinates
     assert got[1].matrix.tobytes() == want[1].matrix.tobytes()
@@ -268,6 +297,26 @@ def test_narrow_g_keeps_the_full_width_bytes_on_the_sweep_model(seed, monkeypatc
         g = check_g_bytes(numbered, graph, q)
         negative_zeros += int(np.count_nonzero(np.signbit(g) & (g == 0.0)))
     assert negative_zeros > 0  # the zeros outside a row's group, -(+0.0 / pivot)
+
+
+def test_a_second_group_refusing_at_rank_tol_is_named_among_all():
+    """Twin four-bars, copy B 1e-13 from its toggle: at RANK_TOL its group
+    keeps rank 2 but refuses its coupler's pivot, place 1 in the group and
+    place 3 among all dependent coordinates (rocker_a, rocker_b, coupler_a,
+    coupler_b), which the full-width oracle names as 1."""
+    crank = ("true", "false", "false")
+    numbered = regular_numbering(parse_urdf_plus(twin_far_fourbars(1.0, 1.0, crank, crank)).model)
+    graph, _, _, lacg = build_pipeline(numbered)
+    q = np.array([0.3, -0.2, 0.0, 0.0, 0.25, 1e-13])
+    groups = numbered._kinematics.groups(graph)
+    assert groups.count == 2
+    assert independent_coordinate_check(numbered, graph, lacg, q).passed
+    _, reduced, _ = _eliminated(numbered, graph, q, RANK_TOL)
+    want = outcome(lambda: full_width_explicit(groups, reduced, RANK_TOL))
+    assert want[0] == "error" and want[1][1].endswith(" in column 1")
+    assert check_g_bytes(numbered, graph, q) is None
+    got = outcome(lambda: explicit_jacobian_for_model(numbered, graph, q))
+    assert got == ("error", (want[1][0], want[1][1].replace(" column 1", " column 3")))
 
 
 def test_narrow_g_keeps_the_full_width_bytes_on_multi_group_models():
