@@ -7,7 +7,6 @@ from .constraints import (
     LoopJacobian,
     all_loop_jacobians,
     coupling_row,
-    explicit_from_implicit,
     explicit_jacobian_for_model,
     forward_kinematics,
     implicit_loop_jacobian,

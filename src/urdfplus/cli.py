@@ -151,7 +151,7 @@ def _configuration(args, numbered):
     if args.config:
         data = _read_file(args.config)
         try:
-            text = data.decode("utf-8")
+            text = data.decode("utf-8").removeprefix("\ufeff")
         except UnicodeDecodeError as exc:
             raise ConfigurationError(
                 f"{args.config}: not UTF-8 ({exc.reason} at byte {exc.start})"

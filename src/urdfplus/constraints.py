@@ -49,8 +49,6 @@ from .spatial import (
     _solve_layout,
     constraint_force_subspace,
     numerical_rank,
-    row_reduce_basis,
-    solve_with_pivoting,
 )
 
 RANK_TOL = 1e-10
@@ -831,53 +829,6 @@ class ExplicitJacobian:
         out = np.zeros_like(self.matrix)
         out[np.array(self.row_coordinates, dtype=np.intp)] = self.matrix
         return out
-
-
-def explicit_from_implicit(
-    k_full: np.ndarray,
-    independent: list[int] | tuple[int, ...],
-    tol: float = RANK_TOL,
-) -> ExplicitJacobian:
-    """Derive the explicit constraint Jacobian G with K @ G = 0 from one
-    stacked K, ranked at one threshold, tol times max|K|.
-
-    `independent` selects coordinate columns of `k_full`; its size must equal
-    the column count minus the numerical row rank (CountMismatchError
-    otherwise).  The square dependent block is solved by Gaussian elimination
-    with partial pivoting; a singular block means the independent choice is
-    invalid (SingularDependentBlockError); there is no least-squares fallback.
-    One threshold cannot serve loops of different scale: on two four-bars
-    with bars 1 and 1e-11 long (`tests/helpers.twin_far_fourbars`) it lies
-    above every entry of the small loop, and the G returned gives
-    max|K_B @ G| / max|K_B| = 1.0.  `explicit_jacobian_for_model` ranks each
-    loop group at its own threshold.
-    """
-    k_full = np.asarray(k_full, dtype=float)
-    n_cols = k_full.shape[1]
-    independent = tuple(sorted(independent))
-    if any(c < 0 or c >= n_cols for c in independent):
-        raise DimensionMismatchError("independent column index out of range")
-    if len(set(independent)) != len(independent):
-        raise DimensionMismatchError("independent columns must be distinct")
-    basis = row_reduce_basis(k_full, tol)
-    rank = basis.shape[0]
-    if len(independent) != n_cols - rank:
-        raise CountMismatchError(expected=n_cols - rank, declared=len(independent))
-    chosen = set(independent)
-    dependent = tuple(c for c in range(n_cols) if c not in chosen)
-    n_i = len(independent)
-    if rank == 0:
-        dep_rows = np.zeros((0, n_i))
-    else:
-        dep_rows = -solve_with_pivoting(
-            basis[:, dependent], basis[:, independent], tol
-        )
-    matrix = np.vstack([np.eye(n_i), dep_rows])
-    return ExplicitJacobian(
-        matrix=matrix,
-        row_coordinates=independent + dependent,
-        independent=independent,
-    )
 
 
 @_record

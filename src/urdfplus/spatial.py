@@ -508,9 +508,9 @@ def _check_tol(tol: float) -> None:
 
 
 def numerical_rank(m, tol: float = 1e-10) -> int:
-    """Rank by row reduction with partial pivoting: the row count of
-    row_reduce_basis(m, tol).  The zero matrix has rank 0."""
-    return len(row_reduce_basis(m, tol))
+    """Rank by row reduction with partial pivoting: _row_reduce_batch on a
+    one-member batch.  The zero matrix has rank 0."""
+    return int(_row_reduce_batch(np.array(m, dtype=float, ndmin=2)[None], tol)[0])
 
 
 def row_reduce_basis(m, tol: float = 1e-10) -> np.ndarray:
@@ -519,7 +519,8 @@ def row_reduce_basis(m, tol: float = 1e-10) -> np.ndarray:
     Returns the accepted pivot rows of the reduced matrix (full row rank,
     same row space as the input).  The pivot-acceptance threshold is
     relative to the largest absolute entry of the original matrix; tol must
-    be finite and > 0 (ConfigurationError otherwise).
+    be finite and > 0 (ConfigurationError otherwise).  A public one-matrix
+    view of _row_reduce_batch; the engine's G never calls it.
     """
     a = np.array(m, dtype=float, ndmin=2)
     rank = _row_reduce_batch(a[None], tol)[0]
@@ -531,7 +532,8 @@ def solve_with_pivoting(a, b, tol: float = 1e-10) -> np.ndarray:
 
     Raises SingularDependentBlockError when any pivot falls below tol times
     the largest absolute entry of `a`; no least-squares fallback.  tol must
-    be finite and > 0 (ConfigurationError otherwise).
+    be finite and > 0 (ConfigurationError otherwise).  A public one-matrix
+    view of _solve_batch; the engine's G never calls it.
     """
     _check_tol(tol)
     a = np.array(a, dtype=float, ndmin=2)

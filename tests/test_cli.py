@@ -283,6 +283,29 @@ class TestConfigurationInput:
         assert code == 3
         assert err.startswith(f"error: {config}: not UTF-8")
 
+    @pytest.mark.parametrize("command", ["constraints", "validate"])
+    def test_config_with_byte_order_mark(self, capsys, tmp_path, models_dir, command):
+        """A leading UTF-8 BOM is not part of the first joint's name; the
+        run gives the bytes of the same file without it, and reads its q."""
+        outcomes = []
+        for bom in (b"\xef\xbb\xbf", b""):
+            config = tmp_path / "q.cfg"
+            config.write_bytes(bom + b"crank_pivot: 0.1\n")
+            outcomes.append(run(capsys, command, str(models_dir / "fourbar.urdf"),
+                                "--config", str(config)))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 0
+        assert "1.048e-01" in outcomes[0][1] + outcomes[0][2]  # the closure residual
+
+    def test_non_utf8_offset_counts_the_byte_order_mark(self, capsys, tmp_path, models_dir):
+        config = tmp_path / "q.cfg"
+        config.write_bytes(b"\xef\xbb\xbfcrank_pivot: \xff\n")
+        code, out, err = run(
+            capsys, "constraints", str(models_dir / "fourbar.urdf"), "--config", str(config)
+        )
+        assert (code, out) == (3, "")
+        assert err == f"error: {config}: not UTF-8 (invalid start byte at byte 16)\n"
+
 
 class TestInfo:
     def test_wrist_summary(self, capsys, models_dir):

@@ -2,9 +2,11 @@
 
 The oracle below is the one-matrix implementation they replaced, copied
 verbatim: `row_reduce_basis` and `solve_with_pivoting` with their tolerance
-check.  Each member of a lock-step batch, and each call of the B = 1
-wrappers, must give the oracle's bits (signed zeros included), or raise
-the oracle's error type with its message.
+check, and `explicit_from_implicit`, the library's former G from one
+stacked K, which other tests use as the one-matrix definition of G.  Each
+member of a lock-step batch, and each call of the B = 1 wrappers, must give
+the oracle's bits (signed zeros included), or raise the oracle's error type
+with its message.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ import math
 import numpy as np
 import pytest
 
+from urdfplus.constraints import RANK_TOL, ExplicitJacobian
 from urdfplus.errors import (
     ConfigurationError,
+    CountMismatchError,
     DimensionMismatchError,
     SingularDependentBlockError,
     UrdfPlusError,
@@ -108,6 +112,53 @@ def oracle_solve_with_pivoting(a, b, tol: float = 1e-10) -> np.ndarray:
     for row in range(n - 1, -1, -1):
         x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
     return x[:, 0] if squeeze else x
+
+
+def oracle_explicit_from_implicit(
+    k_full: np.ndarray,
+    independent: list[int] | tuple[int, ...],
+    tol: float = RANK_TOL,
+) -> ExplicitJacobian:
+    """Derive the explicit constraint Jacobian G with K @ G = 0 from one
+    stacked K, ranked at one threshold, tol times max|K|.
+
+    `independent` selects coordinate columns of `k_full`; its size must equal
+    the column count minus the numerical row rank (CountMismatchError
+    otherwise).  The square dependent block is solved by Gaussian elimination
+    with partial pivoting; a singular block means the independent choice is
+    invalid (SingularDependentBlockError); there is no least-squares fallback.
+    One threshold cannot serve loops of different scale: on two four-bars
+    with bars 1 and 1e-11 long (`tests/helpers.twin_far_fourbars`) it lies
+    above every entry of the small loop, and the G returned gives
+    max|K_B @ G| / max|K_B| = 1.0.  `explicit_jacobian_for_model` ranks each
+    loop group at its own threshold.
+    """
+    k_full = np.asarray(k_full, dtype=float)
+    n_cols = k_full.shape[1]
+    independent = tuple(sorted(independent))
+    if any(c < 0 or c >= n_cols for c in independent):
+        raise DimensionMismatchError("independent column index out of range")
+    if len(set(independent)) != len(independent):
+        raise DimensionMismatchError("independent columns must be distinct")
+    basis = oracle_row_reduce_basis(k_full, tol)
+    rank = basis.shape[0]
+    if len(independent) != n_cols - rank:
+        raise CountMismatchError(expected=n_cols - rank, declared=len(independent))
+    chosen = set(independent)
+    dependent = tuple(c for c in range(n_cols) if c not in chosen)
+    n_i = len(independent)
+    if rank == 0:
+        dep_rows = np.zeros((0, n_i))
+    else:
+        dep_rows = -oracle_solve_with_pivoting(
+            basis[:, dependent], basis[:, independent], tol
+        )
+    matrix = np.vstack([np.eye(n_i), dep_rows])
+    return ExplicitJacobian(
+        matrix=matrix,
+        row_coordinates=independent + dependent,
+        independent=independent,
+    )
 
 
 # -- end of the oracle -------------------------------------------------------------

@@ -1,6 +1,7 @@
 """G from the loop groups alone: `explicit_jacobian_for_model` never ranks
-the stacked K, and raises its errors from the numbers of the count check
-and of the groups' own solve."""
+the stacked K, raises its errors from the numbers of the count check and of
+the groups' own solve, and ties no coordinate to an independent coordinate
+of another loop aggregate."""
 
 import re
 
@@ -8,7 +9,9 @@ import numpy as np
 import pytest
 
 import urdfplus.constraints
-from helpers import far_fourbar, twin_far_fourbars
+import urdfplus.spatial
+from helpers import far_fourbar, perfbench_workloads, twin_far_fourbars
+from test_elimination_kernel import oracle_explicit_from_implicit
 from test_kinematic_plan import (
     MODEL_FILES,
     configurations,
@@ -18,7 +21,6 @@ from test_kinematic_plan import (
 )
 from urdfplus.constraints import (
     all_loop_jacobians,
-    explicit_from_implicit,
     explicit_jacobian_for_model,
     independent_coordinate_check,
     independent_coordinate_indices,
@@ -59,10 +61,11 @@ def g_outcomes(cases):
 
 
 def test_g_never_ranks_the_stacked_k(monkeypatch):
-    """With stack_jacobians, explicit_from_implicit and row_reduce_basis
-    made to raise inside `constraints`, G gives the same values and the
-    same errors on every loadable `models/` file, the generated models of
-    the kinematic-plan oracle and the two-scale twin four-bars."""
+    """With stack_jacobians and numerical_rank made to raise inside
+    `constraints`, and row_reduce_basis and solve_with_pivoting inside
+    `spatial`, G gives the same values and the same errors on every loadable
+    `models/` file, the generated models of the kinematic-plan oracle and
+    the two-scale twin four-bars."""
     cases = []
     for pipe in filter(None, map(loadable, MODEL_FILES)):
         qs = configurations(np.random.default_rng(11), pipe.numbered)[:5]
@@ -82,8 +85,10 @@ def test_g_never_ranks_the_stacked_k(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("G ranked the stacked K")
 
-    for name in ("stack_jacobians", "explicit_from_implicit", "row_reduce_basis"):
+    for name in ("stack_jacobians", "numerical_rank"):
         monkeypatch.setattr(urdfplus.constraints, name, refuse)
+    for name in ("row_reduce_basis", "solve_with_pivoting"):
+        monkeypatch.setattr(urdfplus.spatial, name, refuse)
     assert g_outcomes(cases) == want
 
 
@@ -160,5 +165,57 @@ def test_a_coordinate_in_no_group_is_named():
     assert got == ("error", (SingularDependentBlockError,
                              "pivot 0.000e+00 below tolerance in column 0"))
     k = stack_jacobians(numbered, all_loop_jacobians(numbered, graph, q))
-    assert outcome(lambda: explicit_from_implicit(
+    assert outcome(lambda: oracle_explicit_from_implicit(
         k, independent_coordinate_indices(numbered))) == got
+
+
+def cross_aggregate_entries(numbered, lacg, explicit):
+    """How many entries of G tie a coordinate to an independent coordinate
+    of another loop aggregate, and how many of those are nonzero."""
+    widths = [s.stop - s.start for s in numbered.coordinate_slices()]
+    aggregate = np.repeat(lacg.body_to_aggregate, widths)
+    rows = aggregate[list(explicit.row_coordinates)]
+    columns = aggregate[list(explicit.independent)]
+    cross = explicit.matrix[rows[:, None] != columns]
+    return cross.size, int(np.count_nonzero(cross))
+
+
+def test_g_is_block_diagonal_by_aggregate_on_the_sweep_model(monkeypatch):
+    """The benchmark's seed-1 sweep model (45 aggregates, G 129 x 76) at
+    each of its configurations: the loops are decoupled, so no dependent
+    coordinate depends on another aggregate's independent coordinates."""
+    workloads = perfbench_workloads(monkeypatch)
+    _, numbered, graph, lacg, qs = workloads.sweep_model(1, workloads.SWEEP_BODIES,
+                                                         workloads.SWEEP_LOOPS)
+    for q in qs:
+        explicit = explicit_jacobian_for_model(numbered, graph, q)
+        assert explicit.matrix.shape == (129, 76)
+        cross, nonzero = cross_aggregate_entries(numbered, lacg, explicit)
+        assert (nonzero, cross > 0) == (0, True)
+
+
+def test_g_is_block_diagonal_by_aggregate_wherever_the_check_passes():
+    """Every loadable `models/` file and every generated model of the
+    kinematic-plan oracle, at q = 0 and their seeded configurations,
+    wherever the count check passes and G is given: 190 cases, 21 of them
+    with independent coordinates in more than one aggregate."""
+    pipes = [(name, pipe.numbered, pipe.graph, pipe.lacg,
+              configurations(np.random.default_rng(11), pipe.numbered))
+             for name, pipe in zip(MODEL_FILES, map(loadable, MODEL_FILES)) if pipe]
+    pipes += [("generated", *pipe) for pipe in generated_pipelines()]
+    at_zero, checked, crossing = set(), 0, 0
+    for name, numbered, graph, lacg, qs in pipes:
+        for k, q in enumerate([np.zeros(numbered.total_dof), *qs]):
+            if not independent_coordinate_check(numbered, graph, lacg, q).passed:
+                continue
+            got = outcome(lambda: explicit_jacobian_for_model(numbered, graph, q))
+            if got[0] == "error":
+                continue
+            cross, nonzero = cross_aggregate_entries(numbered, lacg, got[1])
+            assert nonzero == 0
+            checked += 1
+            crossing += cross > 0
+            if k == 0:
+                at_zero.add(name)
+    assert (checked, crossing) == (190, 21)
+    assert {"belt.urdf", "fourbar.urdf", "wrist.urdf"} <= at_zero

@@ -21,11 +21,11 @@ import pytest
 import urdfplus.constraints
 from conftest import MODELS_DIR, load_pipeline
 from helpers import far_fourbar
+from test_elimination_kernel import oracle_explicit_from_implicit
 from urdfplus.constraints import (
     LoopJacobian,
     all_loop_jacobians,
     coupling_row,
-    explicit_from_implicit,
     explicit_jacobian_for_model,
     forward_kinematics,
     implicit_loop_jacobian,
@@ -391,7 +391,7 @@ def check_against_oracle(numbered, graph, lacg, q, per_entry=True):
 
     def oracle_g():
         k_full = stack_jacobians(numbered, want_jacobians[1])
-        return explicit_from_implicit(k_full, independent_coordinate_indices(numbered))
+        return oracle_explicit_from_implicit(k_full, independent_coordinate_indices(numbered))
 
     got_g = outcome(lambda: explicit_jacobian_for_model(numbered, graph, q))
     want_g = outcome(oracle_g)
