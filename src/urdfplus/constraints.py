@@ -63,8 +63,8 @@ def parse_configuration(text: str, numbered: NumberedModel) -> np.ndarray:
 
     Unlisted joints stay at zero; a joint listed twice is an error.  Blank
     lines and '#' comments are skipped.
-    A joint name may hold ':': values never do, so a line splits at the
-    last ':' whose text before it names a joint, else at its first ':'.
+    A joint name may hold ':' and '#': a line splits at the last ':' after a
+    joint's name, its comment at the next '#'; else at its first '#', then ':'.
     """
     by_name = {}
     slices = numbered.coordinate_slices()
@@ -73,7 +73,9 @@ def parse_configuration(text: str, numbered: NumberedModel) -> np.ndarray:
     set_on = {}  # joint name -> the line that set it
     q = zero_configuration(numbered)
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        named = [i for i, c in enumerate(raw) if c == ":" and raw[:i].strip() in by_name]
+        cut = named[-1] if named else 0
+        line = (raw[:cut] + raw[cut:].split("#", 1)[0]).strip()
         if not line:
             continue
         if ":" not in line:
@@ -237,23 +239,6 @@ class _LoopStep:
     width: int
 
 
-@_record
-class _CouplingStep:
-    """One coupling: its configuration-independent row, and that row over
-    the full coordinate vector, whose product with q is the residual."""
-
-    jacobian: LoopJacobian
-    full_row: np.ndarray
-
-
-def _row_layout(steps) -> tuple[dict[int, int], int]:
-    """Where the loop assembly keeps each loop joint's rows: the joint's
-    position among the loop joints, by entry index, and the widest K_l."""
-    loops = [index for index, step in enumerate(steps) if isinstance(step, _LoopStep)]
-    return ({index: i for i, index in enumerate(loops)},
-            max((steps[index].width for index in loops), default=0))
-
-
 class _LoopGroups:
     """The loop entries split into loop groups: entries joined, directly or
     through others, by a shared coordinate.  Groups touch disjoint columns,
@@ -288,10 +273,9 @@ class _LoopGroups:
     def __init__(self, steps, slices, independent, row_layout):
         coordinates = []  # per entry, one per K_l column
         for step in steps:
-            layout = step.jacobian if isinstance(step, _CouplingStep) else step
             coordinates.append([
                 slices[joint].start + offset
-                for joint, (start, stop) in zip(layout.joint_numbers, layout.joint_columns)
+                for joint, (start, stop) in zip(step.joint_numbers, step.joint_columns)
                 for offset in range(stop - start)
             ])
         root = list(range(len(steps)))  # the first entry of each one's group
@@ -339,9 +323,9 @@ class _LoopGroups:
 
     def _plan_batch(self, steps, coordinates, columns, row_layout):
         """`shape`, `entry_member`, and the template and the flat (to, from)
-        indices of `batch`, whose rows come as `row_layout` (_row_layout of
-        the steps) places them."""
-        heights = [1 if isinstance(step, _CouplingStep) else step.psi.shape[1]
+        indices of `batch`, whose rows come as the plan's `_row_layout`
+        places them."""
+        heights = [step.rows if isinstance(step, LoopJacobian) else step.psi.shape[1]
                    for step in steps]
         position, widest = row_layout
         height = max((sum(heights[e] for e in group) for group in self.entries), default=0)
@@ -364,9 +348,9 @@ class _LoopGroups:
                     member_of[entry] = extra
                     extra += 1
                 step = steps[entry]
-                if isinstance(step, _CouplingStep):
+                if isinstance(step, LoopJacobian):
                     for at, first, cols in places:
-                        template[at, first, cols] = step.jacobian.matrix[0]
+                        template[at, first, cols] = step.matrix[0]
                 else:
                     rows = range(position[entry] * 6, position[entry] * 6 + heights[entry])
                     source += [r * widest + k for r in rows for k in range(len(local))
@@ -446,7 +430,7 @@ class _LoopAssembly:
     the transpose view of Psi padded with zero columns and world_to_loop's
     rotation the transpose view of the loop frame's, so each product keeps
     the layout, and the bits, it has for one pair alone.  `row_layout` is
-    _row_layout of the steps, and `slot` the tree's level-order place of
+    the plan's `_row_layout`, and `slot` the tree's level-order place of
     each body, which gives a joint's place in the tree's joint stack.  The
     residuals are one padded product of `psi_t` with the stacked pose errors."""
 
@@ -532,28 +516,28 @@ class _Record:
     def poses(self) -> tuple[np.ndarray, np.ndarray]:
         return self.plan.tree.poses(self.q)
 
-    def evaluate(self, graph: ConnectivityGraph) -> _Record:
+    def evaluate(self) -> _Record:
         """Every loop entry evaluated, as views of `rows` and `residuals`, the
         rows made from `poses` only when there is a loop joint.  A finite q can
         still overflow: one check over both raises ConfigurationError, naming
         the first entry with a value that is not finite; no numpy warning escapes."""
         if self.terms is not None:
             return self
-        plan, steps = self.plan, self.plan.loops(graph)
+        plan, steps = self.plan, self.plan.loops
         position, _ = plan._row_layout
         couplings, coupling_rows = plan._couplings
         residuals = np.zeros((len(steps), 6))
         rows, failed = _NO_ROWS, {}
         with np.errstate(all="ignore"):  # an overflow is reported below, by entry
             if position:
-                rows, failed = plan.assembly(graph).evaluate(self, residuals)
+                rows, failed = plan.assembly.evaluate(self, residuals)
             if couplings:
                 # a coupling is linear in q: its row times q is the relation itself
                 residuals[couplings, 0] = coupling_rows @ self.q
         residuals, terms = _read_only(residuals), []
         for index, step in enumerate(steps):
-            if isinstance(step, _CouplingStep):
-                terms.append((step.jacobian, residuals[index, :1]))
+            if isinstance(step, LoopJacobian):
+                terms.append((step, residuals[index, :1]))
                 continue
             height, i = step.psi.shape[1], position[index]
             terms.append((LoopJacobian(step.number, step.name, "loop", step.joint_numbers,
@@ -567,13 +551,13 @@ class _Record:
         self.rows, self.residuals, self.terms, self.failed = rows, residuals, terms, failed
         return self
 
-    def eliminated(self, graph: ConnectivityGraph, tol: float) -> tuple:
+    def eliminated(self, tol: float) -> tuple:
         """The reduced batch and each member's rank, read-only.  A member
         that overflows raises ConfigurationError naming its first entry,
         and no numpy warning escapes."""
         if tol not in self._bases:
-            groups = self.plan.groups(graph)
-            batch = groups.batch(self.evaluate(graph).rows)
+            groups = self.plan.groups
+            batch = groups.batch(self.evaluate().rows)
             with np.errstate(all="ignore"):  # an overflow is reported below
                 ranks = _row_reduce_batch(batch, tol)
             finite = np.isfinite(batch).all(axis=(1, 2))
@@ -591,18 +575,18 @@ class KinematicPlan:
     built on first use and held by the model (NumberedModel._kinematics).
 
     `tree` stacks the tree joints by type and the bodies in tree-level
-    order; `loops(graph)` has one step per loop entry, its involved joints
-    taken from `graph.subchains`, and `assembly(graph)` stacks the loop
-    joints' rows.
-    `groups(graph)` splits the loop entries into loop groups, lays out the
+    order.  `loops` has one step per loop entry (a coupling's is its
+    read-only LoopJacobian), its involved joints taken from the subchains
+    of `_graph`, the first graph that passed `check`: any graph that passes
+    has the same.  `assembly` stacks the loop joints' rows as `_row_layout`
+    places them, and `_couplings` the couplings' rows over all of q.
+    `groups` splits the loop entries into loop groups, lays out the
     declared independent coordinates over them, and holds the flat index
     arrays through which the rank elimination and G gather their blocks.
     `_declared` is the count check's reading of the independent attributes.
     Each part is built once, on its first use, so a coupling-only model
-    never builds the tree part.  The plan also keeps the record of the last
-    configuration asked for (`record(q)`), which every function that takes
-    q reads, and the first graph that passed `check`, whose subchains the
-    loop steps hold.
+    never builds the tree part.  `record(q)` keeps the record of the last
+    configuration asked for, which every function that takes q reads.
     """
 
     def __init__(self, numbered: NumberedModel):
@@ -612,7 +596,7 @@ class KinematicPlan:
         self._slices = numbered.coordinate_slices()
         self._entries = numbered.loop_entries
         self._independent = independent_coordinate_indices(numbered)
-        self._graph = self._loops = self._assembly = self._groups = self._record = None
+        self._graph = self._record = None
 
     def check(self, graph: ConnectivityGraph) -> KinematicPlan:
         """The plan, after the one check on every graph a public function is
@@ -675,30 +659,36 @@ class KinematicPlan:
         return ("independent", tuple(joint.name for joint in chosen),
                 sum(joint.joint_type.dof for joint in chosen))
 
-    def loops(self, graph: ConnectivityGraph) -> tuple[_LoopStep | _CouplingStep, ...]:
-        if self._loops is None:
-            self._loops = tuple(self._loop_step(graph, i) for i in range(len(self._entries)))
-            self._row_layout = _row_layout(self._loops)
-            rows = [(i, step.full_row[0]) for i, step in enumerate(self._loops)
-                    if isinstance(step, _CouplingStep)]
-            self._couplings = [i for i, _ in rows], np.array([row for _, row in rows])
-        return self._loops
+    @cached_property
+    def loops(self) -> tuple[_LoopStep | LoopJacobian, ...]:
+        return tuple(self._loop_step(i) for i in range(len(self._entries)))
 
-    def assembly(self, graph: ConnectivityGraph) -> _LoopAssembly:
-        if self._assembly is None:
-            self._assembly = _LoopAssembly(self.loops(graph), self.tree.slot,
-                                           self._row_layout)
-        return self._assembly
+    @cached_property
+    def _row_layout(self) -> tuple[dict[int, int], int]:
+        """Where `assembly` keeps each loop joint's rows: the joint's
+        position among the loop joints, by entry index, and the widest K_l."""
+        loops = [i for i, step in enumerate(self.loops) if isinstance(step, _LoopStep)]
+        return ({index: i for i, index in enumerate(loops)},
+                max((self.loops[index].width for index in loops), default=0))
 
-    def groups(self, graph: ConnectivityGraph) -> _LoopGroups:
-        if self._groups is None:
-            self._groups = _LoopGroups(self.loops(graph), self._slices,
-                                       self._independent, self._row_layout)
-        return self._groups
+    @cached_property
+    def _couplings(self) -> tuple[list[int], np.ndarray]:
+        """The couplings' entry indices, and their rows over all of q, stacked."""
+        couplings = [i for i, step in enumerate(self.loops) if isinstance(step, LoopJacobian)]
+        full = [self.loops[i].scatter(self._slices, self._slices[-1].stop)[0] for i in couplings]
+        return couplings, np.array(full)
 
-    def _loop_step(self, graph: ConnectivityGraph, index: int):
+    @cached_property
+    def assembly(self) -> _LoopAssembly:
+        return _LoopAssembly(self.loops, self.tree.slot, self._row_layout)
+
+    @cached_property
+    def groups(self) -> _LoopGroups:
+        return _LoopGroups(self.loops, self._slices, self._independent, self._row_layout)
+
+    def _loop_step(self, index: int) -> _LoopStep | LoopJacobian:
         number, entry = self._entries[index]
-        _, nu_p, nu_s = graph.subchains[index]
+        _, nu_p, nu_s = self._graph.subchains[index]
         joints = sorted(nu_p + nu_s)
         columns = []
         offset = 0
@@ -713,12 +703,10 @@ class KinematicPlan:
             for joint_number, (start, stop) in zip(joints, columns):
                 if start < stop:
                     row[0, start] = 1.0 if joint_number in nu_p else -entry.ratio
-            jacobian = LoopJacobian(number, entry.name, "coupling", tuple(joints),
-                                    tuple(columns), _read_only(row))
-            full_row = jacobian.scatter(self._slices, self._slices[-1].stop)
-            return _CouplingStep(jacobian, full_row)
+            return LoopJacobian(number, entry.name, "coupling", tuple(joints),
+                                tuple(columns), _read_only(row))
         psi = constraint_force_subspace(entry.joint_type, entry.axis, entry.axis2)
-        edge = graph.loop_edges[index]
+        edge = self._graph.loop_edges[index]
         moving = tuple(
             (joint_number, start, stop, -1.0 if joint_number in nu_p else 1.0)
             for joint_number, (start, stop) in zip(joints, columns)
@@ -729,16 +717,14 @@ class KinematicPlan:
                          entry.successor_origin, moving, offset)
 
 
-def _loop_terms(numbered: NumberedModel, graph: ConnectivityGraph, q, indices
-                ) -> list[tuple[LoopJacobian, np.ndarray]]:
-    """Rows and residual of the loop entries at `indices`, read from the
-    plan's record of q.  An entry whose closure is a half-turn raises its
-    AntipodalRotationError when it is asked for."""
-    record = numbered._kinematics.check(graph).record(q).evaluate(graph)
+def _evaluated(numbered: NumberedModel, graph: ConnectivityGraph, q, indices) -> _Record:
+    """The plan's record of q, evaluated; an entry at `indices` whose closure
+    is a half-turn raises its AntipodalRotationError."""
+    record = numbered._kinematics.check(graph).record(q).evaluate()
     for index in indices if record.failed else ():
         if index in record.failed:
             raise AntipodalRotationError(record.failed[index])
-    return [record.terms[index] for index in indices]
+    return record
 
 
 def _eliminated(
@@ -746,10 +732,8 @@ def _eliminated(
 ) -> tuple[_Record, np.ndarray, np.ndarray]:
     """The plan's record of q, evaluated, and its elimination at tol, which
     the count check and G share; a half-turn closure raises its error."""
-    record = numbered._kinematics.check(graph).record(q).evaluate(graph)
-    if record.failed:
-        raise AntipodalRotationError(next(iter(record.failed.values())))
-    return record, *record.eliminated(graph, tol)
+    record = _evaluated(numbered, graph, q, range(len(numbered.loop_entries)))
+    return record, *record.eliminated(tol)
 
 
 def implicit_loop_jacobian(
@@ -759,7 +743,8 @@ def implicit_loop_jacobian(
     q: np.ndarray,
 ) -> LoopJacobian:
     """Velocity-level constraint rows of one loop joint (or coupling) at q."""
-    return _loop_terms(numbered, graph, q, [_loop_index(numbered, number)])[0][0]
+    index = _loop_index(numbered, number)
+    return _evaluated(numbered, graph, q, [index]).terms[index][0]
 
 
 def coupling_row(
@@ -771,7 +756,7 @@ def coupling_row(
     index = _loop_index(numbered, number)
     if not isinstance(numbered.loop_entries[index][1], Coupling):
         raise IncompatibleCouplingError(f"joint {number} is not a coupling")
-    return numbered._kinematics.check(graph).loops(graph)[index].jacobian
+    return numbered._kinematics.check(graph).loops[index]
 
 
 def loop_residual(
@@ -786,7 +771,8 @@ def loop_residual(
     joint's motion manifold.  For couplings this is the linear position
     relation itself.
     """
-    return _loop_terms(numbered, graph, q, [_loop_index(numbered, number)])[0][1]
+    index = _loop_index(numbered, number)
+    return _evaluated(numbered, graph, q, [index]).terms[index][1]
 
 
 def all_loop_jacobians(
@@ -794,7 +780,7 @@ def all_loop_jacobians(
 ) -> list[LoopJacobian]:
     """Jacobians of every loop joint and coupling, ascending by number."""
     indices = range(len(numbered.loop_entries))
-    return [jac for jac, _ in _loop_terms(numbered, graph, q, indices)]
+    return [jac for jac, _ in _evaluated(numbered, graph, q, indices).terms]
 
 
 def stack_jacobians(
@@ -897,7 +883,7 @@ def independent_coordinate_check(
         q = zero_configuration(numbered)
     n = numbered.total_dof
     record, _, ranks = _eliminated(numbered, graph, q, tol)
-    groups = record.plan.groups(graph)
+    groups = record.plan.groups
     entry_ranks = ranks[groups.entry_member]
     norms = np.abs(record.residuals).max(axis=1, initial=0.0)
     infos = []
@@ -959,7 +945,7 @@ def explicit_jacobian_for_model(
     if q is None:
         q = zero_configuration(numbered)
     record, reduced, ranks = _eliminated(numbered, graph, q, tol)
-    groups = record.plan.groups(graph)
+    groups = record.plan.groups
     ranks = ranks[: groups.count]
     expected, declared = numbered.total_dof - int(ranks.sum()), len(groups.independent)
     if expected != declared:

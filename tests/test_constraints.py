@@ -137,11 +137,11 @@ class TestConfigurationFile:
 
 
 class TestColonInJointName:
-    """A joint name may hold ':'; values never do."""
+    """A joint name may hold ':' and '#'; values never do."""
 
     @pytest.fixture
     def numbered(self):
-        names = ("arm:shoulder", "a", "a:b")
+        names = ("arm:shoulder", "a", "a:b", "j#1", "k")
         links = tuple(Link(name=f"l{i}") for i in range(len(names) + 1))
         joints = tuple(
             TreeJoint(name=name, joint_type=JointType.REVOLUTE, parent=f"l{i}",
@@ -153,7 +153,18 @@ class TestColonInJointName:
 
     def test_sets_the_named_joint(self, numbered):
         q = parse_configuration("arm:shoulder: 0.5\na:b: -1\na :2.5\n", numbered)
-        assert q.tolist() == [0.5, 2.5, -1.0]
+        assert q.tolist() == [0.5, 2.5, -1.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("text, want", [
+        ("j#1: 0.5\n", [0.0, 0.0, 0.0, 0.5, 0.0]),
+        ("k: 0.5 # note: x\n", [0.0, 0.0, 0.0, 0.0, 0.5]),
+        ("k: 0.5#x\n", [0.0, 0.0, 0.0, 0.0, 0.5]),
+        ("# k: 1\nj#1: -1 # j#1: 2\n", [0.0, 0.0, 0.0, -1.0, 0.0]),
+    ])
+    def test_comment_starts_after_the_name(self, numbered, text, want):
+        """A '#' in a joint's name is part of it; a comment starts at the
+        first '#' after the ':' that follows the name."""
+        assert parse_configuration(text, numbered).tolist() == want
 
     @pytest.mark.parametrize("text, message", [
         ("arm: 0.5\n", "line 1: unknown joint 'arm'"),

@@ -142,8 +142,8 @@ def test_far_sweep_batch_computes_no_discarded_product(seed, monkeypatch):
     _, numbered, graph, _, _ = workloads.sweep_model(seed, workloads.SWEEP_BODIES,
                                                      workloads.SWEEP_LOOPS)
     plan = numbered._kinematics.check(graph)
-    rows = plan.record(np.full(numbered.total_dof, 1e200)).evaluate(graph).rows
-    batch = plan.groups(graph).batch(rows)
+    rows = plan.record(np.full(numbered.total_dof, 1e200)).evaluate().rows
+    batch = plan.groups.batch(rows)
     reduced = batch.copy()
     with np.errstate(over="raise", invalid="raise"):
         ranks = _row_reduce_batch(reduced, RANK_TOL)

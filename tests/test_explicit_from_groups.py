@@ -124,7 +124,7 @@ def test_a_refused_pivot_is_named_among_all_dependent_coordinates(toggled, colum
     q = TWIN_Q.copy()
     crank, rocker, coupler = (0, 1, 4) if toggled == "a" else (2, 3, 5)
     q[[crank, rocker, coupler]] = 0.0, 0.0, 1e-9
-    assert numbered._kinematics.groups(graph).count == 2
+    assert numbered._kinematics.check(graph).groups.count == 2
     assert independent_coordinate_check(numbered, graph, lacg, q, tol=1e-6).passed
     message = f"pivot 2.000e-09 below tolerance in column {column}"
     with pytest.raises(SingularDependentBlockError, match=f"^{re.escape(message)}$"):
@@ -159,7 +159,7 @@ def test_a_coordinate_in_no_group_is_named():
         'name="rocker_pivot" type="revolute" independent="true"')
     numbered, graph, lacg = pipeline(text)
     q = np.array([0.3, -0.2, 0.1, 0.25])
-    assert not numbered._kinematics.groups(graph).complete
+    assert not numbered._kinematics.check(graph).groups.complete
     assert independent_coordinate_check(numbered, graph, lacg, q).passed
     got = outcome(lambda: explicit_jacobian_for_model(numbered, graph, q))
     assert got == ("error", (SingularDependentBlockError,

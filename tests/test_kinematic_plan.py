@@ -526,7 +526,8 @@ def test_generated_models_match_oracle():
 
 @pytest.fixture
 def plan_builds(monkeypatch):
-    """Counts of KinematicPlan objects, tree parts and loop steps built."""
+    """Counts of KinematicPlan objects, tree parts and loop steps built, and
+    of loop assemblies and loop group sets, once one is built."""
     counts = {"plans": 0, "tree_joints": 0, "loop_steps": 0}
     plan_class = urdfplus.constraints.KinematicPlan
     init, loop_step = plan_class.__init__, plan_class._loop_step
@@ -536,14 +537,23 @@ def plan_builds(monkeypatch):
         counts["plans"] += 1
         init(self, numbered)
 
-    def counting_loop_step(self, graph, index):
+    def counting_loop_step(self, index):
         counts["loop_steps"] += 1
-        return loop_step(self, graph, index)
+        return loop_step(self, index)
 
     def counting_joint_kinematics(*args):
         counts["tree_joints"] += 1
         return joint_kinematics(*args)
 
+    def counting_part(key, part_init):
+        def counting_init(self, *args):
+            counts[key] = counts.get(key, 0) + 1
+            part_init(self, *args)
+        return counting_init
+
+    for part, key in ((urdfplus.constraints._LoopAssembly, "assemblies"),
+                      (urdfplus.constraints._LoopGroups, "group_sets")):
+        monkeypatch.setattr(part, "__init__", counting_part(key, part.__init__))
     monkeypatch.setattr(plan_class, "__init__", counting_init)
     monkeypatch.setattr(plan_class, "_loop_step", counting_loop_step)
     monkeypatch.setattr(urdfplus.constraints, "JointKinematics",
@@ -568,18 +578,26 @@ def test_count_check_commands_build_the_plan_once(plan_builds, command, capsys):
 
     assert main([command, str(MODELS_DIR / "wrist.urdf")]) == 0
     capsys.readouterr()
-    assert plan_builds == {"plans": 1, "tree_joints": 4, "loop_steps": 2}
+    assert plan_builds == {"plans": 1, "tree_joints": 4, "loop_steps": 2,
+                           "assemblies": 1, "group_sets": 1}
 
 
 def test_repeated_calls_build_the_plan_once(plan_builds):
+    """Each part is built once, from the first graph checked, whichever of
+    two equal graphs a call is given."""
     pipe = load_pipeline("wrist.urdf")  # a model of its own, plan not built
+    rebuilt, *_ = build_pipeline(pipe.numbered)
+    assert rebuilt is not pipe.graph and rebuilt == pipe.graph
     rng = np.random.default_rng(5)
-    for _ in range(3):
+    for k in range(4):
+        graph = (pipe.graph, rebuilt)[k % 2]
         q = rng.uniform(-1.0, 1.0, pipe.numbered.total_dof)
-        independent_coordinate_check(pipe.numbered, pipe.graph, pipe.lacg, q)
-        explicit_jacobian_for_model(pipe.numbered, pipe.graph)
+        independent_coordinate_check(pipe.numbered, graph, pipe.lacg, q)
+        explicit_jacobian_for_model(pipe.numbered, graph)
+        all_loop_jacobians(pipe.numbered, graph, q)
     assert plan_builds == {"plans": 1, "tree_joints": pipe.numbered.n_bodies,
-                           "loop_steps": len(pipe.numbered.loop_entries)}
+                           "loop_steps": len(pipe.numbered.loop_entries),
+                           "assemblies": 1, "group_sets": 1}
 
 
 def test_coupling_only_model_builds_no_tree_part(plan_builds):

@@ -261,7 +261,7 @@ def check_g_bytes(numbered, graph, q):
     refused pivot gives the same error, its column named as
     `among_all_dependent` translates it."""
     _, reduced, ranks = _eliminated(numbered, graph, q, RANK_TOL)
-    groups = numbered._kinematics.groups(graph)
+    groups = numbered._kinematics.check(graph).groups
     if not (groups.complete and np.array_equal(ranks[: groups.count], groups.width)):
         return None
     want = outcome(lambda: full_width_explicit(groups, reduced, RANK_TOL))
@@ -290,7 +290,7 @@ def test_narrow_g_keeps_the_full_width_bytes_on_the_sweep_model(seed, monkeypatc
 
     _, numbered, graph, _, qs = workloads.sweep_model(seed, workloads.SWEEP_BODIES,
                                                       workloads.SWEEP_LOOPS)
-    assert numbered._kinematics.groups(graph).count > 1
+    assert numbered._kinematics.check(graph).groups.count > 1
     negative_zeros = 0
     for q in qs:
         g = check_g_bytes(numbered, graph, q)
@@ -307,7 +307,7 @@ def test_a_second_group_refusing_at_rank_tol_is_named_among_all():
     numbered = regular_numbering(parse_urdf_plus(twin_far_fourbars(1.0, 1.0, crank, crank)).model)
     graph, _, _, lacg = build_pipeline(numbered)
     q = np.array([0.3, -0.2, 0.0, 0.0, 0.25, 1e-13])
-    groups = numbered._kinematics.groups(graph)
+    groups = numbered._kinematics.check(graph).groups
     assert groups.count == 2
     assert independent_coordinate_check(numbered, graph, lacg, q).passed
     _, reduced, _ = _eliminated(numbered, graph, q, RANK_TOL)
@@ -328,6 +328,6 @@ def test_narrow_g_keeps_the_full_width_bytes_on_multi_group_models():
     cases += [(numbered, graph, qs) for numbered, graph, _, qs in generated_pipelines()]
     checked = 0
     for numbered, graph, qs in cases:
-        if numbered._kinematics.groups(graph).count > 1:
+        if numbered._kinematics.check(graph).groups.count > 1:
             checked += sum(check_g_bytes(numbered, graph, q) is not None for q in qs)
     assert checked >= 50  # 60 (model, q) pairs with two groups or more

@@ -23,7 +23,6 @@ from urdfplus.constraints import (
     LoopConstraintInfo,
     LoopJacobian,
     RedundantAggregate,
-    _CouplingStep,
     _LoopStep,
 )
 from urdfplus.graphs import Aggregate, LoopEdge
@@ -70,7 +69,6 @@ SAMPLES = {
     _LoopStep: dict(number=5, name="l", joint_numbers=(1,), joint_columns=((0, 1),),
                     psi=MATRIX.T, predecessor=0, successor=1, predecessor_origin=ORIGIN,
                     successor_origin=ORIGIN, moving=((1, 0, 1, -1.0),), width=1),
-    _CouplingStep: dict(jacobian=JACOBIAN, full_row=MATRIX[:1]),
 }
 CLASSES = list(SAMPLES)
 

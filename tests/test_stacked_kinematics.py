@@ -230,7 +230,7 @@ def test_g_where_the_groups_are_not_complete():
                    for joint in regular.model.tree_joints)
     numbered = regular_numbering(dataclasses.replace(regular.model, tree_joints=joints))
     graph, _, _, lacg = build_pipeline(numbered)
-    groups = numbered._kinematics.groups(graph)
+    groups = numbered._kinematics.check(graph).groups
     assert groups.count == 1 and not groups.complete
     rng = np.random.default_rng(30)
     check(numbered, graph, lacg, rng)

@@ -22,7 +22,6 @@ from test_constraints import HALF_TURN, pipeline
 from test_kinematic_plan import MODEL_FILES, configurations, generated_pipelines, loadable
 from urdfplus.constraints import (
     LoopJacobian,
-    _CouplingStep,
     _read_only,
     implicit_loop_jacobian,
     independent_coordinate_check,
@@ -69,23 +68,23 @@ def closure_poses(self, record):
     return _composed(rot_p.transpose(0, 2, 1), to_loop_trans, *frame_s)
 
 
-def per_entry_evaluate(self, graph, rows):
+def per_entry_evaluate(self, rows):
     """(residuals, terms, failed) of the record `self` by the per-entry
     loop, with `rows` the loop assembly's rows."""
     plan, q = self.plan, self.q
-    steps = plan.loops(graph)
+    steps = plan.loops
     position, _ = plan._row_layout
     residuals = np.zeros((len(steps), 6))
     terms, failed = [], {}
     with np.errstate(all="ignore"):  # an overflow is reported below, by entry
         if position:
-            rel_rot, rel_trans = closure_poses(plan.assembly(graph), self)
+            rel_rot, rel_trans = closure_poses(plan.assembly, self)
         for index, step in enumerate(steps):
-            if isinstance(step, _CouplingStep):
+            if isinstance(step, LoopJacobian):
                 residual = residuals[index, :1]
                 # a coupling is linear in q: its row times q is the relation itself
-                np.matmul(step.full_row, q, out=residual)
-                terms.append((step.jacobian, _read_only(residual)))
+                np.matmul(step.scatter(plan._slices, len(q)), q, out=residual)
+                terms.append((step, _read_only(residual)))
                 continue
             i = position[index]
             residual = residuals[index, : step.psi.shape[1]]
@@ -121,8 +120,8 @@ FAR_FLOATING_LOOP = """<robot name="far_float">
 def check_record(numbered, graph, q, seen):
     """The record of q against the oracle; `seen` counts the coupling,
     small-angle and half-turn entries met."""
-    record = numbered._kinematics.check(graph).record(q).evaluate(graph)
-    residuals, terms, failed = per_entry_evaluate(record, graph, record.rows)
+    record = numbered._kinematics.check(graph).record(q).evaluate()
+    residuals, terms, failed = per_entry_evaluate(record, record.rows)
     assert record.residuals.tobytes() == residuals.tobytes()
     assert record.failed == failed
     assert len(record.terms) == len(terms)
@@ -138,7 +137,7 @@ def check_record(numbered, graph, q, seen):
     seen["half-turn"] += len(failed)
     if record.plan._row_layout[0]:
         with np.errstate(all="ignore"):
-            rel_rot, _ = closure_poses(record.plan.assembly(graph), record)
+            rel_rot, _ = closure_poses(record.plan.assembly, record)
         for r in rel_rot:
             seen["small angle"] += math.acos(min(max((np.trace(r) - 1.0) * 0.5, -1.0),
                                                  1.0)) < 1e-12
