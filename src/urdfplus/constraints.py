@@ -50,6 +50,7 @@ from .spatial import (
     constraint_force_subspace,
     numerical_rank,
 )
+from .xmlio import _plain_number
 
 RANK_TOL = 1e-10
 
@@ -74,23 +75,23 @@ def parse_configuration(text: str, numbered: NumberedModel) -> np.ndarray:
     q = zero_configuration(numbered)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         named = [i for i, c in enumerate(raw) if c == ":" and raw[:i].strip() in by_name]
-        cut = named[-1] if named else 0
-        line = (raw[:cut] + raw[cut:].split("#", 1)[0]).strip()
-        if not line:
-            continue
-        if ":" not in line:
-            raise ConfigurationError(f"line {lineno}: expected 'name: values'")
-        cuts = [i for i, c in enumerate(line) if c == ":"]
-        cut = next((i for i in reversed(cuts) if line[:i].strip() in by_name), cuts[0])
-        name, values = line[:cut].strip(), line[cut + 1 :]
-        if name not in by_name:
+        if not named:  # a blank line, a comment, or an error
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if ":" not in line:
+                raise ConfigurationError(f"line {lineno}: expected 'name: values'")
+            name = line.split(":", 1)[0].strip()
             raise ConfigurationError(f"line {lineno}: unknown joint {name!r}")
+        name, values = raw[: named[-1]].strip(), raw[named[-1] + 1 :].split("#", 1)[0]
         if set_on.setdefault(name, lineno) != lineno:
             raise ConfigurationError(
                 f"line {lineno}: joint {name!r} already set on line {set_on[name]}")
         segment = by_name[name]
         width = segment.stop - segment.start
         try:
+            if not _plain_number(values):
+                raise ValueError
             parsed = [float(v) for v in values.split()]
         except ValueError:
             raise ConfigurationError(
@@ -265,12 +266,12 @@ class _LoopGroups:
     index arrays built once per model, `batch`'s here and `explicit`'s on
     its first call: `batch` copies a template that holds the couplings'
     constant rows and puts the loop joints' rows, taken from the loop
-    assembly's rows, into it; `explicit` takes the dependent and the
-    independent blocks out of the reduced batch, and after the elimination
-    puts each group's right-hand side into its columns of G.
+    assembly's rows (`widest` wide), into it; `explicit` takes the dependent
+    and the independent blocks out of the reduced batch, and after the
+    elimination puts each group's right-hand side into its columns of G.
     """
 
-    def __init__(self, steps, slices, independent, row_layout):
+    def __init__(self, steps, slices, independent, widest):
         coordinates = []  # per entry, one per K_l column
         for step in steps:
             coordinates.append([
@@ -296,7 +297,7 @@ class _LoopGroups:
         columns = [sorted({c for e in group for c in coordinates[e]})
                    for group in self.entries]
         self.columns = tuple(np.array(group, dtype=np.intp) for group in columns)
-        self._plan_batch(steps, coordinates, columns, row_layout)
+        self._plan_batch(steps, coordinates, columns, widest)
 
         self.independent = tuple(independent)
         chosen = set(self.independent)
@@ -321,13 +322,12 @@ class _LoopGroups:
                       for member, k in self.solved_by]
         self._rhs = max((len(ind) for _, ind, _ in self._blocks), default=0)
 
-    def _plan_batch(self, steps, coordinates, columns, row_layout):
+    def _plan_batch(self, steps, coordinates, columns, widest):
         """`shape`, `entry_member`, and the template and the flat (to, from)
-        indices of `batch`, whose rows come as the plan's `_row_layout`
-        places them."""
+        indices of `batch`: a coupling's constant row goes into the
+        template, a loop joint's rows come from the loop assembly's."""
         heights = [step.rows if isinstance(step, LoopJacobian) else step.psi.shape[1]
                    for step in steps]
-        position, widest = row_layout
         height = max((sum(heights[e] for e in group) for group in self.entries), default=0)
         width = max(map(len, columns), default=0)
         extra = self.count
@@ -352,7 +352,7 @@ class _LoopGroups:
                     for at, first, cols in places:
                         template[at, first, cols] = step.matrix[0]
                 else:
-                    rows = range(position[entry] * 6, position[entry] * 6 + heights[entry])
+                    rows = range(entry * 6, entry * 6 + heights[entry])
                     source += [r * widest + k for r in rows for k in range(len(local))
                                ] * len(places)
                     for at, first, cols in places:
@@ -420,8 +420,8 @@ class _LoopGroups:
 
 class _LoopAssembly:
     """Every loop joint's rows and closure residual at a configuration, in
-    one pass; loop joint i (`position[entry]`) gets its rows in
-    `[i, :rows, :width]` of one (loops, 6, widest) array.
+    one pass; loop joint l (loop entry l) gets its rows in `[l, :rows,
+    :width]` of one (loops, 6, widest) array.
 
     Block column j is sign * Psi^T * S_j with S_j carried into the
     predecessor-side loop frame along the kinematic chain; the sign is -1
@@ -429,14 +429,12 @@ class _LoopAssembly:
     (loop, moving joint) pairs are stacked by the joint's DoF, with Psi^T
     the transpose view of Psi padded with zero columns and world_to_loop's
     rotation the transpose view of the loop frame's, so each product keeps
-    the layout, and the bits, it has for one pair alone.  `row_layout` is
-    the plan's `_row_layout`, and `slot` the tree's level-order place of
-    each body, which gives a joint's place in the tree's joint stack.  The
-    residuals are one padded product of `psi_t` with the stacked pose errors."""
+    the layout, and the bits, it has for one pair alone.  `width` is the
+    widest K_l, and `slot` the tree's level-order place of each body, which
+    gives a joint's place in the tree's joint stack.  The residuals are one
+    padded product of `psi_t` with the stacked pose errors."""
 
-    def __init__(self, steps, slot, row_layout):
-        self.position, width = row_layout
-        steps = [steps[index] for index in self.position]
+    def __init__(self, steps, width, slot):
         self.predecessor = np.array([step.predecessor for step in steps], dtype=np.intp)
         self.successor = np.array([step.successor for step in steps], dtype=np.intp)
         self.predecessor_origins = _stack(step.predecessor_origin for step in steps)
@@ -446,8 +444,8 @@ class _LoopAssembly:
             psi[i, :, : step.psi.shape[1]] = step.psi
         self.shape = (len(steps), 6, width)
         self.psi_t = psi.transpose(0, 2, 1)
-        self.residual_index = np.array([(entry * 6 + r, i * 6 + r) for i, entry in enumerate(
-            self.position) for r in range(steps[i].psi.shape[1])], np.intp).reshape(-1, 2).T
+        self.residual_index = np.array([i * 6 + r for i, step in enumerate(steps)
+                                        for r in range(step.psi.shape[1])], dtype=np.intp)
         by_dof = {}
         for i, step in enumerate(steps):
             for joint, start, stop, sign in step.moving:
@@ -479,9 +477,7 @@ class _LoopAssembly:
         rel_rot, rel_trans = _composed(rot_p.transpose(0, 2, 1), to_loop_trans, *frame_s)
         logs, failed = _so3_logs(rel_rot)
         errors = np.concatenate((logs, rel_trans), axis=1)[:, :, None]
-        to, source = self.residual_index
-        residuals.put(to, (self.psi_t @ errors).take(source))
-        failed = {list(self.position)[i]: message for i, message in failed.items()}
+        residuals.put(self.residual_index, (self.psi_t @ errors).take(self.residual_index))
         if failed:  # a half-turn's residual stays unread, and zero
             residuals[list(failed)] = 0.0
         return _read_only(rows), failed
@@ -523,26 +519,20 @@ class _Record:
         the first entry with a value that is not finite; no numpy warning escapes."""
         if self.terms is not None:
             return self
-        plan, steps = self.plan, self.plan.loops
-        position, _ = plan._row_layout
-        couplings, coupling_rows = plan._couplings
+        plan, steps, loops = self.plan, self.plan.loops, self.plan.loop_count
         residuals = np.zeros((len(steps), 6))
         rows, failed = _NO_ROWS, {}
         with np.errstate(all="ignore"):  # an overflow is reported below, by entry
-            if position:
+            if loops:
                 rows, failed = plan.assembly.evaluate(self, residuals)
-            if couplings:
+            if loops < len(steps):
                 # a coupling is linear in q: its row times q is the relation itself
-                residuals[couplings, 0] = coupling_rows @ self.q
-        residuals, terms = _read_only(residuals), []
-        for index, step in enumerate(steps):
-            if isinstance(step, LoopJacobian):
-                terms.append((step, residuals[index, :1]))
-                continue
-            height, i = step.psi.shape[1], position[index]
-            terms.append((LoopJacobian(step.number, step.name, "loop", step.joint_numbers,
-                                       step.joint_columns, rows[i, :height, : step.width]),
-                          residuals[index, :height]))
+                residuals[loops:, 0] = plan._coupling_rows @ self.q
+        residuals = _read_only(residuals)
+        terms = [(LoopJacobian(step.number, step.name, "loop", step.joint_numbers,
+                               step.joint_columns, rows[i, : step.psi.shape[1], : step.width]),
+                  residuals[i, : step.psi.shape[1]]) for i, step in enumerate(steps[:loops])]
+        terms += [(step, residuals[i, :1]) for i, step in enumerate(steps[loops:], loops)]
         if not (np.isfinite(rows).all() and np.isfinite(residuals).all()):
             for jac, residual in terms:  # no entry reads the padding around its rows
                 for part, values in (("row", jac.matrix), ("residual", residual)):
@@ -575,11 +565,13 @@ class KinematicPlan:
     built on first use and held by the model (NumberedModel._kinematics).
 
     `tree` stacks the tree joints by type and the bodies in tree-level
-    order.  `loops` has one step per loop entry (a coupling's is its
-    read-only LoopJacobian), its involved joints taken from the subchains
+    order.  `loops` has one step per loop entry in NumberedModel's order,
+    which the plan checks (a coupling before a loop joint raises
+    InvalidModelError): `loop_count` loop joints' steps, then the couplings'
+    read-only LoopJacobians, their involved joints taken from the subchains
     of `_graph`, the first graph that passed `check`: any graph that passes
-    has the same.  `assembly` stacks the loop joints' rows as `_row_layout`
-    places them, and `_couplings` the couplings' rows over all of q.
+    has the same.  `assembly` stacks the loop joints' rows, `_widest`
+    columns wide, and `_coupling_rows` the couplings' rows over all of q.
     `groups` splits the loop entries into loop groups, lays out the
     declared independent coordinates over them, and holds the flat index
     arrays through which the rank elimination and G gather their blocks.
@@ -595,6 +587,11 @@ class KinematicPlan:
         self._body_index = numbered._index  # the dict, not a method that holds the model
         self._slices = numbered.coordinate_slices()
         self._entries = numbered.loop_entries
+        is_coupling = [isinstance(entry, Coupling) for _, entry in self._entries]
+        self.loop_count = is_coupling.count(False)
+        if any(is_coupling[: self.loop_count]):  # then the first coupling is one of them
+            name = self._entries[is_coupling.index(True)][1].name
+            raise InvalidModelError(f"coupling {name!r} is numbered before a loop joint")
         self._independent = independent_coordinate_indices(numbered)
         self._graph = self._record = None
 
@@ -655,36 +652,31 @@ class KinematicPlan:
         if all(joint.independent is None for joint in joints):
             return "spanning", (), None
         # joints without the attribute count as not chosen
-        chosen = [joint for joint in joints if joint.independent]
-        return ("independent", tuple(joint.name for joint in chosen),
-                sum(joint.joint_type.dof for joint in chosen))
+        return ("independent", tuple(joint.name for joint in joints if joint.independent),
+                len(self._independent))
 
     @cached_property
     def loops(self) -> tuple[_LoopStep | LoopJacobian, ...]:
         return tuple(self._loop_step(i) for i in range(len(self._entries)))
 
     @cached_property
-    def _row_layout(self) -> tuple[dict[int, int], int]:
-        """Where `assembly` keeps each loop joint's rows: the joint's
-        position among the loop joints, by entry index, and the widest K_l."""
-        loops = [i for i, step in enumerate(self.loops) if isinstance(step, _LoopStep)]
-        return ({index: i for i, index in enumerate(loops)},
-                max((self.loops[index].width for index in loops), default=0))
+    def _widest(self) -> int:
+        """The widest loop joint's K_l, and the width of the assembly's rows."""
+        return max((step.width for step in self.loops[: self.loop_count]), default=0)
 
     @cached_property
-    def _couplings(self) -> tuple[list[int], np.ndarray]:
-        """The couplings' entry indices, and their rows over all of q, stacked."""
-        couplings = [i for i, step in enumerate(self.loops) if isinstance(step, LoopJacobian)]
-        full = [self.loops[i].scatter(self._slices, self._slices[-1].stop)[0] for i in couplings]
-        return couplings, np.array(full)
+    def _coupling_rows(self) -> np.ndarray:
+        """The couplings' rows over all of q, stacked."""
+        return np.array([step.scatter(self._slices, self._slices[-1].stop)[0]
+                         for step in self.loops[self.loop_count :]])
 
     @cached_property
     def assembly(self) -> _LoopAssembly:
-        return _LoopAssembly(self.loops, self.tree.slot, self._row_layout)
+        return _LoopAssembly(self.loops[: self.loop_count], self._widest, self.tree.slot)
 
     @cached_property
     def groups(self) -> _LoopGroups:
-        return _LoopGroups(self.loops, self._slices, self._independent, self._row_layout)
+        return _LoopGroups(self.loops, self._slices, self._independent, self._widest)
 
     def _loop_step(self, index: int) -> _LoopStep | LoopJacobian:
         number, entry = self._entries[index]

@@ -194,40 +194,34 @@ def _validate(model: RobotModel) -> ValidationReport:
     link_names = model.link_names()
     known = set(link_names)
 
-    seen: set[str] = set()
-    for name in link_names:
-        if not name:
-            violations.append(Violation("empty-name", "link with empty name"))
-        elif name in seen:
-            violations.append(Violation("duplicate-link", "duplicate link name", name))
-        seen.add(name)
+    # The name rule, over two namespaces: the links, and the tree joints,
+    # loops and couplings together.
+    for noun, kinds in (("link", (("link", model.links),)),
+                        ("joint", (("joint", model.tree_joints), ("loop", model.loop_joints),
+                                   ("coupling", model.couplings)))):
+        seen: set[str] = set()
+        for kind, records in kinds:
+            for record in records:
+                name = record.name
+                if not name:
+                    violations.append(Violation("empty-name", f"{kind} with empty name"))
+                elif name in seen:
+                    violations.append(Violation(f"duplicate-{noun}", f"duplicate {noun} name",
+                                                name))
+                seen.add(name)
 
-    joint_names: set[str] = set()
-    all_joints = (
-        [(j.name, "joint") for j in model.tree_joints]
-        + [(j.name, "loop") for j in model.loop_joints]
-        + [(c.name, "coupling") for c in model.couplings]
-    )
-    for name, kind in all_joints:
-        if not name:
-            violations.append(Violation("empty-name", f"{kind} with empty name"))
-        elif name in joint_names:
-            violations.append(
-                Violation("duplicate-joint", "duplicate joint name", name)
-            )
-        joint_names.add(name)
+    def check_ends(name: str, kind: str, a: str, b: str, code: str, same: str):
+        """The end rule: both ends name a link, and not the same one."""
+        for ref in (a, b):
+            if ref not in known:
+                violations.append(Violation(
+                    "unknown-link", f"{kind} references unknown link {ref!r}", name))
+        if a == b:
+            violations.append(Violation(code, same, name))
 
     for joint in model.tree_joints:
-        for ref in (joint.parent, joint.child):
-            if ref not in known:
-                violations.append(
-                    Violation("unknown-link", f"joint references unknown link {ref!r}",
-                              joint.name)
-                )
-        if joint.parent == joint.child:
-            violations.append(
-                Violation("self-joint", "joint parent equals child", joint.name)
-            )
+        check_ends(joint.name, "joint", joint.parent, joint.child,
+                   "self-joint", "joint parent equals child")
         if joint.joint_type.requires_axis and joint.axis is None:
             violations.append(
                 Violation("axis-missing", "joint type requires an axis", joint.name)
@@ -238,16 +232,8 @@ def _validate(model: RobotModel) -> ValidationReport:
             )
 
     for loop in model.loop_joints:
-        for ref in (loop.predecessor, loop.successor):
-            if ref not in known:
-                violations.append(
-                    Violation("unknown-link", f"loop references unknown link {ref!r}",
-                              loop.name)
-                )
-        if loop.predecessor == loop.successor:
-            violations.append(
-                Violation("self-loop", "loop predecessor equals successor", loop.name)
-            )
+        check_ends(loop.name, "loop", loop.predecessor, loop.successor,
+                   "self-loop", "loop predecessor equals successor")
         if loop.joint_type.requires_axis and loop.axis is None:
             violations.append(
                 Violation("axis-missing", "loop type requires an axis", loop.name)
@@ -266,18 +252,8 @@ def _validate(model: RobotModel) -> ValidationReport:
             )
 
     for coupling in model.couplings:
-        for ref in (coupling.predecessor, coupling.successor):
-            if ref not in known:
-                violations.append(
-                    Violation("unknown-link",
-                              f"coupling references unknown link {ref!r}",
-                              coupling.name)
-                )
-        if coupling.predecessor == coupling.successor:
-            violations.append(
-                Violation("self-loop", "coupling predecessor equals successor",
-                          coupling.name)
-            )
+        check_ends(coupling.name, "coupling", coupling.predecessor, coupling.successor,
+                   "self-loop", "coupling predecessor equals successor")
         if coupling.ratio == 0.0:
             violations.append(
                 Violation("zero-ratio", "coupling ratio must be nonzero",
@@ -412,6 +388,9 @@ class NumberedModel:
     tree joint connecting body i to parent[i], so tree joint numbers coincide
     with body numbers.  Loop joints and couplings receive numbers
     N_B+1..N_J: loop joints first, then couplings, each in declaration order.
+    The kinematic plan relies on that order: loop joint l is loop entry l,
+    and the couplings follow.  It checks the order once, and a numbering
+    that puts a coupling before a loop joint raises InvalidModelError.
     """
 
     model: RobotModel

@@ -132,6 +132,13 @@ _Leaf = namedtuple("_Leaf", ("tag", "attrib", "line", "column"))
 _TAG = re.compile(rb"""[^"'>]*(?:(?:"[^"]*"|'[^']*')[^"'>]*)*>""")
 
 
+def _plain_number(text: str) -> bool:
+    """Whether a number's text is ASCII without '_', as URDF's C/C++ parsers
+    read it, where float() also takes '_' between digits and non-ASCII
+    digits and spaces."""
+    return text.isascii() and "_" not in text
+
+
 def _scan_tag_end(data: bytes, start: int) -> int:
     """Index just past the '>' closing the tag that starts at `start`,
     ignoring '>' inside quoted attribute values."""
@@ -200,6 +207,8 @@ class _Interpreter:
 
     def parse_float(self, text: str, element: _Element, path: str) -> float:
         try:
+            if not _plain_number(text):
+                raise ValueError
             value = float(text)
         except ValueError:
             raise InvalidNumberError(
@@ -217,7 +226,7 @@ class _Interpreter:
         except ValueError:  # not three numbers
             pass
         else:
-            if math.isfinite(x + y + z):  # no part is an inf or a nan
+            if math.isfinite(x + y + z) and _plain_number(text):  # finite, plain numbers
                 return x, y, z
         parts = text.split()
         if len(parts) != 3:
@@ -225,9 +234,10 @@ class _Interpreter:
                 f"expected 3 numbers, got {len(parts)} in {text!r}",
                 element.line, element.column, path,
             )
-        # raises, naming the first part that is not a finite number, unless
-        # only the sum overflowed
-        return tuple([self.parse_float(p, element, path) for p in parts])
+        # raises, naming the first part that is not a finite number (the
+        # whole text if any of it is not ASCII), unless only the sum overflowed
+        return tuple([self.parse_float(p if text.isascii() else text, element, path)
+                      for p in parts])
 
     def parse_bool(self, text: str, element: _Element, path: str) -> bool:
         if text == "true":
@@ -387,12 +397,12 @@ class _Interpreter:
             attrib, keys = inertia_el.attrib, ("ixx", "ixy", "ixz", "iyy", "iyz", "izz")
             try:
                 values = [float(attrib[key]) for key in keys]
-                finite = math.isfinite(sum(values))
+                finite = math.isfinite(sum(values)) and _plain_number("".join(attrib.values()))
             except (KeyError, ValueError):  # missing or not a number
                 finite = False
             if not finite:
-                # raises at the first missing or non-finite value, unless
-                # only the sum overflowed
+                # raises at the first missing, non-finite or not plain value,
+                # unless only the sum overflowed
                 values = [self.parse_float(self.require_attr(inertia_el, key, path),
                                            inertia_el, path) for key in keys]
             ixx, ixy, ixz, iyy, iyz, izz = values

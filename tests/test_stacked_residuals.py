@@ -73,7 +73,10 @@ def per_entry_evaluate(self, rows):
     loop, with `rows` the loop assembly's rows."""
     plan, q = self.plan, self.q
     steps = plan.loops
-    position, _ = plan._row_layout
+    # the loop assembly's place of each loop joint, by entry index: loop
+    # joints are numbered before couplings, so loop joint l is at l
+    position = {index: index for index, step in enumerate(steps)
+                if not isinstance(step, LoopJacobian)}
     residuals = np.zeros((len(steps), 6))
     terms, failed = [], {}
     with np.errstate(all="ignore"):  # an overflow is reported below, by entry
@@ -135,7 +138,7 @@ def check_record(numbered, graph, q, seen):
         seen["coupling"] += jac.kind == "coupling"
     assert not (record.rows.flags.writeable or record.residuals.flags.writeable)
     seen["half-turn"] += len(failed)
-    if record.plan._row_layout[0]:
+    if record.plan.loop_count:
         with np.errstate(all="ignore"):
             rel_rot, _ = closure_poses(record.plan.assembly, record)
         for r in rel_rot:
