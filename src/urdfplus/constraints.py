@@ -18,6 +18,7 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
+import string
 from dataclasses import field
 from functools import cached_property
 
@@ -83,7 +84,9 @@ def parse_configuration(text: str, numbered: NumberedModel) -> np.ndarray:
                 raise ConfigurationError(f"line {lineno}: expected 'name: values'")
             name = line.split(":", 1)[0].strip()
             raise ConfigurationError(f"line {lineno}: unknown joint {name!r}")
-        name, values = raw[: named[-1]].strip(), raw[named[-1] + 1 :].split("#", 1)[0]
+        name = raw[: named[-1]].strip()
+        # quoted as written: str.strip() would also take the non-ASCII spaces it refuses
+        values = raw[named[-1] + 1 :].split("#", 1)[0].strip(string.whitespace)
         if set_on.setdefault(name, lineno) != lineno:
             raise ConfigurationError(
                 f"line {lineno}: joint {name!r} already set on line {set_on[name]}")
@@ -94,13 +97,9 @@ def parse_configuration(text: str, numbered: NumberedModel) -> np.ndarray:
                 raise ValueError
             parsed = [float(v) for v in values.split()]
         except ValueError:
-            raise ConfigurationError(
-                f"line {lineno}: invalid number in {values.strip()!r}"
-            ) from None
+            raise ConfigurationError(f"line {lineno}: invalid number in {values!r}") from None
         if not np.isfinite(parsed).all():
-            raise ConfigurationError(
-                f"line {lineno}: non-finite number in {values.strip()!r}"
-            )
+            raise ConfigurationError(f"line {lineno}: non-finite number in {values!r}")
         if len(parsed) != width:
             raise ConfigurationError(
                 f"line {lineno}: joint {name!r} takes {width} values, "
@@ -252,7 +251,11 @@ class _LoopGroups:
     `shape`: members 0 .. count-1 are the groups, followed by the entries
     of groups with more than one entry, for their own ranks (a one-entry
     group's K_g is its entry's K_l).  `entry_member[l]` is the member that
-    holds entry l's rank.
+    holds entry l's rank, with K_l in its leading rows and columns, and
+    `places[l]` the (member, first row, local columns) of every member that
+    holds entry l's rows.  The read-only `template` holds each coupling's
+    constant row at its places; the loop assembly puts each loop joint's
+    rows at theirs, in a copy of it.
 
     For G, group g's dependent coordinates d_g (`width[g]` of them) give
     the system basis_g[:, d_g] X = basis_g[:, i_g] over the group's own
@@ -261,17 +264,13 @@ class _LoopGroups:
     outside the group, since the bits of its products depend on the width.
     `complete` says every dependent coordinate lies in a group; `solved_by`
     holds each one's (group, place in the group), (-1, 0) outside them all.
-
-    Both steps run without a loop over the groups, through flat (to, from)
-    index arrays built once per model, `batch`'s here and `explicit`'s on
-    its first call: `batch` copies a template that holds the couplings'
-    constant rows and puts the loop joints' rows, taken from the loop
-    assembly's rows (`widest` wide), into it; `explicit` takes the dependent
-    and the independent blocks out of the reduced batch, and after the
-    elimination puts each group's right-hand side into its columns of G.
+    `explicit` runs without a loop over the groups, through flat (to, from)
+    index arrays built on its first call: it takes the dependent and the
+    independent blocks out of the reduced batch, and after the elimination
+    puts each group's right-hand side into its columns of G.
     """
 
-    def __init__(self, steps, slices, independent, widest):
+    def __init__(self, steps, slices, independent):
         coordinates = []  # per entry, one per K_l column
         for step in steps:
             coordinates.append([
@@ -297,7 +296,7 @@ class _LoopGroups:
         columns = [sorted({c for e in group for c in coordinates[e]})
                    for group in self.entries]
         self.columns = tuple(np.array(group, dtype=np.intp) for group in columns)
-        self._plan_batch(steps, coordinates, columns, widest)
+        self._plan_batch(steps, coordinates, columns)
 
         self.independent = tuple(independent)
         chosen = set(self.independent)
@@ -322,10 +321,8 @@ class _LoopGroups:
                       for member, k in self.solved_by]
         self._rhs = max((len(ind) for _, ind, _ in self._blocks), default=0)
 
-    def _plan_batch(self, steps, coordinates, columns, widest):
-        """`shape`, `entry_member`, and the template and the flat (to, from)
-        indices of `batch`: a coupling's constant row goes into the
-        template, a loop joint's rows come from the loop assembly's."""
+    def _plan_batch(self, steps, coordinates, columns):
+        """`shape`, `entry_member`, `places` and `template`."""
         heights = [step.rows if isinstance(step, LoopJacobian) else step.psi.shape[1]
                    for step in steps]
         height = max((sum(heights[e] for e in group) for group in self.entries), default=0)
@@ -334,34 +331,25 @@ class _LoopGroups:
         self.shape = (extra + sum(len(group) for group in self.entries if len(group) > 1),
                       height, width)
         template = np.zeros(self.shape)
-        member_of = [0] * len(steps)
-        to, source = [], []
+        member_of, places = [0] * len(steps), [()] * len(steps)
         for member, group in enumerate(self.entries):
             where = {c: k for k, c in enumerate(columns[member])}
             top = 0
             for entry in group:
                 local = [where[c] for c in coordinates[entry]]
-                places = [(member, top, local)]
+                places[entry] = ((member, top, local),)
                 member_of[entry] = member
                 if len(group) > 1:
-                    places.append((extra, 0, list(range(len(local)))))
+                    places[entry] += ((extra, 0, list(range(len(local)))),)
                     member_of[entry] = extra
                     extra += 1
-                step = steps[entry]
-                if isinstance(step, LoopJacobian):
-                    for at, first, cols in places:
-                        template[at, first, cols] = step.matrix[0]
-                else:
-                    rows = range(entry * 6, entry * 6 + heights[entry])
-                    source += [r * widest + k for r in rows for k in range(len(local))
-                               ] * len(places)
-                    for at, first, cols in places:
-                        to += [(at * height + first + r) * width + k
-                               for r in range(heights[entry]) for k in cols]
+                if isinstance(steps[entry], LoopJacobian):
+                    for at, first, cols in places[entry]:
+                        template[at, first, cols] = steps[entry].matrix[0]
                 top += heights[entry]
         self.entry_member = np.array(member_of, dtype=np.intp)
-        self._template = _read_only(template)
-        self._batch_index = np.array(to + source, dtype=np.intp).reshape(2, -1)
+        self.places = tuple(places)
+        self.template = _read_only(template)
 
     @cached_property
     def _solve_index(self) -> tuple[np.ndarray, ...]:
@@ -389,15 +377,6 @@ class _LoopGroups:
                   for to, source in ((system_to, system_from), (wide_to, wide_from))),
                 _solve_layout(size - self.width, size, places.reshape(self.count, size)))
 
-    def batch(self, rows: np.ndarray) -> np.ndarray:
-        """Every member of the lock-step elimination, zero-padded, from the
-        loop assembly's rows (an empty array on a model without a loop
-        joint)."""
-        to, source = self._batch_index
-        out = self._template.copy()
-        out.put(to, rows.take(source))
-        return out
-
     def explicit(self, reduced: np.ndarray, tol: float) -> ExplicitJacobian:
         """G from the groups' bases in `reduced`, whose ranks equal `width`,
         by one lock-step solve, each group's system in the trailing block of
@@ -420,8 +399,8 @@ class _LoopGroups:
 
 class _LoopAssembly:
     """Every loop joint's rows and closure residual at a configuration, in
-    one pass; loop joint l (loop entry l) gets its rows in `[l, :rows,
-    :width]` of one (loops, 6, widest) array.
+    one pass; loop joint l (loop entry l) gets its rows at each of the loop
+    groups' `places[l]` in their batch.
 
     Block column j is sign * Psi^T * S_j with S_j carried into the
     predecessor-side loop frame along the kinematic chain; the sign is -1
@@ -429,12 +408,14 @@ class _LoopAssembly:
     (loop, moving joint) pairs are stacked by the joint's DoF, with Psi^T
     the transpose view of Psi padded with zero columns and world_to_loop's
     rotation the transpose view of the loop frame's, so each product keeps
-    the layout, and the bits, it has for one pair alone.  `width` is the
-    widest K_l, and `slot` the tree's level-order place of each body, which
-    gives a joint's place in the tree's joint stack.  The residuals are one
-    padded product of `psi_t` with the stacked pose errors."""
+    the layout, and the bits, it has for one pair alone; one flat (to, from)
+    index pair per DoF puts only each loop's constraint rows of the
+    products at every place of that loop.  `slot` is the tree's level-order
+    place of each body, which gives a joint's place in the tree's joint
+    stack.  The residuals are one padded product of `psi_t` with the
+    stacked pose errors."""
 
-    def __init__(self, steps, width, slot):
+    def __init__(self, steps, groups: _LoopGroups, slot):
         self.predecessor = np.array([step.predecessor for step in steps], dtype=np.intp)
         self.successor = np.array([step.successor for step in steps], dtype=np.intp)
         self.predecessor_origins = _stack(step.predecessor_origin for step in steps)
@@ -442,7 +423,6 @@ class _LoopAssembly:
         psi = np.zeros((len(steps), 6, 6))
         for i, step in enumerate(steps):
             psi[i, :, : step.psi.shape[1]] = step.psi
-        self.shape = (len(steps), 6, width)
         self.psi_t = psi.transpose(0, 2, 1)
         self.residual_index = np.array([i * 6 + r for i, step in enumerate(steps)
                                         for r in range(step.psi.shape[1])], dtype=np.intp)
@@ -450,29 +430,36 @@ class _LoopAssembly:
         for i, step in enumerate(steps):
             for joint, start, stop, sign in step.moving:
                 by_dof.setdefault(stop - start, []).append((i, joint, start, sign))
+        _, height, width = groups.shape
         # per DoF: loops, joints, their places in the joint stack, signs,
-        # Psi^T, and places in the rows
+        # Psi^T, and the (to, from) indices of the rows of the products
         self.pairs = []
         for dof, pairs in sorted(by_dof.items()):
+            to, source = [], []
+            for pair, (i, _, start, _) in enumerate(pairs):
+                rows = range(steps[i].psi.shape[1])
+                for member, first, cols in groups.places[i]:
+                    to += [(member * height + first + r) * width + cols[start + k]
+                           for r in rows for k in range(dof)]
+                    source += [(pair * 6 + r) * dof + k for r in rows for k in range(dof)]
             loop, joint, start, sign = (np.array(column) for column in zip(*pairs))
-            places = ((loop[:, None, None] * 6 + np.arange(6)[:, None]) * width
-                      + start[:, None, None] + np.arange(dof))
             self.pairs.append((loop, joint, slot[joint] - 1, sign[:, None, None],
-                               psi[loop].transpose(0, 2, 1), places.ravel()))
+                               psi[loop].transpose(0, 2, 1),
+                               np.array(to + source, dtype=np.intp).reshape(2, -1)))
 
-    def evaluate(self, record: _Record, residuals: np.ndarray):
-        """The rows (read-only) at the record's q and poses, and the half-turn
-        error messages by entry; each other residual goes into `residuals`."""
+    def evaluate(self, record: _Record, rows: np.ndarray, residuals: np.ndarray) -> dict:
+        """Each loop joint's rows into `rows`, a copy of the loop groups'
+        template, and each residual into `residuals`, at the record's q and
+        poses; returns the half-turn error messages by entry."""
         (rot, trans), q, joints = record.poses, record.q, record.plan.tree.joints
         p, s = self.predecessor, self.successor
         rot_p, trans_p = _composed(rot[p], trans[p], *self.predecessor_origins)
         to_loop_trans = -(rot_p.transpose(0, 2, 1) @ trans_p[:, :, None])[:, :, 0]
-        rows = np.zeros(self.shape)
-        for loop, joint, stacked, sign, psi_t, places in self.pairs:
+        for loop, joint, stacked, sign, psi_t, (to, source) in self.pairs:
             to_joint = _composed(rot_p[loop].transpose(0, 2, 1), to_loop_trans[loop],
                                  rot[joint], trans[joint])
             maps = _motion_maps(*to_joint, joints.subspaces(q, stacked))
-            rows.put(places, sign * (psi_t @ maps))
+            rows.put(to, (sign * (psi_t @ maps)).take(source))
         frame_s = _composed(rot[s], trans[s], *self.successor_origins)
         rel_rot, rel_trans = _composed(rot_p.transpose(0, 2, 1), to_loop_trans, *frame_s)
         logs, failed = _so3_logs(rel_rot)
@@ -480,10 +467,7 @@ class _LoopAssembly:
         residuals.put(self.residual_index, (self.psi_t @ errors).take(self.residual_index))
         if failed:  # a half-turn's residual stays unread, and zero
             residuals[list(failed)] = 0.0
-        return _read_only(rows), failed
-
-
-_NO_ROWS = _read_only(np.zeros((0, 6, 0)))  # the loop assembly's rows without a loop joint
+        return failed
 
 
 def _overflow(jac: LoopJacobian, part: str) -> ConfigurationError:
@@ -496,12 +480,14 @@ def _overflow(jac: LoopJacobian, part: str) -> ConfigurationError:
 class _Record:
     """A kinematic plan's record of one configuration: `key`, the bytes of
     q, and `q`, a read-only copy of it.  Its parts are each made on first
-    use and kept: `poses`, the world pose arrays; by `evaluate`, the loop
-    assembly's `rows`, the read-only (entries, 6) `residuals` (entry l's in
-    row l, zero beyond it), every entry's (rows, residual) in `terms` and
-    the half-turn error messages by entry in `failed`; and per tolerance,
-    by `eliminated`, the lock-step elimination of every loop group.  A part
-    whose making raises is not kept, so asking for it again raises again."""
+    use and kept: `poses`, the world pose arrays; by `evaluate`, `rows`,
+    the loop groups' unreduced batch (read-only), the read-only (entries, 6)
+    `residuals` (entry l's in row l, zero beyond it), every entry's (rows,
+    residual) in `terms`, entry l's rows a view of its `entry_member` in
+    `rows`, and the half-turn error messages by entry in `failed`; and per
+    tolerance, by `eliminated`, the lock-step elimination of every loop
+    group.  A part whose making raises is not kept, so asking for it again
+    raises again."""
 
     def __init__(self, plan: KinematicPlan, key: bytes, q: np.ndarray):
         self.plan, self.key, self.q = plan, key, _read_only(q.copy())
@@ -513,28 +499,29 @@ class _Record:
         return self.plan.tree.poses(self.q)
 
     def evaluate(self) -> _Record:
-        """Every loop entry evaluated, as views of `rows` and `residuals`, the
-        rows made from `poses` only when there is a loop joint.  A finite q can
+        """Every loop entry evaluated, as views of `rows` and `residuals`;
+        `rows` is a copy of the loop groups' template, into which the loop
+        assembly puts the loop joints' rows, made from `poses`.  A finite q can
         still overflow: one check over both raises ConfigurationError, naming
         the first entry with a value that is not finite; no numpy warning escapes."""
         if self.terms is not None:
             return self
         plan, steps, loops = self.plan, self.plan.loops, self.plan.loop_count
-        residuals = np.zeros((len(steps), 6))
-        rows, failed = _NO_ROWS, {}
+        residuals, rows, failed = np.zeros((len(steps), 6)), plan.groups.template.copy(), {}
         with np.errstate(all="ignore"):  # an overflow is reported below, by entry
             if loops:
-                rows, failed = plan.assembly.evaluate(self, residuals)
+                failed = plan.assembly.evaluate(self, rows, residuals)
             if loops < len(steps):
                 # a coupling is linear in q: its row times q is the relation itself
                 residuals[loops:, 0] = plan._coupling_rows @ self.q
-        residuals = _read_only(residuals)
+        rows, residuals = _read_only(rows), _read_only(residuals)
         terms = [(LoopJacobian(step.number, step.name, "loop", step.joint_numbers,
-                               step.joint_columns, rows[i, : step.psi.shape[1], : step.width]),
-                  residuals[i, : step.psi.shape[1]]) for i, step in enumerate(steps[:loops])]
+                               step.joint_columns, rows[at, : step.psi.shape[1], : step.width]),
+                  residuals[i, : step.psi.shape[1]])
+                 for i, (step, at) in enumerate(zip(steps[:loops], plan.groups.entry_member))]
         terms += [(step, residuals[i, :1]) for i, step in enumerate(steps[loops:], loops)]
         if not (np.isfinite(rows).all() and np.isfinite(residuals).all()):
-            for jac, residual in terms:  # no entry reads the padding around its rows
+            for jac, residual in terms:  # every value in `rows` is some entry's
                 for part, values in (("row", jac.matrix), ("residual", residual)):
                     if not np.isfinite(values).all():
                         raise _overflow(jac, f"{part} entry")
@@ -546,8 +533,7 @@ class _Record:
         that overflows raises ConfigurationError naming its first entry,
         and no numpy warning escapes."""
         if tol not in self._bases:
-            groups = self.plan.groups
-            batch = groups.batch(self.evaluate().rows)
+            groups, batch = self.plan.groups, self.evaluate().rows.copy()
             with np.errstate(all="ignore"):  # an overflow is reported below
                 ranks = _row_reduce_batch(batch, tol)
             finite = np.isfinite(batch).all(axis=(1, 2))
@@ -570,14 +556,15 @@ class KinematicPlan:
     InvalidModelError): `loop_count` loop joints' steps, then the couplings'
     read-only LoopJacobians, their involved joints taken from the subchains
     of `_graph`, the first graph that passed `check`: any graph that passes
-    has the same.  `assembly` stacks the loop joints' rows, `_widest`
-    columns wide, and `_coupling_rows` the couplings' rows over all of q.
-    `groups` splits the loop entries into loop groups, lays out the
-    declared independent coordinates over them, and holds the flat index
-    arrays through which the rank elimination and G gather their blocks.
-    `_declared` is the count check's reading of the independent attributes.
-    Each part is built once, on its first use, so a coupling-only model
-    never builds the tree part.  `record(q)` keeps the record of the last
+    has the same.  `groups` splits the loop entries into loop groups, lays
+    out every entry's rows in the batch of their lock-step elimination and
+    the declared independent coordinates over them, and holds the flat
+    index arrays through which G gathers its blocks.  `assembly`, built
+    from `groups`, writes the loop joints' rows into that batch, and
+    `_coupling_rows` holds the couplings' rows over all of q.  `_declared`
+    is the count check's reading of the independent attributes.  Each part
+    is built once, on its first use, so a coupling-only model never builds
+    the tree part.  `record(q)` keeps the record of the last
     configuration asked for, which every function that takes q reads.
     """
 
@@ -625,10 +612,13 @@ class KinematicPlan:
         """The record of q, after the one check on every configuration a
         public function is given: the kept record while q's bytes are its
         key, else a new one, which replaces it."""
-        try:
-            q = np.asarray(q, dtype=float)
+        try:  # numbers numpy stores as bool, integer or float; str, complex and None not
+            q = np.asarray(q)
+            if q.dtype.kind not in "biuf":
+                raise TypeError
         except (TypeError, ValueError):
             raise ConfigurationError("configuration is not a vector of numbers") from None
+        q = q.astype(float, copy=False)
         if q.shape != (self._slices[-1].stop,):
             raise DimensionMismatchError(
                 f"configuration has {q.shape} entries, model takes "
@@ -660,11 +650,6 @@ class KinematicPlan:
         return tuple(self._loop_step(i) for i in range(len(self._entries)))
 
     @cached_property
-    def _widest(self) -> int:
-        """The widest loop joint's K_l, and the width of the assembly's rows."""
-        return max((step.width for step in self.loops[: self.loop_count]), default=0)
-
-    @cached_property
     def _coupling_rows(self) -> np.ndarray:
         """The couplings' rows over all of q, stacked."""
         return np.array([step.scatter(self._slices, self._slices[-1].stop)[0]
@@ -672,11 +657,11 @@ class KinematicPlan:
 
     @cached_property
     def assembly(self) -> _LoopAssembly:
-        return _LoopAssembly(self.loops[: self.loop_count], self._widest, self.tree.slot)
+        return _LoopAssembly(self.loops[: self.loop_count], self.groups, self.tree.slot)
 
     @cached_property
     def groups(self) -> _LoopGroups:
-        return _LoopGroups(self.loops, self._slices, self._independent, self._widest)
+        return _LoopGroups(self.loops, self._slices, self._independent)
 
     def _loop_step(self, index: int) -> _LoopStep | LoopJacobian:
         number, entry = self._entries[index]
@@ -868,7 +853,7 @@ def independent_coordinate_check(
     spanning-tree coordinates, so the count check is skipped and the report
     says so.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     if lacg.graph is not graph and lacg.graph != graph:
         raise InvalidModelError("loop-aggregated graph is not of this connectivity graph")
     if q is None:
@@ -933,7 +918,7 @@ def explicit_jacobian_for_model(
     or a group's solve refuses a pivot, SingularDependentBlockError names
     the first such column by its place among all dependent coordinates.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     if q is None:
         q = zero_configuration(numbered)
     record, reduced, ranks = _eliminated(numbered, graph, q, tol)

@@ -32,7 +32,7 @@ class InternalInconsistencyError(UrdfPlusError):
 
 
 class IncompatibleCouplingError(UrdfPlusError):
-    """A coupling spans joints that are not uniform single-DoF of one motion type."""
+    """`coupling_row` was given the number of a loop joint, not of a coupling."""
 
 
 class SingularDependentBlockError(UrdfPlusError):
@@ -52,7 +52,8 @@ class CountMismatchError(UrdfPlusError):
 
 
 class ConfigurationError(UrdfPlusError):
-    """A joint-configuration file could not be interpreted."""
+    """A configuration (a file's lines or a vector q) or a rank tolerance
+    could not be interpreted, or a finite configuration overflows."""
 
 
 class AntipodalRotationError(UrdfPlusError):

@@ -502,9 +502,12 @@ def joint_transform(jt: JointType, axis, axis2, q) -> SpatialTransform:
     return SpatialTransform(rot[0], trans[0])
 
 
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0.0):
+def _check_tol(tol) -> float:
+    """tol as a float, if numpy stores it as one finite bool, integer or float > 0."""
+    value = np.asarray(tol)
+    if value.shape or value.dtype.kind not in "biuf" or not 0.0 < float(value) < math.inf:
         raise ConfigurationError(f"tolerance must be a finite number > 0, got {tol!r}")
+    return float(value)
 
 
 def numerical_rank(m, tol: float = 1e-10) -> int:
@@ -535,7 +538,7 @@ def solve_with_pivoting(a, b, tol: float = 1e-10) -> np.ndarray:
     be finite and > 0 (ConfigurationError otherwise).  A public one-matrix
     view of _solve_batch; the engine's G never calls it.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     a = np.array(a, dtype=float, ndmin=2)
     b = np.array(b, dtype=float)
     if a.shape[0] != a.shape[1]:
@@ -554,7 +557,7 @@ def _row_reduce_batch(a: np.ndarray, tol: float) -> np.ndarray:
     lock step, in place, and return their ranks.  A pivot is accepted when
     it exceeds tol times the member's largest absolute entry; zero rows and
     columns never pivot, so member k's basis is a[k, :rank[k]]."""
-    _check_tol(tol)
+    tol = _check_tol(tol)
     threshold = tol * np.abs(a).max(axis=(1, 2), initial=0.0)
     return _forward_pass(a, [threshold] * a.shape[2])
 
@@ -589,7 +592,7 @@ def _eliminate_batch(system: np.ndarray, layout: tuple, tol: float
     """The forward elimination of _solve_batch, in place on the systems
     [a | b] (members, n, n + m), as (a, b), given the _solve_layout of
     their start.  It works on each column of b apart from the others."""
-    _check_tol(tol)
+    tol = _check_tol(tol)
     exempt, member, diagonal, names = layout
     n = system.shape[1]
     threshold = tol * np.abs(system[:, :, :n]).max(axis=(1, 2), initial=1e-300)

@@ -45,7 +45,13 @@ from urdfplus.model import (
     TreeJoint,
     regular_numbering,
 )
-from urdfplus.spatial import JointType, compose
+from urdfplus.spatial import (
+    JointType,
+    compose,
+    numerical_rank,
+    row_reduce_basis,
+    solve_with_pivoting,
+)
 from urdfplus.xmlio import parse_urdf_plus
 
 
@@ -542,6 +548,36 @@ class TestIndependentCheck:
         with pytest.raises(ConfigurationError, match="finite number > 0"):
             explicit_jacobian_for_model(fourbar.numbered, fourbar.graph, tol=tol)
 
+    @pytest.mark.parametrize("tol", ["1e-10", np.array("1e-10"), b"1e-10", None, 1e-10 + 0j,
+                                     [1e-10], np.array([1e-10])])
+    def test_tolerance_that_is_not_a_number_raises(self, fourbar, tol):
+        """Every function that takes tol refuses what is not one real
+        number, where it used to raise TypeError or read text as a float."""
+        message = f"^{re.escape(f'tolerance must be a finite number > 0, got {tol!r}')}$"
+        for call in (
+            lambda: independent_coordinate_check(fourbar.numbered, fourbar.graph,
+                                                 fourbar.lacg, tol=tol),
+            lambda: explicit_jacobian_for_model(fourbar.numbered, fourbar.graph, tol=tol),
+            lambda: numerical_rank(np.eye(2), tol),
+            lambda: row_reduce_basis(np.eye(2), tol),
+            lambda: solve_with_pivoting(np.eye(2), np.ones(2), tol),
+        ):
+            with pytest.raises(ConfigurationError, match=message):
+                call()
+
+    @pytest.mark.parametrize("tol", [np.array(1e-10), np.float32(1e-3), np.float64(1e-10)])
+    def test_tolerance_of_numpy_type_reads_as_its_float(self, fourbar, tol):
+        """A 0-d array (once `unhashable type`) or a numpy scalar gives what
+        its float gives, to the bit, and keys the record's eliminations by
+        that float."""
+        numbered, graph = fourbar.numbered, fourbar.graph
+        want = (independent_coordinate_check(numbered, graph, fourbar.lacg, tol=float(tol)),
+                explicit_jacobian_for_model(numbered, graph, tol=float(tol)).matrix.tobytes())
+        got = (independent_coordinate_check(numbered, graph, fourbar.lacg, tol=tol),
+               explicit_jacobian_for_model(numbered, graph, tol=tol).matrix.tobytes())
+        assert got == want
+        assert {type(key) for key in numbered._kinematics.record(np.zeros(3))._bases} == {float}
+
     def test_aggregate_membership_reported(self, wrist):
         report = independent_coordinate_check(
             wrist.numbered, wrist.graph, wrist.lacg
@@ -588,6 +624,25 @@ class TestBadConfiguration:
 
     def test_list_of_numbers_accepted(self, belt, function):
         Q_FUNCTIONS[function](belt, [0.0, 0.1, 0.2])
+
+    @pytest.mark.parametrize("bad", [["1_0", "0", "0"], np.array(["1", "0", "0"]),
+                                     [b"1", b"0", b"0"], [None, 0, 0], np.array([1j, 0, 0])])
+    def test_entries_that_are_not_real_numbers(self, fourbar, belt, function, bad):
+        """Text, which float() read ("1_0" as 10.0), bytes, None (once
+        "non-finite entries") and complex entries (once a ComplexWarning)
+        are refused, with loop joints and on a coupling-only model."""
+        for bundle in (fourbar, belt):
+            with pytest.raises(ConfigurationError,
+                               match="^configuration is not a vector of numbers$"):
+                Q_FUNCTIONS[function](bundle, bad)
+
+    @pytest.mark.parametrize("good", [[0, 1, 0], [False, True, False],
+                                      np.array([0, 1, 0], np.int8),
+                                      np.array([0, 1, 0], np.uint64),
+                                      np.array([0.0, 1.0, 0.0], np.float32)])
+    def test_real_numbers_accepted(self, belt, function, good):
+        Q_FUNCTIONS[function](belt, good)
+        assert belt.numbered._kinematics.record(good).q.tolist() == [0.0, 1.0, 0.0]
 
 
 OVERFLOWING_GRIPPER = "drive: 1e308\nfollower: -1e308\ngear: 1e308\n"

@@ -143,7 +143,7 @@ def test_far_sweep_batch_computes_no_discarded_product(seed, monkeypatch):
                                                      workloads.SWEEP_LOOPS)
     plan = numbered._kinematics.check(graph)
     rows = plan.record(np.full(numbered.total_dof, 1e200)).evaluate().rows
-    batch = plan.groups.batch(rows)
+    batch = rows.copy()
     reduced = batch.copy()
     with np.errstate(over="raise", invalid="raise"):
         ranks = _row_reduce_batch(reduced, RANK_TOL)

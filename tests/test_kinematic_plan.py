@@ -605,7 +605,7 @@ def test_coupling_only_model_builds_no_tree_part(plan_builds):
     for _ in range(2):
         all_loop_jacobians(pipe.numbered, pipe.graph, np.zeros(pipe.numbered.total_dof))
     assert plan_builds == {"plans": 1, "tree_joints": 0,
-                           "loop_steps": len(pipe.numbered.loop_entries)}
+                           "loop_steps": len(pipe.numbered.loop_entries), "group_sets": 1}
 
 
 # -- the last configuration's record ------------------------------------------

@@ -89,10 +89,13 @@ def test_reader_reads_plain_numbers_as_before():
     assert model.couplings[0].ratio == -0.5
 
 
-@pytest.mark.parametrize("values", ["1_0", ARABIC_ONE, f"0.1{NBSP}0.2", f"0.1 -0{NBSP}"])
+@pytest.mark.parametrize("values", ["1_0", ARABIC_ONE, f"0.1{NBSP}0.2", f"0.1 -0{NBSP}",
+                                    f"1e999{NBSP}"])
 def test_configuration_refuses_what_urdf_parsers_refuse(wrist, values):
+    """The message quotes the values as written, a trailing no-break space
+    included; only ASCII white space around them is trimmed."""
     with pytest.raises(ConfigurationError,
-                       match=f"^{re.escape(f'line 2: invalid number in {values.strip()!r}')}$"):
+                       match=f"^{re.escape(f'line 2: invalid number in {values!r}')}$"):
         parse_configuration(f"Joint1: 0.5 0.5\nJoint4: {values}\n", wrist.numbered)
 
 

@@ -70,7 +70,7 @@ def closure_poses(self, record):
 
 def per_entry_evaluate(self, rows):
     """(residuals, terms, failed) of the record `self` by the per-entry
-    loop, with `rows` the loop assembly's rows."""
+    loop, with `rows` the record's rows, the loop groups' batch."""
     plan, q = self.plan, self.q
     steps = plan.loops
     # the loop assembly's place of each loop joint, by entry index: loop
@@ -97,7 +97,7 @@ def per_entry_evaluate(self, rows):
                 failed[index] = str(exc)
             else:
                 np.matmul(step.psi.T, np.concatenate([log, rel_trans[i]]), out=residual)
-            matrix = rows[i, : step.psi.shape[1], : step.width]
+            matrix = rows[plan.groups.entry_member[i], : step.psi.shape[1], : step.width]
             terms.append((LoopJacobian(step.number, step.name, "loop", step.joint_numbers,
                                        step.joint_columns, matrix), _read_only(residual)))
     return residuals, terms, failed
@@ -208,14 +208,14 @@ def test_a_half_turn_with_a_translation_keeps_a_zero_residual():
 def test_a_floating_loop_has_no_residual_to_overflow():
     """A floating loop joint constrains nothing: with its successor 2e308
     away its rows and residual are empty, so nothing it reports overflows.
-    The padding around them holds NaN in the assembly's rows (0 * inf), which
-    used to end the finiteness check in StopIteration, and would in the
-    stacked product's rows, which are never copied into `residuals`."""
+    The padded rows of its products hold NaN (0 * inf), which used to end
+    the finiteness check in StopIteration; they are never written into the
+    loop groups' batch, which `rows` is, nor into `residuals`."""
     numbered, graph, lacg = pipeline(parse_urdf_plus(FAR_FLOATING_LOOP).model)
     q = np.array([1e308, 1e308])
     record = check_record(numbered, graph, q,
                           dict.fromkeys(("coupling", "small angle", "half-turn"), 0))
-    assert not np.isfinite(record.poses[1]).all() and not np.isfinite(record.rows).all()
+    assert not np.isfinite(record.poses[1]).all() and np.isfinite(record.rows).all()
     [number] = (number for number, _ in numbered.loop_entries)
     assert loop_residual(numbered, graph, number, q).shape == (0,)
     report = independent_coordinate_check(numbered, graph, lacg, q)
