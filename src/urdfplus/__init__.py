@@ -44,11 +44,7 @@ from .model import (
 from .spatial import (
     JointType,
     SpatialTransform,
-    compose,
     constraint_force_subspace,
-    invert,
-    joint_transform,
-    motion_map,
     motion_subspace,
     numerical_rank,
     rot_from_rpy,

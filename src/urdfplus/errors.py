@@ -52,8 +52,9 @@ class CountMismatchError(UrdfPlusError):
 
 
 class ConfigurationError(UrdfPlusError):
-    """A configuration (a file's lines or a vector q) or a rank tolerance
-    could not be interpreted, or a finite configuration overflows."""
+    """A configuration (a file's lines or a vector q), a rank tolerance or a
+    rank view's matrix entries (each must be a finite real number) could not
+    be interpreted, or a finite configuration overflows."""
 
 
 class AntipodalRotationError(UrdfPlusError):

@@ -16,7 +16,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    AntipodalRotationError,
     ConfigurationError,
     DimensionMismatchError,
     NonUnitAxisError,
@@ -25,7 +24,7 @@ from .errors import (
 
 UNIT_AXIS_TOL = 1e-9
 ORTHOGONAL_AXES_TOL = 1e-9  # |axis . axis2| allowed for a universal joint
-ANTIPODAL_TOL = 1e-9  # so3_log refuses angles this close to pi
+ANTIPODAL_TOL = 1e-9  # _so3_logs reports angles this close to pi as half-turns
 _EYE3 = np.eye(3)  # an operand only, never handed out
 
 
@@ -94,26 +93,6 @@ def _check_unit_axis(axis: np.ndarray) -> np.ndarray:
     return axis
 
 
-def skew(v) -> np.ndarray:
-    """Cross-product matrix: skew(v) @ w == cross(v, w)."""
-    return _skews(_as_vec3(v)[None])[0]
-
-
-def rot_x(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def rot_y(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def rot_z(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
 def rot_from_rpy(roll: float, pitch: float, yaw: float) -> np.ndarray:
     """Fixed-axis X-Y-Z rotation: Rz(yaw) @ Ry(pitch) @ Rx(roll)."""
     return _rots_from_rpy([(roll, pitch, yaw)])[0]
@@ -136,10 +115,10 @@ _RPY_FACTOR_AT = np.array([2, 8, 9, 5, 2, 9, 9, 9, 10,
 
 
 def _rpy_factors(triples) -> np.ndarray:
-    """rot_z(yaw), rot_y(pitch) and rot_x(roll) of each (roll, pitch, yaw)
-    triple, entry for entry, as one (K, 3, 3, 3) array.  Each triple gives
-    eleven values, and one gather places them: a 27-entry row per triple
-    would cost numpy a conversion per entry."""
+    """The rotations about z by yaw, about y by pitch and about x by roll of
+    each (roll, pitch, yaw) triple, as one (K, 3, 3, 3) array.  Each triple
+    gives eleven values, and one gather places them: a 27-entry row per
+    triple would cost numpy a conversion per entry."""
     values = []
     for roll, pitch, yaw in triples:
         sr, sp, sy = math.sin(roll), math.sin(pitch), math.sin(yaw)
@@ -148,13 +127,9 @@ def _rpy_factors(triples) -> np.ndarray:
     return np.array(values).reshape(-1, 11)[:, _RPY_FACTOR_AT].reshape(-1, 3, 3, 3)
 
 
-def rpy_from_rot(r: np.ndarray) -> tuple[float, float, float]:
-    """Inverse of rot_from_rpy (roll = 0 at the pitch = +/-pi/2 singularity)."""
-    return _rpy_from_rows(np.asarray(r, dtype=float)[:3, :3].tolist())
-
-
 def _rpy_from_rows(rows) -> tuple[float, float, float]:
-    """rpy_from_rot of a rotation given as three rows of Python floats."""
+    """(roll, pitch, yaw) of a rotation given as three rows of Python floats,
+    the inverse of rot_from_rpy (roll = 0 at the pitch = +/-pi/2 singularity)."""
     (r00, r01, _), (r10, r11, _), (r20, r21, r22) = rows
     cos_pitch = math.hypot(r00, r10)
     pitch = math.atan2(-r20, cos_pitch)
@@ -167,12 +142,6 @@ def _rpy_from_rows(rows) -> tuple[float, float, float]:
     return roll, pitch, yaw
 
 
-def rotation_about_axis(axis, angle: float) -> np.ndarray:
-    """Rodrigues rotation about a unit axis."""
-    k = skew(_check_unit_axis(axis))
-    return _rodrigues(k[None], (k @ k)[None], [angle])[0]
-
-
 def _rodrigues(k: np.ndarray, kk: np.ndarray, angles) -> np.ndarray:
     """Rotations by `angles` about the unit axes whose skew matrices are the
     (K, 3, 3) stack k; kk is k @ k.  Sines and cosines come from `math`, so
@@ -183,23 +152,11 @@ def _rodrigues(k: np.ndarray, kk: np.ndarray, angles) -> np.ndarray:
     return _EYE3 + sines[:, None, None] * k + versines[:, None, None] * kk
 
 
-def so3_log(r: np.ndarray) -> np.ndarray:
-    """Rotation vector (axis * angle) of a rotation matrix, angle in [0, pi].
-
-    Raises AntipodalRotationError within ANTIPODAL_TOL of a half-turn,
-    where the direction of the axis becomes numerically meaningless for
-    differentiation purposes (_so3_logs of the one matrix).
-    """
-    logs, failed = _so3_logs(np.asarray(r, dtype=float)[None])
-    if failed:
-        raise AntipodalRotationError(failed[0])
-    return logs[0]
-
-
 def _so3_logs(rotations: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
-    """so3_log of each 3 x 3 of a (K, 3, 3) array as a (K, 3) array, zero at a
-    half-turn, and the half-turns' error messages by index.  Each 3 x 3 is read
-    as Python floats and summed and scaled as np.trace and numpy's products do."""
+    """The rotation vectors (axis * angle, angle in [0, pi]) of a (K, 3, 3)
+    array as (K, 3); a half-turn, within ANTIPODAL_TOL of pi, where the axis
+    has no usable direction, reads zero, its message kept by index.  Each
+    3 x 3 is read as Python floats, summed and scaled as np.trace and numpy do."""
     values, failed = [], {}
     for k, ((r00, r01, r02), (r10, r11, r12), (r20, r21, r22)) in enumerate(rotations.tolist()):
         # NaN passes through the clamp, as through np.clip
@@ -260,36 +217,8 @@ class SpatialTransform:
         return f"SpatialTransform(rot={self.rot.tolist()}, trans={self.trans.tolist()})"
 
 
-def compose(a: SpatialTransform, b: SpatialTransform) -> SpatialTransform:
-    """Pose composition: the result maps coordinates through b, then a."""
-    return SpatialTransform._raw(a.rot @ b.rot, a.rot @ b.trans + a.trans)
-
-
-def invert(x: SpatialTransform) -> SpatialTransform:
-    rt = x.rot.T
-    # a copy, so the inverse does not share memory with x
-    return SpatialTransform._raw(np.array(rt, dtype=float), -(rt @ x.trans))
-
-
-def motion_map(x: SpatialTransform, v) -> np.ndarray:
-    """Re-express a 6D spatial motion vector in the parent frame of `x`.
-
-    `v` is given in the child frame of `x` with its reference point at the
-    child origin; the result is expressed in the parent frame with its
-    reference point at the parent origin.  The linear part picks up the
-    lever-arm term trans x (rot @ omega), the sign of which is pinned by the
-    finite-difference point-velocity oracle in the test suite.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.shape[0] != 6:
-        raise DimensionMismatchError(f"expected 6 rows, got shape {v.shape}")
-    w = x.rot @ v[:3]
-    return np.concatenate([w, x.rot @ v[3:] + skew(x.trans) @ w], axis=0)
-
-
-# Stacked forms of the kernels above, for K poses (rot (K, 3, 3), trans
-# (K, 3)) at once.  Each is the same expression, products through `matmul`
-# and transposes as views, so every pose gets the bits it gets alone.
+# Kernels of K poses (rot (K, 3, 3), trans (K, 3)): products go through
+# `matmul`, transposes are views, so every pose gets the bits it gets alone.
 _SKEW_AT = np.array([3, 6, 1, 2, 3, 4, 5, 0, 3])  # skew entries among x, y, z, 0, -x, -y, -z
 
 
@@ -300,12 +229,15 @@ def _skews(v: np.ndarray) -> np.ndarray:
 
 
 def _composed(a_rot, a_trans, b_rot, b_trans) -> tuple[np.ndarray, np.ndarray]:
-    """compose of K pose pairs."""
+    """K pose compositions, each mapping coordinates through b, then a."""
     return a_rot @ b_rot, (a_rot @ b_trans[:, :, None])[:, :, 0] + a_trans
 
 
 def _motion_maps(rot: np.ndarray, trans: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """motion_map of K poses and K 6 x k matrices v (K, 6, k)."""
+    """Motion vectors v (K, 6, k), each in its pose's child frame about the
+    child origin, in the parent frame about the parent origin.  The linear
+    part picks up the lever-arm term trans x (rot @ omega), whose sign the
+    tests pin against finite differences of a point's velocity."""
     w = rot @ v[:, :3]
     return np.concatenate([w, rot @ v[:, 3:] + _skews(trans) @ w], axis=1)
 
@@ -327,8 +259,7 @@ def orthonormal_complement_2(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def default_second_axis(axis) -> np.ndarray:
     """Deterministic second rotation axis for a universal joint lacking one."""
-    b, _ = orthonormal_complement_2(_check_unit_axis(axis))
-    return b
+    return orthonormal_complement_2(axis)[0]
 
 
 def _require_axes(jt: JointType, axis, axis2):
@@ -354,27 +285,8 @@ def motion_subspace(jt: JointType, axis=None, axis2=None) -> np.ndarray:
     if jt is JointType.PRISMATIC:
         return np.concatenate([np.zeros(3), a1]).reshape(6, 1)
     if jt is JointType.UNIVERSAL:
-        s = np.zeros((6, 2))
-        s[:3, 0] = a1
-        s[:3, 1] = a2
-        return s
+        return np.concatenate([np.stack([a1, a2], axis=1), np.zeros((3, 2))])
     return np.eye(6)  # floating
-
-
-def _joint_position(jt: JointType, q) -> np.ndarray:
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    if q.shape[0] != jt.dof:
-        raise DimensionMismatchError(
-            f"joint type {jt.value} takes {jt.dof} coordinates, got {q.shape[0]}"
-        )
-    return q
-
-
-def motion_subspace_at(jt: JointType, axis, axis2, q) -> np.ndarray:
-    """Motion subspace at joint position q, expressed in the child frame
-    (see _JointStack.subspaces)."""
-    q = _joint_position(jt, q)
-    return _JointStack([JointKinematics(jt, axis, axis2)], [0]).subspaces(q, [0])[0]
 
 
 def constraint_force_subspace(jt: JointType, axis=None, axis2=None) -> np.ndarray:
@@ -384,19 +296,12 @@ def constraint_force_subspace(jt: JointType, axis=None, axis2=None) -> np.ndarra
         return np.eye(6)
     if jt is JointType.FLOATING:
         return np.zeros((6, 0))
-    if jt in (JointType.REVOLUTE, JointType.CONTINUOUS):
-        b, c = orthonormal_complement_2(a1)
-        psi = np.zeros((6, 5))
-        psi[:3, 0] = b
-        psi[:3, 1] = c
-        psi[3:, 2:] = np.eye(3)
-        return psi
-    if jt is JointType.PRISMATIC:
-        b, c = orthonormal_complement_2(a1)
-        psi = np.zeros((6, 5))
-        psi[:3, :3] = np.eye(3)
-        psi[3:, 3] = b
-        psi[3:, 4] = c
+    if jt.dof == 1:  # the two directions normal to the axis, and the other kind of motion
+        blocked, psi = np.stack(orthonormal_complement_2(a1), axis=1), np.zeros((6, 5))
+        if jt is JointType.PRISMATIC:
+            psi[:3, :3], psi[3:, 3:] = np.eye(3), blocked
+        else:
+            psi[:3, :2], psi[3:, 2:] = blocked, np.eye(3)
         return psi
     # universal: the blocked rotation direction plus all translations
     n = np.cross(a1, a2)
@@ -495,13 +400,6 @@ class _JointStack:
         return s
 
 
-def joint_transform(jt: JointType, axis, axis2, q) -> SpatialTransform:
-    """Pose of the child-side joint frame for joint position q."""
-    q = _joint_position(jt, q)
-    rot, trans = _JointStack([JointKinematics(jt, axis, axis2)], [0]).transforms(q)
-    return SpatialTransform(rot[0], trans[0])
-
-
 def _check_tol(tol) -> float:
     """tol as a float, if numpy stores it as one finite bool, integer or float > 0."""
     value = np.asarray(tol)
@@ -510,37 +408,42 @@ def _check_tol(tol) -> float:
     return float(value)
 
 
+def _finite_real(m, ndmin: int = 2) -> np.ndarray:
+    """m as a float array, if numpy stores it in at most 2 dimensions as
+    finite bool, integer or float entries: the rank views' input rule."""
+    value = np.asarray(m)
+    if value.ndim > 2:
+        raise DimensionMismatchError(f"expected at most 2 dimensions, got shape {value.shape}")
+    if value.dtype.kind not in "biuf" or not np.isfinite(value).all():
+        raise ConfigurationError("matrix entries must be finite real numbers")
+    return np.array(value, dtype=float, ndmin=ndmin)
+
+
 def numerical_rank(m, tol: float = 1e-10) -> int:
     """Rank by row reduction with partial pivoting: _row_reduce_batch on a
-    one-member batch.  The zero matrix has rank 0."""
-    return int(_row_reduce_batch(np.array(m, dtype=float, ndmin=2)[None], tol)[0])
+    one-member batch; the zero matrix has rank 0.  The rank views take
+    _finite_real's input and a finite tol > 0 (ConfigurationError otherwise)."""
+    return int(_row_reduce_batch(_finite_real(m)[None], tol)[0])
 
 
 def row_reduce_basis(m, tol: float = 1e-10) -> np.ndarray:
-    """Row-space basis via Gaussian elimination with partial pivoting.
-
-    Returns the accepted pivot rows of the reduced matrix (full row rank,
-    same row space as the input).  The pivot-acceptance threshold is
-    relative to the largest absolute entry of the original matrix; tol must
-    be finite and > 0 (ConfigurationError otherwise).  A public one-matrix
-    view of _row_reduce_batch; the engine's G never calls it.
-    """
-    a = np.array(m, dtype=float, ndmin=2)
-    rank = _row_reduce_batch(a[None], tol)[0]
-    return a[:rank]
+    """Row-space basis via Gaussian elimination with partial pivoting: the
+    accepted pivot rows of the reduced matrix, each above tol times the
+    largest absolute entry of m.  A public one-matrix view of
+    _row_reduce_batch with numerical_rank's input rule; G never calls it."""
+    a = _finite_real(m)
+    return a[: _row_reduce_batch(a[None], tol)[0]]
 
 
 def solve_with_pivoting(a, b, tol: float = 1e-10) -> np.ndarray:
     """Solve a @ x = b by Gaussian elimination with partial pivoting.
 
     Raises SingularDependentBlockError when any pivot falls below tol times
-    the largest absolute entry of `a`; no least-squares fallback.  tol must
-    be finite and > 0 (ConfigurationError otherwise).  A public one-matrix
-    view of _solve_batch; the engine's G never calls it.
+    the largest absolute entry of `a`; no least-squares fallback.  A public
+    one-matrix view of _solve_batch with numerical_rank's input rule for a,
+    b and tol; the engine's G never calls it.
     """
-    tol = _check_tol(tol)
-    a = np.array(a, dtype=float, ndmin=2)
-    b = np.array(b, dtype=float)
+    a, b = _finite_real(a), _finite_real(b, ndmin=1)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"matrix must be square, got {a.shape}")
     squeeze = b.ndim == 1

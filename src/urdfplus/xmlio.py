@@ -756,18 +756,38 @@ def _inertial_lines(inertial: Inertial) -> str:
             "    </inertial>\n")
 
 
+def _payload_lines(payload, indent: str, tag: str, name: str) -> str:
+    """The blobs of a payload verbatim, one a line after `indent`.  A blob
+    must be one well-formed element alone, as the reader reads it back:
+    its start tag first, and no space, comment or instruction after its
+    end.  Any other blob raises UrdfPlusError."""
+    for index, blob in enumerate(payload):
+        parser, ends = expat.ParserCreate("utf-8"), []  # end tags' names, None for a comment
+        if blob.endswith("-->"):  # a comment's end, or an end tag such as </a-->
+            parser.EndElementHandler = ends.append
+            parser.CommentHandler = lambda _: ends.append(None)
+        try:
+            parser.Parse(data := blob.encode("utf-8"), True)
+        except (UnicodeEncodeError, expat.ExpatError):
+            data = b""
+        if not (data[:1] == b"<" and data[1:2] not in b"!?" and data.endswith(b">")
+                and not data.endswith(b"?>") and ends[-1:] != [None]):
+            raise UrdfPlusError(f"cannot write <{tag}> {name!r}: its payload blob {index} "
+                                "is not one well-formed element alone")
+    return "".join([f"{indent}{blob}\n" for blob in payload])
+
+
 def serialize_urdf_plus(model: RobotModel) -> str:
     """Canonical 2-space-indented serialization; parses back to a
-    structurally equal model.  Each element's lines go out as one string.
-    A name holding a character that XML 1.0 cannot carry (a C0 control
-    other than tab, newline and carriage return, a surrogate, U+FFFE or
-    U+FFFF) raises UrdfPlusError."""
+    structurally equal model, one string per element.  A name holding a
+    character XML 1.0 cannot carry (a C0 control but tab, newline and
+    carriage return, a surrogate, U+FFFE or U+FFFF) or a payload blob that
+    is not one well-formed element alone raises UrdfPlusError."""
     if _ATTR_SPECIAL.search(_names(model)) is not None:
         model = _escaped(model)
     out: list[str] = ['<?xml version="1.0"?>\n', f'<robot name="{model.name}">\n']
     for link in model.links:
-        # payload blobs are verbatim; only the leading indent is ours
-        inner = "".join([f"    {blob}\n" for blob in link.payload])
+        inner = _payload_lines(link.payload, "    ", "link", link.name)
         if link.inertial is not None:
             inner = _inertial_lines(link.inertial) + inner
         out.append(f'  <link name="{link.name}">\n{inner}  </link>\n' if inner
@@ -777,7 +797,7 @@ def serialize_urdf_plus(model: RobotModel) -> str:
         attrs = f'name="{joint.name}" type="{_TYPE_NAMES[joint.joint_type]}"'
         if joint.independent is not None:
             attrs += ' independent="true"' if joint.independent else ' independent="false"'
-        payload = "".join([f"    {blob}\n" for blob in joint.payload])
+        payload = _payload_lines(joint.payload, "    ", "joint", joint.name)
         out.append(
             f"  <joint {attrs}>\n"
             f'{_origin_line(joint.origin, "    ")}'
@@ -806,6 +826,6 @@ def serialize_urdf_plus(model: RobotModel) -> str:
             "  </coupling>\n"
         )
 
-    out += [f"  {blob}\n" for blob in model.payload]
+    out.append(_payload_lines(model.payload, "  ", "robot", model.name))
     out.append("</robot>\n")
     return "".join(out)

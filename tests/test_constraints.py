@@ -47,12 +47,17 @@ from urdfplus.model import (
 )
 from urdfplus.spatial import (
     JointType,
-    compose,
+    SpatialTransform,
     numerical_rank,
     row_reduce_basis,
     solve_with_pivoting,
 )
 from urdfplus.xmlio import parse_urdf_plus
+
+
+def compose(a: SpatialTransform, b: SpatialTransform) -> SpatialTransform:
+    """Pose composition: the result maps coordinates through b, then a."""
+    return SpatialTransform(a.rot @ b.rot, a.rot @ b.trans + a.trans)
 
 
 def pipeline(model):

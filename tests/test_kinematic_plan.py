@@ -4,8 +4,9 @@ The oracle below is the earlier implementation, copied verbatim: the
 per-call `forward_kinematics` and loop-entry assembly of `constraints`,
 which re-derived axes, subspaces, Psi, layouts and signs at every
 configuration, and the parts of `spatial` they used that have since
-changed (`rotation_about_axis`, `compose`, `invert`, `motion_subspace_at`,
-`joint_transform`, `so3_log`).  Poses, every K_l, every residual and G must be
+changed or left the library (`skew`, `rot_x`, `rot_y`, `rotation_about_axis`,
+`compose`, `invert`, `motion_map`, `motion_subspace_at`, `joint_transform`,
+`so3_log`).  Poses, every K_l, every residual and G must be
 bit-identical (`np.array_equal`) on every `models/` file and on seeded
 generated models with all six joint types on loop paths.
 """
@@ -55,19 +56,48 @@ from urdfplus.spatial import (
     ANTIPODAL_TOL,
     JointType,
     SpatialTransform,
+    _as_vec3,
     _check_unit_axis,
     _require_axes,
     constraint_force_subspace,
-    motion_map,
     motion_subspace,
     rot_from_rpy,
-    rot_x,
-    rot_y,
-    skew,
 )
 from urdfplus.xmlio import parse_urdf_plus
 
 # -- oracle: spatial -----------------------------------------------------------
+
+
+def skew(v) -> np.ndarray:
+    """Cross-product matrix: skew(v) @ w == cross(v, w)."""
+    x, y, z = _as_vec3(v)
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
+def rot_x(a: float) -> np.ndarray:
+    c, s = math.cos(a), math.sin(a)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+
+def rot_y(a: float) -> np.ndarray:
+    c, s = math.cos(a), math.sin(a)
+    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+
+
+def motion_map(x: SpatialTransform, v) -> np.ndarray:
+    """Re-express a 6D spatial motion vector in the parent frame of `x`.
+
+    `v` is given in the child frame of `x` with its reference point at the
+    child origin; the result is expressed in the parent frame with its
+    reference point at the parent origin.  The linear part picks up the
+    lever-arm term trans x (rot @ omega), the sign of which is pinned by the
+    finite-difference point-velocity oracle in the test suite.
+    """
+    v = np.asarray(v, dtype=float)
+    if v.shape[0] != 6:
+        raise DimensionMismatchError(f"expected 6 rows, got shape {v.shape}")
+    w = x.rot @ v[:3]
+    return np.concatenate([w, x.rot @ v[3:] + skew(x.trans) @ w], axis=0)
 
 
 def so3_log(r: np.ndarray) -> np.ndarray:

@@ -449,6 +449,105 @@ class TestPayloadExtent:
         assert model.links[0].payload == ("<visual>&v;</visual>",)
 
 
+# blobs a model built in code may hold that are not one well-formed
+# element alone, so that the text written would not read back as them
+BAD_BLOBS = {
+    "invalid_character": "<visual>\x01</visual>",
+    "unclosed": "<visual>",
+    "two_elements": "<a/><b/>",
+    "leading_space": " <visual/>",
+    "comment_first": "<!-- c --><visual/>",
+    "declaration_first": '<?xml version="1.0"?><visual/>',
+    "trailing_text": "<visual/>text",
+    "trailing_newline": "<visual/>\n",
+    "trailing_comment": "<visual/><!-- c -->",
+    "trailing_instruction": "<visual>x</visual><?pi?>",
+    "comment_like_end_tag": "<a--></a--><!--</a-->",
+    "doctype_first": "<!DOCTYPE visual><visual/>",
+    "text_only": "text",
+    "cdata_only": "<![CDATA[x]]>",
+    "empty": "",
+    "lone_surrogate": "<visual>\ud800</visual>",
+}
+# one valid nested element of each owner's preserved kind
+GOOD_BLOBS = {
+    "link": '<visual><geometry><box size="1 1 1"/></geometry></visual>',
+    "joint": '<limit effort="1" velocity="1"><x a="/>"/></limit>',
+    "robot": '<material name="m"><color rgba="1 0 0 1"/></material>',
+}
+
+
+def with_payload(model, owner: str, payload: tuple):
+    if owner == "link":
+        return replace(model, links=(replace(model.links[0], payload=payload),
+                                     *model.links[1:]))
+    if owner == "joint":
+        return replace(model, tree_joints=(replace(model.tree_joints[0], payload=payload),
+                                           *model.tree_joints[1:]))
+    return replace(model, payload=payload)
+
+
+def payload_of(model, owner: str) -> tuple:
+    return {"link": model.links[0].payload, "joint": model.tree_joints[0].payload,
+            "robot": model.payload}[owner]
+
+
+class TestPayloadWriting:
+    """The writer refuses a payload blob that would not read back as itself."""
+
+    @pytest.fixture(scope="class")
+    def fourbar(self, models_dir):
+        return parse_file(models_dir / "fourbar.urdf").model
+
+    @pytest.mark.parametrize("owner", ["link", "joint", "robot"])
+    @pytest.mark.parametrize("case", BAD_BLOBS)
+    def test_bad_blob_raises_naming_owner_and_index(self, fourbar, owner, case):
+        model = with_payload(fourbar, owner, (GOOD_BLOBS[owner], BAD_BLOBS[case]))
+        name = {"link": model.links[0].name, "joint": model.tree_joints[0].name,
+                "robot": model.name}[owner]
+        with pytest.raises(UrdfPlusError) as err:
+            serialize_urdf_plus(model)
+        assert type(err.value) is UrdfPlusError
+        assert str(err.value) == (f"cannot write <{owner}> {name!r}: its payload blob 1 "
+                                  "is not one well-formed element alone")
+
+    @pytest.mark.parametrize("owner", ["link", "joint", "robot"])
+    def test_good_blob_round_trips(self, fourbar, owner):
+        model = with_payload(fourbar, owner, (GOOD_BLOBS[owner],) * 2)
+        back = parse_urdf_plus(serialize_urdf_plus(model)).model
+        assert payload_of(back, owner) == (GOOD_BLOBS[owner],) * 2
+
+    @pytest.mark.parametrize("blob", ["<a--></a-->", "<v><!-- c --><?pi x?></v>",
+                                      "<v>&amp;&#x1F600;<![CDATA[<]]></v >"])
+    def test_unusual_element_round_trips(self, fourbar, blob):
+        model = with_payload(fourbar, "link", (blob,))
+        back = parse_urdf_plus(serialize_urdf_plus(model)).model
+        assert payload_of(back, "link") == (blob,)
+
+    @pytest.mark.parametrize("case", PAYLOAD_EXTENTS)
+    def test_reader_blobs_are_written_as_read(self, case):
+        where, source, expected = PAYLOAD_EXTENTS[case]
+        model = parse_urdf_plus(
+            f'<robot name="r"><link name="a">{source if where == "link" else ""}</link>'
+            '<link name="b"/><joint name="j" type="fixed"><parent link="a"/>'
+            f'<child link="b"/>{source if where == "joint" else ""}</joint>'
+            f'{source if where == "robot" else ""}</robot>').model
+        back = parse_urdf_plus(serialize_urdf_plus(model)).model
+        assert payload_of(back, where) == expected
+
+    def test_a_write_leaves_no_cyclic_garbage(self, fourbar):
+        model = with_payload(fourbar, "link", (GOOD_BLOBS["link"],) * 50)
+        gc.collect()
+        gc.disable()
+        try:
+            serialize_urdf_plus(model)
+            with pytest.raises(UrdfPlusError):
+                serialize_urdf_plus(with_payload(model, "robot", ("<a/><b/>",)))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 UTF16_PAYLOAD = (
     '<?xml version="1.0" encoding="UTF-16"?>\n'
     '<robot name="r"><link name="a">\n'
