@@ -18,6 +18,7 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
+import operator
 import string
 from dataclasses import field
 from functools import cached_property
@@ -30,14 +31,12 @@ from .errors import (
     CountMismatchError,
     DimensionMismatchError,
     IncompatibleCouplingError,
-    InternalInconsistencyError,
     InvalidModelError,
     SingularDependentBlockError,
 )
 from .graphs import ConnectivityGraph, LoopAggregatedGraph
 from .model import Coupling, NumberedModel, _record
 from .spatial import (
-    JointKinematics,
     SpatialTransform,
     _back_substitute,
     _check_tol,
@@ -120,12 +119,14 @@ def forward_kinematics(
 
 
 def _loop_index(numbered: NumberedModel, number: int) -> int:
-    """Position of a loop entry, and of its connectivity-graph edge."""
-    index = number - numbered.n_bodies - 1
+    """Position of a loop entry, and of its connectivity-graph edge; a
+    number must be an integer (operator.index) that names a loop entry."""
+    try:
+        index = operator.index(number) - numbered.n_bodies - 1
+    except TypeError:
+        index = -1
     if not 0 <= index < len(numbered.loop_entries):
-        raise InternalInconsistencyError(
-            f"no loop joint or coupling numbered {number}"
-        )
+        raise ConfigurationError(f"no loop joint or coupling numbered {number!r}")
     return index
 
 
@@ -189,10 +190,8 @@ class _Tree:
             slot[body] = place
         self.slot = np.array(slot, dtype=np.intp)
         self._body_order = order == sorted(order)
-        self.joints = _JointStack(
-            [JointKinematics(joints[b].joint_type, joints[b].axis, joints[b].axis2)
-             for b in order[1:]],
-            [slices[b].start for b in order[1:]])
+        self.joints = _JointStack([joints[b] for b in order[1:]],
+                                  [slices[b].start for b in order[1:]])
         self.origins = _stack(joints[b].origin for b in order[1:])
         bounds = [k for k in range(1, len(order)) if depth[order[k]] != depth[order[k - 1]]]
         self.levels = [(low, high, np.array([slot[parent[b]] for b in order[low:high]],

@@ -52,9 +52,10 @@ class CountMismatchError(UrdfPlusError):
 
 
 class ConfigurationError(UrdfPlusError):
-    """A configuration (a file's lines or a vector q), a rank tolerance or a
-    rank view's matrix entries (each must be a finite real number) could not
-    be interpreted, or a finite configuration overflows."""
+    """A configuration (a file's lines or a vector q), a rank tolerance, a
+    rank view's matrix entries (each must be a finite real number) or a
+    loop-entry number (an integer naming a loop joint or coupling) could
+    not be interpreted, or a finite configuration overflows."""
 
 
 class AntipodalRotationError(UrdfPlusError):

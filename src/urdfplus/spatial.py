@@ -201,18 +201,6 @@ class SpatialTransform:
         x.trans = trans
         return x
 
-    @classmethod
-    def from_rpy_xyz(cls, rpy, xyz) -> "SpatialTransform":
-        """Standard URDF origin semantics: position xyz, orientation rpy."""
-        r, p, y = _as_vec3(rpy)
-        return cls(rot_from_rpy(r, p, y), xyz)
-
-    def is_identity(self, tol: float = 0.0) -> bool:
-        return bool(
-            np.all(np.abs(self.rot - np.eye(3)) <= tol)
-            and np.all(np.abs(self.trans) <= tol)
-        )
-
     def __repr__(self) -> str:
         return f"SpatialTransform(rot={self.rot.tolist()}, trans={self.trans.tolist()})"
 
@@ -243,12 +231,12 @@ def _motion_maps(rot: np.ndarray, trans: np.ndarray, v: np.ndarray) -> np.ndarra
 
 
 def orthonormal_complement_2(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two unit vectors completing `axis` to a right-handed orthonormal triad.
+    """Two unit vectors completing `axis`, a unit 3-vector as _require_axes
+    returns it, to a right-handed orthonormal triad.
 
     Deterministic: Gram-Schmidt against the canonical basis vector least
     aligned with `axis` (first index on ties).
     """
-    axis = _check_unit_axis(axis)
     e = np.zeros(3)
     e[int(np.argmin(np.abs(axis)))] = 1.0
     b = e - np.dot(e, axis) * axis
@@ -257,17 +245,15 @@ def orthonormal_complement_2(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return b, c
 
 
-def default_second_axis(axis) -> np.ndarray:
-    """Deterministic second rotation axis for a universal joint lacking one."""
-    return orthonormal_complement_2(axis)[0]
-
-
 def _require_axes(jt: JointType, axis, axis2):
+    """The joint's unit axes, each checked once, None for one it lacks; a
+    universal joint without axis2 turns second about the first vector of
+    orthonormal_complement_2(axis)."""
     a1 = _check_unit_axis(axis) if axis is not None else None
     if jt.requires_axis and a1 is None:
         raise NonUnitAxisError(f"joint type {jt.value} requires an axis")
     if jt is JointType.UNIVERSAL:
-        a2 = _check_unit_axis(axis2) if axis2 is not None else default_second_axis(a1)
+        a2 = _check_unit_axis(axis2) if axis2 is not None else orthonormal_complement_2(a1)[0]
         if abs(np.dot(a1, a2)) > ORTHOGONAL_AXES_TOL:
             raise NonUnitAxisError("universal joint axes must be orthogonal")
         return a1, a2
@@ -312,25 +298,14 @@ def constraint_force_subspace(jt: JointType, axis=None, axis2=None) -> np.ndarra
     return psi
 
 
-class JointKinematics:
-    """The configuration-independent part of one joint's kinematics: its
-    type and unit axes, checked once with the errors of _require_axes, a
-    zero vector for an axis it lacks."""
-
-    __slots__ = ("joint_type", "a1", "a2")
-
-    def __init__(self, jt: JointType, axis=None, axis2=None):
-        self.joint_type = jt
-        self.a1, self.a2 = (np.zeros(3) if a is None else a
-                            for a in _require_axes(jt, axis, axis2))
-
-
 class _JointStack:
-    """The kinematics of many joints at once, from their JointKinematics and
-    the position of each one's first coordinate in one position vector.
-    Every joint of a type goes through one stacked expression, sines and
-    cosines through `math`, so each joint's transform and subspace have the
-    bits they have for that joint alone."""
+    """The kinematics of many joints at once, from records with a
+    joint_type, an axis and an axis2 (each axis checked once by
+    _require_axes, a zero row for one a joint lacks) and the position of
+    each one's first coordinate in one position vector.  Every joint of a
+    type goes through one stacked expression, sines and cosines through
+    `math`, so each joint's transform and subspace have the bits they have
+    for that joint alone."""
 
     def __init__(self, joints, starts):
         kinds = [joint.joint_type for joint in joints]
@@ -341,8 +316,10 @@ class _JointStack:
             for group in ((JointType.REVOLUTE, JointType.CONTINUOUS),
                           (JointType.PRISMATIC,), (JointType.UNIVERSAL,),
                           (JointType.FLOATING,)))
-        self._a1 = np.array([joint.a1 for joint in joints]).reshape(-1, 3)
-        self._a2 = np.array([joint.a2 for joint in joints]).reshape(-1, 3)
+        axes = [[(0.0, 0.0, 0.0) if a is None else a
+                 for a in _require_axes(joint.joint_type, joint.axis, joint.axis2)]
+                for joint in joints]
+        self._a1, self._a2 = np.array(axes).reshape(-1, 2, 3).transpose(1, 0, 2)
         k1, k2 = _skews(self._a1), _skews(self._a2)
         self._k = k1, k1 @ k1, k2, k2 @ k2  # the Rodrigues K and K @ K of each axis
         # gathered once: K, K @ K and the angle's place in q of each axis that turns

@@ -688,6 +688,11 @@ _NAME_FIELDS = (("links", "link", ("name",)),
                 ("couplings", "coupling", ("name", "predecessor", "successor")))
 _TYPE_NAMES = {jt: jt.value for jt in JointType}
 _IDENTITY_ROWS = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+# a payload blob's tag; its owner's reader reads a child of a tag in `once`
+# itself, and keeps as payload a tag in `preserved` (any other tag if None)
+_START_TAG = re.compile(r"<([^ \t\r\n/>]+)")
+_PAYLOAD_RULES = {"link": (_LINK_RULE, None), "joint": (_JOINT_RULE, _JOINT_PAYLOAD_TAGS),
+                  "robot": (_ROBOT_RULE, _ROBOT_PAYLOAD_TAGS)}
 
 
 def _names(model: RobotModel) -> str:
@@ -760,7 +765,9 @@ def _payload_lines(payload, indent: str, tag: str, name: str) -> str:
     """The blobs of a payload verbatim, one a line after `indent`.  A blob
     must be one well-formed element alone, as the reader reads it back:
     its start tag first, and no space, comment or instruction after its
-    end.  Any other blob raises UrdfPlusError."""
+    end; and its tag must be one that a <tag> element keeps as payload.
+    Any other blob raises UrdfPlusError."""
+    once, preserved = _PAYLOAD_RULES[tag]
     for index, blob in enumerate(payload):
         parser, ends = expat.ParserCreate("utf-8"), []  # end tags' names, None for a comment
         if blob.endswith("-->"):  # a comment's end, or an end tag such as </a-->
@@ -774,6 +781,10 @@ def _payload_lines(payload, indent: str, tag: str, name: str) -> str:
                 and not data.endswith(b"?>") and ends[-1:] != [None]):
             raise UrdfPlusError(f"cannot write <{tag}> {name!r}: its payload blob {index} "
                                 "is not one well-formed element alone")
+        child = _START_TAG.match(blob)[1]
+        if child in once or not (preserved is None or child in preserved):
+            raise UrdfPlusError(f"cannot write <{tag}> {name!r}: its payload blob {index} "
+                                f"is a <{child}>, which <{tag}> does not keep as payload")
     return "".join([f"{indent}{blob}\n" for blob in payload])
 
 
@@ -781,23 +792,28 @@ def serialize_urdf_plus(model: RobotModel) -> str:
     """Canonical 2-space-indented serialization; parses back to a
     structurally equal model, one string per element.  A name holding a
     character XML 1.0 cannot carry (a C0 control but tab, newline and
-    carriage return, a surrogate, U+FFFE or U+FFFF) or a payload blob that
-    is not one well-formed element alone raises UrdfPlusError."""
+    carriage return, a surrogate, U+FFFE or U+FFFF), or a payload blob that
+    is not one well-formed element alone or that its owner would not read
+    back as payload, raises UrdfPlusError."""
+    # the payloads are checked before any name is escaped, so that an error
+    # names its owner as the model holds it
+    links = [_payload_lines(link.payload, "    ", "link", link.name) for link in model.links]
+    joints = [_payload_lines(joint.payload, "    ", "joint", joint.name)
+              for joint in model.tree_joints]
+    robot = _payload_lines(model.payload, "  ", "robot", model.name)
     if _ATTR_SPECIAL.search(_names(model)) is not None:
         model = _escaped(model)
     out: list[str] = ['<?xml version="1.0"?>\n', f'<robot name="{model.name}">\n']
-    for link in model.links:
-        inner = _payload_lines(link.payload, "    ", "link", link.name)
+    for link, inner in zip(model.links, links):
         if link.inertial is not None:
             inner = _inertial_lines(link.inertial) + inner
         out.append(f'  <link name="{link.name}">\n{inner}  </link>\n' if inner
                    else f'  <link name="{link.name}"/>\n')
 
-    for joint in model.tree_joints:
+    for joint, payload in zip(model.tree_joints, joints):
         attrs = f'name="{joint.name}" type="{_TYPE_NAMES[joint.joint_type]}"'
         if joint.independent is not None:
             attrs += ' independent="true"' if joint.independent else ' independent="false"'
-        payload = _payload_lines(joint.payload, "    ", "joint", joint.name)
         out.append(
             f"  <joint {attrs}>\n"
             f'{_origin_line(joint.origin, "    ")}'
@@ -826,6 +842,6 @@ def serialize_urdf_plus(model: RobotModel) -> str:
             "  </coupling>\n"
         )
 
-    out.append(_payload_lines(model.payload, "  ", "robot", model.name))
+    out.append(robot)
     out.append("</robot>\n")
     return "".join(out)

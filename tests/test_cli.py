@@ -160,6 +160,34 @@ class TestGraph:
             os.close(write)
         assert (result.returncode, result.stderr) == (1, "")
 
+    def test_closed_stdout_in_process(self, capsys, tmp_path, models_dir, monkeypatch):
+        """main's closed-pipe branch: the flush after the command raises
+        BrokenPipeError, standard output's descriptor is pointed at the null
+        device, and main returns 1 with nothing raised or written."""
+
+        class ClosedPipe:
+            def __init__(self, fd):
+                self.fd = fd
+
+            def write(self, text):
+                return len(text)
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return self.fd
+
+        with open(tmp_path / "stdout", "wb") as target_file:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe(target_file.fileno()))
+            code = main(["graph", str(models_dir / "wrist.urdf"), "--kind", "cdd"])
+            monkeypatch.undo()
+            null, target = os.stat(os.devnull), os.fstat(target_file.fileno())
+        assert code == 1
+        assert capsys.readouterr() == ("", "")
+        assert (target.st_dev, target.st_ino) == (null.st_dev, null.st_ino)
+        assert (tmp_path / "stdout").read_bytes() == b""
+
 
 class TestConstraints:
     def test_wrist_text_report(self, capsys, models_dir):

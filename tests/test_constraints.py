@@ -418,6 +418,30 @@ class TestCouplings:
         assert r[0] == pytest.approx(0.3 + 0.5 - 2.0 * 0.4)
 
 
+class TestLoopEntryNumbers:
+    """implicit_loop_jacobian, loop_residual and coupling_row take an
+    integer, a numpy one included, that names a loop joint or coupling."""
+
+    @staticmethod
+    def calls(belt):
+        q = zero_configuration(belt.numbered)
+        return (lambda n: implicit_loop_jacobian(belt.numbered, belt.graph, n, q).matrix,
+                lambda n: loop_residual(belt.numbered, belt.graph, n, q),
+                lambda n: coupling_row(belt.numbered, belt.graph, n).matrix)
+
+    @pytest.mark.parametrize("number", [99, 1, 4.0, "4"])  # 1: a tree joint
+    def test_a_number_naming_no_entry_is_a_configuration_error(self, belt, number):
+        for call in self.calls(belt):
+            with pytest.raises(ConfigurationError) as err:
+                call(number)
+            assert type(err.value) is ConfigurationError
+            assert str(err.value) == f"no loop joint or coupling numbered {number!r}"
+
+    def test_a_numpy_integer_names_its_entry(self, belt):
+        for call in self.calls(belt):
+            assert np.array_equal(call(np.int64(4)), call(4))
+
+
 class TestExplicitJacobian:
     def test_belt_reference_matrix(self, belt):
         explicit = explicit_jacobian_for_model(belt.numbered, belt.graph)

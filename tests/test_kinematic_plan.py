@@ -474,8 +474,8 @@ def _orthogonal_unit(rng, axis):
 
 
 def _origin(rng):
-    return SpatialTransform.from_rpy_xyz(rng.uniform(-math.pi, math.pi, 3),
-                                         rng.uniform(-0.5, 0.5, 3))
+    return SpatialTransform(rot_from_rpy(*rng.uniform(-math.pi, math.pi, 3)),
+                            rng.uniform(-0.5, 0.5, 3))
 
 
 def _axes(rng, jtype):
@@ -556,12 +556,13 @@ def test_generated_models_match_oracle():
 
 @pytest.fixture
 def plan_builds(monkeypatch):
-    """Counts of KinematicPlan objects, tree parts and loop steps built, and
-    of loop assemblies and loop group sets, once one is built."""
+    """Counts of KinematicPlan objects built, of the tree joints handed to
+    _JointStack and of loop steps built, and of loop assemblies and loop
+    group sets, once one is built."""
     counts = {"plans": 0, "tree_joints": 0, "loop_steps": 0}
     plan_class = urdfplus.constraints.KinematicPlan
     init, loop_step = plan_class.__init__, plan_class._loop_step
-    joint_kinematics = urdfplus.constraints.JointKinematics
+    joint_stack = urdfplus.constraints._JointStack
 
     def counting_init(self, numbered):
         counts["plans"] += 1
@@ -571,9 +572,9 @@ def plan_builds(monkeypatch):
         counts["loop_steps"] += 1
         return loop_step(self, index)
 
-    def counting_joint_kinematics(*args):
-        counts["tree_joints"] += 1
-        return joint_kinematics(*args)
+    def counting_joint_stack(joints, starts):
+        counts["tree_joints"] += len(joints)
+        return joint_stack(joints, starts)
 
     def counting_part(key, part_init):
         def counting_init(self, *args):
@@ -586,8 +587,7 @@ def plan_builds(monkeypatch):
         monkeypatch.setattr(part, "__init__", counting_part(key, part.__init__))
     monkeypatch.setattr(plan_class, "__init__", counting_init)
     monkeypatch.setattr(plan_class, "_loop_step", counting_loop_step)
-    monkeypatch.setattr(urdfplus.constraints, "JointKinematics",
-                        counting_joint_kinematics)
+    monkeypatch.setattr(urdfplus.constraints, "_JointStack", counting_joint_stack)
     return counts
 
 
@@ -636,6 +636,30 @@ def test_coupling_only_model_builds_no_tree_part(plan_builds):
         all_loop_jacobians(pipe.numbered, pipe.graph, np.zeros(pipe.numbered.total_dof))
     assert plan_builds == {"plans": 1, "tree_joints": 0,
                            "loop_steps": len(pipe.numbered.loop_entries), "group_sets": 1}
+
+
+def test_a_plan_checks_each_axis_once(monkeypatch):
+    """A plan's build checks each axis a model holds once, through
+    _require_axes, and a universal joint's default second axis not at all."""
+    checked = []
+    check = urdfplus.spatial._check_unit_axis
+    monkeypatch.setattr(urdfplus.spatial, "_check_unit_axis",
+                        lambda axis: checked.append(tuple(map(float, axis))) or check(axis))
+    rng = np.random.default_rng(20240613)
+    defaulted = loop_axes = 0
+    for _ in range(20):
+        numbered = regular_numbering(random_kinematic_model(rng))
+        graph, *_ = build_pipeline(numbered)
+        checked.clear()
+        all_loop_jacobians(numbered, graph, np.zeros(numbered.total_dof))
+        joints = numbered.model.tree_joints + numbered.model.loop_joints
+        axes = [axis for joint in joints for axis in (joint.axis, joint.axis2)
+                if axis is not None]
+        assert sorted(checked) == sorted(axes)
+        defaulted += sum(joint.joint_type is JointType.UNIVERSAL and joint.axis2 is None
+                         for joint in joints)
+        loop_axes += sum(joint.axis is not None for joint in numbered.model.loop_joints)
+    assert defaulted and loop_axes
 
 
 # -- the last configuration's record ------------------------------------------

@@ -18,7 +18,7 @@ from urdfplus.model import (
     structurally_equal,
     validate_model,
 )
-from urdfplus.spatial import JointType, SpatialTransform
+from urdfplus.spatial import JointType, SpatialTransform, rot_from_rpy
 
 
 def chain(n, jtype=JointType.REVOLUTE):
@@ -405,7 +405,7 @@ class TestDofCounting:
 def _full_model(mass=2.0, axis=(1.0, 0.0, 0.0)) -> RobotModel:
     """A model with every field of every model class set."""
     inertia = ((1.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 3.0))
-    origin = SpatialTransform.from_rpy_xyz((0.1, 0.2, 0.3), (1.0, 2.0, 3.0))
+    origin = SpatialTransform(rot_from_rpy(0.1, 0.2, 0.3), (1.0, 2.0, 3.0))
     return RobotModel(
         name="full",
         links=(Link("base", Inertial(mass, (0.1, 0.2, 0.3), inertia), ("<visual/>",)),

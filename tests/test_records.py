@@ -165,4 +165,5 @@ def test_each_default_origin_is_its_own_identity():
                 for origin in (loop.predecessor_origin, loop.successor_origin)]
     assert len({id(origin) for origin in origins}) == 6
     for origin in origins:
-        assert type(origin) is SpatialTransform and origin.is_identity()
+        assert type(origin) is SpatialTransform
+        assert (origin.rot == np.eye(3)).all() and not origin.trans.any()

@@ -1,4 +1,5 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -20,15 +21,23 @@ RNG = np.random.default_rng(20240817)
 IDENTITY = (np.eye(3), np.zeros(3))
 
 
+class Joint(NamedTuple):
+    """The joint record _JointStack reads."""
+
+    joint_type: JointType
+    axis: object = None
+    axis2: object = None
+
+
 def joint_stack(jt: JointType, axis=None, axis2=None) -> sp._JointStack:
     """The engine's kinematics of one joint whose coordinates start at q[0]."""
-    return sp._JointStack([sp.JointKinematics(jt, axis, axis2)], [0])
+    return sp._JointStack([Joint(jt, axis, axis2)], [0])
 
 
 def turns(axes, angles) -> np.ndarray:
     """Rotations (K, 3, 3) about the unit rows of `axes` by `angles`, as the
     engine's revolute joints make them."""
-    joints = [sp.JointKinematics(JointType.REVOLUTE, axis) for axis in axes]
+    joints = [Joint(JointType.REVOLUTE, axis) for axis in axes]
     return sp._JointStack(joints, range(len(joints))).transforms(
         np.asarray(angles, dtype=float))[0]
 
@@ -49,7 +58,8 @@ def inverse(x):
 
 
 def is_identity(x, tol: float = 0.0) -> bool:
-    return sp.SpatialTransform(*x).is_identity(tol)
+    rot, trans = x
+    return bool(np.abs(rot - np.eye(3)).max() <= tol and np.abs(trans).max() <= tol)
 
 
 def motion_map(x, v) -> np.ndarray:
@@ -370,7 +380,7 @@ class TestSubspaces:
         for _ in range(50):
             axis = RNG.normal(size=3)
             axis /= np.linalg.norm(axis)
-            second = sp.default_second_axis(axis)
+            second = sp.orthonormal_complement_2(axis)[0]
             assert abs(np.linalg.norm(second) - 1) < 1e-12
             assert abs(np.dot(second, axis)) < 1e-12
 

@@ -3,6 +3,7 @@ import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from test_mutation_fuzz import MODELS, SEED, mutate
@@ -103,7 +104,8 @@ class TestParsing:
             '<joint name="j" type="fixed"><parent link="a"/>'
             '<child link="b"/></joint></robot>'
         ).model
-        assert model.tree_joints[0].origin.is_identity()
+        origin = model.tree_joints[0].origin
+        assert (origin.rot == np.eye(3)).all() and not origin.trans.any()
 
     def test_omitted_independent_is_unspecified(self, fourbar):
         plain = parse_urdf_plus(
@@ -492,6 +494,11 @@ def payload_of(model, owner: str) -> tuple:
             "robot": model.payload}[owner]
 
 
+def owner_name(model, owner: str) -> str:
+    return {"link": model.links[0].name, "joint": model.tree_joints[0].name,
+            "robot": model.name}[owner]
+
+
 class TestPayloadWriting:
     """The writer refuses a payload blob that would not read back as itself."""
 
@@ -503,12 +510,48 @@ class TestPayloadWriting:
     @pytest.mark.parametrize("case", BAD_BLOBS)
     def test_bad_blob_raises_naming_owner_and_index(self, fourbar, owner, case):
         model = with_payload(fourbar, owner, (GOOD_BLOBS[owner], BAD_BLOBS[case]))
-        name = {"link": model.links[0].name, "joint": model.tree_joints[0].name,
-                "robot": model.name}[owner]
         with pytest.raises(UrdfPlusError) as err:
             serialize_urdf_plus(model)
         assert type(err.value) is UrdfPlusError
-        assert str(err.value) == (f"cannot write <{owner}> {name!r}: its payload blob 1 "
+        assert str(err.value) == (f"cannot write <{owner}> {owner_name(model, owner)!r}: "
+                                  "its payload blob 1 is not one well-formed element alone")
+
+    @pytest.mark.parametrize("owner, blob, tag", [
+        ("joint", "<visual/>", "visual"),  # would read back as an unknown element
+        ("robot", "<visual/>", "visual"),
+        ("link", '<inertial><mass value="2"/></inertial>', "inertial"),  # the link's Inertial
+        ("robot", '<link name="extra"/>', "link"),  # a fifth link
+        ("joint", "<limits/>", "limits"),
+        ("robot", "<material:x/>", "material:x"),
+    ])
+    def test_blob_its_owner_would_not_keep_raises(self, fourbar, owner, blob, tag):
+        model = with_payload(fourbar, owner, (GOOD_BLOBS[owner], blob))
+        with pytest.raises(UrdfPlusError) as err:
+            serialize_urdf_plus(model)
+        assert type(err.value) is UrdfPlusError
+        assert str(err.value) == (f"cannot write <{owner}> {owner_name(model, owner)!r}: "
+                                  f"its payload blob 1 is a <{tag}>, which <{owner}> "
+                                  "does not keep as payload")
+
+    @pytest.mark.parametrize("owner, blob", [
+        *[("joint", f"<{tag}\n/>") for tag in ("limit", "dynamics", "calibration",
+                                                "safety_controller")],
+        *[("robot", f"<{tag}\t></{tag}>") for tag in ("material", "transmission", "gazebo",
+                                                      "sensor")],
+        ("link", '<x:inertial a="1"/>'),
+        ("link", "<inertials/>"),
+    ])
+    def test_blob_its_owner_keeps_round_trips(self, fourbar, owner, blob):
+        model = with_payload(fourbar, owner, (blob,))
+        back = parse_urdf_plus(serialize_urdf_plus(model)).model
+        assert payload_of(back, owner) == (blob,)
+
+    def test_error_names_the_owner_as_the_model_holds_it(self, fourbar):
+        model = with_payload(fourbar, "link", ("<a/><b/>",))
+        model = replace(model, links=(replace(model.links[0], name="a&b"), *model.links[1:]))
+        with pytest.raises(UrdfPlusError) as err:
+            serialize_urdf_plus(model)
+        assert str(err.value) == ("cannot write <link> 'a&b': its payload blob 0 "
                                   "is not one well-formed element alone")
 
     @pytest.mark.parametrize("owner", ["link", "joint", "robot"])
