@@ -385,7 +385,11 @@ def main(argv=None) -> int:
         return status
     except BrokenPipeError:
         # the reader has gone: later flushes, at exit too, go to the null device
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        null = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(null, sys.stdout.fileno())
+        finally:
+            os.close(null)
         return EXIT_FAILURE
     except _UsageError:
         return EXIT_USAGE

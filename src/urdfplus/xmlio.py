@@ -18,21 +18,28 @@ written back untouched.  ``<mimic>`` children are translated into couplings
 
 The reader streams: one expat pass checks ``<robot>`` at its start event and
 interprets each child of ``<robot>`` at that child's end event, so only one
-top-level element's subtree is alive at a time.  In that subtree an
-_Element is made only for an element whose children an interpreter reads
-and for a preserved element, which keeps the byte indices of its start and
-end tags; a leaf an interpreter reads (origin, axis, mass, parent, ratio,
-mimic, ...) is a _Leaf, its attribute dict with its position, and nothing
-below a leaf or inside a preserved element is kept.  A syntax error
-anywhere wins; otherwise the first interpretation error in document order
-is raised once expat has read the whole document.  The interpreters build
-the model's records positionally, their cheapest call.
+top-level element's subtree is alive at a time.  In that subtree a node is
+a plain tuple or list, not an object: a leaf an interpreter reads (origin,
+axis, mass, parent, ratio, mimic, ...) is a tuple of its tag, attribute
+dict and position; an element whose children an interpreter reads, and a
+preserved element, is a list that also holds the byte indices of its start
+and end tags and its children; nothing below a leaf or inside a preserved
+element is kept.  The child rule runs in two halves: at a child's start
+tag the first child of each tag its parent takes once is filed by tag, and
+the interpreter walks only the children left (repeats, preserved and
+unknown children) in document order.  A syntax error anywhere wins;
+otherwise the first interpretation error in document order is raised once
+expat has read the whole document.  The interpreters build the model's
+records positionally, their cheapest call.
 
 The writer emits each element as one string.  One search over all the
 names of a document looks for a character that needs escaping; only when
 there is one are the names escaped, and a name that XML 1.0 cannot carry
 (a C0 control other than tab, newline and carriage return, a surrogate,
 U+FFFE or U+FFFF) is refused, so the text written always parses back.
+A payload blob is parsed alone, once per distinct blob in a write, to
+check that it reads back as itself; the reader puts each preserved element
+whose source holds an '&' through the same check and warns when it fails.
 """
 
 from __future__ import annotations
@@ -40,9 +47,7 @@ from __future__ import annotations
 import math
 import re
 import xml.parsers.expat as expat
-from collections import namedtuple
 from dataclasses import dataclass, field, replace
-from types import MappingProxyType
 
 import numpy as np
 
@@ -66,10 +71,10 @@ from .spatial import (
 
 # The streaming reader's rules: by tag, what it keeps of each child of an
 # element whose children an interpreter reads.  A nested rule keeps an
-# _Element whose own children that rule reads; _LEAF keeps a _Leaf; a tag
-# missing from the rule keeps an _Element whose descendants go unread (a
-# preserved payload, or an unknown element for the child rule to report).
-# A rule's tags are also the tags its element takes at most once.
+# element node whose own children that rule reads; _LEAF keeps a leaf node;
+# a tag missing from the rule keeps an element node whose descendants go
+# unread (a preserved payload, or an unknown element for the child rule to
+# report).  A rule's tags are also the tags its element takes at most once.
 _LEAF = "leaf"
 _UNREAD = (None, None)  # the reader's frame for a leaf and for what goes unread
 _INERTIAL_RULE = dict.fromkeys(("origin", "mass", "inertia"), _LEAF)
@@ -86,8 +91,13 @@ _ROBOT_RULE = {"link": _LINK_RULE, "joint": _JOINT_RULE, "loop": _LOOP_RULE,
 _JOINT_PAYLOAD_TAGS = {"limit", "dynamics", "calibration", "safety_controller"}
 _ROBOT_PAYLOAD_TAGS = {"material", "transmission", "gazebo", "sensor"}
 _JOINT_TYPES = {jt.value: jt for jt in JointType}
-# what the child rule reads from an element without children, shared
-_NO_CHILDREN = (MappingProxyType({}), ())
+# A node's fields by index.  A leaf is the tuple (tag, attrib, line,
+# column); an element node is the list [tag, attrib, line, column, start
+# byte (its '<'), close byte (set at the end event of a preserved or
+# unknown element), found (its first child of each tag its rule takes
+# once, by tag), *rest (its other children, in document order)].
+_TAG, _ATTRIB, _LINE, _COLUMN, _START, _CLOSE, _FOUND, _REST = range(8)
+_AT = slice(_LINE, _START)  # a node's (line, column)
 
 
 @_record
@@ -111,25 +121,7 @@ class ParseResult:
     warnings: list[ParseDiagnostic] = field(default_factory=list)
 
 
-class _Element:
-    __slots__ = ("tag", "attrib", "children", "line", "column",
-                 "start_byte", "close_byte")  # close_byte: set at the end event
-
-    def __init__(self, tag, attrib, line, column, start_byte):
-        self.tag = tag
-        self.attrib = attrib
-        self.children: list[_Element | _Leaf] | tuple = ()  # a list from the first child on
-        self.line = line
-        self.column = column
-        self.start_byte = start_byte  # the '<' of the start tag
-
-
-# an element read for its attributes alone: a tuple, made without an
-# __init__, that an interpreter reads as it reads an _Element
-_Leaf = namedtuple("_Leaf", ("tag", "attrib", "line", "column"))
-
-
-_TAG = re.compile(rb"""[^"'>]*(?:(?:"[^"]*"|'[^']*')[^"'>]*)*>""")
+_TAG_TEXT = re.compile(rb"""[^"'>]*(?:(?:"[^"]*"|'[^']*')[^"'>]*)*>""")
 
 
 def _plain_number(text: str) -> bool:
@@ -142,7 +134,7 @@ def _plain_number(text: str) -> bool:
 def _scan_tag_end(data: bytes, start: int) -> int:
     """Index just past the '>' closing the tag that starts at `start`,
     ignoring '>' inside quoted attribute values."""
-    match = _TAG.match(data, start)
+    match = _TAG_TEXT.match(data, start)
     return match.end() if match else len(data)
 
 
@@ -158,7 +150,7 @@ class _Interpreter:
         # at the end of the read gives all their rotations, so no origin
         # costs numpy calls of its own
         self.origins: list[tuple[SpatialTransform, tuple, tuple]] = []
-        self.root: _Element | None = None
+        self.root = None  # the <robot> node
         self.links: list[Link] = []
         self.joints: list[TreeJoint] = []
         self.loops: list[LoopJoint] = []
@@ -166,61 +158,59 @@ class _Interpreter:
         self.payload: list[str] = []
         self.mimics: list[tuple] = []
 
-    def warn(self, element: _Element, message: str, path: str = ""):
-        self.warnings.append(
-            ParseDiagnostic("warning", element.line, element.column, message, path)
-        )
+    def warn(self, element, message: str, path: str = ""):
+        self.warnings.append(ParseDiagnostic("warning", *element[_AT], message, path))
 
-    def raw(self, element: _Element) -> str:
+    def raw(self, element, path: str) -> str:
         """Source text of a preserved element, its extent taken from the XML
         grammar: no STag has '/' before its '>', so a tag ending in '/>' is
         a whole empty element, and any other element ends at the '>' after
-        the '</' that expat reported at its end event."""
-        data, start = self.data, element.start_byte
+        the '</' that expat reported at its end event.  A source holding an
+        '&' goes through the writer's blob check, and a warning names what
+        keeps it from being written back (a reference to an entity that the
+        document declares)."""
+        data, start = self.data, element[_START]
         if data.startswith(b"&", start):  # elements from an entity sit at its '&'
-            msg = f"preserved <{element.tag}> comes from an entity reference"
-            raise XmlSyntaxError(msg, element.line, element.column)
+            msg = f"preserved <{element[_TAG]}> comes from an entity reference"
+            raise XmlSyntaxError(msg, *element[_AT])
         end = _scan_tag_end(data, start)
         if not data.endswith(b"/>", start, end):
-            end = _scan_tag_end(data, element.close_byte)
+            end = _scan_tag_end(data, element[_CLOSE])
         source = data[start:end]
         # expat admits no NUL in an ASCII-compatible encoding: one means UTF-16
         if b"\0" not in source:
             try:
-                return source.decode("utf-8")
+                text = source.decode("utf-8")
             except UnicodeDecodeError:
                 pass
-        raise XmlSyntaxError(
-            f"preserved <{element.tag}> is not UTF-8", element.line, element.column
-        )
+            else:
+                if b"&" in source and (fault := _blob_fault(text)) is not None:
+                    self.warn(element, f"preserved <{element[_TAG]}> cannot be written "
+                                       f"back: alone, it {fault}", path)
+                return text
+        raise XmlSyntaxError(f"preserved <{element[_TAG]}> is not UTF-8", *element[_AT])
 
     # -- attribute and numeric helpers ------------------------------------
 
-    def require_attr(self, element: _Element, attr: str, path: str) -> str:
-        value = element.attrib.get(attr)
+    def require_attr(self, element, attr: str, path: str) -> str:
+        value = element[_ATTRIB].get(attr)
         if value is None:
-            raise MissingAttributeError(
-                f"<{element.tag}> requires attribute {attr!r}",
-                element.line, element.column, path,
-            )
+            raise MissingAttributeError(f"<{element[_TAG]}> requires attribute {attr!r}",
+                                        *element[_AT], path)
         return value
 
-    def parse_float(self, text: str, element: _Element, path: str) -> float:
+    def parse_float(self, text: str, element, path: str) -> float:
         try:
             if not _plain_number(text):
                 raise ValueError
             value = float(text)
         except ValueError:
-            raise InvalidNumberError(
-                f"invalid number {text!r}", element.line, element.column, path
-            ) from None
+            raise InvalidNumberError(f"invalid number {text!r}", *element[_AT], path) from None
         if not math.isfinite(value):
-            raise InvalidNumberError(
-                f"non-finite number {text!r}", element.line, element.column, path
-            )
+            raise InvalidNumberError(f"non-finite number {text!r}", *element[_AT], path)
         return value
 
-    def parse_triple(self, text: str, element: _Element, path: str):
+    def parse_triple(self, text: str, element, path: str):
         try:
             x, y, z = map(float, text.split())
         except ValueError:  # not three numbers
@@ -230,41 +220,37 @@ class _Interpreter:
                 return x, y, z
         parts = text.split()
         if len(parts) != 3:
-            raise InvalidNumberError(
-                f"expected 3 numbers, got {len(parts)} in {text!r}",
-                element.line, element.column, path,
-            )
+            raise InvalidNumberError(f"expected 3 numbers, got {len(parts)} in {text!r}",
+                                     *element[_AT], path)
         # raises, naming the first part that is not a finite number (the
         # whole text if any of it is not ASCII), unless only the sum overflowed
         return tuple([self.parse_float(p if text.isascii() else text, element, path)
                       for p in parts])
 
-    def parse_bool(self, text: str, element: _Element, path: str) -> bool:
+    def parse_bool(self, text: str, element, path: str) -> bool:
         if text == "true":
             return True
         if text == "false":
             return False
-        raise InvalidNumberError(
-            f"expected 'true' or 'false', got {text!r}",
-            element.line, element.column, path,
-        )
+        raise InvalidNumberError(f"expected 'true' or 'false', got {text!r}",
+                                 *element[_AT], path)
 
-    def auto_name(self, element: _Element, kind: str, path: str) -> str:
-        name = element.attrib.get("name")
+    def auto_name(self, element, kind: str, path: str) -> str:
+        name = element[_ATTRIB].get("name")
         if name:
             return name
         generated = f"{kind}_{self.counters[kind]}"
-        self.warn(element, f"unnamed <{element.tag}> assigned name {generated!r}", path)
+        self.warn(element, f"unnamed <{element[_TAG]}> assigned name {generated!r}", path)
         return generated
 
     # -- shared sub-elements ----------------------------------------------
 
-    def parse_origin(self, element: _Element | None, path: str) -> SpatialTransform:
+    def parse_origin(self, element, path: str) -> SpatialTransform:
         """The pose an <origin> states (the identity when there is none);
         interpret sets its rot and trans once the document is read."""
         if element is None:
             return SpatialTransform.identity()
-        attrib = element.attrib
+        attrib = element[_ATTRIB]
         xyz = rpy = (0.0, 0.0, 0.0)
         if "xyz" in attrib:
             xyz = self.parse_triple(attrib["xyz"], element, path)
@@ -274,10 +260,10 @@ class _Interpreter:
         self.origins.append((origin, rpy, xyz))
         return origin
 
-    def parse_axis(self, element: _Element, path: str):
+    def parse_axis(self, element, path: str):
         """Unit direction from an <axis>/<axis2> element; nonzero vectors
         are normalized, matching common URDF tooling."""
-        xyz = element.attrib.get("xyz", "1 0 0")
+        xyz = element[_ATTRIB].get("xyz", "1 0 0")
         x, y, z = self.parse_triple(xyz, element, path)
         norm = math.sqrt(sum([x * x, y * y, z * z]))
         if not math.isfinite(norm):  # the squares overflow: scale down first
@@ -285,12 +271,10 @@ class _Interpreter:
             x, y, z = x / scale, y / scale, z / scale
             norm = math.sqrt(sum([x * x, y * y, z * z]))
         if norm < 1e-12:
-            raise InvalidNumberError(
-                f"axis {xyz!r} has zero length", element.line, element.column, path
-            )
+            raise InvalidNumberError(f"axis {xyz!r} has zero length", *element[_AT], path)
         return x / norm, y / norm, z / norm
 
-    def joint_axes(self, element: _Element, jtype: JointType, found: dict, path: str):
+    def joint_axes(self, element, jtype: JointType, found: dict, path: str):
         """The (axis, axis2) a <joint> or <loop> of type jtype keeps from its
         children `found` by tag: the URDF default axis if it needs one, and
         no axis it takes none of (dropped with a warning)."""
@@ -310,91 +294,80 @@ class _Interpreter:
             axis2 = None
         return axis, axis2
 
-    def parse_link_ref(self, element: _Element, path: str) -> str:
+    def parse_link_ref(self, element, path: str) -> str:
         # standard URDF spells it link="..."; the loop/coupling templates and
         # some writers use name="..." -- accept both
-        value = element.attrib.get("link", element.attrib.get("name"))
+        value = element[_ATTRIB].get("link", element[_ATTRIB].get("name"))
         if value is None:
-            raise MissingAttributeError(
-                f"<{element.tag}> requires attribute 'link' (or 'name')",
-                element.line, element.column, path,
-            )
+            raise MissingAttributeError(f"<{element[_TAG]}> requires attribute 'link' (or "
+                                        "'name')", *element[_AT], path)
         return value
 
-    def joint_type(self, element: _Element, path: str) -> JointType:
+    def joint_type(self, element, path: str) -> JointType:
         text = self.require_attr(element, "type", path)
         if text == "planar":
             raise UnknownJointTypeError(
                 "joint type 'planar' is not supported; model it with two "
-                "prismatic joints and a continuous joint",
-                element.line, element.column, path,
-            )
+                "prismatic joints and a continuous joint", *element[_AT], path)
         jtype = _JOINT_TYPES.get(text)
         if jtype is None:
-            raise UnknownJointTypeError(
-                f"unknown joint type {text!r}", element.line, element.column, path
-            )
+            raise UnknownJointTypeError(f"unknown joint type {text!r}", *element[_AT], path)
         return jtype
 
-    def read_children(self, element: _Element, path: str, once, preserved=()):
-        """The one child rule: a tag in `once` comes back by tag in a dict,
-        a repeat of it an error; a tag in `preserved` (every other tag when
-        it is None) adds its source text to the payload in document order;
-        any other tag is an error.  Both errors sit at the child."""
-        if not element.children:
-            return _NO_CHILDREN
-        found, payload = {}, []
-        for child in element.children:
-            tag = child.tag
-            if tag in once:
-                if tag in found:
-                    raise UnknownElementError(
-                        f"repeated <{tag}> inside <{element.tag}>",
-                        child.line, child.column, path,
-                    )
-                found[tag] = child
-            elif preserved is None or tag in preserved:
-                payload.append(self.raw(child))
+    def read_children(self, element, path: str, preserved=()):
+        """The one child rule: the first child of each tag the element's rule
+        takes once comes back by tag in a dict (the reader filed it at its
+        start tag), a repeat of it an error; a tag in `preserved` (every
+        other tag when it is None) adds its source text to the payload in
+        document order; any other tag is an error.  Both errors sit at the
+        child."""
+        found = element[_FOUND]
+        if len(element) == _REST:
+            return found, ()
+        payload = []
+        for child in element[_REST:]:
+            tag = child[_TAG]
+            if tag in found:
+                raise UnknownElementError(f"repeated <{tag}> inside <{element[_TAG]}>",
+                                          *child[_AT], path)
+            if preserved is None or tag in preserved:
+                payload.append(self.raw(child, path))
             else:
-                raise UnknownElementError(
-                    f"unknown element <{tag}> inside <{element.tag}>",
-                    child.line, child.column, path,
-                )
+                raise UnknownElementError(f"unknown element <{tag}> inside <{element[_TAG]}>",
+                                          *child[_AT], path)
         return found, tuple(payload)
 
     # -- element interpreters ----------------------------------------------
 
-    def parse_link(self, element: _Element) -> Link:
+    def parse_link(self, element) -> Link:
         name = self.require_attr(element, "name", "robot/link")
         path = f"robot/link({name})"
-        found, payload = self.read_children(element, path, _LINK_RULE, preserved=None)
+        found, payload = self.read_children(element, path, preserved=None)
         inertial = found.get("inertial")
         if inertial is not None:
             inertial = self.parse_inertial(inertial, f"{path}/inertial")
         return Link(name, inertial, payload)
 
-    def parse_inertial(self, element: _Element, path: str) -> Inertial:
-        found, _ = self.read_children(element, path, _INERTIAL_RULE)
+    def parse_inertial(self, element, path: str) -> Inertial:
+        found, _ = self.read_children(element, path)
         mass = 0.0
         mass_el = found.get("mass")
         if mass_el is not None:
-            mass = self.parse_float(
-                self.require_attr(mass_el, "value", path), mass_el, path
-            )
+            mass = self.parse_float(self.require_attr(mass_el, "value", path), mass_el, path)
         com = (0.0, 0.0, 0.0)
         rot = None
         origin_el = found.get("origin")
         if origin_el is not None:
-            if "xyz" in origin_el.attrib:
-                com = self.parse_triple(origin_el.attrib["xyz"], origin_el, path)
-            if "rpy" in origin_el.attrib:
-                rpy = self.parse_triple(origin_el.attrib["rpy"], origin_el, path)
+            if "xyz" in origin_el[_ATTRIB]:
+                com = self.parse_triple(origin_el[_ATTRIB]["xyz"], origin_el, path)
+            if "rpy" in origin_el[_ATTRIB]:
+                rpy = self.parse_triple(origin_el[_ATTRIB]["rpy"], origin_el, path)
                 if any(rpy):
                     rot = rot_from_rpy(*rpy)
         inertia = ((0.0,) * 3,) * 3
         inertia_el = found.get("inertia")
         if inertia_el is not None:
-            attrib, keys = inertia_el.attrib, ("ixx", "ixy", "ixz", "iyy", "iyz", "izz")
+            attrib, keys = inertia_el[_ATTRIB], ("ixx", "ixy", "ixz", "iyy", "iyz", "izz")
             try:
                 values = [float(attrib[key]) for key in keys]
                 finite = math.isfinite(sum(values)) and _plain_number("".join(attrib.values()))
@@ -413,7 +386,7 @@ class _Interpreter:
             inertia = tuple(tuple(float(x) for x in row) for row in m)
         return Inertial(mass, com, inertia)
 
-    def parse_joint(self, element: _Element):
+    def parse_joint(self, element):
         """Returns (TreeJoint, mimic | None); mimic resolution happens after
         every joint is known."""
         self.counters["joint"] += 1
@@ -421,17 +394,12 @@ class _Interpreter:
         path = f"robot/joint({name})"
         jtype = self.joint_type(element, path)
         independent = None
-        if "independent" in element.attrib:
-            independent = self.parse_bool(
-                element.attrib["independent"], element, path
-            )
-        found, payload = self.read_children(element, path, _JOINT_RULE,
-                                            _JOINT_PAYLOAD_TAGS)
+        if "independent" in element[_ATTRIB]:
+            independent = self.parse_bool(element[_ATTRIB]["independent"], element, path)
+        found, payload = self.read_children(element, path, _JOINT_PAYLOAD_TAGS)
         if "parent" not in found or "child" not in found:
-            raise MissingAttributeError(
-                "<joint> requires <parent> and <child> elements",
-                element.line, element.column, path,
-            )
+            raise MissingAttributeError("<joint> requires <parent> and <child> elements",
+                                        *element[_AT], path)
         origin = self.parse_origin(found.get("origin"), f"{path}/origin")
         parent = self.parse_link_ref(found["parent"], f"{path}/parent")
         child = self.parse_link_ref(found["child"], f"{path}/child")
@@ -442,56 +410,51 @@ class _Interpreter:
         return TreeJoint(name, jtype, parent, child, origin, axis, axis2, independent,
                          payload), mimic
 
-    def parse_mimic(self, element: _Element, follower: str, path: str):
+    def parse_mimic(self, element, follower: str, path: str):
         target = self.require_attr(element, "joint", path)
         multiplier = 1.0
         offset = 0.0
-        if "multiplier" in element.attrib:
-            multiplier = self.parse_float(element.attrib["multiplier"], element, path)
-        if "offset" in element.attrib:
-            offset = self.parse_float(element.attrib["offset"], element, path)
+        if "multiplier" in element[_ATTRIB]:
+            multiplier = self.parse_float(element[_ATTRIB]["multiplier"], element, path)
+        if "offset" in element[_ATTRIB]:
+            offset = self.parse_float(element[_ATTRIB]["offset"], element, path)
         if offset != 0.0:
             raise UnsupportedMimicOffsetError(
                 f"mimic with nonzero offset {offset} cannot be expressed as a "
-                "coupling", element.line, element.column, path,
-            )
+                "coupling", *element[_AT], path)
         return (follower, target, multiplier, element)
 
-    def parse_loop(self, element: _Element) -> LoopJoint:
+    def parse_loop(self, element) -> LoopJoint:
         self.counters["loop"] += 1
         name = self.auto_name(element, "loop", "robot/loop")
         path = f"robot/loop({name})"
         jtype = self.joint_type(element, path)
-        found, _ = self.read_children(element, path, _LOOP_RULE)
+        found, _ = self.read_children(element, path)
         links, origins = [], []  # of the predecessor, then the successor
         for tag in ("predecessor", "successor"):
             if tag not in found:
-                raise MissingAttributeError(
-                    f"<loop> requires a <{tag}> element",
-                    element.line, element.column, path,
-                )
+                raise MissingAttributeError(f"<loop> requires a <{tag}> element",
+                                            *element[_AT], path)
             end, end_path = found[tag], f"{path}/{tag}"
-            origin = self.read_children(end, end_path, _LOOP_END_RULE)[0].get("origin")
+            origin = self.read_children(end, end_path)[0].get("origin")
             links.append(self.parse_link_ref(end, end_path))
             origins.append(self.parse_origin(origin, end_path))
         axis, axis2 = self.joint_axes(element, jtype, found, path)
         return LoopJoint(name, jtype, *links, *origins, axis, axis2)
 
-    def parse_coupling(self, element: _Element) -> Coupling:
+    def parse_coupling(self, element) -> Coupling:
         self.counters["coupling"] += 1
         name = self.auto_name(element, "coupling", "robot/coupling")
         path = f"robot/coupling({name})"
-        found, _ = self.read_children(element, path, _COUPLING_RULE)
+        found, _ = self.read_children(element, path)
         if "predecessor" not in found or "successor" not in found:
             raise MissingAttributeError(
                 "<coupling> requires <predecessor> and <successor> elements",
-                element.line, element.column, path,
-            )
+                *element[_AT], path)
         if "ratio" not in found:
             raise MissingAttributeError(
                 "<coupling> requires a <ratio> element with a 'value' attribute",
-                element.line, element.column, path,
-            )
+                *element[_AT], path)
         ratio_el = found["ratio"]
         return Coupling(
             name,
@@ -503,18 +466,16 @@ class _Interpreter:
 
     # -- the read: <robot>, then each of its children, then the finish -----
 
-    def start_robot(self, root: _Element):
-        if root.tag != "robot":
-            raise UnknownElementError(
-                f"expected <robot> document element, got <{root.tag}>",
-                root.line, root.column, "",
-            )
+    def start_robot(self, root):
+        if root[_TAG] != "robot":
+            raise UnknownElementError(f"expected <robot> document element, got <{root[_TAG]}>",
+                                      *root[_AT], "")
         self.root = root
-        if "name" not in root.attrib:
+        if "name" not in root[_ATTRIB]:
             self.warn(root, "<robot> has no name attribute", "robot")
 
-    def interpret(self, child: _Element):
-        tag = child.tag
+    def interpret(self, child):
+        tag = child[_TAG]
         if tag == "link":
             self.links.append(self.parse_link(child))
         elif tag == "joint":
@@ -527,23 +488,18 @@ class _Interpreter:
         elif tag == "coupling":
             self.couplings.append(self.parse_coupling(child))
         elif tag in _ROBOT_PAYLOAD_TAGS:
-            self.payload.append(self.raw(child))
+            self.payload.append(self.raw(child, "robot"))
         else:
-            raise UnknownElementError(
-                f"unknown element <{tag}> under <robot>",
-                child.line, child.column, "robot",
-            )
+            raise UnknownElementError(f"unknown element <{tag}> under <robot>",
+                                      *child[_AT], "robot")
 
     def finish(self) -> RobotModel:
         root, couplings = self.root, self.couplings
         by_name = {j.name: j for j in self.joints}
         for follower, target, multiplier, element in self.mimics:
             if target not in by_name:
-                raise UnknownElementError(
-                    f"mimic references unknown joint {target!r}",
-                    element.line, element.column,
-                    f"robot/joint({follower})/mimic",
-                )
+                raise UnknownElementError(f"mimic references unknown joint {target!r}",
+                                          *element[_AT], f"robot/joint({follower})/mimic")
             couplings.append(Coupling(f"{follower}_mimic", by_name[follower].child,
                                       by_name[target].child, multiplier))
 
@@ -555,7 +511,7 @@ class _Interpreter:
                 origin.rot, origin.trans = rot, trans
 
         return RobotModel(
-            name=root.attrib.get("name", "robot"),
+            name=root[_ATTRIB].get("name", "robot"),
             links=tuple(self.links),
             tree_joints=tuple(self.joints),
             loop_joints=tuple(self.loops),
@@ -569,11 +525,11 @@ class _Interpreter:
         indices of its start tag and its end event alone.  The first
         interpretation error stops the interpreting but not expat."""
         # a frame per open element: the rule for its children (None when
-        # they go unread) and its _Element (None for <robot> and leaves)
+        # they go unread) and its element node (None for <robot> and leaves)
         stack: list[tuple] = []
         push, pop = stack.append, stack.pop
         held = []  # the first interpretation error
-        interpret, new_leaf = self.interpret, tuple.__new__
+        interpret = self.interpret
 
         def hold(error):
             # raised later without the handler's frame, from the interpreter's
@@ -586,9 +542,8 @@ class _Interpreter:
             parser.StartElementHandler, parser.EndElementHandler = on_start, on_end
             push((_ROBOT_RULE, None))
             try:
-                self.start_robot(_Element(tag, attrs, parser.CurrentLineNumber,
-                                          parser.CurrentColumnNumber + 1,
-                                          parser.CurrentByteIndex))
+                self.start_robot((tag, attrs, parser.CurrentLineNumber,
+                                  parser.CurrentColumnNumber + 1))
             except UrdfPlusError as exc:
                 hold(exc)
 
@@ -599,24 +554,24 @@ class _Interpreter:
                 return
             kind = rule.get(tag)
             if kind is _LEAF:
-                child = new_leaf(_Leaf, (tag, attrs, parser.CurrentLineNumber,
-                                         parser.CurrentColumnNumber + 1))
+                child = (tag, attrs, parser.CurrentLineNumber, parser.CurrentColumnNumber + 1)
                 push(_UNREAD)
             else:
-                child = _Element(tag, attrs, parser.CurrentLineNumber,
-                                 parser.CurrentColumnNumber + 1, parser.CurrentByteIndex)
+                child = [tag, attrs, parser.CurrentLineNumber, parser.CurrentColumnNumber + 1,
+                         parser.CurrentByteIndex, None, {}]
                 push((kind, child))
-            if parent is not None:
-                if parent.children:
-                    parent.children.append(child)
+            if parent is not None:  # the child rule's first half
+                found = parent[_FOUND]
+                if kind is None or tag in found:
+                    parent.append(child)
                 else:
-                    parent.children = [child]
+                    found[tag] = child
 
         def on_end(_tag):
             rule, element = pop()
             if element is not None:  # else a leaf, an unread element or <robot> ends
                 if rule is None:  # `raw` may read up to its end tag
-                    element.close_byte = parser.CurrentByteIndex
+                    element[_CLOSE] = parser.CurrentByteIndex
                 if len(stack) == 1:  # a child of <robot> ends
                     try:
                         interpret(element)
@@ -761,26 +716,44 @@ def _inertial_lines(inertial: Inertial) -> str:
             "    </inertial>\n")
 
 
-def _payload_lines(payload, indent: str, tag: str, name: str) -> str:
+def _blob_fault(blob: str) -> str | None:
+    """What keeps a payload blob from reading back as one well-formed
+    element alone, its start tag first and no space, comment or instruction
+    after its end, or None when nothing does."""
+    parser, ends = expat.ParserCreate("utf-8"), []  # end tags' names, None for a comment
+    if blob.endswith("-->"):  # a comment's end, or an end tag such as </a-->
+        parser.EndElementHandler = ends.append
+        parser.CommentHandler = lambda _: ends.append(None)
+    try:
+        parser.Parse(data := blob.encode("utf-8"), True)
+    except UnicodeEncodeError:
+        data = b""
+    except expat.ExpatError as exc:
+        if expat.errors.messages[exc.code] == expat.errors.XML_ERROR_UNDEFINED_ENTITY:
+            # at its '&', or at the start tag of the attribute holding it
+            ref = re.compile(rb"&(?!(?:amp|lt|gt|apos|quot|#[^;]*);)[^;]*;").search(
+                data, parser.ErrorByteIndex)[0]
+            return f"refers to the undefined entity {ref.decode()}"
+        data = b""
+    if not (data[:1] == b"<" and data[1:2] not in b"!?" and data.endswith(b">")
+            and not data.endswith(b"?>") and ends[-1:] != [None]):
+        return "is not one well-formed element alone"
+    return None
+
+
+def _payload_lines(payload, indent: str, tag: str, name: str, sound: set) -> str:
     """The blobs of a payload verbatim, one a line after `indent`.  A blob
-    must be one well-formed element alone, as the reader reads it back:
-    its start tag first, and no space, comment or instruction after its
-    end; and its tag must be one that a <tag> element keeps as payload.
-    Any other blob raises UrdfPlusError."""
+    must be one well-formed element alone, as the reader reads it back (see
+    _blob_fault), and its tag must be one that a <tag> element keeps as
+    payload.  Any other blob raises UrdfPlusError.  `sound` holds the blobs
+    of the write already found well-formed, each parsed once."""
     once, preserved = _PAYLOAD_RULES[tag]
     for index, blob in enumerate(payload):
-        parser, ends = expat.ParserCreate("utf-8"), []  # end tags' names, None for a comment
-        if blob.endswith("-->"):  # a comment's end, or an end tag such as </a-->
-            parser.EndElementHandler = ends.append
-            parser.CommentHandler = lambda _: ends.append(None)
-        try:
-            parser.Parse(data := blob.encode("utf-8"), True)
-        except (UnicodeEncodeError, expat.ExpatError):
-            data = b""
-        if not (data[:1] == b"<" and data[1:2] not in b"!?" and data.endswith(b">")
-                and not data.endswith(b"?>") and ends[-1:] != [None]):
-            raise UrdfPlusError(f"cannot write <{tag}> {name!r}: its payload blob {index} "
-                                "is not one well-formed element alone")
+        if blob not in sound:
+            if (fault := _blob_fault(blob)) is not None:
+                raise UrdfPlusError(f"cannot write <{tag}> {name!r}: its payload blob "
+                                    f"{index} {fault}")
+            sound.add(blob)
         child = _START_TAG.match(blob)[1]
         if child in once or not (preserved is None or child in preserved):
             raise UrdfPlusError(f"cannot write <{tag}> {name!r}: its payload blob {index} "
@@ -797,10 +770,12 @@ def serialize_urdf_plus(model: RobotModel) -> str:
     back as payload, raises UrdfPlusError."""
     # the payloads are checked before any name is escaped, so that an error
     # names its owner as the model holds it
-    links = [_payload_lines(link.payload, "    ", "link", link.name) for link in model.links]
-    joints = [_payload_lines(joint.payload, "    ", "joint", joint.name)
-              for joint in model.tree_joints]
-    robot = _payload_lines(model.payload, "  ", "robot", model.name)
+    sound: set[str] = set()
+    links = [_payload_lines(link.payload, "    ", "link", link.name, sound) if link.payload
+             else "" for link in model.links]
+    joints = [_payload_lines(joint.payload, "    ", "joint", joint.name, sound)
+              if joint.payload else "" for joint in model.tree_joints]
+    robot = _payload_lines(model.payload, "  ", "robot", model.name, sound)
     if _ATTR_SPECIAL.search(_names(model)) is not None:
         model = _escaped(model)
     out: list[str] = ['<?xml version="1.0"?>\n', f'<robot name="{model.name}">\n']

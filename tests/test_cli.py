@@ -163,7 +163,8 @@ class TestGraph:
     def test_closed_stdout_in_process(self, capsys, tmp_path, models_dir, monkeypatch):
         """main's closed-pipe branch: the flush after the command raises
         BrokenPipeError, standard output's descriptor is pointed at the null
-        device, and main returns 1 with nothing raised or written."""
+        device, and main returns 1 with nothing raised or written.  Five
+        such calls leave no descriptor open behind them."""
 
         class ClosedPipe:
             def __init__(self, fd):
@@ -178,12 +179,17 @@ class TestGraph:
             def fileno(self):
                 return self.fd
 
+        fds = Path("/proc/self/fd")
         with open(tmp_path / "stdout", "wb") as target_file:
+            open_before = len(os.listdir(fds)) if fds.is_dir() else None
             monkeypatch.setattr(sys, "stdout", ClosedPipe(target_file.fileno()))
-            code = main(["graph", str(models_dir / "wrist.urdf"), "--kind", "cdd"])
+            codes = [main(["graph", str(models_dir / "wrist.urdf"), "--kind", "cdd"])
+                     for _ in range(5)]
             monkeypatch.undo()
+            open_after = len(os.listdir(fds)) if fds.is_dir() else None
             null, target = os.stat(os.devnull), os.fstat(target_file.fileno())
-        assert code == 1
+        assert codes == [1] * 5
+        assert open_after == open_before
         assert capsys.readouterr() == ("", "")
         assert (target.st_dev, target.st_ino) == (null.st_dev, null.st_ino)
         assert (tmp_path / "stdout").read_bytes() == b""

@@ -451,6 +451,57 @@ class TestPayloadExtent:
         assert model.links[0].payload == ("<visual>&v;</visual>",)
 
 
+# a preserved element holding a reference to an entity its document
+# declares: its owner, its source, its tag and the reference
+ENTITY_PAYLOADS = {
+    "link_text": ("link", "<visual>&t;</visual>", "visual", "&t;"),
+    "joint_attribute": ("joint", '<limit upper="&v;"/>', "limit", "&v;"),
+    "robot_text": ("robot", "<material>&t;</material>", "material", "&t;"),
+    "after_predefined": ("joint", '<limit lower="&#49;&amp;" upper="&v;"/>', "limit", "&v;"),
+}
+
+
+def entity_document(where: str, source: str) -> str:
+    """A document whose DTD declares &t; and &v;, with `source` in <link
+    name="a">, <joint name="j"> or <robot> on its second line."""
+    inside = {key: source if key == where else "" for key in ("link", "joint", "robot")}
+    return ('<!DOCTYPE robot [<!ENTITY t "x"><!ENTITY v "1">]>\n'
+            f'<robot name="r"><link name="a">{inside["link"]}</link><link name="b"/>'
+            '<joint name="j" type="fixed"><parent link="a"/><child link="b"/>'
+            f'{inside["joint"]}</joint>{inside["robot"]}</robot>')
+
+
+class TestEntityInPayload:
+    """A preserved element that refers to an entity its document declares
+    reads as written, with a warning, and the writer refuses it; both name
+    the reference."""
+
+    @pytest.mark.parametrize("case", ENTITY_PAYLOADS)
+    def test_reader_warns_and_writer_refuses(self, case):
+        where, source, tag, ref = ENTITY_PAYLOADS[case]
+        text = entity_document(where, source)
+        result = parse_urdf_plus(text)
+        model = result.model
+        assert payload_of(model, where) == (source,)
+        path = {"link": "robot/link(a)", "joint": "robot/joint(j)", "robot": "robot"}[where]
+        column = text.splitlines()[1].index(source) + 1
+        assert [(w.line, w.column, w.path, w.message) for w in result.warnings] == [
+            (2, column, path, f"preserved <{tag}> cannot be written back: alone, it "
+                              f"refers to the undefined entity {ref}")]
+        with pytest.raises(UrdfPlusError) as err:
+            serialize_urdf_plus(model)
+        assert type(err.value) is UrdfPlusError
+        assert str(err.value) == (f"cannot write <{where}> {owner_name(model, where)!r}: "
+                                  f"its payload blob 0 refers to the undefined entity {ref}")
+
+    def test_reference_in_cdata_is_written_back(self):
+        source = "<visual><![CDATA[&x;]]></visual>"
+        result = parse_urdf_plus(entity_document("link", source))
+        assert result.warnings == []
+        back = parse_urdf_plus(serialize_urdf_plus(result.model)).model
+        assert payload_of(back, "link") == (source,)
+
+
 # blobs a model built in code may hold that are not one well-formed
 # element alone, so that the text written would not read back as them
 BAD_BLOBS = {
