@@ -25,7 +25,7 @@ from .constraints import (
 from .errors import ConfigurationError, InvalidModelError, UrdfPlusError, UrdfXmlError
 from .graphs import build_pipeline, export_dot
 from .model import Coupling, count_degrees_of_freedom, regular_numbering
-from .xmlio import parse_urdf_plus
+from .xmlio import _plain_number, parse_urdf_plus
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -48,6 +48,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _tolerance(text: str) -> float:
     try:
+        if not _plain_number(text):  # the number rule of files and --config
+            raise ValueError
         value = float(text)
     except ValueError:
         value = math.nan

@@ -63,7 +63,8 @@ def parse_configuration(text: str, numbered: NumberedModel) -> np.ndarray:
     """Read 'joint-name: v1 v2 ...' lines into a stacked position vector.
 
     Unlisted joints stay at zero; a joint listed twice is an error.  Blank
-    lines and '#' comments are skipped.
+    lines and '#' comments are skipped.  Lines end at '\\n', '\\r\\n' and '\\r'
+    only, as in XML and Python's universal newlines.
     A joint name may hold ':' and '#': a line splits at the last ':' after a
     joint's name, its comment at the next '#'; else at its first '#', then ':'.
     """
@@ -73,7 +74,8 @@ def parse_configuration(text: str, numbered: NumberedModel) -> np.ndarray:
         by_name[numbered.tree_joint_of[body].name] = slices[body]
     set_on = {}  # joint name -> the line that set it
     q = zero_configuration(numbered)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         named = [i for i, c in enumerate(raw) if c == ":" and raw[:i].strip() in by_name]
         if not named:  # a blank line, a comment, or an error
             line = raw.split("#", 1)[0].strip()

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -262,17 +263,10 @@ def _require_axes(jt: JointType, axis, axis2):
 
 def motion_subspace(jt: JointType, axis=None, axis2=None) -> np.ndarray:
     """6 x n matrix of unit motion directions permitted by the joint,
-    expressed at the joint's zero configuration."""
-    a1, a2 = _require_axes(jt, axis, axis2)
-    if jt is JointType.FIXED:
-        return np.zeros((6, 0))
-    if jt in (JointType.REVOLUTE, JointType.CONTINUOUS):
-        return np.concatenate([a1, np.zeros(3)]).reshape(6, 1)
-    if jt is JointType.PRISMATIC:
-        return np.concatenate([np.zeros(3), a1]).reshape(6, 1)
-    if jt is JointType.UNIVERSAL:
-        return np.concatenate([np.stack([a1, a2], axis=1), np.zeros((3, 2))])
-    return np.eye(6)  # floating
+    expressed at the joint's zero configuration: _JointStack's subspace of
+    that one joint at q = 0."""
+    stack = _JointStack([SimpleNamespace(joint_type=jt, axis=axis, axis2=axis2)], [0])
+    return stack.subspaces(np.zeros(jt.dof), [0])[0]
 
 
 def constraint_force_subspace(jt: JointType, axis=None, axis2=None) -> np.ndarray:

@@ -32,11 +32,10 @@ otherwise the first interpretation error in document order is raised once
 expat has read the whole document.  The interpreters build the model's
 records positionally, their cheapest call.
 
-The writer emits each element as one string.  One search over all the
-names of a document looks for a character that needs escaping; only when
-there is one are the names escaped, and a name that XML 1.0 cannot carry
-(a C0 control other than tab, newline and carriage return, a surrogate,
-U+FFFE or U+FFFF) is refused, so the text written always parses back.
+The writer emits each element as one string, each name escaped where it
+is written.  A name that XML 1.0 cannot carry (a C0 control other than tab,
+newline and carriage return, a surrogate, U+FFFE or U+FFFF) is refused, as
+is a number that is not finite, so the text written always parses back.
 A payload blob is parsed alone, once per distinct blob in a write, to
 check that it reads back as itself; the reader puts each preserved element
 whose source holds an '&' through the same check and warns when it fails.
@@ -47,7 +46,7 @@ from __future__ import annotations
 import math
 import re
 import xml.parsers.expat as expat
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -633,14 +632,9 @@ def parse_file(path) -> ParseResult:
 # and carriage return, written as character references (attribute-value
 # normalization would read them back as spaces); the other C0 controls, the
 # surrogates, U+FFFE and U+FFFF are not XML 1.0 characters at all.
-_ATTR_ENTITIES = {"&": "&amp;", "<": "&lt;", '"': "&quot;",
-                  "\t": "&#9;", "\n": "&#10;", "\r": "&#13;"}
+_ATTR_ENTITIES = str.maketrans({"&": "&amp;", "<": "&lt;", '"': "&quot;",
+                                 "\t": "&#9;", "\n": "&#10;", "\r": "&#13;"})
 _ATTR_SPECIAL = re.compile(r'[&<"\x00-\x1f\ud800-\udfff\ufffe\uffff]')
-# the name fields of each record the writer emits, by RobotModel field
-_NAME_FIELDS = (("links", "link", ("name",)),
-                ("tree_joints", "joint", ("name", "parent", "child")),
-                ("loop_joints", "loop", ("name", "predecessor", "successor")),
-                ("couplings", "coupling", ("name", "predecessor", "successor")))
 _TYPE_NAMES = {jt: jt.value for jt in JointType}
 _IDENTITY_ROWS = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 # a payload blob's tag; its owner's reader reads a child of a tag in `once`
@@ -650,34 +644,24 @@ _PAYLOAD_RULES = {"link": (_LINK_RULE, None), "joint": (_JOINT_RULE, _JOINT_PAYL
                   "robot": (_ROBOT_RULE, _ROBOT_PAYLOAD_TAGS)}
 
 
-def _names(model: RobotModel) -> str:
-    """Every name the writer emits, run together."""
-    return "".join([model.name, *[getattr(record, key) for attr, _, keys in _NAME_FIELDS
-                                  for record in getattr(model, attr) for key in keys]])
+def _refusal(tag: str, owner: str, detail: str) -> UrdfPlusError:
+    """The writer's error for a field of a record: the element, and its owner
+    as the model holds it."""
+    return UrdfPlusError(f"cannot write <{tag}> {owner!r}: {detail}")
 
 
-def _escaped(model: RobotModel) -> RobotModel:
-    """The model with every name escaped for a double-quoted attribute; a
-    character no XML 1.0 document can carry raises UrdfPlusError naming
-    the element and the field, at the first such name in document order."""
-
-    def escape(value: str, tag: str, name: str, key: str) -> str:
-        def entity(match) -> str:
-            if match[0] not in _ATTR_ENTITIES:
-                raise UrdfPlusError(
-                    f"cannot write <{tag}> {name!r}: its {key} holds "
-                    f"U+{ord(match[0]):04X}, which XML 1.0 cannot carry")
-            return _ATTR_ENTITIES[match[0]]
-
-        return _ATTR_SPECIAL.sub(entity, value)
-
-    changes = {"name": escape(model.name, "robot", model.name, "name")}
-    for attr, tag, keys in _NAME_FIELDS:
-        changes[attr] = tuple(
-            replace(record, **{key: escape(getattr(record, key), tag, record.name, key)
-                               for key in keys})
-            for record in getattr(model, attr))
-    return replace(model, **changes)
+def _attr(record, key: str, tag: str) -> str:
+    """A record's name field as a double-quoted attribute value of a <tag>:
+    as it is when nothing in it needs escaping (an identifier never does); a
+    character XML 1.0 cannot carry raises UrdfPlusError naming the field."""
+    value = getattr(record, key)
+    if value.isidentifier() or _ATTR_SPECIAL.search(value) is None:
+        return value
+    for char in _ATTR_SPECIAL.findall(value):
+        if ord(char) not in _ATTR_ENTITIES:
+            raise _refusal(tag, record.name, f"its {key} holds U+{ord(char):04X}, which "
+                                             "XML 1.0 cannot carry")
+    return value.translate(_ATTR_ENTITIES)
 
 
 # a number goes out as the shortest decimal that reads back to the same
@@ -687,32 +671,46 @@ def _fmt_triple(values) -> str:
     return f"{float(x)!r} {float(y)!r} {float(z)!r}"
 
 
-def _origin_line(origin: SpatialTransform, indent: str) -> str:
-    """The <origin> line of a pose, or "" for the identity."""
+def _finite(text: str, record, key: str, tag: str) -> str:
+    """The text of a record's numbers as written, or UrdfPlusError naming the
+    field when one is not finite: a finite float's repr holds no 'n', and
+    nan, inf and -inf do."""
+    if "n" in text:
+        raise _refusal(tag, record.name, f"its {key} holds a non-finite number")
+    return text
+
+
+def _origin_line(record, key: str, tag: str, indent: str) -> str:
+    """The <origin> line of a record's pose, or "" for the identity."""
+    origin = getattr(record, key)
     trans, rot = origin.trans.tolist(), origin.rot.tolist()
     if trans == [0.0, 0.0, 0.0] and rot == _IDENTITY_ROWS:
         return ""
-    return (f'{indent}<origin xyz="{_fmt_triple(trans)}" '
-            f'rpy="{_fmt_triple(_rpy_from_rows(rot))}"/>\n')
+    (x, y, z), (roll, pitch, yaw) = trans, _rpy_from_rows(rot)  # Python floats
+    numbers = f'xyz="{x!r} {y!r} {z!r}" rpy="{roll!r} {pitch!r} {yaw!r}"'
+    return f"{indent}<origin {_finite(numbers, record, key, tag)}/>\n"
 
 
-def _axis_lines(joint) -> str:
+def _axis_lines(joint, tag: str) -> str:
     lines = ""
-    if joint.axis is not None:
-        lines = f'    <axis xyz="{_fmt_triple(joint.axis)}"/>\n'
-    if joint.axis2 is not None:
-        lines += f'    <axis2 xyz="{_fmt_triple(joint.axis2)}"/>\n'
+    for key in ("axis", "axis2"):
+        if (axis := getattr(joint, key)) is not None:
+            lines += f'    <{key} xyz="{_finite(_fmt_triple(axis), joint, key, tag)}"/>\n'
     return lines
 
 
-def _inertial_lines(inertial: Inertial) -> str:
+def _inertial_lines(link) -> str:
+    inertial = link.inertial
     (ixx, ixy, ixz), (_, iyy, iyz), (_, _, izz) = inertial.inertia
-    com = inertial.center_of_mass
+    com = _fmt_triple(inertial.center_of_mass) if any(inertial.center_of_mass) else ""
+    mass = f"{float(inertial.mass)!r}"
+    inertia = (f'ixx="{float(ixx)!r}" ixy="{float(ixy)!r}" ixz="{float(ixz)!r}" '
+               f'iyy="{float(iyy)!r}" iyz="{float(iyz)!r}" izz="{float(izz)!r}"')
+    _finite(com + mass + inertia, link, "inertial", "link")
     return ("    <inertial>\n"
-            + (f'      <origin xyz="{_fmt_triple(com)}"/>\n' if any(com) else "")
-            + f'      <mass value="{float(inertial.mass)!r}"/>\n'
-            f'      <inertia ixx="{float(ixx)!r}" ixy="{float(ixy)!r}" ixz="{float(ixz)!r}" '
-            f'iyy="{float(iyy)!r}" iyz="{float(iyz)!r}" izz="{float(izz)!r}"/>\n'
+            + (f'      <origin xyz="{com}"/>\n' if com else "")
+            + f'      <mass value="{mass}"/>\n'
+            f"      <inertia {inertia}/>\n"
             "    </inertial>\n")
 
 
@@ -751,13 +749,12 @@ def _payload_lines(payload, indent: str, tag: str, name: str, sound: set) -> str
     for index, blob in enumerate(payload):
         if blob not in sound:
             if (fault := _blob_fault(blob)) is not None:
-                raise UrdfPlusError(f"cannot write <{tag}> {name!r}: its payload blob "
-                                    f"{index} {fault}")
+                raise _refusal(tag, name, f"its payload blob {index} {fault}")
             sound.add(blob)
         child = _START_TAG.match(blob)[1]
         if child in once or not (preserved is None or child in preserved):
-            raise UrdfPlusError(f"cannot write <{tag}> {name!r}: its payload blob {index} "
-                                f"is a <{child}>, which <{tag}> does not keep as payload")
+            raise _refusal(tag, name, f"its payload blob {index} is a <{child}>, which "
+                                      f"<{tag}> does not keep as payload")
     return "".join([f"{indent}{blob}\n" for blob in payload])
 
 
@@ -765,57 +762,58 @@ def serialize_urdf_plus(model: RobotModel) -> str:
     """Canonical 2-space-indented serialization; parses back to a
     structurally equal model, one string per element.  A name holding a
     character XML 1.0 cannot carry (a C0 control but tab, newline and
-    carriage return, a surrogate, U+FFFE or U+FFFF), or a payload blob that
-    is not one well-formed element alone or that its owner would not read
-    back as payload, raises UrdfPlusError."""
-    # the payloads are checked before any name is escaped, so that an error
-    # names its owner as the model holds it
+    carriage return, a surrogate, U+FFFE or U+FFFF), a number that is not
+    finite, or a payload blob that is not one well-formed element alone or
+    that its owner would not read back as payload, raises UrdfPlusError."""
+    # every payload is checked first, then the names and numbers in
+    # document order, each where it is written
     sound: set[str] = set()
     links = [_payload_lines(link.payload, "    ", "link", link.name, sound) if link.payload
              else "" for link in model.links]
     joints = [_payload_lines(joint.payload, "    ", "joint", joint.name, sound)
               if joint.payload else "" for joint in model.tree_joints]
     robot = _payload_lines(model.payload, "  ", "robot", model.name, sound)
-    if _ATTR_SPECIAL.search(_names(model)) is not None:
-        model = _escaped(model)
-    out: list[str] = ['<?xml version="1.0"?>\n', f'<robot name="{model.name}">\n']
+    out: list[str] = ['<?xml version="1.0"?>\n',
+                      f'<robot name="{_attr(model, "name", "robot")}">\n']
     for link, inner in zip(model.links, links):
+        name = _attr(link, "name", "link")
         if link.inertial is not None:
-            inner = _inertial_lines(link.inertial) + inner
-        out.append(f'  <link name="{link.name}">\n{inner}  </link>\n' if inner
-                   else f'  <link name="{link.name}"/>\n')
+            inner = _inertial_lines(link) + inner
+        out.append(f'  <link name="{name}">\n{inner}  </link>\n' if inner
+                   else f'  <link name="{name}"/>\n')
 
     for joint, payload in zip(model.tree_joints, joints):
-        attrs = f'name="{joint.name}" type="{_TYPE_NAMES[joint.joint_type]}"'
+        attrs = f'name="{_attr(joint, "name", "joint")}" type="{_TYPE_NAMES[joint.joint_type]}"'
         if joint.independent is not None:
             attrs += ' independent="true"' if joint.independent else ' independent="false"'
         out.append(
             f"  <joint {attrs}>\n"
-            f'{_origin_line(joint.origin, "    ")}'
-            f'    <parent link="{joint.parent}"/>\n'
-            f'    <child link="{joint.child}"/>\n'
-            f"{_axis_lines(joint)}{payload}  </joint>\n"
+            f'{_origin_line(joint, "origin", "joint", "    ")}'
+            f'    <parent link="{_attr(joint, "parent", "joint")}"/>\n'
+            f'    <child link="{_attr(joint, "child", "joint")}"/>\n'
+            f"{_axis_lines(joint, 'joint')}{payload}  </joint>\n"
         )
 
     for loop in model.loop_joints:
-        out.append(f'  <loop name="{loop.name}" type="{_TYPE_NAMES[loop.joint_type]}">\n')
-        for tag, link_name, origin in (
-            ("predecessor", loop.predecessor, loop.predecessor_origin),
-            ("successor", loop.successor, loop.successor_origin),
-        ):
-            origin_line = _origin_line(origin, "      ")
+        out.append(f'  <loop name="{_attr(loop, "name", "loop")}" '
+                   f'type="{_TYPE_NAMES[loop.joint_type]}">\n')
+        for tag in ("predecessor", "successor"):
+            link_name = _attr(loop, tag, "loop")
+            origin_line = _origin_line(loop, f"{tag}_origin", "loop", "      ")
             out.append(f'    <{tag} name="{link_name}">\n{origin_line}    </{tag}>\n'
                        if origin_line else f'    <{tag} name="{link_name}"/>\n')
-        out.append(f"{_axis_lines(loop)}  </loop>\n")
+        out.append(f"{_axis_lines(loop, 'loop')}  </loop>\n")
 
-    for coupling in model.couplings:
-        out.append(
-            f'  <coupling name="{coupling.name}">\n'
-            f'    <predecessor name="{coupling.predecessor}"/>\n'
-            f'    <successor name="{coupling.successor}"/>\n'
-            f'    <ratio value="{float(coupling.ratio)!r}"/>\n'
-            "  </coupling>\n"
-        )
+    for coupling in model.couplings:  # its fields in document order
+        name = _attr(coupling, "name", "coupling")
+        predecessor = _attr(coupling, "predecessor", "coupling")
+        successor = _attr(coupling, "successor", "coupling")
+        ratio = _finite(repr(float(coupling.ratio)), coupling, "ratio", "coupling")
+        out.append(f'  <coupling name="{name}">\n'
+                   f'    <predecessor name="{predecessor}"/>\n'
+                   f'    <successor name="{successor}"/>\n'
+                   f'    <ratio value="{ratio}"/>\n'
+                   "  </coupling>\n")
 
     out.append(robot)
     out.append("</robot>\n")

@@ -270,7 +270,10 @@ class TestConstraints:
         assert code == 1
         assert "n_i: 8" in out
 
-    @pytest.mark.parametrize("bad", ["0", "-1", "nan", "inf", "abc"])
+    # the last three are numbers float() reads but the number rule refuses:
+    # a '_' between digits, an Arabic-Indic digit, a no-break space
+    @pytest.mark.parametrize("bad", ["0", "-1", "nan", "inf", "abc", "1_0e-11",
+                                     "\u0661e-10", "1e-10\u00a0"])
     def test_tolerance_must_be_finite_and_positive(self, capsys, models_dir, bad):
         code, out, err = run(
             capsys, "constraints", str(models_dir / "fourbar.urdf"),
@@ -278,7 +281,7 @@ class TestConstraints:
         )
         assert code == 3
         assert out == ""
-        assert "argument --tolerance: must be a finite number > 0" in err
+        assert f"argument --tolerance: must be a finite number > 0, got {bad!r}" in err
 
 
 class TestConfigurationInput:

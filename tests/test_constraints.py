@@ -147,6 +147,41 @@ class TestConfigurationFile:
             parse_configuration(f"Joint4: 0.1 0.2\nJoint1: {bad}\n", wrist.numbered)
 
 
+# the characters str.splitlines() also ends a line at, where a configuration
+# line goes on: a comment may hold any character
+NOT_LINE_ENDS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestConfigurationLines:
+    @pytest.mark.parametrize("char", NOT_LINE_ENDS)
+    def test_comment_may_hold_it(self, fourbar, char):
+        q = parse_configuration(f"crank_pivot: 0.5 # caf\u00e9{char}note\nrocker_pivot: 0.25\n",
+                                fourbar.numbered)
+        assert q.tolist() == parse_configuration("crank_pivot: 0.5\nrocker_pivot: 0.25\n",
+                                                 fourbar.numbered).tolist()
+
+    @pytest.mark.parametrize("char", NOT_LINE_ENDS)
+    def test_error_after_it_names_the_right_line(self, fourbar, char):
+        with pytest.raises(ConfigurationError, match="^line 2: invalid number in 'x'$"):
+            parse_configuration(f"# a{char}b\nrocker_pivot: x\n", fourbar.numbered)
+
+    @pytest.mark.parametrize("char", NOT_LINE_ENDS)
+    def test_in_a_value_it_is_on_the_values_line(self, fourbar, char):
+        with pytest.raises(ConfigurationError, match="^line 1: "):
+            parse_configuration(f"crank_pivot: 1{char}2\nrocker_pivot: 0.25\n",
+                                fourbar.numbered)
+
+    def test_form_feed_before_a_value_is_white_space(self, fourbar):
+        assert parse_configuration("crank_pivot:\x0c1", fourbar.numbered).tolist() == [
+            1.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_lines_end_at_newline_and_return(self, fourbar, end):
+        text = f"# x{end}crank_pivot: 0.5{end}{end}rocker_pivot 2{end}"
+        with pytest.raises(ConfigurationError, match="^line 4: expected 'name: values'$"):
+            parse_configuration(text, fourbar.numbered)
+
+
 class TestColonInJointName:
     """A joint name may hold ':' and '#'; values never do."""
 

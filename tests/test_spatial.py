@@ -385,6 +385,67 @@ class TestSubspaces:
             assert abs(np.dot(second, axis)) < 1e-12
 
 
+def motion_subspace_oracle(jt: JointType, axis=None, axis2=None) -> np.ndarray:
+    """motion_subspace as it was before it read _JointStack, verbatim."""
+    a1, a2 = sp._require_axes(jt, axis, axis2)
+    if jt is JointType.FIXED:
+        return np.zeros((6, 0))
+    if jt in (JointType.REVOLUTE, JointType.CONTINUOUS):
+        return np.concatenate([a1, np.zeros(3)]).reshape(6, 1)
+    if jt is JointType.PRISMATIC:
+        return np.concatenate([np.zeros(3), a1]).reshape(6, 1)
+    if jt is JointType.UNIVERSAL:
+        return np.concatenate([np.stack([a1, a2], axis=1), np.zeros((3, 2))])
+    return np.eye(6)  # floating
+
+
+def subspace_cases():
+    """(type, axis, axis2): 200 random unit axes per joint type (a universal
+    joint's second axis given in half of them), the axis-aligned axes, and
+    axes holding -0.0 where motion_subspace copies it."""
+    rng, cases = np.random.default_rng(30), []
+    aligned = [list(row) for row in np.eye(3)] + [list(-row + 0.0) for row in np.eye(3)]
+    for jt in JointType:
+        for k in range(200):
+            axis = rng.normal(size=3)
+            axis /= np.linalg.norm(axis)
+            axis2 = None
+            if jt is JointType.UNIVERSAL and k % 2:
+                axis2 = np.cross(axis, rng.normal(size=3))
+                axis2 /= np.linalg.norm(axis2)
+            cases.append((jt, axis, axis2) if jt.requires_axis else (jt, None, None))
+        if jt.requires_axis:
+            cases += [(jt, axis, None) for axis in aligned]
+    for jt in (JointType.REVOLUTE, JointType.CONTINUOUS, JointType.PRISMATIC):
+        cases.append((jt, [-0.0, 0.6, -0.8], None))
+    cases.append((JointType.UNIVERSAL, [1.0, 0.0, 0.0], [-0.0, 0.6, -0.8]))
+    return cases
+
+
+class TestMotionSubspaceAgainstOracle:
+    """motion_subspace is _JointStack's subspace at q = 0, with the bytes of
+    the per-type expressions it replaced."""
+
+    def test_bytes_match_the_oracle(self):
+        cases = subspace_cases()
+        assert len(cases) == 6 * 200 + 4 * 6 + 4
+        for jt, axis, axis2 in cases:
+            got, want = sp.motion_subspace(jt, axis, axis2), motion_subspace_oracle(jt, axis, axis2)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), (jt, axis, axis2)
+            assert got.tobytes() == want.tobytes(), (jt, axis, axis2)
+
+    def test_universal_first_axis_zero_sign_is_the_engines(self):
+        """The engine carries a universal joint's first axis back through the
+        second rotation, identity at q = 0, which reads a -0.0 as 0.0."""
+        axis, axis2 = [-0.0, 0.6, -0.8], [1.0, 0.0, -0.0]
+        got = sp.motion_subspace(JointType.UNIVERSAL, axis, axis2)
+        want = motion_subspace_oracle(JointType.UNIVERSAL, axis, axis2)
+        assert np.array_equal(got, want)
+        assert math.copysign(1.0, got[0, 0]) == 1.0 and math.copysign(1.0, got[2, 1]) == -1.0
+        engine = joint_stack(JointType.UNIVERSAL, axis, axis2).subspaces(np.zeros(2), [0])[0]
+        assert got.tobytes() == engine.tobytes()
+
+
 class TestJointTransform:
     """_JointStack's transforms and subspaces of one joint."""
 

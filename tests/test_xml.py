@@ -17,7 +17,7 @@ from urdfplus.errors import (
     XmlSyntaxError,
 )
 from urdfplus.model import structurally_equal, validate_model
-from urdfplus.spatial import JointType
+from urdfplus.spatial import JointType, SpatialTransform
 from urdfplus.xmlio import parse_file, parse_urdf_plus, serialize_urdf_plus
 
 # the published sketch of the wrist, joints and loops unnamed, no geometry
@@ -800,7 +800,8 @@ class TestRoundTrip:
              '<coupling name="c"><predecessor name="a"/><successor name="b"/>'
              '<ratio value="2"/></coupling></robot>')
 
-    @pytest.mark.parametrize("records, tag, field", [
+    # every name the writer writes: (RobotModel field, element, record field)
+    NAME_FIELDS = [
         (None, "robot", "name"),
         ("links", "link", "name"),
         ("tree_joints", "joint", "name"),
@@ -812,21 +813,47 @@ class TestRoundTrip:
         ("couplings", "coupling", "name"),
         ("couplings", "coupling", "predecessor"),
         ("couplings", "coupling", "successor"),
-    ])
+    ]
+
+    @staticmethod
+    def renamed(model, records, field, name: str):
+        """The model with one name field of its first record set to `name`."""
+        if records is None:
+            return replace(model, **{field: name})
+        record = getattr(model, records)[0]
+        return replace(model, **{records: (replace(record, **{field: name}),
+                                           *getattr(model, records)[1:])})
+
+    @pytest.mark.parametrize("records, tag, field", NAME_FIELDS)
     def test_name_xml_cannot_carry_is_refused(self, records, tag, field):
         model = parse_urdf_plus(self.NAMED).model
         for char in self.REFUSED:
-            if records is None:
-                bad = replace(model, name=f"x{char}y")
-            else:
-                record = getattr(model, records)[0]
-                bad = replace(model, **{records: (
-                    replace(record, **{field: f"x{char}y"}),)})
+            bad = self.renamed(model, records, field, f"x{char}y")
             with pytest.raises(UrdfPlusError) as err:
                 serialize_urdf_plus(bad)
             message = str(err.value)
             assert f"<{tag}>" in message, message
             assert f"its {field} holds U+{ord(char):04X}" in message, message
+
+    @pytest.mark.parametrize("records, tag, field", NAME_FIELDS)
+    def test_name_needing_escapes_round_trips_in_every_field(self, records, tag, field):
+        """Each name field is escaped where it is written: a field written
+        as it is would not parse, or would read back with spaces."""
+        model = parse_urdf_plus(self.NAMED).model
+        for name in ["x&y", "x<y", 'x"y', "x\ty", "x\ny", "x\ry", '&<"\t\n\r', "x&amp;y"]:
+            first = self.renamed(model, records, field, name)
+            out = serialize_urdf_plus(first)
+            second = parse_urdf_plus(out).model
+            assert structurally_equal(first, second), (field, name)
+            assert serialize_urdf_plus(second) == out
+
+    @pytest.mark.parametrize("records, tag, field", NAME_FIELDS)
+    def test_a_bad_payload_is_reported_before_a_refused_name(self, records, tag, field):
+        model = self.renamed(parse_urdf_plus(self.NAMED).model, records, field, "x\x00y")
+        with pytest.raises(UrdfPlusError) as err:
+            serialize_urdf_plus(replace(model, payload=("<a/><b/>",)))
+        assert str(err.value) == (f"cannot write <robot> {model.name!r}: its payload "
+                                  "blob 0 is not one well-formed element alone")
 
     def test_character_outside_the_bmp_round_trips(self):
         text = self.NAMED.replace('"a"', '"a\U0001F916"').replace('"c"', '"\U0001F916"')
@@ -858,6 +885,105 @@ class TestRoundTrip:
         assert np.allclose(
             second.loop_joints[0].successor_origin.trans, [0.2, 0, 0]
         )
+
+
+# a model with every numeric field the writer writes
+NUMBERED_FIELDS = (
+    '<robot name="r"><link name="a"><inertial><origin xyz="0 0 1"/><mass value="1"/>'
+    '<inertia ixx="1" ixy="0" ixz="0" iyy="1" iyz="0" izz="1"/></inertial></link>'
+    '<link name="b"/><joint name="j" type="universal"><origin xyz="1 0 0"/>'
+    '<parent link="a"/><child link="b"/><axis xyz="1 0 0"/><axis2 xyz="0 1 0"/></joint>'
+    '<loop name="l" type="universal"><predecessor name="a"><origin xyz="1 0 0"/>'
+    '</predecessor><successor name="b"><origin xyz="0 1 0"/></successor>'
+    '<axis xyz="1 0 0"/><axis2 xyz="0 1 0"/></loop>'
+    '<coupling name="c"><predecessor name="a"/><successor name="b"/><ratio value="2"/>'
+    "</coupling></robot>")
+
+
+def moved(x: float) -> SpatialTransform:
+    return SpatialTransform(trans=(x, 0.0, 0.0))
+
+
+def with_inertial(link, **changes):
+    return replace(link, inertial=replace(link.inertial, **changes))
+
+
+def ixx(link, x: float):
+    (_, ixy, ixz), (_, iyy, iyz), (_, _, izz) = link.inertial.inertia
+    return with_inertial(link, inertia=((x, ixy, ixz), (ixy, iyy, iyz), (ixz, iyz, izz)))
+
+
+# (RobotModel field, element, record field, the first record with x in that field)
+NUMBER_FIELDS = [
+    ("links", "link", "inertial", lambda r, x: with_inertial(r, mass=x)),
+    ("links", "link", "inertial", lambda r, x: with_inertial(r, center_of_mass=(0.0, x, 0.0))),
+    ("links", "link", "inertial", ixx),
+    ("tree_joints", "joint", "origin", lambda r, x: replace(r, origin=moved(x))),
+    ("tree_joints", "joint", "axis", lambda r, x: replace(r, axis=(x, 0.0, 0.0))),
+    ("tree_joints", "joint", "axis2", lambda r, x: replace(r, axis2=(0.0, 0.0, x))),
+    ("loop_joints", "loop", "predecessor_origin",
+     lambda r, x: replace(r, predecessor_origin=moved(x))),
+    ("loop_joints", "loop", "successor_origin",
+     lambda r, x: replace(r, successor_origin=moved(x))),
+    ("loop_joints", "loop", "axis", lambda r, x: replace(r, axis=(0.0, x, 0.0))),
+    ("loop_joints", "loop", "axis2", lambda r, x: replace(r, axis2=(x, 0.0, 0.0))),
+    ("couplings", "coupling", "ratio", lambda r, x: replace(r, ratio=x)),
+]
+
+
+def with_number(model, records: str, change, x: float):
+    first, *rest = getattr(model, records)
+    return replace(model, **{records: (change(first, x), *rest)})
+
+
+class TestNonFiniteNumbers:
+    """The writer refuses a number its reader would refuse; the others,
+    however large, round-trip."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return parse_urdf_plus(NUMBERED_FIELDS).model
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("records, tag, field, change", NUMBER_FIELDS)
+    def test_is_refused_naming_the_field(self, model, records, tag, field, change, x):
+        bad = with_number(model, records, change, x)
+        owner = getattr(bad, records)[0].name
+        with pytest.raises(UrdfPlusError) as err:
+            serialize_urdf_plus(bad)
+        assert type(err.value) is UrdfPlusError
+        assert str(err.value) == (f"cannot write <{tag}> {owner!r}: its {field} holds a "
+                                  "non-finite number")
+
+    def test_a_rotation_of_nans_is_refused(self, model):
+        joint = replace(model.tree_joints[0], origin=SpatialTransform(rot=np.full((3, 3), np.nan)))
+        with pytest.raises(UrdfPlusError, match="^cannot write <joint> 'j': its origin holds"):
+            serialize_urdf_plus(replace(model, tree_joints=(joint,)))
+
+    @pytest.mark.parametrize("x", [1e308, -1e308, 5e-324])
+    @pytest.mark.parametrize("records, tag, field, change",
+                             [case for case in NUMBER_FIELDS if "axis" not in case[2]])
+    def test_finite_extremes_round_trip(self, model, records, tag, field, change, x):
+        first = with_number(model, records, change, x)
+        out = serialize_urdf_plus(first)
+        second = parse_urdf_plus(out).model
+        assert structurally_equal(first, second, tol=0.0)
+        assert serialize_urdf_plus(second) == out
+
+    def test_checked_in_document_order(self, model):
+        joint = model.tree_joints[0]
+        checks = [
+            (replace(joint, origin=moved(math.nan), child="x\x00y"), "its origin holds"),
+            (replace(joint, name="x\x00y", origin=moved(math.nan)), "its name holds"),
+            (replace(joint, axis=(math.nan, 0.0, 0.0), parent="x\x00y"), "its parent holds"),
+        ]
+        for joint, message in checks:
+            with pytest.raises(UrdfPlusError, match=message):
+                serialize_urdf_plus(replace(model, tree_joints=(joint,)))
+        link = with_inertial(model.links[0], mass=math.inf)
+        with pytest.raises(UrdfPlusError, match="its payload blob 0 is not one"):
+            serialize_urdf_plus(replace(model, links=(link, *model.links[1:]),
+                                        payload=("<a/><b/>",)))
 
 
 def _ladder(n_bodies: int) -> str:
