@@ -19,6 +19,7 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 import operator
+import re
 import string
 from dataclasses import field
 from functools import cached_property
@@ -96,7 +97,8 @@ def parse_configuration(text: str, numbered: NumberedModel) -> np.ndarray:
         try:
             if not _plain_number(values):
                 raise ValueError
-            parsed = [float(v) for v in values.split()]
+            # at ASCII white space: str.split() also splits at \x1c-\x1f, which float() refuses
+            parsed = [float(v) for v in re.split(f"[{string.whitespace}]+", values) if v]
         except ValueError:
             raise ConfigurationError(f"line {lineno}: invalid number in {values!r}") from None
         if not np.isfinite(parsed).all():
@@ -248,10 +250,15 @@ class _LoopGroups:
     ascending order); every group lies in one loop aggregate, that of its
     `first` entry.
 
-    One lock-step elimination reduces every group, each member padded to
-    `shape`: members 0 .. count-1 are the groups, followed by the entries
-    of groups with more than one entry, for their own ranks (a one-entry
-    group's K_g is its entry's K_l).  `entry_member[l]` is the member that
+    One batch holds every group, each member padded to `shape`: members
+    0 .. count-1 are the groups, followed by the entries of groups with
+    more than one entry, for their own ranks (a one-entry group's K_g is its
+    entry's K_l).  The members of two rows or more (`lock_step`) are reduced
+    in one lock-step elimination; the others (`one_row`, such as a
+    coupling's own group or its extra member in a larger group) are not, since
+    the lock step gives a member whose rows past its first are padding rank
+    int(max|row| > tol * max|row|) and leaves its row and its +0.0 padding
+    as they are.  `entry_member[l]` is the member that
     holds entry l's rank, with K_l in its leading rows and columns, and
     `places[l]` the (member, first row, local columns) of every member that
     holds entry l's rows.  The read-only `template` holds each coupling's
@@ -318,12 +325,12 @@ class _LoopGroups:
         # each dependent coordinate's row of the stacked solutions (0 for one
         # outside every group, where G is not the groups' to give)
         self._size = size = max(widths, default=0)
-        self._rows = [member * size + size - widths[member] + k if member >= 0 else 0
-                      for member, k in self.solved_by]
+        self._rows = np.array([member * size + size - widths[member] + k if member >= 0 else 0
+                               for member, k in self.solved_by], dtype=np.intp)
         self._rhs = max((len(ind) for _, ind, _ in self._blocks), default=0)
 
     def _plan_batch(self, steps, coordinates, columns):
-        """`shape`, `entry_member`, `places` and `template`."""
+        """`shape`, `entry_member`, `places`, `template`, `lock_step` and `one_row`."""
         heights = [step.rows if isinstance(step, LoopJacobian) else step.psi.shape[1]
                    for step in steps]
         height = max((sum(heights[e] for e in group) for group in self.entries), default=0)
@@ -333,6 +340,9 @@ class _LoopGroups:
                       height, width)
         template = np.zeros(self.shape)
         member_of, places = [0] * len(steps), [()] * len(steps)
+        tall = [sum(heights[e] for e in group) > 1 for group in self.entries]
+        tall += [heights[e] > 1 for group in self.entries if len(group) > 1 for e in group]
+        self.lock_step, self.one_row = np.flatnonzero(tall), np.flatnonzero(np.logical_not(tall))
         for member, group in enumerate(self.entries):
             where = {c: k for k, c in enumerate(columns[member])}
             top = 0
@@ -391,11 +401,10 @@ class _LoopGroups:
         wide = np.zeros((count, size, n_i))
         wide.put(wide_to, b.take(wide_from))
         x = _back_substitute(a, wide)
-        return ExplicitJacobian(
-            np.vstack([np.eye(n_i), -x.reshape(count * size, n_i)[self._rows]]),
-            self.independent + self.dependent,
-            self.independent,
-        )
+        matrix = np.zeros((n_i + len(self.dependent), n_i))
+        matrix[:n_i].flat[:: n_i + 1] = 1.0  # the identity block, then -x's rows below it
+        np.negative(x.reshape(count * size, n_i).take(self._rows, axis=0), out=matrix[n_i:])
+        return ExplicitJacobian(matrix, self.independent + self.dependent, self.independent)
 
 
 class _LoopAssembly:
@@ -414,7 +423,7 @@ class _LoopAssembly:
     products at every place of that loop.  `slot` is the tree's level-order
     place of each body, which gives a joint's place in the tree's joint
     stack.  The residuals are one padded product of `psi_t` with the
-    stacked pose errors."""
+    stacked pose errors.  Poses are gathered with `take`, as in _JointStack."""
 
     def __init__(self, steps, groups: _LoopGroups, slot):
         self.predecessor = np.array([step.predecessor for step in steps], dtype=np.intp)
@@ -454,14 +463,16 @@ class _LoopAssembly:
         poses; returns the half-turn error messages by entry."""
         (rot, trans), q, joints = record.poses, record.q, record.plan.tree.joints
         p, s = self.predecessor, self.successor
-        rot_p, trans_p = _composed(rot[p], trans[p], *self.predecessor_origins)
+        rot_p, trans_p = _composed(rot.take(p, axis=0), trans.take(p, axis=0),
+                                   *self.predecessor_origins)
         to_loop_trans = -(rot_p.transpose(0, 2, 1) @ trans_p[:, :, None])[:, :, 0]
         for loop, joint, stacked, sign, psi_t, (to, source) in self.pairs:
-            to_joint = _composed(rot_p[loop].transpose(0, 2, 1), to_loop_trans[loop],
-                                 rot[joint], trans[joint])
+            to_joint = _composed(rot_p.take(loop, axis=0).transpose(0, 2, 1),
+                                 to_loop_trans.take(loop, axis=0),
+                                 rot.take(joint, axis=0), trans.take(joint, axis=0))
             maps = _motion_maps(*to_joint, joints.subspaces(q, stacked))
             rows.put(to, (sign * (psi_t @ maps)).take(source))
-        frame_s = _composed(rot[s], trans[s], *self.successor_origins)
+        frame_s = _composed(rot.take(s, axis=0), trans.take(s, axis=0), *self.successor_origins)
         rel_rot, rel_trans = _composed(rot_p.transpose(0, 2, 1), to_loop_trans, *frame_s)
         logs, failed = _so3_logs(rel_rot)
         errors = np.concatenate((logs, rel_trans), axis=1)[:, :, None]
@@ -530,16 +541,25 @@ class _Record:
         return self
 
     def eliminated(self, tol: float) -> tuple:
-        """The reduced batch and each member's rank, read-only.  A member
+        """The reduced batch and each member's rank, read-only, at a checked
+        tol: the lock-step elimination of the loop groups' `lock_step`
+        members, and the rank of each `one_row` member from its first row,
+        which it keeps, as the lock step would (see _LoopGroups).  A member
         that overflows raises ConfigurationError naming its first entry,
         and no numpy warning escapes."""
         if tol not in self._bases:
             groups, batch = self.plan.groups, self.evaluate().rows.copy()
+            ranks, tall = np.zeros(len(batch), dtype=np.intp), groups.lock_step
             with np.errstate(all="ignore"):  # an overflow is reported below
-                ranks = _row_reduce_batch(batch, tol)
-            finite = np.isfinite(batch).all(axis=(1, 2))
-            if not finite.all():
-                member = int(finite.argmin())
+                if tall.size:
+                    reduced = batch.take(tall, axis=0)
+                    ranks[tall] = _row_reduce_batch(reduced, tol)
+                    batch[tall] = reduced
+                first = batch.take(groups.one_row, axis=0)[:, :1]
+                largest = np.abs(first).max(axis=(1, 2), initial=0.0)
+                ranks[groups.one_row] = largest > tol * largest
+            if not np.isfinite(batch).all():  # only a lock-step member can overflow
+                member = int(np.isfinite(batch).all(axis=(1, 2)).argmin())
                 entry = (groups.first[member] if member < groups.count
                          else int((groups.entry_member == member).argmax()))
                 raise _overflow(self.terms[entry][0], "entry in the rank elimination")
@@ -862,7 +882,7 @@ def independent_coordinate_check(
     n = numbered.total_dof
     record, _, ranks = _eliminated(numbered, graph, q, tol)
     groups = record.plan.groups
-    entry_ranks = ranks[groups.entry_member]
+    entry_ranks = ranks.take(groups.entry_member)
     norms = np.abs(record.residuals).max(axis=1, initial=0.0)
     infos = []
     for (jac, _), rank, norm in zip(record.terms, entry_ranks.tolist(), norms.tolist()):

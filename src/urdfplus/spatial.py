@@ -125,7 +125,7 @@ def _rpy_factors(triples) -> np.ndarray:
         sr, sp, sy = math.sin(roll), math.sin(pitch), math.sin(yaw)
         values += (math.cos(roll), math.cos(pitch), math.cos(yaw),
                    sr, sp, sy, -sr, -sp, -sy, 0.0, 1.0)
-    return np.array(values).reshape(-1, 11)[:, _RPY_FACTOR_AT].reshape(-1, 3, 3, 3)
+    return np.array(values).reshape(-1, 11).take(_RPY_FACTOR_AT, axis=1).reshape(-1, 3, 3, 3)
 
 
 def _rpy_from_rows(rows) -> tuple[float, float, float]:
@@ -148,8 +148,8 @@ def _rodrigues(k: np.ndarray, kk: np.ndarray, angles) -> np.ndarray:
     (K, 3, 3) stack k; kk is k @ k.  Sines and cosines come from `math`, so
     a rotation has the same bits whether it is made alone or among many."""
     angles = np.asarray(angles, dtype=float).tolist()
-    sines = np.array([math.sin(a) for a in angles])
-    versines = np.array([1.0 - math.cos(a) for a in angles])
+    sines = np.fromiter(map(math.sin, angles), float, len(angles))
+    versines = 1.0 - np.fromiter(map(math.cos, angles), float, len(angles))
     return _EYE3 + sines[:, None, None] * k + versines[:, None, None] * kk
 
 
@@ -299,7 +299,8 @@ class _JointStack:
     each one's first coordinate in one position vector.  Every joint of a
     type goes through one stacked expression, sines and cosines through
     `math`, so each joint's transform and subspace have the bits they have
-    for that joint alone."""
+    for that joint alone.  Gathers go through `take`, which costs numpy
+    less than indexing with an array."""
 
     def __init__(self, joints, starts):
         kinds = [joint.joint_type for joint in joints]
@@ -321,6 +322,7 @@ class _JointStack:
         self._turns = (np.concatenate((k1[turns], k2[cross])),
                        np.concatenate((self._k[1][turns], self._k[3][cross])),
                        np.concatenate((self.starts[turns], self.starts[cross] + 1)))
+        self._identity = np.repeat(_EYE3[None], len(kinds), axis=0)
         self._constant = np.zeros((len(kinds), 6, 1))  # subspaces of 1-DoF joints
         self._constant[self._spin, :3, 0] = self._a1[self._spin]
         self._constant[self._slide, 3:, 0] = self._a1[self._slide]
@@ -328,18 +330,18 @@ class _JointStack:
     def transforms(self, q) -> tuple[np.ndarray, np.ndarray]:
         """Rotations (count, 3, 3) and translations (count, 3) of the
         child-side joint frames at the position vector q (not checked)."""
-        rot = np.repeat(_EYE3[None], len(self.dof), axis=0)
+        rot = self._identity.copy()
         trans = np.zeros((len(self.dof), 3))
         start, spin, cross = self.starts, len(self._spin), len(self._cross)
         if spin + cross:  # one Rodrigues expression: spin axes, cross first axes, cross second
             k, kk, at = self._turns
-            turns = _rodrigues(k, kk, q[at])
+            turns = _rodrigues(k, kk, q.take(at))
             rot[self._spin] = turns[:spin]
             rot[self._cross] = turns[spin : spin + cross] @ turns[spin + cross :]
         if (j := self._slide).size:
-            trans[j] = q[start[j], None] * self._a1[j]
+            trans[j] = q.take(start.take(j))[:, None] * self._a1.take(j, axis=0)
         if (j := self._free).size:  # rotate by rpy, place the child origin at xyz
-            position = q[start[j, None] + np.arange(6)]
+            position = q.take(start.take(j)[:, None] + np.arange(6))
             rot[j] = _rots_from_rpy(position[:, :3].tolist())
             trans[j] = position[:, 3:]
         return rot, trans
@@ -353,15 +355,17 @@ class _JointStack:
         directions over the parent-side translation rates."""
         dof = int(self.dof[joints[0]])
         if dof < 2:
-            return self._constant[joints][:, :, :dof]
-        start = self.starts[joints]
+            return self._constant.take(joints, axis=0)[:, :, :dof]
+        start = self.starts.take(joints)
         s = np.zeros((len(start), 6, dof))
         if dof == 2:
-            back = _rodrigues(self._k[2][joints], self._k[3][joints], q[start + 1])
-            s[:, :3, 0] = (back.transpose(0, 2, 1) @ self._a1[joints][:, :, None])[:, :, 0]
-            s[:, :3, 1] = self._a2[joints]
+            back = _rodrigues(self._k[2].take(joints, axis=0), self._k[3].take(joints, axis=0),
+                              q.take(start + 1))
+            a1 = self._a1.take(joints, axis=0)[:, :, None]
+            s[:, :3, 0] = (back.transpose(0, 2, 1) @ a1)[:, :, 0]
+            s[:, :3, 1] = self._a2.take(joints, axis=0)
             return s
-        rpy = q[start[:, None] + np.arange(3)].tolist()
+        rpy = q.take(start[:, None] + np.arange(3)).tolist()
         factors = _rpy_factors(rpy)
         x_t, y_t = factors[:, 2].transpose(0, 2, 1), factors[:, 1].transpose(0, 2, 1)
         s[:, 0, 0] = 1.0
@@ -448,7 +452,7 @@ def _solve_batch(a: np.ndarray, b: np.ndarray, start: np.ndarray, tol: float
     member's own column, when a pivot is at or below tol times the largest
     absolute entry of the member's matrix.
     """
-    system = np.concatenate((a, b), axis=2)
+    system, tol = np.concatenate((a, b), axis=2), _check_tol(tol)
     return _back_substitute(*_eliminate_batch(system, _solve_layout(start, a.shape[1]), tol))
 
 
@@ -465,8 +469,8 @@ def _eliminate_batch(system: np.ndarray, layout: tuple, tol: float
                      ) -> tuple[np.ndarray, np.ndarray]:
     """The forward elimination of _solve_batch, in place on the systems
     [a | b] (members, n, n + m), as (a, b), given the _solve_layout of
-    their start.  It works on each column of b apart from the others."""
-    tol = _check_tol(tol)
+    their start and a tol that _check_tol passed.  It works on each column
+    of b apart from the others."""
     exempt, member, diagonal, names = layout
     n = system.shape[1]
     threshold = tol * np.abs(system[:, :, :n]).max(axis=(1, 2), initial=1e-300)
@@ -483,7 +487,7 @@ def _eliminate_batch(system: np.ndarray, layout: tuple, tol: float
 def _back_substitute(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x with a @ x = b for a batch of upper triangular a.  Each row is one
     product over all of b's columns, whose bits depend on their number."""
-    x = np.zeros_like(b)
+    x = np.zeros(b.shape)
     for row in range(a.shape[1] - 1, -1, -1):
         x[:, row] = ((b[:, row] - (a[:, row, None, row + 1 :] @ x[:, row + 1 :])[:, 0])
                      / a[:, row, row, None])

@@ -111,3 +111,24 @@ def test_cli_config_number_is_usage_error(capsys, tmp_path, models_dir):
     captured = capsys.readouterr()
     assert (code, captured.out) == (3, "")
     assert captured.err == "error: line 1: invalid number in '1_0'\n"
+
+
+@pytest.mark.parametrize("control", ["\x1c", "\x1d", "\x1e", "\x1f"])
+def test_configuration_splits_values_at_ascii_white_space_only(wrist, control):
+    """str.split() also splits at the controls \\x1c-\\x1f, which float()
+    and C's strtod do not read as white space."""
+    values = f"0.1{control}0.2"
+    with pytest.raises(ConfigurationError,
+                       match=f"^{re.escape(f'line 1: invalid number in {values!r}')}$"):
+        parse_configuration(f"Joint4: {values}\n", wrist.numbered)
+    q = parse_configuration("Joint4: 0.1 \t\x0b\x0c0.2\n", wrist.numbered)
+    assert q[-2:].tolist() == [0.1, 0.2]
+
+
+def test_cli_config_control_between_values_is_usage_error(capsys, tmp_path, models_dir):
+    config = tmp_path / "q.cfg"
+    config.write_text("Joint4: 0.1\x1c0.2\n", encoding="utf-8")
+    code = main(["constraints", str(models_dir / "wrist.urdf"), "--config", str(config)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == "error: line 1: invalid number in '0.1\\x1c0.2'\n"

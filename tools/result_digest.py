@@ -3,15 +3,15 @@ graph pipeline and the constraint engine return.
 
 Two kinds of input are digested:
 
-* A text: every file under `models/` (`errors/` included) and the
-  benchmark's seed-1 ladder models, built as its ladder_build workload
+* A text: every file under `models/` (`errors/` included), every
+  `tests/models/*.urdf`, and the benchmark's seed-1 ladder models, built as its ladder_build workload
   builds them.  A digest covers the outcome of the parse (the model's repr
   and warnings, or the error's type, message, line, column and path), the
   text `serialize_urdf_plus` writes, and the DOT of the connectivity
   graph, the dependency digraph and the loop-aggregated graph, or the
   type and message of the error a step raised.
-* A model at one configuration: every loadable file under `models/` at
-  q = 0 and at 5 seeded configurations, and the benchmark's sweep model at
+* A model at one configuration: every loadable file of those two
+  folders at q = 0 and at 5 seeded configurations, and the benchmark's sweep model at
   seeds 1-3, each at its 16 configurations.  A digest covers every field
   of the count-check report, every K_l, every residual and G, as bytes, or
   the type and message of the error a step raised.
@@ -85,10 +85,16 @@ def text_digest(data: bytes) -> str:
     return sha.hexdigest()
 
 
+def model_files() -> list[Path]:
+    """Every file under `models/`, then every `tests/models/*.urdf`."""
+    return [*sorted((ROOT / "models").rglob("*.urdf")),
+            *sorted((ROOT / "tests" / "models").glob("*.urdf"))]
+
+
 def text_inputs():
     import workloads
 
-    for path in sorted((ROOT / "models").rglob("*.urdf")):
+    for path in model_files():
         yield str(path.relative_to(ROOT)), path.read_bytes()
     for k in range(workloads.LADDER_MODELS):
         yield f"ladder seed 1 model {k}", workloads.generate(
@@ -121,7 +127,7 @@ def digest(numbered, graph, lacg, q) -> str:
 
 
 def model_inputs():
-    for path in sorted((ROOT / "models").rglob("*.urdf")):
+    for path in model_files():
         name = str(path.relative_to(ROOT))
         try:
             numbered = regular_numbering(parse_file(path).model)
