@@ -104,7 +104,11 @@ def _rots_from_rpy(triples) -> np.ndarray:
 
     One stacked product multiplies the factors of _rpy_factors in order, so
     a rotation has the same bits whether it is made alone or among many."""
-    factors = _rpy_factors(triples)
+    return _rpy_product(_rpy_factors(triples))
+
+
+def _rpy_product(factors: np.ndarray) -> np.ndarray:
+    """The rotations whose _rpy_factors are `factors`."""
     return factors[:, 0] @ factors[:, 1] @ factors[:, 2]
 
 
@@ -322,14 +326,26 @@ class _JointStack:
         self._turns = (np.concatenate((k1[turns], k2[cross])),
                        np.concatenate((self._k[1][turns], self._k[3][cross])),
                        np.concatenate((self.starts[turns], self.starts[cross] + 1)))
+        self._rpy_at = self.starts[self._free][:, None] + np.arange(3)  # the places in q
         self._identity = np.repeat(_EYE3[None], len(kinds), axis=0)
         self._constant = np.zeros((len(kinds), 6, 1))  # subspaces of 1-DoF joints
         self._constant[self._spin, :3, 0] = self._a1[self._spin]
         self._constant[self._slide, 3:, 0] = self._a1[self._slide]
 
-    def transforms(self, q) -> tuple[np.ndarray, np.ndarray]:
+    def rpy(self, q) -> tuple[np.ndarray, np.ndarray] | None:
+        """The floating joints' _rpy_factors (K, 3, 3, 3) at the position
+        vector q (not checked) and their rotations (K, 3, 3), the factors'
+        _rpy_product, in joint order, or None if no joint floats: made once
+        per configuration for both `transforms` and `subspaces`."""
+        if not self._free.size:
+            return None
+        factors = _rpy_factors(q.take(self._rpy_at).tolist())
+        return factors, _rpy_product(factors)
+
+    def transforms(self, q, rpy=None) -> tuple[np.ndarray, np.ndarray]:
         """Rotations (count, 3, 3) and translations (count, 3) of the
-        child-side joint frames at the position vector q (not checked)."""
+        child-side joint frames at the position vector q (not checked);
+        `rpy` is `rpy(q)`, made here if not given."""
         rot = self._identity.copy()
         trans = np.zeros((len(self.dof), 3))
         start, spin, cross = self.starts, len(self._spin), len(self._cross)
@@ -341,18 +357,18 @@ class _JointStack:
         if (j := self._slide).size:
             trans[j] = q.take(start.take(j))[:, None] * self._a1.take(j, axis=0)
         if (j := self._free).size:  # rotate by rpy, place the child origin at xyz
-            position = q.take(start.take(j)[:, None] + np.arange(6))
-            rot[j] = _rots_from_rpy(position[:, :3].tolist())
-            trans[j] = position[:, 3:]
+            rot[j] = (rpy or self.rpy(q))[1]
+            trans[j] = q.take(self._rpy_at + 3)
         return rot, trans
 
-    def subspaces(self, q, joints) -> np.ndarray:
+    def subspaces(self, q, joints, rpy=None) -> np.ndarray:
         """Motion subspaces at the position vector q (not checked) of
         `joints`, which share one DoF k, as (len(joints), 6, k) in the child
         frames: the constant one of a joint with k < 2; for a universal
         joint the first axis carried back through the second rotation, then
         the second axis; for a floating joint the fixed-axis X-Y-Z rate
-        directions over the parent-side translation rates."""
+        directions over the parent-side translation rates, from `rpy`, as
+        in `transforms`."""
         dof = int(self.dof[joints[0]])
         if dof < 2:
             return self._constant.take(joints, axis=0)[:, :, :dof]
@@ -365,13 +381,13 @@ class _JointStack:
             s[:, :3, 0] = (back.transpose(0, 2, 1) @ a1)[:, :, 0]
             s[:, :3, 1] = self._a2.take(joints, axis=0)
             return s
-        rpy = q.take(start[:, None] + np.arange(3)).tolist()
-        factors = _rpy_factors(rpy)
+        place = self._free.searchsorted(joints)  # among the floating joints
+        factors, rot = (values.take(place, axis=0) for values in rpy or self.rpy(q))
         x_t, y_t = factors[:, 2].transpose(0, 2, 1), factors[:, 1].transpose(0, 2, 1)
         s[:, 0, 0] = 1.0
         s[:, :3, 1] = x_t @ np.array([0.0, 1.0, 0.0])
         s[:, :3, 2] = x_t @ y_t @ np.array([0.0, 0.0, 1.0])
-        s[:, 3:, 3:] = _rots_from_rpy(rpy).transpose(0, 2, 1)
+        s[:, 3:, 3:] = rot.transpose(0, 2, 1)
         return s
 
 
@@ -430,14 +446,16 @@ def solve_with_pivoting(a, b, tol: float = 1e-10) -> np.ndarray:
     return x[:, 0] if squeeze else x
 
 
-def _row_reduce_batch(a: np.ndarray, tol: float) -> np.ndarray:
+def _row_reduce_batch(a: np.ndarray, tol: float, live=None) -> np.ndarray:
     """Row-reduce a batch of zero-padded matrices (members, rows, cols) in
     lock step, in place, and return their ranks.  A pivot is accepted when
     it exceeds tol times the member's largest absolute entry; zero rows and
-    columns never pivot, so member k's basis is a[k, :rank[k]]."""
+    columns never pivot, so member k's basis is a[k, :rank[k]].  `live`,
+    if given, is _forward_pass's count of the members taller than each
+    number of rows, the members tallest first; it moves no bit."""
     tol = _check_tol(tol)
     threshold = tol * np.abs(a).max(axis=(1, 2), initial=0.0)
-    return _forward_pass(a, [threshold] * a.shape[2])
+    return _forward_pass(a, [threshold] * a.shape[2], live=live)
 
 
 def _solve_batch(a: np.ndarray, b: np.ndarray, start: np.ndarray, tol: float
@@ -486,7 +504,9 @@ def _eliminate_batch(system: np.ndarray, layout: tuple, tol: float
 
 def _back_substitute(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x with a @ x = b for a batch of upper triangular a.  Each row is one
-    product over all of b's columns, whose bits depend on their number."""
+    product over all of b's columns, whose bits depend on their number; G's
+    solve passes each loop group's own independent columns, zero-padded to
+    the widest group's count."""
     x = np.zeros(b.shape)
     for row in range(a.shape[1] - 1, -1, -1):
         x[:, row] = ((b[:, row] - (a[:, row, None, row + 1 :] @ x[:, row + 1 :])[:, 0])
@@ -494,40 +514,52 @@ def _back_substitute(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _forward_pass(a: np.ndarray, thresholds, stop_at_refusal: bool = False) -> np.ndarray:
+def _forward_pass(a: np.ndarray, thresholds, stop_at_refusal: bool = False,
+                  live=None) -> np.ndarray:
     """Forward elimination with partial pivoting of a batch of matrices
     (members, rows, cols) in lock step, in place; returns their ranks.
 
     In each column c < len(thresholds) (later ones are carried along), every
     member takes the largest entry at or below its next pivot row, accepts
     it when it exceeds its entry of thresholds[c], swaps it into place and
-    eliminates below it; every other row keeps its bits.  While every member
-    has accepted every column, a column needs no mask.  With
-    stop_at_refusal the pass ends after the first column that some member
+    eliminates below it; every other row keeps its bits.  The members may
+    come tallest first with `live`, where live[p], for p from 0 to `rows`,
+    counts those taller than p rows, below which the caller pads each with
+    zeros (by default every member is `rows` high).  A member that has
+    pivoted in all of its rows would refuse every later column, so it
+    drops off the end of the lock step and keeps its bits.  While every
+    member still in the lock step has pivoted in every column so far and
+    accepts the current one, the column needs no mask, and the pass ends
+    when no member is left; after a refusal, only the rows below an
+    accepted pivot get factors and products.  With stop_at_refusal the
+    pass ends after the first column that a member still in the lock step
     refuses, leaving that member as it was."""
     count, rows, cols = a.shape
     if not a.size:  # no member, row or column: nothing to eliminate
         return np.zeros(count, dtype=np.intp)
+    if live is None:
+        live = (count,) * rows + (0,)
     t = a.transpose(1, 0, 2).copy()  # row r of member k is by_id[r * count + k]
     by_id = t.reshape(rows * count, cols)
     ids = np.arange(rows * count).reshape(rows, count)
-    slot = np.arange(count)  # the id of each member's next pivot row
-    lead = 0  # every member has pivoted in each of the first `lead` columns
+    slots = np.arange(count)  # the id of each member's next pivot row
+    lead = 0  # the members still in the lock step have pivoted in the first `lead` columns
     for col, threshold in enumerate(thresholds):
-        if lead == rows:  # every row holds a pivot
+        alive = live[lead]  # the members still in the lock step, first in the batch
+        if not alive:
             break
-        column = np.abs(t[lead:, :, col])  # the rows above `lead` hold pivots
+        slot = slots[:alive]
+        column = np.abs(t[lead:, :alive, col])  # the rows above `lead` hold pivots
         if lead < col:  # a member has refused a column: hide its later pivot rows
-            column[ids[lead:] < slot] = -1.0
-        pivot = column.argmax(axis=0) * count + ids[0]  # ids[0]: the member indices
-        accept = column.take(pivot) > threshold
-        pivot += lead * count
+            column[ids[lead:, :alive] < slot] = -1.0
+        accept = column.max(axis=0) > threshold[:alive]
+        pivot = column.argmax(axis=0) * count + ids[lead, :alive]
         accepted = np.count_nonzero(accept)
-        if accepted == count and lead == col:  # unmasked: slot is ids[lead]
+        if accepted == alive and lead == col:  # unmasked: slot is ids[lead, :alive]
             pivot_rows = by_id.take(pivot, axis=0)
-            by_id[pivot] = t[lead]
-            t[lead] = pivot_rows
-            rest = t[lead + 1 :]
+            by_id[pivot] = t[lead, :alive]
+            t[lead, :alive] = pivot_rows
+            rest = t[lead + 1 :, :alive]
             rest -= rest[:, :, col, None] / pivot_rows[:, col, None] * pivot_rows
             rest[:, :, col] = 0.0
             slot += count
@@ -537,8 +569,8 @@ def _forward_pass(a: np.ndarray, thresholds, stop_at_refusal: bool = False) -> n
             dest = np.where(accept, slot, pivot)  # a member that refuses keeps its rows
             by_id[pivot] = by_id.take(dest, axis=0)
             by_id[dest] = pivot_rows
-            rest = t[lead + 1 :]  # the rows below every member's pivot
-            below = ids[lead + 1 :] > np.where(accept, slot, ids.size)
+            rest = t[lead + 1 :, :alive]  # the rows below every pivot of the lock step
+            below = ids[lead + 1 :, :alive] > np.where(accept, slot, ids.size)
             where = below[:, :, None]  # elsewhere x - 0.0 * p can turn -0.0 into 0.0
             # out=None: unset outside `where`, and never read there
             factors = np.divide(rest[:, :, col, None], pivot_rows[:, col, None], out=None,
@@ -547,7 +579,7 @@ def _forward_pass(a: np.ndarray, thresholds, stop_at_refusal: bool = False) -> n
                         out=rest, where=where)
             rest[:, :, col][below] = 0.0
             np.add(slot, count, out=slot, where=accept)
-        if stop_at_refusal and accepted < count:
+        if stop_at_refusal and accepted < alive:
             break
     a[...] = t.transpose(1, 0, 2)
-    return slot // count
+    return slots // count

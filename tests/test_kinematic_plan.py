@@ -672,9 +672,9 @@ def fk_calls(monkeypatch):
     calls = []
     original = urdfplus.constraints._Tree.poses
 
-    def counted(tree, q):
+    def counted(tree, q, *rpy):
         calls.append(q)
-        return original(tree, q)
+        return original(tree, q, *rpy)
 
     monkeypatch.setattr(urdfplus.constraints._Tree, "poses", counted)
     return calls

@@ -51,9 +51,11 @@ TOLERANCES = (RANK_TOL, 1e-3, 0.3, 1.0, 2.0, 1e10)
 
 def split_elimination(batch, tall, tol):
     """`_Record.eliminated` on `batch`, the members where `tall` is true in
-    the lock step and the others, whose rows past the first are +0.0, not."""
+    the lock step and the others, whose rows past the first are +0.0, not;
+    with no height schedule (`live`), each lock-step member is as tall as
+    the batch."""
     groups = SimpleNamespace(lock_step=np.flatnonzero(tall),
-                             one_row=np.flatnonzero(np.logical_not(tall)))
+                             one_row=np.flatnonzero(np.logical_not(tall)), live=None)
     record = SimpleNamespace(plan=SimpleNamespace(groups=groups), rows=batch, _bases={})
     record.evaluate = lambda: record
     return _Record.eliminated(record, tol)
@@ -139,9 +141,9 @@ def eliminations(monkeypatch):
     calls = []
     original = urdfplus.constraints._row_reduce_batch
 
-    def counted(batch, tol):
+    def counted(batch, tol, *schedule):
         calls.append(batch.shape[0])
-        return original(batch, tol)
+        return original(batch, tol, *schedule)
 
     monkeypatch.setattr(urdfplus.constraints, "_row_reduce_batch", counted)
     return calls
