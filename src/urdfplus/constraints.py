@@ -202,14 +202,13 @@ class _Tree:
                                             dtype=np.intp))
                        for low, high in zip(bounds, bounds[1:] + [len(order)])]
 
-    def poses(self, q: np.ndarray, rpy) -> tuple[np.ndarray, np.ndarray]:
+    def poses(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """World rotations (N+1, 3, 3) and translations (N+1, 3) at q in
         body order, read-only: every joint's origin composed with its joint
         transform, then, level by level, the parents' poses gathered once
         and composed with the level's local transforms straight into the
-        level's slice; one gather returns the body order if that differs.
-        `rpy` is the joint stack's `rpy(q)`."""
-        local_rot, local_trans = _composed(*self.origins, *self.joints.transforms(q, rpy))
+        level's slice; one gather returns the body order if that differs."""
+        local_rot, local_trans = _composed(*self.origins, *self.joints.transforms(q))
         local_trans = local_trans[:, :, None]
         rot = np.empty((len(local_rot) + 1, 3, 3))
         rot[0] = np.eye(3)
@@ -254,14 +253,12 @@ class _LoopGroups:
     One batch holds every group, each member padded to `shape`: members
     0 .. count-1 are the groups, followed by the entries of groups with
     more than one entry, for their own ranks (a one-entry group's K_g is its
-    entry's K_l).  A member's height is the rows of its entries, +0.0
-    below.  The members two rows high or more (`lock_step`, tallest first)
-    are reduced in one lock-step elimination, which each leaves when it has
-    pivoted in all of its rows (`live[p]` are taller than p rows, see
-    _forward_pass); the others (`one_row`, such as a coupling's own group
-    or its extra member in a larger group) are not, since the lock step
-    gives a member whose rows past its first are padding rank int(max|row|
-    > tol * max|row|) and leaves its row and its +0.0 padding as they are.
+    entry's K_l).  The members of two rows or more (`lock_step`, tallest
+    first, `live[p]` of them taller than p rows) are reduced in one lock-step
+    elimination; the others (`one_row`, such as a coupling's own group or
+    its extra member in a larger group) are not, since the lock step gives a
+    member whose rows past its first are padding rank int(max|row| > tol *
+    max|row|) and leaves its row and its +0.0 padding as they are.
     `entry_member[l]` is the member that
     holds entry l's rank, with K_l in its leading rows and columns, and
     `places[l]` the (member, first row, local columns) of every member that
@@ -271,16 +268,14 @@ class _LoopGroups:
 
     For G, group g's dependent coordinates d_g (`width[g]` of them) give
     the system basis_g[:, d_g] X = basis_g[:, i_g] over the group's own
-    independent coordinates i_g, carried in the leading columns of a
-    right-hand side as wide as the widest group's (a row product's bits
-    depend on how many columns it spans), and -X goes into G's rows of d_g
-    and columns of i_g; every other entry of G below its identity block is
-    +0.0.  `complete` says every dependent coordinate lies in a group;
-    `solved_by` holds each one's (group, place in the group), (-1, 0)
-    outside them all.  `explicit` runs without a loop over the groups,
-    through flat (to, from) index arrays built on its first call: it takes
-    the dependent and the independent blocks out of the reduced batch, and
-    after the solve puts each group's -X into G.
+    independent coordinates i_g, and -X goes into G's rows of d_g and
+    columns of i_g; G is +0.0 elsewhere below its identity block.
+    `complete` says every dependent coordinate lies in a group; `solved_by`
+    holds each one's (group, place in the group), (-1, 0) outside them all.
+    `explicit` runs without a loop over the groups, through flat (to, from)
+    index arrays built on its first call: it takes the dependent and the
+    independent blocks out of the reduced batch, and after the solve puts
+    each group's -X into G.
     """
 
     def __init__(self, steps, slices, independent):
@@ -372,47 +367,36 @@ class _LoopGroups:
         """The flat (to, from) indices of `explicit`, built on its first
         call: each group's dependent block `a` and independent block `b` in
         the trailing rows of its member of the system [a | b], from its
-        reduced member's first `width[g]` rows, and its solution's rows, over
-        its own independent columns, in G's rows of its dependent
-        coordinates and G's columns of its independent ones, with the group
-        of each; and the system's _solve_layout, naming each column by its
-        place among all dependent coordinates."""
-        (_, height, width), count, size, rhs = self.shape, self.count, self._size, self._rhs
-        n_i, dep = len(self.independent), self.width
-        ind = np.array([len(ind) for _, ind, _ in self._blocks], dtype=np.intp).reshape(count)
-        # per group, padded: its local columns, dependent then independent,
-        # and its independent ones' places among all
-        local = np.array([d + i + [0] * (size + rhs - len(d) - len(i))
-                          for d, i, _ in self._blocks], dtype=np.intp).reshape(count, size + rhs)
-        position = np.array([p + [0] * (rhs - len(p)) for _, _, p in self._blocks],
-                            dtype=np.intp).reshape(count, rhs)
-        # each dependent coordinate's place among all, by (group, place in the
-        # group), and by the system's (group, row), the column its pivot names
-        solved = np.array(self.solved_by, dtype=np.intp).reshape(-1, 2)
-        inside = np.flatnonzero(solved[:, 0] >= 0)
-        member, k = solved[inside].T
-        place, names = np.zeros((2, count, size), dtype=np.intp)
-        place[member, k] = names[member, size - dep[member] + k] = inside
-        group, row = np.arange(count)[:, None], np.arange(size)
-        top = group * size + size - dep[:, None] + row  # each group's system rows
-        columns = np.arange(size + rhs)
-        kept = (row < dep[:, None])[:, :, None] & (columns < (dep + ind)[:, None, None])
-        system = (((top * (size + rhs) + size - dep[:, None])[:, :, None] + columns)[kept],
-                  (((group * height + row) * width)[:, :, None] + local[:, None])[kept])
-        kept = (row < dep[:, None])[:, :, None] & (columns[:rhs] < ind[:, None, None])
-        solution = ((((n_i + place) * n_i)[:, :, None] + position[:, None])[kept],
-                    ((top * rhs)[:, :, None] + columns[:rhs])[kept])
-        return (np.array(system), np.array(solution), np.nonzero(kept)[0],
-                _solve_layout(size - dep, size, names))
+        reduced member's first `width[g]` rows, and its solution x in G's
+        rows and columns of its coordinates; and the system's _solve_layout,
+        naming each column by its place among all dependent coordinates."""
+        _, height, width = self.shape
+        size, n_i, rhs = self._size, len(self.independent), self._rhs
+        names = np.zeros((self.count, size), dtype=np.intp)
+        for k, (member, local) in enumerate(self.solved_by):
+            if member >= 0:
+                names[member, size - self.width[member] + local] = k
+        system_to, system_from, g_to, g_from = [], [], [], []
+        for member, (dep, ind, position) in enumerate(self._blocks):
+            start = size - len(dep)
+            for r in range(len(dep)):
+                system_from += [(member * height + r) * width + k for k in dep + ind]
+                row = member * size + start + r
+                system_to += range(row * (size + rhs) + start, row * (size + rhs) + size + len(ind))
+                g_from += range(row * rhs, row * rhs + len(ind))
+                g_to += [(n_i + names[member, start + r]) * n_i + p for p in position]
+        return (*(np.array(to + source, dtype=np.intp).reshape(2, -1)
+                  for to, source in ((system_to, system_from), (g_to, g_from))),
+                _solve_layout(size - self.width, size, names))
 
     def explicit(self, reduced: np.ndarray, tol: float) -> ExplicitJacobian:
         """G from the groups' bases in `reduced`, whose ranks equal `width`,
         by one lock-step solve, each group's system in the trailing block of
-        its member and its right-hand side in the leading columns of one as
-        wide as the widest group's; -x goes into G's block of each group,
-        +0.0 elsewhere.  SingularDependentBlockError if a block is singular,
-        naming the column by its place among all dependent coordinates."""
-        (system_to, system_from), (g_to, g_from), _, layout = self._solve_index
+        its member, over its own independent columns in the leading ones of
+        the widest group's; SingularDependentBlockError if a block is
+        singular, naming the column by its place among all dependent
+        coordinates."""
+        (system_to, system_from), (g_to, g_from), layout = self._solve_index
         system = np.zeros((self.count, self._size, self._size + self._rhs))
         system.put(system_to, reduced.take(system_from))
         x = _back_substitute(*_eliminate_batch(system, layout, tol))
@@ -421,13 +405,6 @@ class _LoopGroups:
         matrix[:n_i].flat[:: n_i + 1] = 1.0  # the identity block, then each group's -x
         matrix.put(g_to, np.negative(x.take(g_from)))
         return ExplicitJacobian(matrix, self.independent + self.dependent, self.independent)
-
-    def overflowed(self, matrix: np.ndarray) -> int | None:
-        """The first group with a non-finite entry in its block of `matrix`,
-        which `explicit` made, or None: every other entry is 0.0 or 1.0."""
-        _, (g_to, _), group, _ = self._solve_index
-        finite = np.isfinite(matrix.take(g_to))
-        return None if finite.all() else int(group[np.logical_not(finite)].min())
 
 
 class _LoopAssembly:
@@ -467,21 +444,18 @@ class _LoopAssembly:
         # per DoF: loops, joints, their places in the joint stack, signs,
         # Psi^T, and the (to, from) indices of the rows of the products
         self.pairs = []
-        rows = np.arange(6)
         for dof, pairs in sorted(by_dof.items()):
-            # per place of each pair's loop: its first row in the batch, the
-            # pair, the loop's row count and the joint's columns there
-            places = [(member * height + first, pair, steps[i].psi.shape[1],
-                       cols[start : start + dof])
-                      for pair, (i, _, start, _) in enumerate(pairs)
-                      for member, first, cols in groups.places[i]]
-            first, pair, count, cols = (np.array(v, dtype=np.intp) for v in zip(*places))
-            kept = rows < count[:, None]
-            index = ((((first[:, None] + rows) * width)[:, :, None] + cols[:, None])[kept],
-                     (((pair[:, None] * 6 + rows) * dof)[:, :, None] + np.arange(dof))[kept])
+            to, source = [], []
+            for pair, (i, _, start, _) in enumerate(pairs):
+                rows = range(steps[i].psi.shape[1])
+                for member, first, cols in groups.places[i]:
+                    to += [(member * height + first + r) * width + cols[start + k]
+                           for r in rows for k in range(dof)]
+                    source += [(pair * 6 + r) * dof + k for r in rows for k in range(dof)]
             loop, joint, start, sign = (np.array(column) for column in zip(*pairs))
             self.pairs.append((loop, joint, slot[joint] - 1, sign[:, None, None],
-                               psi[loop].transpose(0, 2, 1), np.array(index).reshape(2, -1)))
+                               psi[loop].transpose(0, 2, 1),
+                               np.array(to + source, dtype=np.intp).reshape(2, -1)))
 
     def evaluate(self, record: _Record, rows: np.ndarray, residuals: np.ndarray) -> dict:
         """Each loop joint's rows into `rows`, a copy of the loop groups'
@@ -496,7 +470,7 @@ class _LoopAssembly:
             to_joint = _composed(rot_p.take(loop, axis=0).transpose(0, 2, 1),
                                  to_loop_trans.take(loop, axis=0),
                                  rot.take(joint, axis=0), trans.take(joint, axis=0))
-            maps = _motion_maps(*to_joint, joints.subspaces(q, stacked, record.rpy))
+            maps = _motion_maps(*to_joint, joints.subspaces(q, stacked))
             rows.put(to, (sign * (psi_t @ maps)).take(source))
         frame_s = _composed(rot.take(s, axis=0), trans.take(s, axis=0), *self.successor_origins)
         rel_rot, rel_trans = _composed(rot_p.transpose(0, 2, 1), to_loop_trans, *frame_s)
@@ -518,15 +492,14 @@ def _overflow(jac: LoopJacobian, part: str) -> ConfigurationError:
 class _Record:
     """A kinematic plan's record of one configuration: `key`, the bytes of
     q, and `q`, a read-only copy of it.  Its parts are each made on first
-    use and kept: `rpy`, the floating joints' rpy factors and rotations
-    (_JointStack.rpy), which `poses` and `evaluate` both read; `poses`, the
-    world pose arrays; by `evaluate`, `rows`, the loop groups' unreduced
-    batch (read-only), the read-only (entries, 6) `residuals` (entry l's in
-    row l, zero beyond it), every entry's (rows, residual) in `terms`,
-    entry l's rows a view of its `entry_member` in `rows`, and the
-    half-turn error messages by entry in `failed`; and per tolerance, by
-    `eliminated`, the lock-step elimination of every loop group.  A part
-    whose making raises is not kept, so asking for it again raises again."""
+    use and kept: `poses`, the world pose arrays; by `evaluate`, `rows`,
+    the loop groups' unreduced batch (read-only), the read-only (entries, 6)
+    `residuals` (entry l's in row l, zero beyond it), every entry's (rows,
+    residual) in `terms`, entry l's rows a view of its `entry_member` in
+    `rows`, and the half-turn error messages by entry in `failed`; and per
+    tolerance, by `eliminated`, the lock-step elimination of every loop
+    group.  A part whose making raises is not kept, so asking for it again
+    raises again."""
 
     def __init__(self, plan: KinematicPlan, key: bytes, q: np.ndarray):
         self.plan, self.key, self.q = plan, key, _read_only(q.copy())
@@ -534,12 +507,8 @@ class _Record:
         self._bases = {}
 
     @cached_property
-    def rpy(self) -> tuple[np.ndarray, np.ndarray] | None:
-        return self.plan.tree.joints.rpy(self.q)
-
-    @cached_property
     def poses(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.plan.tree.poses(self.q, self.rpy)
+        return self.plan.tree.poses(self.q)
 
     def evaluate(self) -> _Record:
         """Every loop entry evaluated, as views of `rows` and `residuals`;
@@ -574,12 +543,10 @@ class _Record:
     def eliminated(self, tol: float) -> tuple:
         """The reduced batch and each member's rank, read-only, at a checked
         tol: the lock-step elimination of the loop groups' `lock_step`
-        members, tallest first, each leaving it when it has pivoted in all
-        of its rows (the groups' `live`), and the rank of each `one_row`
-        member from its first row, which it keeps, as the lock step would
-        (see _LoopGroups).  A member that overflows raises
-        ConfigurationError naming its first entry, and no numpy warning
-        escapes."""
+        members, and the rank of each `one_row` member from its first row,
+        which it keeps, as the lock step would (see _LoopGroups).  A member
+        that overflows raises ConfigurationError naming its first entry,
+        and no numpy warning escapes."""
         if tol not in self._bases:
             groups, batch = self.plan.groups, self.evaluate().rows.copy()
             ranks, tall = np.zeros(len(batch), dtype=np.intp), groups.lock_step
@@ -988,7 +955,8 @@ def explicit_jacobian_for_model(
         raise SingularDependentBlockError(f"pivot {0.0:.3e} below tolerance in column {column}")
     with np.errstate(all="ignore"):  # an overflow is reported below
         explicit = groups.explicit(reduced, tol)
-    member = groups.overflowed(explicit.matrix)
-    if member is None:
+    if np.isfinite(explicit.matrix).all():
         return explicit
+    finite = np.isfinite(explicit.in_coordinate_order()).all(axis=1)
+    member = next(m for m, columns in enumerate(groups.columns) if not finite[columns].all())
     raise _overflow(record.terms[groups.first[member]][0], "entry in the solve for G")

@@ -104,11 +104,7 @@ def _rots_from_rpy(triples) -> np.ndarray:
 
     One stacked product multiplies the factors of _rpy_factors in order, so
     a rotation has the same bits whether it is made alone or among many."""
-    return _rpy_product(_rpy_factors(triples))
-
-
-def _rpy_product(factors: np.ndarray) -> np.ndarray:
-    """The rotations whose _rpy_factors are `factors`."""
+    factors = _rpy_factors(triples)
     return factors[:, 0] @ factors[:, 1] @ factors[:, 2]
 
 
@@ -326,26 +322,14 @@ class _JointStack:
         self._turns = (np.concatenate((k1[turns], k2[cross])),
                        np.concatenate((self._k[1][turns], self._k[3][cross])),
                        np.concatenate((self.starts[turns], self.starts[cross] + 1)))
-        self._rpy_at = self.starts[self._free][:, None] + np.arange(3)  # the places in q
         self._identity = np.repeat(_EYE3[None], len(kinds), axis=0)
         self._constant = np.zeros((len(kinds), 6, 1))  # subspaces of 1-DoF joints
         self._constant[self._spin, :3, 0] = self._a1[self._spin]
         self._constant[self._slide, 3:, 0] = self._a1[self._slide]
 
-    def rpy(self, q) -> tuple[np.ndarray, np.ndarray] | None:
-        """The floating joints' _rpy_factors (K, 3, 3, 3) at the position
-        vector q (not checked) and their rotations (K, 3, 3), the factors'
-        _rpy_product, in joint order, or None if no joint floats: made once
-        per configuration for both `transforms` and `subspaces`."""
-        if not self._free.size:
-            return None
-        factors = _rpy_factors(q.take(self._rpy_at).tolist())
-        return factors, _rpy_product(factors)
-
-    def transforms(self, q, rpy=None) -> tuple[np.ndarray, np.ndarray]:
+    def transforms(self, q) -> tuple[np.ndarray, np.ndarray]:
         """Rotations (count, 3, 3) and translations (count, 3) of the
-        child-side joint frames at the position vector q (not checked);
-        `rpy` is `rpy(q)`, made here if not given."""
+        child-side joint frames at the position vector q (not checked)."""
         rot = self._identity.copy()
         trans = np.zeros((len(self.dof), 3))
         start, spin, cross = self.starts, len(self._spin), len(self._cross)
@@ -357,18 +341,18 @@ class _JointStack:
         if (j := self._slide).size:
             trans[j] = q.take(start.take(j))[:, None] * self._a1.take(j, axis=0)
         if (j := self._free).size:  # rotate by rpy, place the child origin at xyz
-            rot[j] = (rpy or self.rpy(q))[1]
-            trans[j] = q.take(self._rpy_at + 3)
+            position = q.take(start.take(j)[:, None] + np.arange(6))
+            rot[j] = _rots_from_rpy(position[:, :3].tolist())
+            trans[j] = position[:, 3:]
         return rot, trans
 
-    def subspaces(self, q, joints, rpy=None) -> np.ndarray:
+    def subspaces(self, q, joints) -> np.ndarray:
         """Motion subspaces at the position vector q (not checked) of
         `joints`, which share one DoF k, as (len(joints), 6, k) in the child
         frames: the constant one of a joint with k < 2; for a universal
         joint the first axis carried back through the second rotation, then
         the second axis; for a floating joint the fixed-axis X-Y-Z rate
-        directions over the parent-side translation rates, from `rpy`, as
-        in `transforms`."""
+        directions over the parent-side translation rates."""
         dof = int(self.dof[joints[0]])
         if dof < 2:
             return self._constant.take(joints, axis=0)[:, :, :dof]
@@ -381,13 +365,13 @@ class _JointStack:
             s[:, :3, 0] = (back.transpose(0, 2, 1) @ a1)[:, :, 0]
             s[:, :3, 1] = self._a2.take(joints, axis=0)
             return s
-        place = self._free.searchsorted(joints)  # among the floating joints
-        factors, rot = (values.take(place, axis=0) for values in rpy or self.rpy(q))
+        rpy = q.take(start[:, None] + np.arange(3)).tolist()
+        factors = _rpy_factors(rpy)
         x_t, y_t = factors[:, 2].transpose(0, 2, 1), factors[:, 1].transpose(0, 2, 1)
         s[:, 0, 0] = 1.0
         s[:, :3, 1] = x_t @ np.array([0.0, 1.0, 0.0])
         s[:, :3, 2] = x_t @ y_t @ np.array([0.0, 0.0, 1.0])
-        s[:, 3:, 3:] = rot.transpose(0, 2, 1)
+        s[:, 3:, 3:] = _rots_from_rpy(rpy).transpose(0, 2, 1)
         return s
 
 
@@ -450,9 +434,8 @@ def _row_reduce_batch(a: np.ndarray, tol: float, live=None) -> np.ndarray:
     """Row-reduce a batch of zero-padded matrices (members, rows, cols) in
     lock step, in place, and return their ranks.  A pivot is accepted when
     it exceeds tol times the member's largest absolute entry; zero rows and
-    columns never pivot, so member k's basis is a[k, :rank[k]].  `live`,
-    if given, is _forward_pass's count of the members taller than each
-    number of rows, the members tallest first; it moves no bit."""
+    columns never pivot, so member k's basis is a[k, :rank[k]].  `live` is
+    _forward_pass's, and moves no bit."""
     tol = _check_tol(tol)
     threshold = tol * np.abs(a).max(axis=(1, 2), initial=0.0)
     return _forward_pass(a, [threshold] * a.shape[2], live=live)
@@ -504,9 +487,8 @@ def _eliminate_batch(system: np.ndarray, layout: tuple, tol: float
 
 def _back_substitute(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x with a @ x = b for a batch of upper triangular a.  Each row is one
-    product over all of b's columns, whose bits depend on their number; G's
-    solve passes each loop group's own independent columns, zero-padded to
-    the widest group's count."""
+    product over all of b's columns (for G, as many as the widest loop
+    group has independent ones), whose bits depend on their number."""
     x = np.zeros(b.shape)
     for row in range(a.shape[1] - 1, -1, -1):
         x[:, row] = ((b[:, row] - (a[:, row, None, row + 1 :] @ x[:, row + 1 :])[:, 0])
@@ -522,31 +504,24 @@ def _forward_pass(a: np.ndarray, thresholds, stop_at_refusal: bool = False,
     In each column c < len(thresholds) (later ones are carried along), every
     member takes the largest entry at or below its next pivot row, accepts
     it when it exceeds its entry of thresholds[c], swaps it into place and
-    eliminates below it; every other row keeps its bits.  The members may
-    come tallest first with `live`, where live[p], for p from 0 to `rows`,
-    counts those taller than p rows, below which the caller pads each with
-    zeros (by default every member is `rows` high).  A member that has
-    pivoted in all of its rows would refuse every later column, so it
-    drops off the end of the lock step and keeps its bits.  While every
-    member still in the lock step has pivoted in every column so far and
-    accepts the current one, the column needs no mask, and the pass ends
-    when no member is left; after a refusal, only the rows below an
-    accepted pivot get factors and products.  With stop_at_refusal the
-    pass ends after the first column that a member still in the lock step
+    eliminates below it; every other row keeps its bits.  With `live`, the
+    members come tallest first and live[p] of them are taller than p rows,
+    zeros below: one that has pivoted in all of its rows leaves the lock
+    step as it is, and the pass ends when none is left.  While every member
+    still in it has accepted every column, a column needs no mask.  With
+    stop_at_refusal the pass ends after the first column that one of them
     refuses, leaving that member as it was."""
     count, rows, cols = a.shape
     if not a.size:  # no member, row or column: nothing to eliminate
         return np.zeros(count, dtype=np.intp)
-    if live is None:
-        live = (count,) * rows + (0,)
+    live = (count,) * rows + (0,) if live is None else live
     t = a.transpose(1, 0, 2).copy()  # row r of member k is by_id[r * count + k]
     by_id = t.reshape(rows * count, cols)
     ids = np.arange(rows * count).reshape(rows, count)
     slots = np.arange(count)  # the id of each member's next pivot row
     lead = 0  # the members still in the lock step have pivoted in the first `lead` columns
     for col, threshold in enumerate(thresholds):
-        alive = live[lead]  # the members still in the lock step, first in the batch
-        if not alive:
+        if not (alive := live[lead]):  # the members still in the lock step, first
             break
         slot = slots[:alive]
         column = np.abs(t[lead:, :alive, col])  # the rows above `lead` hold pivots

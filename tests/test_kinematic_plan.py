@@ -672,9 +672,9 @@ def fk_calls(monkeypatch):
     calls = []
     original = urdfplus.constraints._Tree.poses
 
-    def counted(tree, q, *rpy):
+    def counted(tree, q):
         calls.append(q)
-        return original(tree, q, *rpy)
+        return original(tree, q)
 
     monkeypatch.setattr(urdfplus.constraints._Tree, "poses", counted)
     return calls

@@ -29,7 +29,6 @@ from urdfplus.constraints import (
     implicit_loop_jacobian,
     loop_residual,
 )
-from urdfplus import spatial
 from urdfplus.graphs import build_pipeline
 from urdfplus.model import (
     Link,
@@ -235,34 +234,3 @@ def test_g_where_the_groups_are_not_complete():
     assert groups.count == 1 and not groups.complete
     rng = np.random.default_rng(30)
     check(numbered, graph, lacg, rng)
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_floating_rpy_factors_made_once_per_configuration(seed, monkeypatch):
-    """The poses and every loop entry's rows at a new configuration build
-    the floating joints' rpy factors once, one `_rpy_factors` call where
-    there were three (the poses' rotations, then the 6-DoF loop pairs'
-    subspaces twice), and keep the verbatim oracle's bits; the model is
-    test_floating_and_universal_joints_on_loop_paths's, with a second
-    floating joint off the loop paths."""
-    numbered, graph, lacg, rng = built(
-        10 + seed,
-        [(JointType.FLOATING, 0), (JointType.UNIVERSAL, 1), (JointType.REVOLUTE, 0),
-         (JointType.PRISMATIC, 3), (JointType.FLOATING, 4)],
-        [(JointType.REVOLUTE, 2, 4), (JointType.UNIVERSAL, 1, 3),
-         (JointType.PRISMATIC, 2, 0)])
-    jacobians = all_loop_jacobians(numbered, graph, np.zeros(numbered.total_dof))
-    assert 6 in {stop - start for jac in jacobians for start, stop in jac.joint_columns}
-    calls = []
-    original = spatial._rpy_factors
-
-    def counted(triples):
-        calls.append(len(triples))
-        return original(triples)
-
-    monkeypatch.setattr(spatial, "_rpy_factors", counted)
-    for q in rng.uniform(-1.0, 1.0, (CONFIGURATIONS, numbered.total_dof)):
-        calls.clear()
-        all_loop_jacobians(numbered, graph, q)
-        assert calls == [2]  # both floating joints, in one call
-        check_against_oracle(numbered, graph, lacg, q, per_entry=False)
