@@ -253,13 +253,11 @@ class _LoopGroups:
     One batch holds every group, each member padded to `shape`: members
     0 .. count-1 are the groups, followed by the entries of groups with
     more than one entry, for their own ranks (a one-entry group's K_g is its
-    entry's K_l).  The members of two rows or more (`lock_step`, tallest
-    first, `live[p]` of them taller than p rows) are reduced in one lock-step
-    elimination; the others (`one_row`, such as a coupling's own group or
-    its extra member in a larger group) are not, since the lock step gives a
-    member whose rows past its first are padding rank int(max|row| > tol *
-    max|row|) and leaves its row and its +0.0 padding as they are.
-    `entry_member[l]` is the member that
+    entry's K_l).  Every member is reduced in one lock-step elimination,
+    tallest first (`lock_step`), on the schedule `live`: live[p] of them are
+    taller than p rows, so a member of one row, such as a coupling's own
+    group or its extra member in a larger group, leaves the lock step once
+    it has pivoted in column 0.  `entry_member[l]` is the member that
     holds entry l's rank, with K_l in its leading rows and columns, and
     `places[l]` the (member, first row, local columns) of every member that
     holds entry l's rows.  The read-only `template` holds each coupling's
@@ -274,8 +272,8 @@ class _LoopGroups:
     holds each one's (group, place in the group), (-1, 0) outside them all.
     `explicit` runs without a loop over the groups, through flat (to, from)
     index arrays built on its first call: it takes the dependent and the
-    independent blocks out of the reduced batch, and after the solve puts
-    each group's -X into G.
+    independent blocks out of the reduced batch, and after the solve checks
+    each group's -X for overflow and puts it into G.
     """
 
     def __init__(self, steps, slices, independent):
@@ -326,8 +324,8 @@ class _LoopGroups:
         self._rhs = max((len(ind) for _, ind, _ in self._blocks), default=0)
 
     def _plan_batch(self, steps, coordinates, columns):
-        """`shape`, `entry_member`, `places`, `template`, `lock_step`, `live`
-        and `one_row`."""
+        """`shape`, `entry_member`, `places`, `template`, `lock_step` and
+        `live`."""
         heights = [step.rows if isinstance(step, LoopJacobian) else step.psi.shape[1]
                    for step in steps]
         height = max((sum(heights[e] for e in group) for group in self.entries), default=0)
@@ -339,10 +337,8 @@ class _LoopGroups:
         member_of, places = [0] * len(steps), [()] * len(steps)
         tall = [sum(heights[e] for e in group) for group in self.entries]  # member heights
         tall += [heights[e] for group in self.entries if len(group) > 1 for e in group]
-        lock_step = sorted((m for m, h in enumerate(tall) if h > 1), key=lambda m: -tall[m])
-        self.lock_step = np.array(lock_step, dtype=np.intp)
-        self.one_row = np.array([m for m, h in enumerate(tall) if h <= 1], dtype=np.intp)
-        self.live = tuple(sum(tall[m] > p for m in lock_step) for p in range(height + 1))
+        self.lock_step = np.array(sorted(range(len(tall)), key=lambda m: -tall[m]), dtype=np.intp)
+        self.live = tuple(sum(h > p for h in tall) for p in range(height + 1))
         for member, group in enumerate(self.entries):
             where = {c: k for k, c in enumerate(columns[member])}
             top = 0
@@ -389,21 +385,28 @@ class _LoopGroups:
                   for to, source in ((system_to, system_from), (g_to, g_from))),
                 _solve_layout(size - self.width, size, names))
 
-    def explicit(self, reduced: np.ndarray, tol: float) -> ExplicitJacobian:
+    def explicit(self, reduced: np.ndarray, tol: float, terms) -> ExplicitJacobian:
         """G from the groups' bases in `reduced`, whose ranks equal `width`,
         by one lock-step solve, each group's system in the trailing block of
         its member, over its own independent columns in the leading ones of
         the widest group's; SingularDependentBlockError if a block is
         singular, naming the column by its place among all dependent
-        coordinates."""
+        coordinates.  Only the solved entries can overflow: the first that
+        is not finite gives its group, whose first entry `terms` (the
+        record's) names in the ConfigurationError."""
         (system_to, system_from), (g_to, g_from), layout = self._solve_index
         system = np.zeros((self.count, self._size, self._size + self._rhs))
         system.put(system_to, reduced.take(system_from))
-        x = _back_substitute(*_eliminate_batch(system, layout, tol))
+        with np.errstate(all="ignore"):  # an overflow is reported below
+            solved = np.negative(_back_substitute(*_eliminate_batch(system, layout, tol))
+                                 .take(g_from))
+        if not np.isfinite(solved).all():  # g_from's first non-finite entry names the group
+            member = g_from[np.isfinite(solved).argmin()] // (self._size * self._rhs)
+            raise _overflow(terms[self.first[member]][0], "entry in the solve for G")
         n_i = len(self.independent)
         matrix = np.zeros((n_i + len(self.dependent), n_i))
         matrix[:n_i].flat[:: n_i + 1] = 1.0  # the identity block, then each group's -x
-        matrix.put(g_to, np.negative(x.take(g_from)))
+        matrix.put(g_to, solved)
         return ExplicitJacobian(matrix, self.independent + self.dependent, self.independent)
 
 
@@ -542,23 +545,18 @@ class _Record:
 
     def eliminated(self, tol: float) -> tuple:
         """The reduced batch and each member's rank, read-only, at a checked
-        tol: the lock-step elimination of the loop groups' `lock_step`
-        members, and the rank of each `one_row` member from its first row,
-        which it keeps, as the lock step would (see _LoopGroups).  A member
-        that overflows raises ConfigurationError naming its first entry,
-        and no numpy warning escapes."""
+        tol: one lock-step elimination of every member, in the loop groups'
+        `lock_step` order and on their `live` schedule (see _LoopGroups).  A
+        member that overflows raises ConfigurationError naming its first
+        entry, and no numpy warning escapes."""
         if tol not in self._bases:
             groups, batch = self.plan.groups, self.evaluate().rows.copy()
-            ranks, tall = np.zeros(len(batch), dtype=np.intp), groups.lock_step
+            ranks, order = np.zeros(len(batch), dtype=np.intp), groups.lock_step
+            reduced = batch.take(order, axis=0)
             with np.errstate(all="ignore"):  # an overflow is reported below
-                if tall.size:
-                    reduced = batch.take(tall, axis=0)
-                    ranks[tall] = _row_reduce_batch(reduced, tol, groups.live)
-                    batch[tall] = reduced
-                first = batch.take(groups.one_row, axis=0)[:, :1]
-                largest = np.abs(first).max(axis=(1, 2), initial=0.0)
-                ranks[groups.one_row] = largest > tol * largest
-            if not np.isfinite(batch).all():  # only a lock-step member can overflow
+                ranks[order] = _row_reduce_batch(reduced, tol, groups.live)
+            batch[order] = reduced
+            if not np.isfinite(batch).all():
                 member = int(np.isfinite(batch).all(axis=(1, 2)).argmin())
                 entry = (groups.first[member] if member < groups.count
                          else int((groups.entry_member == member).argmax()))
@@ -937,7 +935,9 @@ def explicit_jacobian_for_model(
     count differs from the check's n_i, CountMismatchError carries both.
     When a dependent coordinate lies in no group, or past its group's rank,
     or a group's solve refuses a pivot, SingularDependentBlockError names
-    the first such column by its place among all dependent coordinates.
+    the first such column by its place among all dependent coordinates.  A
+    solve that overflows raises ConfigurationError, naming the first loop
+    entry of the first group whose solution is not finite.
     """
     tol = _check_tol(tol)
     if q is None:
@@ -953,10 +953,4 @@ def explicit_jacobian_for_model(
         column = next(place for place, (member, k) in enumerate(groups.solved_by)
                       if member < 0 or k >= ranks[member])
         raise SingularDependentBlockError(f"pivot {0.0:.3e} below tolerance in column {column}")
-    with np.errstate(all="ignore"):  # an overflow is reported below
-        explicit = groups.explicit(reduced, tol)
-    if np.isfinite(explicit.matrix).all():
-        return explicit
-    finite = np.isfinite(explicit.in_coordinate_order()).all(axis=1)
-    member = next(m for m, columns in enumerate(groups.columns) if not finite[columns].all())
-    raise _overflow(record.terms[groups.first[member]][0], "entry in the solve for G")
+    return groups.explicit(reduced, tol, record.terms)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import BRACKET_BELT, far_fourbar, perfbench_workloads
+from helpers import BRACKET_BELT, far_fourbar, perfbench_workloads, twin_far_fourbars
 
 import urdfplus
 from urdfplus.cli import main
@@ -532,6 +532,34 @@ class TestOverflowingConfiguration:
             code, out, err = run(capsys, command, str(model), "--config", str(config))
             assert (code, out) == (3, "")
             assert err == ("error: configuration overflows: loop 'closure' (joint 4) "
+                           f"has a non-finite {part}\n")
+
+    @pytest.mark.parametrize("swapped", [False, True])
+    @pytest.mark.parametrize("length,q,part,commands", [
+        ("5e307", "2.1 -2.0 -2.0", "entry in the rank elimination",
+         ("validate", "constraints")),
+        ("1e300", "0.0 0.0 1e-9", "entry in the solve for G", ("constraints",)),
+    ])
+    def test_twin_far_fourbars(self, capsys, tmp_path, length, q, part, commands, swapped):
+        """The far four-bar's overflow beside a four-bar with bars 1 long at a
+        generic configuration, each its own loop group: the one line names
+        the overflowing loop, in the second group or the first."""
+        lengths, triples = (1.0, float(length)), ("0.5 -0.4 -0.3", q)
+        loop = "'closure_b' (joint 8)"
+        if swapped:
+            lengths, triples, loop = lengths[::-1], triples[::-1], "'closure_a' (joint 7)"
+        flags = ("true", "false", "false")
+        model = tmp_path / "twin.urdf"
+        model.write_text(twin_far_fourbars(*lengths, flags, flags))
+        config = tmp_path / "q.cfg"
+        config.write_text("".join(
+            f"{joint}{suffix}_pivot: {value}\n"
+            for suffix, triple in zip(("_a", "_b"), triples)
+            for joint, value in zip(("crank", "rocker", "coupler"), triple.split())))
+        for command in commands:
+            code, out, err = run(capsys, command, str(model), "--config", str(config))
+            assert (code, out) == (3, "")
+            assert err == (f"error: configuration overflows: loop {loop} "
                            f"has a non-finite {part}\n")
 
 

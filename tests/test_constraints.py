@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from conftest import load_pipeline
-from helpers import BRACKET_BELT, fd_loop_jacobian, far_fourbar, perfbench_workloads
+from helpers import (
+    BRACKET_BELT,
+    far_fourbar,
+    fd_loop_jacobian,
+    perfbench_workloads,
+    twin_far_fourbars,
+)
 from test_elimination_kernel import oracle_explicit_from_implicit
 from test_kinematic_plan import check_against_oracle
 from urdfplus.constraints import (
@@ -753,6 +759,16 @@ class TestHalfTurnClosure:
             assert len(depths) == 1  # raised afresh: the traceback does not grow
 
 
+# far four-bars' bar lengths, (crank, rocker, coupler) configurations whose
+# finite rows and residuals overflow in an elimination, and the part named
+ELIMINATION_OVERFLOWS = [
+    (5e307, [2.1, -2.0, -2.0], "entry in the rank elimination"),
+    (5e307, [2.0, -2.0, -2.5], "entry in the solve for G"),
+    (1e300, [0.0, 0.0, 1e-9], "entry in the solve for G"),
+]
+GENERIC_TRIPLE = [0.5, -0.4, -0.3]  # a far four-bar with bars 1 long, away from alignment
+
+
 class TestOverflowingConfiguration:
     """A finite q whose rows or residuals overflow: one check per q over
     both raises ConfigurationError naming the first entry with a value that
@@ -834,11 +850,7 @@ class TestOverflowingConfiguration:
         assert np.isfinite(_eliminated(numbered, graph, q, RANK_TOL)[1]).all()
         assert independent_coordinate_check(numbered, graph, lacg, qs[0]).passed
 
-    @pytest.mark.parametrize("length,q,part", [
-        (5e307, [2.1, -2.0, -2.0], "entry in the rank elimination"),
-        (5e307, [2.0, -2.0, -2.5], "entry in the solve for G"),
-        (1e300, [0.0, 0.0, 1e-9], "entry in the solve for G"),
-    ])
+    @pytest.mark.parametrize("length,q,part", ELIMINATION_OVERFLOWS)
     def test_elimination_overflows(self, length, q, part):
         """Finite rows and residuals whose elimination overflows: in the
         rank pass, or in G's solve, where the coupler 1e-9 from alignment
@@ -850,15 +862,40 @@ class TestOverflowingConfiguration:
         [jac] = all_loop_jacobians(numbered, graph, q)
         assert np.isfinite(jac.matrix).all()
         assert np.isfinite(loop_residual(numbered, graph, jac.number, q)).all()
-        message = f"configuration overflows: loop 'closure' (joint 4) has a non-finite {part}"
-        calls = [lambda: explicit_jacobian_for_model(numbered, graph, q)]
-        if "rank" in part:
-            calls.append(lambda: independent_coordinate_check(numbered, graph, lacg, q))
-        else:
-            assert independent_coordinate_check(numbered, graph, lacg, q).passed
-        for call in calls * 2:
-            with pytest.raises(ConfigurationError, match=re.escape(message)):
-                call()
+        check_overflow(numbered, graph, lacg, q,
+                       f"loop 'closure' (joint 4) has a non-finite {part}")
+
+    @pytest.mark.parametrize("swapped", [False, True])
+    @pytest.mark.parametrize("length,q,part", ELIMINATION_OVERFLOWS)
+    def test_the_overflowing_group_is_named(self, length, q, part, swapped):
+        """Two far four-bars, each its own loop group: one with bars 1 long
+        at a generic configuration, the other at an overflowing one of
+        test_elimination_overflows.  The error names the overflowing loop,
+        whether its group is the second or the first."""
+        lengths, triples = (1.0, length), (GENERIC_TRIPLE, q)
+        loop = "'closure_b' (joint 8)"
+        if swapped:
+            lengths, triples, loop = lengths[::-1], triples[::-1], "'closure_a' (joint 7)"
+        flags = ("true", "false", "false")
+        numbered, graph, lacg = pipeline(
+            parse_urdf_plus(twin_far_fourbars(*lengths, flags, flags)).model)
+        (crank_a, rocker_a, coupler_a), (crank_b, rocker_b, coupler_b) = triples
+        q = np.array([crank_a, rocker_a, crank_b, rocker_b, coupler_a, coupler_b])
+        check_overflow(numbered, graph, lacg, q, f"loop {loop} has a non-finite {part}")
+
+
+def check_overflow(numbered, graph, lacg, q, named):
+    """G raises the overflow error that ends in `named`, twice; so does the
+    count check if the rank pass overflows, else it passes."""
+    calls = [lambda: explicit_jacobian_for_model(numbered, graph, q)]
+    if "rank" in named:
+        calls.append(lambda: independent_coordinate_check(numbered, graph, lacg, q))
+    else:
+        assert independent_coordinate_check(numbered, graph, lacg, q).passed
+    for call in calls * 2:
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"configuration overflows: {named}")):
+            call()
 
 
 def svd_rank_gap(matrix):

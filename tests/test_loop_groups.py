@@ -292,12 +292,12 @@ def check_g_bytes(numbered, graph, q):
     K G = 0 to 1e-12 max|K|; returns G's matrix then, else None.  A
     refused pivot gives the full-width oracle's error, its column named as
     `among_all_dependent` translates it."""
-    _, reduced, ranks = _eliminated(numbered, graph, q, RANK_TOL)
+    record, reduced, ranks = _eliminated(numbered, graph, q, RANK_TOL)
     groups = numbered._kinematics.check(graph).groups
     if not (groups.complete and np.array_equal(ranks[: groups.count], groups.width)):
         return None
     want = outcome(lambda: full_width_explicit(groups, reduced, RANK_TOL))
-    got = outcome(lambda: groups.explicit(reduced, RANK_TOL))
+    got = outcome(lambda: groups.explicit(reduced, RANK_TOL, record.terms))
     assert got[0] == want[0]
     if want[0] == "error":
         assert got[1] == among_all_dependent(groups, reduced, RANK_TOL, want[1])

@@ -1,11 +1,13 @@
-"""One-row members of the loop groups' batch skip the lock-step elimination.
+"""One-row members of the loop groups' batch go through the scheduled lock step.
 
 A member whose rows past its first are +0.0 padding (a coupling's own
-group, or a coupling's own member beside a larger group) gets rank
-int(max|row| > tol * max|row|) and keeps its row: the bits the lock step
-gives it.  The oracle is `_row_reduce_batch` over the full batch, which
-`tests/test_elimination_kernel.py` pins to the verbatim one-matrix
-elimination: the ranks and the reduced batch must be byte-equal.
+group, or a coupling's own member beside a larger group) is one row tall
+in the height schedule (`live`), so it leaves the lock step after column 0
+once it has pivoted there; one that refuses column 0 sends the pass down
+the masked route.  Either way it must keep the bits the full lock step
+gives it.  The oracle is `_row_reduce_batch` over the full batch with no
+schedule, which `tests/test_elimination_kernel.py` pins to the verbatim
+one-matrix elimination: the ranks and the reduced batch must be byte-equal.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import urdfplus.constraints
 from conftest import load_pipeline
 from helpers import perfbench_workloads
 from test_elimination_kernel import outcome
+from test_elimination_routes import route_counts
 from test_kinematic_plan import MODEL_FILES, loadable
 from urdfplus.constraints import (
     RANK_TOL,
@@ -49,20 +52,21 @@ ROWS = [
 TOLERANCES = (RANK_TOL, 1e-3, 0.3, 1.0, 2.0, 1e10)
 
 
-def split_elimination(batch, tall, tol):
-    """`_Record.eliminated` on `batch`, the members where `tall` is true in
-    the lock step and the others, whose rows past the first are +0.0, not;
-    with no height schedule (`live`), each lock-step member is as tall as
-    the batch."""
-    groups = SimpleNamespace(lock_step=np.flatnonzero(tall),
-                             one_row=np.flatnonzero(np.logical_not(tall)), live=None)
+def scheduled_elimination(batch, heights, tol):
+    """`_Record.eliminated` on `batch`, whose member k is `heights[k]` rows
+    tall, +0.0 below: every member in the lock step, tallest first, on the
+    schedule of those heights."""
+    order = sorted(range(len(heights)), key=lambda m: -heights[m])
+    groups = SimpleNamespace(lock_step=np.array(order, dtype=np.intp),
+                             live=tuple(sum(h > p for h in heights)
+                                        for p in range(max(heights, default=0) + 1)))
     record = SimpleNamespace(plan=SimpleNamespace(groups=groups), rows=batch, _bases={})
     record.evaluate = lambda: record
     return _Record.eliminated(record, tol)
 
 
 def full_elimination(batch, tol):
-    """The lock step over every member, as the batch was reduced before."""
+    """The lock step over every member, each as tall as the batch."""
     reduced = batch.copy()
     with np.errstate(all="ignore"):  # tol * max|row| may overflow to inf
         ranks = _row_reduce_batch(reduced, tol)
@@ -90,7 +94,7 @@ def batch_of(members, height, width):
 def test_each_row_alone(tol, height):
     for row in ROWS:
         batch = batch_of([[row]], height, 3)
-        assert_same_elimination(split_elimination(batch, [False], tol),
+        assert_same_elimination(scheduled_elimination(batch, [1], tol),
                                 full_elimination(batch, tol))
 
 
@@ -101,24 +105,24 @@ def test_rows_beside_lock_step_members(tol):
             np.zeros((3, 3))]
     members = [*tall, *([row] for row in ROWS)]
     batch = batch_of(members, 4, 3)
-    flags = [True] * len(tall) + [False] * len(ROWS)
-    assert_same_elimination(split_elimination(batch, flags, tol), full_elimination(batch, tol))
+    heights = [len(m) for m in members]
+    assert_same_elimination(scheduled_elimination(batch, heights, tol),
+                            full_elimination(batch, tol))
 
 
 @pytest.mark.parametrize("seed", range(30))
 def test_random_batches(seed):
-    """Lock-step and one-row members in any order, rows of any width up to
+    """Taller and one-row members in any order, rows of any width up to
     the batch's, drawn from ROWS, a normal distribution or small integers."""
     rng = np.random.default_rng(seed)
     width = int(rng.integers(1, 6))
     height = int(rng.integers(1, 6))
-    members, flags = [], []
+    members = []
     for _ in range(int(rng.integers(1, 9))):
         cols = int(rng.integers(0, width + 1))
         if height > 1 and rng.random() < 0.5:
             rows = int(rng.integers(2, height + 1))
             members.append(rng.normal(size=(rows, cols)))
-            flags.append(True)
             continue
         kind = rng.integers(3)
         if kind == 0 and cols == 3:
@@ -128,10 +132,10 @@ def test_random_batches(seed):
         else:
             row = rng.normal(size=cols)
         members.append(np.array([row], dtype=float).reshape(1, cols))
-        flags.append(False)
     batch = batch_of(members, height, width)
+    heights = [len(m) for m in members]
     for tol in TOLERANCES:
-        assert_same_elimination(split_elimination(batch, flags, tol),
+        assert_same_elimination(scheduled_elimination(batch, heights, tol),
                                 full_elimination(batch, tol))
 
 
@@ -157,22 +161,27 @@ def check_against_full_lock_step(numbered, graph, q, tol=RANK_TOL):
     got = outcome(lambda: explicit_jacobian_for_model(numbered, graph, q, tol))
     if got[0] == "value":
         want_reduced, _ = full_elimination(record.rows, tol)
-        want = groups.explicit(want_reduced, tol)
+        want = groups.explicit(want_reduced, tol, record.terms)
         assert got[1].row_coordinates == want.row_coordinates
         assert got[1].matrix.tobytes() == want.matrix.tobytes()
     return got
 
 
-def test_belt_makes_no_elimination_call(eliminations):
-    """The belt's one group is its coupling's row."""
+def test_belt_makes_one_small_elimination_call(eliminations):
+    """The belt's one group is its coupling's row: one elimination per
+    configuration, over that one member, which pivots in column 0 and
+    leaves the lock step there."""
     pipe = load_pipeline("belt.urdf")
     groups = pipe.numbered._kinematics.check(pipe.graph).groups
-    assert groups.lock_step.tolist() == [] and groups.one_row.tolist() == [0]
+    assert groups.lock_step.tolist() == [0] and groups.live == (1, 0)
     rng = np.random.default_rng(3)
-    for q in [np.zeros(pipe.numbered.total_dof), *rng.uniform(-1, 1, (3, 3))]:
-        assert independent_coordinate_check(pipe.numbered, pipe.graph, pipe.lacg, q).passed
+    qs = [np.zeros(pipe.numbered.total_dof), *rng.uniform(-1, 1, (3, 3))]
+    for q in qs:
+        with route_counts() as counts:
+            assert independent_coordinate_check(pipe.numbered, pipe.graph, pipe.lacg, q).passed
+        assert counts == {"unmasked": 1, "masked": 0}
         assert check_against_full_lock_step(pipe.numbered, pipe.graph, q)[0] == "value"
-    assert eliminations == []
+    assert eliminations == [1] * len(qs)
 
 
 def flagged_mimic_gripper():
@@ -187,12 +196,12 @@ def flagged_mimic_gripper():
 
 
 def test_mimic_gripper_matches_the_full_lock_step(eliminations):
-    """Two couplings in one group of two rows: the group in the lock step,
-    each coupling's own member beside it not."""
+    """Two couplings in one group of two rows: the group and each
+    coupling's own member beside it, in one lock step."""
     numbered, graph, lacg = flagged_mimic_gripper()
     groups = numbered._kinematics.check(graph).groups
     assert groups.shape == (3, 2, 3)
-    assert groups.lock_step.tolist() == [0] and groups.one_row.tolist() == [1, 2]
+    assert groups.lock_step.tolist() == [0, 1, 2] and groups.live == (3, 1, 0)
     rng = np.random.default_rng(11)
     qs = [np.zeros(numbered.total_dof), *rng.uniform(-1, 1, (3, numbered.total_dof))]
     for tol in (RANK_TOL, 1.0):
@@ -202,13 +211,13 @@ def test_mimic_gripper_matches_the_full_lock_step(eliminations):
             if tol == RANK_TOL:
                 assert report.passed and got[0] == "value"
                 assert [info.rank for info in report.loops] == [1, 1]
-    # one per configuration and tolerance, over the group alone
-    assert eliminations == [1] * len(qs) * 2
+    # one per configuration and tolerance, over all three members
+    assert eliminations == [3] * len(qs) * 2
 
 
 def test_models_and_the_sweep_model_match_the_full_lock_step(monkeypatch):
     """Every loadable model file, and the benchmark's sweep model (ten loop
-    groups in the lock step beside three couplings' groups)."""
+    groups beside three couplings' one-row groups)."""
     cases = []
     for pipe in map(loadable, MODEL_FILES):
         if pipe is not None:
@@ -220,7 +229,7 @@ def test_models_and_the_sweep_model_match_the_full_lock_step(monkeypatch):
     _, numbered, graph, _, qs = workloads.sweep_model(1, workloads.SWEEP_BODIES,
                                                       workloads.SWEEP_LOOPS)
     groups = numbered._kinematics.check(graph).groups
-    assert groups.lock_step.size and groups.one_row.size
+    assert groups.live[0] == len(groups.lock_step) > groups.live[1]
     cases.append((numbered, graph, qs[:4]))
     for numbered, graph, qs in cases:
         for q in qs:

@@ -115,16 +115,17 @@ def check_against_before(batch, tol, live):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_sweep_batches_keep_the_bits(seed, monkeypatch):
-    """The plan's lock-step members of the sweep model, as `_Record.eliminated`
-    reduces them: every column unmasked, and no column after the tallest
-    member's last row; the record's reduced batch and ranks equal the
-    earlier pass's over the same members."""
+    """Every member of the sweep model's batch, couplings' one-row groups
+    included, as `_Record.eliminated` reduces them: every column unmasked,
+    and no column after the tallest member's last row; the record's reduced
+    batch and ranks equal the earlier pass's over the same members."""
     workloads = perfbench_workloads(monkeypatch)
     _, numbered, graph, _, qs = workloads.sweep_model(seed, workloads.SWEEP_BODIES,
                                                      workloads.SWEEP_LOOPS)
     groups = numbered._kinematics.check(graph).groups
     assert list(groups.live) == sorted(groups.live, reverse=True) and groups.live[-1] == 0
-    assert groups.live[0] == len(groups.lock_step) and groups.live[-2] < groups.live[0]
+    assert groups.live[0] == len(groups.lock_step) == groups.shape[0]
+    assert groups.live[1] < groups.live[0]  # the couplings' one-row groups leave first
     for q in qs:
         record, reduced, ranks = _eliminated(numbered, graph, q, RANK_TOL)
         batch = record.rows.take(groups.lock_step, axis=0)
@@ -136,9 +137,6 @@ def test_sweep_batches_keep_the_bits(seed, monkeypatch):
         want_ranks = np.zeros(len(want), dtype=np.intp)
         want_ranks[groups.lock_step] = forward_pass_before(batch, [threshold] * batch.shape[2])
         want[groups.lock_step] = batch
-        first = want[groups.one_row, :1]
-        largest = np.abs(first).max(axis=(1, 2), initial=0.0)
-        want_ranks[groups.one_row] = largest > RANK_TOL * largest
         assert reduced.tobytes() == want.tobytes()
         assert ranks.tolist() == want_ranks.tolist()
 

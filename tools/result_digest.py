@@ -14,7 +14,8 @@ Two kinds of input are digested:
   folders at q = 0 and at 5 seeded configurations, and the benchmark's sweep model at
   seeds 1-3, each at its 16 configurations.  A digest covers every field
   of the count-check report, every K_l, every residual and G, as bytes, or
-  the type and message of the error a step raised.
+  the type and message of the error a step raised.  After each, one line
+  per tolerance of EXTRA_TOLERANCES digests the same at that tolerance.
 
 Two trees that print the same lines return the same bits on every input.
 
@@ -49,10 +50,14 @@ from urdfplus import (  # noqa: E402
     regular_numbering,
     serialize_urdf_plus,
 )
+from urdfplus.constraints import RANK_TOL  # noqa: E402
 from urdfplus.errors import UrdfPlusError  # noqa: E402
 
 SEEDED_CONFIGURATIONS = 5
 SWEEP_SEEDS = (1, 2, 3)
+# at 0.3 G's solve refuses pivots; at 2.0 every one-row member (a coupling's
+# row) refuses every column of the rank pass
+EXTRA_TOLERANCES = (0.3, 2.0)
 
 
 def _outcome(step) -> bytes:
@@ -101,11 +106,11 @@ def text_inputs():
             1000 + k, workloads.LADDER_BODIES, workloads.LADDER_LOOPS, name=f"ladder{k}").text
 
 
-def digest(numbered, graph, lacg, q) -> str:
-    """The SHA-256 of the report, K_l, residuals and G at q."""
+def digest(numbered, graph, lacg, q, tol=RANK_TOL) -> str:
+    """The SHA-256 of the report, K_l, residuals and G at q and tol."""
 
     def report():
-        report = independent_coordinate_check(numbered, graph, lacg, q)
+        report = independent_coordinate_check(numbered, graph, lacg, q, tol)
         return [report, *(jac.matrix.tobytes() for jac in report.jacobians)]
 
     def jacobians():
@@ -117,7 +122,7 @@ def digest(numbered, graph, lacg, q) -> str:
                 for number, _ in numbered.loop_entries]
 
     def explicit():
-        g = explicit_jacobian_for_model(numbered, graph, q)
+        g = explicit_jacobian_for_model(numbered, graph, q, tol)
         return [g.row_coordinates, g.independent, g.matrix.shape, g.matrix.tobytes()]
 
     sha = hashlib.sha256()
@@ -156,6 +161,8 @@ def main() -> None:
         print(f"{text_digest(data)}  {name} read")
     for name, numbered, graph, lacg, q in (*model_inputs(), *sweep_inputs()):
         print(f"{digest(numbered, graph, lacg, q)}  {name}")
+        for tol in EXTRA_TOLERANCES:
+            print(f"{digest(numbered, graph, lacg, q, tol)}  {name} tol {tol}")
 
 
 if __name__ == "__main__":
