@@ -398,8 +398,7 @@ class _LoopGroups:
         system = np.zeros((self.count, self._size, self._size + self._rhs))
         system.put(system_to, reduced.take(system_from))
         with np.errstate(all="ignore"):  # an overflow is reported below
-            solved = np.negative(_back_substitute(*_eliminate_batch(system, layout, tol))
-                                 .take(g_from))
+            solved = -_back_substitute(*_eliminate_batch(system, layout, tol)).take(g_from)
         if not np.isfinite(solved).all():  # g_from's first non-finite entry names the group
             member = g_from[np.isfinite(solved).argmin()] // (self._size * self._rhs)
             raise _overflow(terms[self.first[member]][0], "entry in the solve for G")
