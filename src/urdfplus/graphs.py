@@ -269,13 +269,25 @@ def build_pipeline(numbered: NumberedModel):
 # -- DOT rendering ------------------------------------------------------------
 
 
+def _dot_escape(text: str) -> str:
+    """text as it goes between a DOT string's quotes: backslashes first,
+    then double quotes escaped."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def _dot_string(text: str) -> str:
-    """A DOT quoted string: backslashes first, then double quotes escaped."""
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    """A DOT quoted string."""
+    return '"' + _dot_escape(text) + '"'
 
 
-def _dot_node(index: int, label: str) -> str:
-    return f"  n{index} [label={_dot_string(f'{label} ({index})')}];"
+def _dot_names(names) -> list[str]:
+    """Each name escaped by _dot_escape; one search over all of them first,
+    as a name seldom holds a backslash or a double quote."""
+    names = list(map(str, names))
+    text = "".join(names)
+    if "\\" in text or '"' in text:
+        return list(map(_dot_escape, names))
+    return names
 
 
 def _dot_edges(graph: ConnectivityGraph) -> list[str]:
@@ -291,29 +303,29 @@ def export_dot(obj) -> str:
     """Render a ConnectivityGraph, Digraph, or LoopAggregatedGraph as DOT.
 
     Connectivity-graph loop edges are dashed; aggregates become clusters.
-    Output ordering is deterministic.
+    Output ordering is deterministic.  A node's label is its name and, in
+    parentheses, its index.
     """
     if isinstance(obj, ConnectivityGraph):
         lines = ["graph connectivity {"]
-        for i, name in enumerate(obj.body_names):
-            lines.append(_dot_node(i, name))
+        lines += [f'  n{i} [label="{name} ({i})"];'
+                  for i, name in enumerate(_dot_names(obj.body_names))]
         lines += _dot_edges(obj)
     elif isinstance(obj, Digraph):
         lines = ["digraph dependencies {"]
-        for i in range(obj.n_nodes):
-            label = obj.labels[i] if obj.labels else str(i)
-            lines.append(_dot_node(i, label))
-        for u, v in obj.edges:
-            lines.append(f"  n{u} -> n{v};")
+        labels = _dot_names(obj.labels) if obj.labels else range(obj.n_nodes)
+        lines += [f'  n{i} [label="{labels[i]} ({i})"];' for i in range(obj.n_nodes)]
+        lines += [f"  n{u} -> n{v};" for u, v in obj.edges]
     elif isinstance(obj, LoopAggregatedGraph):
         graph = obj.graph
+        names = _dot_names(graph.body_names)
         lines = ["graph aggregated {"]
         for aggregate in obj.aggregates:
             lines.append(f"  subgraph cluster_{aggregate.index} {{")
             label = "root" if aggregate.parent is None else f"aggregate {aggregate.index}"
             lines.append(f'    label="{label}";')
-            for body in aggregate.bodies:
-                lines.append("  " + _dot_node(body, graph.body_names[body]))
+            lines += [f'    n{body} [label="{names[body]} ({body})"];'
+                      for body in aggregate.bodies]
             lines.append("  }")
         lines += _dot_edges(graph)
     else:

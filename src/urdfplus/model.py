@@ -220,13 +220,16 @@ def _validate(model: RobotModel) -> ValidationReport:
             violations.append(Violation(code, same, name))
 
     for joint in model.tree_joints:
-        check_ends(joint.name, "joint", joint.parent, joint.child,
-                   "self-joint", "joint parent equals child")
-        if joint.joint_type.requires_axis and joint.axis is None:
-            violations.append(
-                Violation("axis-missing", "joint type requires an axis", joint.name)
-            )
-        if not joint.joint_type.requires_axis and joint.axis is not None:
+        parent, child = joint.parent, joint.child
+        if parent == child or parent not in known or child not in known:
+            check_ends(joint.name, "joint", parent, child,
+                       "self-joint", "joint parent equals child")
+        if joint.joint_type.requires_axis:
+            if joint.axis is None:
+                violations.append(
+                    Violation("axis-missing", "joint type requires an axis", joint.name)
+                )
+        elif joint.axis is not None:
             violations.append(
                 Violation("axis-unused", "joint type takes no axis", joint.name)
             )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from functools import cached_property
+from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
@@ -100,11 +101,14 @@ def rot_from_rpy(roll: float, pitch: float, yaw: float) -> np.ndarray:
 
 
 def _rots_from_rpy(triples) -> np.ndarray:
-    """rot_from_rpy of each (roll, pitch, yaw) triple, as one (K, 3, 3) array.
+    """rot_from_rpy of each (roll, pitch, yaw) triple, as one (K, 3, 3) array."""
+    return _rpy_product(_rpy_factors(triples))
 
-    One stacked product multiplies the factors of _rpy_factors in order, so
-    a rotation has the same bits whether it is made alone or among many."""
-    factors = _rpy_factors(triples)
+
+def _rpy_product(factors: np.ndarray) -> np.ndarray:
+    """The rotations whose _rpy_factors are `factors`, multiplied in one
+    stacked product in a fixed order, so a rotation has the same bits
+    whether it is made alone or among many."""
     return factors[:, 0] @ factors[:, 1] @ factors[:, 2]
 
 
@@ -113,19 +117,25 @@ def _rots_from_rpy(triples) -> np.ndarray:
 _RPY_FACTOR_AT = np.array([2, 8, 9, 5, 2, 9, 9, 9, 10,
                            1, 9, 4, 9, 10, 9, 7, 9, 1,
                            10, 9, 9, 9, 0, 6, 9, 3, 0])
+_ZERO_ONE = np.array([0.0, 1.0])  # the last two of those
 
 
 def _rpy_factors(triples) -> np.ndarray:
     """The rotations about z by yaw, about y by pitch and about x by roll of
-    each (roll, pitch, yaw) triple, as one (K, 3, 3, 3) array.  Each triple
-    gives eleven values, and one gather places them: a 27-entry row per
-    triple would cost numpy a conversion per entry."""
-    values = []
-    for roll, pitch, yaw in triples:
-        sr, sp, sy = math.sin(roll), math.sin(pitch), math.sin(yaw)
-        values += (math.cos(roll), math.cos(pitch), math.cos(yaw),
-                   sr, sp, sy, -sr, -sp, -sy, 0.0, 1.0)
-    return np.array(values).reshape(-1, 11).take(_RPY_FACTOR_AT, axis=1).reshape(-1, 3, 3, 3)
+    each (roll, pitch, yaw) triple of a sequence, as one (K, 3, 3, 3) array.
+    One `map` each takes the cosines and the sines of all the angles; each
+    triple's row holds its three cosines, sines and negated sines, 0.0 and
+    1.0, and one gather places them: a 27-entry row per triple would cost
+    numpy a conversion per entry."""
+    angles = list(chain.from_iterable(triples))
+    n = len(angles)
+    values = np.empty((n // 3, 11))
+    values[:, :3] = np.fromiter(map(math.cos, angles), float, n).reshape(-1, 3)
+    sines = np.fromiter(map(math.sin, angles), float, n).reshape(-1, 3)
+    values[:, 3:6] = sines
+    np.negative(sines, out=values[:, 6:9])
+    values[:, 9:] = _ZERO_ONE
+    return values.take(_RPY_FACTOR_AT, axis=1).reshape(-1, 3, 3, 3)
 
 
 def _rpy_from_rows(rows) -> tuple[float, float, float]:
@@ -371,7 +381,7 @@ class _JointStack:
         s[:, 0, 0] = 1.0
         s[:, :3, 1] = x_t @ np.array([0.0, 1.0, 0.0])
         s[:, :3, 2] = x_t @ y_t @ np.array([0.0, 0.0, 1.0])
-        s[:, 3:, 3:] = _rots_from_rpy(rpy).transpose(0, 2, 1)
+        s[:, 3:, 3:] = _rpy_product(factors).transpose(0, 2, 1)
         return s
 
 

@@ -21,24 +21,30 @@ interprets each child of ``<robot>`` at that child's end event, so only one
 top-level element's subtree is alive at a time.  In that subtree a node is
 a plain tuple or list, not an object: a leaf an interpreter reads (origin,
 axis, mass, parent, ratio, mimic, ...) is a tuple of its tag, attribute
-dict and position; an element whose children an interpreter reads, and a
-preserved element, is a list that also holds the byte indices of its start
-and end tags and its children; nothing below a leaf or inside a preserved
-element is kept.  The child rule runs in two halves: at a child's start
-tag the first child of each tag its parent takes once is filed by tag, and
-the interpreter walks only the children left (repeats, preserved and
-unknown children) in document order.  A syntax error anywhere wins;
-otherwise the first interpretation error in document order is raised once
-expat has read the whole document.  The interpreters build the model's
-records positionally, their cheapest call.
+dict and position; a preserved element is a list that also holds the byte
+indices of its start and end tags, and an element whose children an
+interpreter reads is such a list that goes on with its children; nothing
+below a leaf or inside a preserved element is kept.  The child rule runs
+in two halves: at a child's start tag the first child of each tag its
+parent takes once is filed by tag, and the interpreter walks only the
+children left (repeats, preserved and unknown children) in document order.
+A syntax error anywhere wins; otherwise the first interpretation error in
+document order is raised once expat has read the whole document.  The
+interpreters build the model's records positionally, their cheapest call,
+and a diagnostic's path only when they make the diagnostic.
 
 The writer emits each element as one string, each name escaped where it
 is written.  A name that XML 1.0 cannot carry (a C0 control other than tab,
 newline and carriage return, a surrogate, U+FFFE or U+FFFF) is refused, as
 is a number that is not finite, so the text written always parses back.
-A payload blob is parsed alone, once per distinct blob in a write, to
-check that it reads back as itself; the reader puts each preserved element
-whose source holds an '&' through the same check and warns when it fails.
+A payload blob must read back alone as itself, one well-formed element.
+The reader proves that of the blobs it reads from a document that expat
+reads as UTF-8: of a blob without an '&' by the document's own parse, of
+one holding an '&' by parsing it alone (and warns when that fails, in any
+encoding).  The model it returns keeps the texts it proved, and the writer
+parses alone, once per distinct blob in a write, every other blob: one a
+caller put in the model, or any blob of a model made anew from another's
+fields.  The writer checks every blob's tag against its owner's rule.
 """
 
 from __future__ import annotations
@@ -93,10 +99,12 @@ _JOINT_TYPES = {jt.value: jt for jt in JointType}
 # A node's fields by index.  A leaf is the tuple (tag, attrib, line,
 # column); an element node is the list [tag, attrib, line, column, start
 # byte (its '<'), close byte (set at the end event of a preserved or
-# unknown element), found (its first child of each tag its rule takes
-# once, by tag), *rest (its other children, in document order)].
+# unknown element)], and one whose children an interpreter reads goes on
+# with found (its first child of each tag its rule takes once, by tag) and
+# *rest (its other children, in document order).
 _TAG, _ATTRIB, _LINE, _COLUMN, _START, _CLOSE, _FOUND, _REST = range(8)
 _AT = slice(_LINE, _START)  # a node's (line, column)
+_AMP = ord("&")  # a byte, as `in` finds an int in bytes faster than a bytes
 
 
 @_record
@@ -143,12 +151,20 @@ class _Interpreter:
 
     def __init__(self, data: bytes):
         self.data = data
+        # whether expat reads the document as UTF-8, as the writer's blob
+        # check reads a blob: only then does the document's parse prove a
+        # blob's source (see raw)
+        self.utf8 = True
         self.warnings: list[ParseDiagnostic] = []
         self.counters = {"joint": 0, "loop": 0, "coupling": 0}
-        # each <origin>'s transform with its rpy and xyz: one stacked product
-        # at the end of the read gives all their rotations, so no origin
-        # costs numpy calls of its own
-        self.origins: list[tuple[SpatialTransform, tuple, tuple]] = []
+        # the robot child being read, for a diagnostic's path (see path)
+        self.kind = self.name = ""
+        # each <origin>'s transform, and its rpy and its xyz in two flat
+        # lists: one stacked product at the end of the read gives all their
+        # rotations, so no origin costs numpy calls or tuples of its own
+        self.origins: list[SpatialTransform] = []
+        self.angles: list[float] = []
+        self.offsets: list[float] = []
         self.root = None  # the <robot> node
         self.links: list[Link] = []
         self.joints: list[TreeJoint] = []
@@ -156,174 +172,195 @@ class _Interpreter:
         self.couplings: list[Coupling] = []
         self.payload: list[str] = []
         self.mimics: list[tuple] = []
+        self.proven: set[str] = set()  # the blobs known to be well-formed alone (see raw)
 
-    def warn(self, element, message: str, path: str = ""):
+    def declared(self, _version, encoding, _standalone):
+        """expat's XML declaration handler."""
+        self.utf8 = encoding is None or encoding.lower() == "utf-8"
+
+    def path(self, suffix: str = "") -> str:
+        """A diagnostic's path: the robot child being read, by kind and name,
+        then `suffix`, the element within it.  The interpreters pass the
+        suffix alone, so a path is built only for a diagnostic."""
+        return f"robot/{self.kind}({self.name}){suffix}"
+
+    def warn(self, element, message: str, path: str):
         self.warnings.append(ParseDiagnostic("warning", *element[_AT], message, path))
 
     def raw(self, element, path: str) -> str:
         """Source text of a preserved element, its extent taken from the XML
-        grammar: no STag has '/' before its '>', so a tag ending in '/>' is
-        a whole empty element, and any other element ends at the '>' after
-        the '</' that expat reported at its end event.  A source holding an
-        '&' goes through the writer's blob check, and a warning names what
-        keeps it from being written back (a reference to an entity that the
-        document declares)."""
+        grammar and from where expat reports its end event: just past an
+        empty-element tag's '/>', and at the '</' of any other element's end
+        tag.  No STag has '/' before its '>', so the element is empty when
+        its start tag ends in '/>' there; any other element ends at the '>'
+        after that '</'.  A source holding an '&' goes through the writer's
+        blob check, and a warning names what keeps it from being written
+        back (a reference to an entity that the document declares); any
+        other source of a document read as UTF-8 is one well-formed element
+        alone, proven by the document's parse.  The text of each source so
+        proven, by either route, goes into `proven`."""
         data, start = self.data, element[_START]
-        if data.startswith(b"&", start):  # elements from an entity sit at its '&'
+        if data[start] == _AMP:  # elements from an entity sit at its '&'
             msg = f"preserved <{element[_TAG]}> comes from an entity reference"
             raise XmlSyntaxError(msg, *element[_AT])
-        end = _scan_tag_end(data, start)
-        if not data.endswith(b"/>", start, end):
-            end = _scan_tag_end(data, element[_CLOSE])
+        end = element[_CLOSE]  # where expat reported its end event
+        if not (data.endswith(b"/>", start, end) and _scan_tag_end(data, start) == end):
+            end = data.find(b">", end) + 1  # past its end tag
         source = data[start:end]
         # expat admits no NUL in an ASCII-compatible encoding: one means UTF-16
-        if b"\0" not in source:
+        if 0 not in source:
             try:
                 text = source.decode("utf-8")
             except UnicodeDecodeError:
                 pass
             else:
-                if b"&" in source and (fault := _blob_fault(text)) is not None:
-                    self.warn(element, f"preserved <{element[_TAG]}> cannot be written "
-                                       f"back: alone, it {fault}", path)
+                if _AMP not in source:
+                    if self.utf8:
+                        self.proven.add(text)
+                    return text
+                if (fault := _blob_fault(text)) is None:
+                    self.proven.add(text)
+                    return text
+                self.warn(element, f"preserved <{element[_TAG]}> cannot be written "
+                                   f"back: alone, it {fault}", path)
                 return text
         raise XmlSyntaxError(f"preserved <{element[_TAG]}> is not UTF-8", *element[_AT])
 
-    # -- attribute and numeric helpers ------------------------------------
+    # -- attribute and numeric helpers: each takes the suffix of its path ---
 
-    def require_attr(self, element, attr: str, path: str) -> str:
+    def require_attr(self, element, attr: str, suffix: str) -> str:
         value = element[_ATTRIB].get(attr)
         if value is None:
             raise MissingAttributeError(f"<{element[_TAG]}> requires attribute {attr!r}",
-                                        *element[_AT], path)
+                                        *element[_AT], self.path(suffix))
         return value
 
-    def parse_float(self, text: str, element, path: str) -> float:
+    def parse_float(self, text: str, element, suffix: str) -> float:
         try:
             if not _plain_number(text):
                 raise ValueError
             value = float(text)
         except ValueError:
-            raise InvalidNumberError(f"invalid number {text!r}", *element[_AT], path) from None
+            raise InvalidNumberError(f"invalid number {text!r}", *element[_AT],
+                                     self.path(suffix)) from None
         if not math.isfinite(value):
-            raise InvalidNumberError(f"non-finite number {text!r}", *element[_AT], path)
+            raise InvalidNumberError(f"non-finite number {text!r}", *element[_AT],
+                                     self.path(suffix))
         return value
 
-    def parse_triple(self, text: str, element, path: str):
+    def parse_triple(self, text: str, element, suffix: str):
         try:
-            x, y, z = map(float, text.split())
+            x, y, z = text.split()
+            x, y, z = float(x), float(y), float(z)
         except ValueError:  # not three numbers
             pass
         else:
-            if math.isfinite(x + y + z) and _plain_number(text):  # finite, plain numbers
+            if math.isfinite(x + y + z) and _plain_number(text):
                 return x, y, z
         parts = text.split()
         if len(parts) != 3:
             raise InvalidNumberError(f"expected 3 numbers, got {len(parts)} in {text!r}",
-                                     *element[_AT], path)
+                                     *element[_AT], self.path(suffix))
         # raises, naming the first part that is not a finite number (the
         # whole text if any of it is not ASCII), unless only the sum overflowed
-        return tuple([self.parse_float(p if text.isascii() else text, element, path)
+        return tuple([self.parse_float(p if text.isascii() else text, element, suffix)
                       for p in parts])
 
-    def parse_bool(self, text: str, element, path: str) -> bool:
-        if text == "true":
-            return True
-        if text == "false":
-            return False
-        raise InvalidNumberError(f"expected 'true' or 'false', got {text!r}",
-                                 *element[_AT], path)
-
-    def auto_name(self, element, kind: str, path: str) -> str:
-        name = element[_ATTRIB].get("name")
-        if name:
-            return name
+    def auto_name(self, element, kind: str) -> str:
+        """A name for an unnamed <kind>, with a warning."""
         generated = f"{kind}_{self.counters[kind]}"
-        self.warn(element, f"unnamed <{element[_TAG]}> assigned name {generated!r}", path)
+        self.warn(element, f"unnamed <{element[_TAG]}> assigned name {generated!r}",
+                  f"robot/{kind}")
         return generated
 
     # -- shared sub-elements ----------------------------------------------
 
-    def parse_origin(self, element, path: str) -> SpatialTransform:
+    def parse_origin(self, element, suffix: str) -> SpatialTransform:
         """The pose an <origin> states (the identity when there is none);
-        interpret sets its rot and trans once the document is read."""
+        finish sets its rot and trans once the document is read."""
         if element is None:
             return SpatialTransform.identity()
         attrib = element[_ATTRIB]
         xyz = rpy = (0.0, 0.0, 0.0)
         if "xyz" in attrib:
-            xyz = self.parse_triple(attrib["xyz"], element, path)
+            xyz = self.parse_triple(attrib["xyz"], element, suffix)
         if "rpy" in attrib:
-            rpy = self.parse_triple(attrib["rpy"], element, path)
-        origin = SpatialTransform._raw(None, None)
-        self.origins.append((origin, rpy, xyz))
+            rpy = self.parse_triple(attrib["rpy"], element, suffix)
+        origin = object.__new__(SpatialTransform)  # finish sets its fields
+        self.origins.append(origin)
+        self.angles += rpy
+        self.offsets += xyz
         return origin
 
-    def parse_axis(self, element, path: str):
+    def parse_axis(self, element, suffix: str):
         """Unit direction from an <axis>/<axis2> element; nonzero vectors
         are normalized, matching common URDF tooling."""
         xyz = element[_ATTRIB].get("xyz", "1 0 0")
-        x, y, z = self.parse_triple(xyz, element, path)
+        x, y, z = self.parse_triple(xyz, element, suffix)
         norm = math.sqrt(sum([x * x, y * y, z * z]))
         if not math.isfinite(norm):  # the squares overflow: scale down first
             scale = max(abs(x), abs(y), abs(z))
             x, y, z = x / scale, y / scale, z / scale
             norm = math.sqrt(sum([x * x, y * y, z * z]))
         if norm < 1e-12:
-            raise InvalidNumberError(f"axis {xyz!r} has zero length", *element[_AT], path)
+            raise InvalidNumberError(f"axis {xyz!r} has zero length", *element[_AT],
+                                     self.path(suffix))
         return x / norm, y / norm, z / norm
 
-    def joint_axes(self, element, jtype: JointType, found: dict, path: str):
+    def joint_axes(self, element, jtype: JointType):
         """The (axis, axis2) a <joint> or <loop> of type jtype keeps from its
-        children `found` by tag: the URDF default axis if it needs one, and
-        no axis it takes none of (dropped with a warning)."""
+        children: the URDF default axis if it needs one, and no axis it
+        takes none of (dropped with a warning)."""
+        found = element[_FOUND]
         axis, axis2 = found.get("axis"), found.get("axis2")
         if axis is not None:
-            axis = self.parse_axis(axis, f"{path}/axis")
+            axis = self.parse_axis(axis, "/axis")
         if axis2 is not None:
-            axis2 = self.parse_axis(axis2, f"{path}/axis2")
-        requires_axis = jtype.requires_axis
-        if requires_axis and axis is None:
-            axis = (1.0, 0.0, 0.0)
-        if not requires_axis and axis is not None:
-            self.warn(element, f"axis ignored on {jtype.value} joint", path)
+            axis2 = self.parse_axis(axis2, "/axis2")
+        if jtype.requires_axis:
+            if axis is None:
+                axis = (1.0, 0.0, 0.0)
+        elif axis is not None:
+            self.warn(element, f"axis ignored on {jtype.value} joint", self.path())
             axis = None
         if axis2 is not None and jtype is not JointType.UNIVERSAL:
-            self.warn(element, f"axis2 ignored on {jtype.value} joint", path)
+            self.warn(element, f"axis2 ignored on {jtype.value} joint", self.path())
             axis2 = None
         return axis, axis2
 
-    def parse_link_ref(self, element, path: str) -> str:
+    def parse_link_ref(self, element, suffix: str) -> str:
         # standard URDF spells it link="..."; the loop/coupling templates and
         # some writers use name="..." -- accept both
-        value = element[_ATTRIB].get("link", element[_ATTRIB].get("name"))
+        attrib = element[_ATTRIB]
+        value = attrib.get("link")
         if value is None:
-            raise MissingAttributeError(f"<{element[_TAG]}> requires attribute 'link' (or "
-                                        "'name')", *element[_AT], path)
+            value = attrib.get("name")
+            if value is None:
+                raise MissingAttributeError(f"<{element[_TAG]}> requires attribute 'link' "
+                                            "(or 'name')", *element[_AT], self.path(suffix))
         return value
 
-    def joint_type(self, element, path: str) -> JointType:
-        text = self.require_attr(element, "type", path)
+    def joint_type(self, element) -> JointType:
+        jtype = _JOINT_TYPES.get(element[_ATTRIB].get("type"))
+        if jtype is not None:
+            return jtype
+        text = self.require_attr(element, "type", "")
         if text == "planar":
             raise UnknownJointTypeError(
                 "joint type 'planar' is not supported; model it with two "
-                "prismatic joints and a continuous joint", *element[_AT], path)
-        jtype = _JOINT_TYPES.get(text)
-        if jtype is None:
-            raise UnknownJointTypeError(f"unknown joint type {text!r}", *element[_AT], path)
-        return jtype
+                "prismatic joints and a continuous joint", *element[_AT], self.path())
+        raise UnknownJointTypeError(f"unknown joint type {text!r}", *element[_AT], self.path())
 
-    def read_children(self, element, path: str, preserved=()):
+    def read_children(self, element, suffix: str, preserved=()) -> tuple:
         """The one child rule: the first child of each tag the element's rule
-        takes once comes back by tag in a dict (the reader filed it at its
-        start tag), a repeat of it an error; a tag in `preserved` (every
-        other tag when it is None) adds its source text to the payload in
+        takes once is in its found dict (the reader filed it at its start
+        tag), a repeat of it an error; a tag in `preserved` (every other tag
+        when it is None) adds its source text to the payload returned, in
         document order; any other tag is an error.  Both errors sit at the
         child."""
-        found = element[_FOUND]
-        if len(element) == _REST:
-            return found, ()
-        payload = []
+        if len(element) == _REST:  # no children
+            return ()
+        found, payload, path = element[_FOUND], [], self.path(suffix)
         for child in element[_REST:]:
             tag = child[_TAG]
             if tag in found:
@@ -334,33 +371,39 @@ class _Interpreter:
             else:
                 raise UnknownElementError(f"unknown element <{tag}> inside <{element[_TAG]}>",
                                           *child[_AT], path)
-        return found, tuple(payload)
+        return tuple(payload)
 
     # -- element interpreters ----------------------------------------------
 
     def parse_link(self, element) -> Link:
-        name = self.require_attr(element, "name", "robot/link")
-        path = f"robot/link({name})"
-        found, payload = self.read_children(element, path, preserved=None)
-        inertial = found.get("inertial")
+        name = element[_ATTRIB].get("name")
+        if name is None:
+            raise MissingAttributeError("<link> requires attribute 'name'", *element[_AT],
+                                        "robot/link")
+        self.kind, self.name = "link", name
+        payload = self.read_children(element, "", preserved=None)
+        inertial = element[_FOUND].get("inertial")
         if inertial is not None:
-            inertial = self.parse_inertial(inertial, f"{path}/inertial")
+            inertial = self.parse_inertial(inertial)
         return Link(name, inertial, payload)
 
-    def parse_inertial(self, element, path: str) -> Inertial:
-        found, _ = self.read_children(element, path)
+    def parse_inertial(self, element) -> Inertial:
+        self.read_children(element, "/inertial")
+        found = element[_FOUND]
         mass = 0.0
         mass_el = found.get("mass")
         if mass_el is not None:
-            mass = self.parse_float(self.require_attr(mass_el, "value", path), mass_el, path)
+            mass = self.parse_float(self.require_attr(mass_el, "value", "/inertial"), mass_el,
+                                    "/inertial")
         com = (0.0, 0.0, 0.0)
         rot = None
         origin_el = found.get("origin")
         if origin_el is not None:
-            if "xyz" in origin_el[_ATTRIB]:
-                com = self.parse_triple(origin_el[_ATTRIB]["xyz"], origin_el, path)
-            if "rpy" in origin_el[_ATTRIB]:
-                rpy = self.parse_triple(origin_el[_ATTRIB]["rpy"], origin_el, path)
+            attrib = origin_el[_ATTRIB]
+            if "xyz" in attrib:
+                com = self.parse_triple(attrib["xyz"], origin_el, "/inertial")
+            if "rpy" in attrib:
+                rpy = self.parse_triple(attrib["rpy"], origin_el, "/inertial")
                 if any(rpy):
                     rot = rot_from_rpy(*rpy)
         inertia = ((0.0,) * 3,) * 3
@@ -375,8 +418,8 @@ class _Interpreter:
             if not finite:
                 # raises at the first missing, non-finite or not plain value,
                 # unless only the sum overflowed
-                values = [self.parse_float(self.require_attr(inertia_el, key, path),
-                                           inertia_el, path) for key in keys]
+                values = [self.parse_float(self.require_attr(inertia_el, key, "/inertial"),
+                                           inertia_el, "/inertial") for key in keys]
             ixx, ixy, ixz, iyy, iyz, izz = values
             inertia = ((ixx, ixy, ixz), (ixy, iyy, iyz), (ixz, iyz, izz))
         if rot is not None:
@@ -389,78 +432,84 @@ class _Interpreter:
         """Returns (TreeJoint, mimic | None); mimic resolution happens after
         every joint is known."""
         self.counters["joint"] += 1
-        name = self.auto_name(element, "joint", "robot/joint")
-        path = f"robot/joint({name})"
-        jtype = self.joint_type(element, path)
-        independent = None
-        if "independent" in element[_ATTRIB]:
-            independent = self.parse_bool(element[_ATTRIB]["independent"], element, path)
-        found, payload = self.read_children(element, path, _JOINT_PAYLOAD_TAGS)
+        attrib, found = element[_ATTRIB], element[_FOUND]
+        name = attrib.get("name") or self.auto_name(element, "joint")
+        self.kind, self.name = "joint", name
+        jtype = self.joint_type(element)
+        independent = attrib.get("independent")
+        if independent is not None:
+            if independent not in ("true", "false"):
+                raise InvalidNumberError(f"expected 'true' or 'false', got {independent!r}",
+                                         *element[_AT], self.path())
+            independent = independent == "true"
+        payload = self.read_children(element, "", _JOINT_PAYLOAD_TAGS)
         if "parent" not in found or "child" not in found:
             raise MissingAttributeError("<joint> requires <parent> and <child> elements",
-                                        *element[_AT], path)
-        origin = self.parse_origin(found.get("origin"), f"{path}/origin")
-        parent = self.parse_link_ref(found["parent"], f"{path}/parent")
-        child = self.parse_link_ref(found["child"], f"{path}/child")
-        axis, axis2 = self.joint_axes(element, jtype, found, path)
+                                        *element[_AT], self.path())
+        origin = self.parse_origin(found.get("origin"), "/origin")
+        parent = self.parse_link_ref(found["parent"], "/parent")
+        child = self.parse_link_ref(found["child"], "/child")
+        axis, axis2 = self.joint_axes(element, jtype)
         mimic = found.get("mimic")
         if mimic is not None:
-            mimic = self.parse_mimic(mimic, name, f"{path}/mimic")
+            mimic = self.parse_mimic(mimic, name)
         return TreeJoint(name, jtype, parent, child, origin, axis, axis2, independent,
                          payload), mimic
 
-    def parse_mimic(self, element, follower: str, path: str):
-        target = self.require_attr(element, "joint", path)
+    def parse_mimic(self, element, follower: str):
+        target = self.require_attr(element, "joint", "/mimic")
         multiplier = 1.0
         offset = 0.0
         if "multiplier" in element[_ATTRIB]:
-            multiplier = self.parse_float(element[_ATTRIB]["multiplier"], element, path)
+            multiplier = self.parse_float(element[_ATTRIB]["multiplier"], element, "/mimic")
         if "offset" in element[_ATTRIB]:
-            offset = self.parse_float(element[_ATTRIB]["offset"], element, path)
+            offset = self.parse_float(element[_ATTRIB]["offset"], element, "/mimic")
         if offset != 0.0:
             raise UnsupportedMimicOffsetError(
                 f"mimic with nonzero offset {offset} cannot be expressed as a "
-                "coupling", *element[_AT], path)
+                "coupling", *element[_AT], self.path("/mimic"))
         return (follower, target, multiplier, element)
 
     def parse_loop(self, element) -> LoopJoint:
         self.counters["loop"] += 1
-        name = self.auto_name(element, "loop", "robot/loop")
-        path = f"robot/loop({name})"
-        jtype = self.joint_type(element, path)
-        found, _ = self.read_children(element, path)
+        name = element[_ATTRIB].get("name") or self.auto_name(element, "loop")
+        self.kind, self.name = "loop", name
+        jtype = self.joint_type(element)
+        self.read_children(element, "")
+        found = element[_FOUND]
         links, origins = [], []  # of the predecessor, then the successor
-        for tag in ("predecessor", "successor"):
-            if tag not in found:
+        for tag, suffix in (("predecessor", "/predecessor"), ("successor", "/successor")):
+            end = found.get(tag)
+            if end is None:
                 raise MissingAttributeError(f"<loop> requires a <{tag}> element",
-                                            *element[_AT], path)
-            end, end_path = found[tag], f"{path}/{tag}"
-            origin = self.read_children(end, end_path)[0].get("origin")
-            links.append(self.parse_link_ref(end, end_path))
-            origins.append(self.parse_origin(origin, end_path))
-        axis, axis2 = self.joint_axes(element, jtype, found, path)
+                                            *element[_AT], self.path())
+            self.read_children(end, suffix)
+            links.append(self.parse_link_ref(end, suffix))
+            origins.append(self.parse_origin(end[_FOUND].get("origin"), suffix))
+        axis, axis2 = self.joint_axes(element, jtype)
         return LoopJoint(name, jtype, *links, *origins, axis, axis2)
 
     def parse_coupling(self, element) -> Coupling:
         self.counters["coupling"] += 1
-        name = self.auto_name(element, "coupling", "robot/coupling")
-        path = f"robot/coupling({name})"
-        found, _ = self.read_children(element, path)
+        name = element[_ATTRIB].get("name") or self.auto_name(element, "coupling")
+        self.kind, self.name = "coupling", name
+        self.read_children(element, "")
+        found = element[_FOUND]
         if "predecessor" not in found or "successor" not in found:
             raise MissingAttributeError(
                 "<coupling> requires <predecessor> and <successor> elements",
-                *element[_AT], path)
+                *element[_AT], self.path())
         if "ratio" not in found:
             raise MissingAttributeError(
                 "<coupling> requires a <ratio> element with a 'value' attribute",
-                *element[_AT], path)
+                *element[_AT], self.path())
         ratio_el = found["ratio"]
         return Coupling(
             name,
-            self.parse_link_ref(found["predecessor"], f"{path}/predecessor"),
-            self.parse_link_ref(found["successor"], f"{path}/successor"),
-            self.parse_float(self.require_attr(ratio_el, "value", f"{path}/ratio"),
-                             ratio_el, f"{path}/ratio"),
+            self.parse_link_ref(found["predecessor"], "/predecessor"),
+            self.parse_link_ref(found["successor"], "/successor"),
+            self.parse_float(self.require_attr(ratio_el, "value", "/ratio"), ratio_el,
+                             "/ratio"),
         )
 
     # -- the read: <robot>, then each of its children, then the finish -----
@@ -505,11 +554,13 @@ class _Interpreter:
         if not self.links:
             self.warn(root, "robot has no links", "robot")
         if self.origins:
-            origins, rpys, xyzs = zip(*self.origins)
-            for origin, rot, trans in zip(origins, _rots_from_rpy(rpys), np.array(xyzs)):
+            angles = iter(self.angles)
+            rots = _rots_from_rpy(list(zip(angles, angles, angles)))
+            for origin, rot, trans in zip(self.origins, rots,
+                                          np.array(self.offsets).reshape(-1, 3)):
                 origin.rot, origin.trans = rot, trans
 
-        return RobotModel(
+        model = RobotModel(
             name=root[_ATTRIB].get("name", "robot"),
             links=tuple(self.links),
             tree_joints=tuple(self.joints),
@@ -517,6 +568,12 @@ class _Interpreter:
             couplings=tuple(couplings),
             payload=tuple(self.payload),
         )
+        # the texts of the blobs this read proved well-formed alone, kept out
+        # of the fields as cached_property keeps a value: a copy of the model
+        # keeps them, a model made anew from its fields (dataclasses.replace)
+        # does not, and the writer parses every blob not among them
+        model.__dict__["_proven_blobs"] = frozenset(self.proven)
+        return model
 
     def read(self, parser) -> RobotModel:
         """The one expat pass (see the module docstring).  Only start and end
@@ -555,6 +612,10 @@ class _Interpreter:
             if kind is _LEAF:
                 child = (tag, attrs, parser.CurrentLineNumber, parser.CurrentColumnNumber + 1)
                 push(_UNREAD)
+            elif kind is None:  # preserved or unknown: its children go unread
+                child = [tag, attrs, parser.CurrentLineNumber, parser.CurrentColumnNumber + 1,
+                         parser.CurrentByteIndex, None]
+                push((None, child))
             else:
                 child = [tag, attrs, parser.CurrentLineNumber, parser.CurrentColumnNumber + 1,
                          parser.CurrentByteIndex, None, {}]
@@ -616,7 +677,10 @@ def parse_urdf_plus(text: str | bytes) -> ParseResult:
     else:
         data, encoding = bytes(text), None
     interpreter = _Interpreter(data)
-    model = interpreter.read(expat.ParserCreate(encoding))
+    parser = expat.ParserCreate(encoding)
+    if encoding is None:  # bytes: expat reads them as their declaration says
+        parser.XmlDeclHandler = interpreter.declared
+    model = interpreter.read(parser)
     return ParseResult(model, interpreter.warnings)
 
 
@@ -693,9 +757,10 @@ def _origin_line(record, key: str, tag: str, indent: str) -> str:
 
 def _axis_lines(joint, tag: str) -> str:
     lines = ""
-    for key in ("axis", "axis2"):
-        if (axis := getattr(joint, key)) is not None:
-            lines += f'    <{key} xyz="{_finite(_fmt_triple(axis), joint, key, tag)}"/>\n'
+    if joint.axis is not None:
+        lines = f'    <axis xyz="{_finite(_fmt_triple(joint.axis), joint, "axis", tag)}"/>\n'
+    if joint.axis2 is not None:
+        lines += f'    <axis2 xyz="{_finite(_fmt_triple(joint.axis2), joint, "axis2", tag)}"/>\n'
     return lines
 
 
@@ -744,7 +809,8 @@ def _payload_lines(payload, indent: str, tag: str, name: str, sound: set) -> str
     must be one well-formed element alone, as the reader reads it back (see
     _blob_fault), and its tag must be one that a <tag> element keeps as
     payload.  Any other blob raises UrdfPlusError.  `sound` holds the blobs
-    of the write already found well-formed, each parsed once."""
+    known to be well-formed: those the reader proved, and those of the write
+    already parsed, each once."""
     once, preserved = _PAYLOAD_RULES[tag]
     for index, blob in enumerate(payload):
         if blob not in sound:
@@ -766,8 +832,9 @@ def serialize_urdf_plus(model: RobotModel) -> str:
     finite, or a payload blob that is not one well-formed element alone or
     that its owner would not read back as payload, raises UrdfPlusError."""
     # every payload is checked first, then the names and numbers in
-    # document order, each where it is written
-    sound: set[str] = set()
+    # document order, each where it is written; a blob the reader proved
+    # well-formed alone is not parsed again (_Interpreter.raw)
+    sound = set(getattr(model, "_proven_blobs", ()))
     links = [_payload_lines(link.payload, "    ", "link", link.name, sound) if link.payload
              else "" for link in model.links]
     joints = [_payload_lines(joint.payload, "    ", "joint", joint.name, sound)

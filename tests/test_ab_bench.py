@@ -68,12 +68,12 @@ def test_failed_runs_count_in_no_figure(ab_bench):
 
 def test_pairs_alternate_which_side_goes_first(ab_bench, monkeypatch):
     calls = []
-    monkeypatch.setattr(ab_bench, "run_once", lambda tree, workload, seconds: (
-        calls.append((tree, workload)) or {"correct": True, "failed": 0, "metrics": {}}))
+    monkeypatch.setattr(ab_bench, "run_once", lambda tree, workload, seconds, seed: (
+        calls.append((tree, workload, seed)) or {"correct": True, "failed": 0, "metrics": {}}))
     runs = ab_bench.run_pairs({"parent": "P", "change": "C"}, ["a", "b"], 2, 1.0,
                               log=lambda line: None)
-    assert calls == [("P", "a"), ("C", "a"), ("P", "b"), ("C", "b"),
-                     ("C", "a"), ("P", "a"), ("C", "b"), ("P", "b")]
+    assert calls == [("P", "a", 1), ("C", "a", 1), ("P", "b", 1), ("C", "b", 1),
+                     ("C", "a", 1), ("P", "a", 1), ("C", "b", 1), ("P", "b", 1)]
     assert [(r["pair"], r["side"]) for r in runs][:2] == [(1, "parent"), (1, "change")]
 
 
@@ -86,7 +86,8 @@ def test_exit_status_and_ledger(ab_bench, monkeypatch, tmp_path, capsys, failed,
     records = iter(canned())
     monkeypatch.setattr(ab_bench.subprocess, "run", lambda *args, **kwargs: None)
 
-    def run_once(tree, workload, seconds):
+    def run_once(tree, workload, seconds, seed):
+        assert seed == 1
         record = {key: next(records)[key] for key in ("correct", "failed", "metrics")}
         if tree.name == "change" and failed != 0:
             record["failed"] = failed
@@ -98,7 +99,38 @@ def test_exit_status_and_ledger(ab_bench, monkeypatch, tmp_path, capsys, failed,
                           "--out", str(out), "--pairs", "1", "--seconds", "1"]) == status
     ledger = json.loads(out.read_text())
     assert len(ledger["runs"]) == 2 and ledger["failed_runs"] == status
+    assert ledger["seed"] == 1
     assert set(ledger["summary"]["w"]) == {"ops_per_s", "setup_s"}
     if not status:  # one pair cannot resolve a metric, whatever its runs read
         assert ledger["summary"]["w"]["ops_per_s"]["resolved"] is False
     assert capsys.readouterr().out.startswith("| workload | metric |")
+
+
+def test_seed_reaches_every_run_and_the_ledger(ab_bench, monkeypatch, tmp_path, capsys):
+    for tree in ("parent", "change"):
+        (tmp_path / tree).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(
+        {**BENCHMARK, "workloads": [{"name": "w"}]}))
+    monkeypatch.setattr(ab_bench.subprocess, "run", lambda *args, **kwargs: None)
+    seeds = []
+    monkeypatch.setattr(ab_bench, "run_once", lambda tree, workload, seconds, seed: (
+        seeds.append(seed) or {"correct": True, "failed": 0, "metrics": {"ops_per_s": 1.0}}))
+    out = tmp_path / "BENCH.json"
+    assert ab_bench.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--out",
+                          str(out), "--pairs", "2", "--seconds", "1", "--seed", "2"]) == 0
+    assert seeds == [2, 2, 2, 2]
+    assert json.loads(out.read_text())["seed"] == 2
+    capsys.readouterr()
+
+
+def test_run_once_passes_the_seed_to_the_harness(ab_bench, monkeypatch):
+    commands = []
+
+    def fake_run(cmd, **kwargs):
+        commands.append(cmd)
+        return type("Done", (), {"stdout": '{"correct": true, "failed": 0, "metrics": {}}',
+                                 "stderr": "", "returncode": 0})()
+
+    monkeypatch.setattr(ab_bench.subprocess, "run", fake_run)
+    assert ab_bench.run_once(Path("."), "ladder_build", 1.0, 2)["correct"] is True
+    assert commands[0][commands[0].index("--seed") + 1] == "2"

@@ -80,6 +80,64 @@ def rot_z(a: float) -> np.ndarray:
     return sp._rpy_factors([(0.0, 0.0, a)])[0, 0]
 
 
+_RPY_FACTOR_AT = [2, 8, 9, 5, 2, 9, 9, 9, 10, 1, 9, 4, 9, 10, 9, 7, 9, 1,
+                  10, 9, 9, 9, 0, 6, 9, 3, 0]
+
+
+def rpy_factors_oracle(triples) -> np.ndarray:
+    """_rpy_factors as it was when it took each triple's sines and cosines
+    in turn, verbatim but for the names."""
+    values = []
+    for roll, pitch, yaw in triples:
+        sr, sp_, sy = math.sin(roll), math.sin(pitch), math.sin(yaw)
+        values += (math.cos(roll), math.cos(pitch), math.cos(yaw),
+                   sr, sp_, sy, -sr, -sp_, -sy, 0.0, 1.0)
+    return (np.array(values).reshape(-1, 11).take(np.array(_RPY_FACTOR_AT), axis=1)
+            .reshape(-1, 3, 3, 3))
+
+
+class TestRpyFactors:
+    """_rpy_factors takes the sines and cosines of all triples with one
+    `map` each, and keeps the bits the per-triple loop gave, signed zeros
+    included, at any count."""
+
+    @pytest.mark.parametrize("count", [1, 4, 15, 16, 960])
+    def test_bits_kept(self, count):
+        rng = np.random.default_rng(count)
+        triples = [tuple(row) for row in rng.uniform(-7.0, 7.0, (count, 3)).tolist()]
+        triples[0] = (-0.0, 0.0, math.pi / 2)
+        got = sp._rpy_factors(triples)
+        assert got.flags.c_contiguous and got.shape == (count, 3, 3, 3)
+        assert got.tobytes() == rpy_factors_oracle(triples).tobytes()
+
+    def test_lists_ints_and_no_triples(self):
+        for triples in ([[1, 0, -2], [0.5, -0.0, 3]], [[1, 0, -2], [0.5, -0.0, 3]] * 8):
+            assert sp._rpy_factors(triples).tobytes() == rpy_factors_oracle(triples).tobytes()
+        assert sp._rpy_factors([]).shape == (0, 3, 3, 3)
+
+    def test_floating_subspaces_make_the_factors_once(self, monkeypatch):
+        """A floating joint's rate directions and its rotation come from
+        one set of factors, with the bits _rots_from_rpy gives."""
+        joints = [Joint(JointType.FLOATING)] * 3
+        stack = sp._JointStack(joints, [0, 6, 12])
+        q = np.random.default_rng(7).uniform(-3.0, 3.0, 18)
+        q[6:9] = -0.0, 0.0, math.pi / 2
+        rpy = q.reshape(3, 6)[:, :3].tolist()
+        calls = []
+        factors = sp._rpy_factors
+        monkeypatch.setattr(sp, "_rpy_factors", lambda t: calls.append(t) or factors(t))
+        s = stack.subspaces(q, [0, 1, 2])
+        assert len(calls) == 1
+        monkeypatch.undo()
+        want = sp._rots_from_rpy(rpy).transpose(0, 2, 1)
+        assert s[:, 3:, 3:].tobytes() == np.ascontiguousarray(want).tobytes()
+        f = rpy_factors_oracle(rpy)
+        x_t, y_t = f[:, 2].transpose(0, 2, 1), f[:, 1].transpose(0, 2, 1)
+        assert s[:, :3, 1].tobytes() == (x_t @ np.array([0.0, 1.0, 0.0])).tobytes()
+        assert s[:, :3, 2].tobytes() == (x_t @ y_t @ np.array([0.0, 0.0, 1.0])).tobytes()
+        assert (s[:, :3, 0] == [1.0, 0.0, 0.0]).all() and not s[:, 3:, :3].any()
+
+
 class TestRotations:
     def test_rpy_zero_is_identity(self):
         assert np.allclose(sp.rot_from_rpy(0, 0, 0), np.eye(3))

@@ -1,3 +1,4 @@
+import copy
 import gc
 import math
 import random
@@ -18,6 +19,7 @@ from urdfplus.errors import (
 )
 from urdfplus.model import structurally_equal, validate_model
 from urdfplus.spatial import JointType, SpatialTransform
+import urdfplus.xmlio as xmlio
 from urdfplus.xmlio import parse_file, parse_urdf_plus, serialize_urdf_plus
 
 # the published sketch of the wrist, joints and loops unnamed, no geometry
@@ -640,6 +642,92 @@ class TestPayloadWriting:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+# a UTF-8 document with a preserved element of each owner's kind, and one
+# that two owners share
+PROVEN_DOCUMENT = (
+    '<robot name="r"><link name="a">'
+    '<visual><geometry><box size="1 1 1"/></geometry></visual></link>'
+    '<link name="b"><visual><geometry><box size="1 1 1"/></geometry></visual></link>'
+    '<joint name="j" type="fixed"><parent link="a"/><child link="b"/>'
+    '<limit effort="1" velocity="1"/></joint><material name="m"/></robot>')
+
+
+class TestWriterTrustBoundary:
+    """The writer does not parse again a blob the reader proved well-formed
+    alone, as long as it writes the model the reader made; it parses every
+    other blob, and applies the owner's tag rule to every blob."""
+
+    @pytest.fixture
+    def parsed_blobs(self, monkeypatch):
+        """The blobs the writer's check parses from here on, in order."""
+        seen = []
+        check = xmlio._blob_fault
+        monkeypatch.setattr(xmlio, "_blob_fault", lambda blob: seen.append(blob) or check(blob))
+        return seen
+
+    @pytest.mark.parametrize("as_bytes", [False, True])
+    def test_a_read_model_is_written_without_parsing_a_blob(self, parsed_blobs, as_bytes):
+        model = parse_urdf_plus(PROVEN_DOCUMENT.encode() if as_bytes else PROVEN_DOCUMENT).model
+        text = serialize_urdf_plus(model)
+        assert parsed_blobs == []
+        assert structurally_equal(parse_urdf_plus(text).model, model, tol=0.0)
+        assert serialize_urdf_plus(copy.deepcopy(model)) == text
+        assert parsed_blobs == []
+
+    def test_a_model_made_anew_has_each_distinct_blob_parsed_once(self, parsed_blobs):
+        model = parse_urdf_plus(PROVEN_DOCUMENT).model
+        text = serialize_urdf_plus(replace(model, name="r"))
+        assert parsed_blobs == [model.links[0].payload[0], model.tree_joints[0].payload[0],
+                                model.payload[0]]  # the two links' blobs are one text
+        assert text == serialize_urdf_plus(model)
+
+    @pytest.mark.parametrize("blob", ["<a><b/>", "<a/><b/>"])
+    def test_a_blob_added_to_a_read_model_is_refused(self, parsed_blobs, blob):
+        model = parse_urdf_plus(PROVEN_DOCUMENT).model
+        link = model.links[0]
+        model = replace(model, links=(replace(link, payload=(*link.payload, blob)),
+                                      *model.links[1:]))
+        with pytest.raises(UrdfPlusError) as err:
+            serialize_urdf_plus(model)
+        assert str(err.value) == ("cannot write <link> 'a': its payload blob 1 is not one "
+                                  "well-formed element alone")
+        # a model made anew has every blob parsed, the reader's first
+        assert parsed_blobs == [link.payload[0], blob]
+
+    def test_a_reader_blob_on_another_kind_of_owner_meets_the_tag_rule(self, parsed_blobs):
+        model = parse_urdf_plus(PROVEN_DOCUMENT).model
+        visual = model.links[0].payload[0]
+        joint = replace(model.tree_joints[0], payload=(visual,))
+        with pytest.raises(UrdfPlusError) as err:
+            serialize_urdf_plus(replace(model, tree_joints=(joint,)))
+        assert str(err.value) == ("cannot write <joint> 'j': its payload blob 0 is a "
+                                  "<visual>, which <joint> does not keep as payload")
+
+    def test_a_blob_the_reader_warned_about_is_refused(self, parsed_blobs):
+        result = parse_urdf_plus(entity_document("link", "<visual>&t;</visual>"))
+        assert len(result.warnings) == 1
+        parsed_blobs.clear()
+        with pytest.raises(UrdfPlusError, match="refers to the undefined entity &t;"):
+            serialize_urdf_plus(result.model)
+        assert parsed_blobs == ["<visual>&t;</visual>"]
+
+    def test_a_document_not_read_as_utf8_has_its_blobs_parsed(self, parsed_blobs):
+        """Read as ISO-8859-1, the bytes EF BF BE are three characters; as
+        UTF-8, which the writer writes and the check reads, they are U+FFFE,
+        which XML 1.0 cannot carry."""
+        def document(inside: bytes) -> bytes:
+            return (b'<?xml version="1.0" encoding="ISO-8859-1"?>\n<robot name="r">'
+                    b'<link name="a">' + inside + b'</link></robot>')
+
+        model = parse_urdf_plus(document(b"<visual>x</visual>")).model
+        assert serialize_urdf_plus(model).count("<visual>x</visual>") == 1
+        assert parsed_blobs == ["<visual>x</visual>"]
+        model = parse_urdf_plus(document(b"<visual>\xef\xbf\xbe</visual>")).model
+        assert model.links[0].payload == ("<visual>\ufffe</visual>",)
+        with pytest.raises(UrdfPlusError, match="is not one well-formed element alone"):
+            serialize_urdf_plus(model)
 
 
 UTF16_PAYLOAD = (

@@ -3,16 +3,19 @@
 write a ledger.
 
     python tools/ab_bench.py PARENT_TREE CHANGE_TREE --out BENCH_<pr>.json \\
-        [--pairs 3] [--seconds 30]
+        [--pairs 3] [--seconds 30] [--seed 1]
 
 Each tree is a full urdfplus checkout with its own `perfbench/run.py`.  Both
 get `python -m compileall -q src` first, so that neither pays for stale or
 missing bytecode when the interpreter is told not to write it.  Then, for
 each pair and each workload of BENCHMARK.json, the tool runs each tree's
-`perfbench/run.py --workload W --seed 1 --seconds S --trace 0`, one process
+`perfbench/run.py --workload W --seed N --seconds S --trace 0`, one process
 at a time: the parent first in odd pairs, the change first in even ones.
+The seed (1 unless --seed says otherwise) picks every workload's inputs, so
+a claim made on one seed can be checked on another.
 
-The ledger holds every run's end-to-end metrics, `correct` and `failed`;
+The ledger holds the seed, every run's end-to-end metrics, `correct` and
+`failed`;
 per workload and metric the median of each side, the parent's quartiles
 and interquartile range, the pairs the change won, and whether the change's
 median is worse than the parent's by more than the BENCHMARK.json bound.
@@ -36,14 +39,14 @@ import subprocess
 import sys
 from pathlib import Path
 
-SEED = 1
+SEED = 1  # the default
 SIDES = ("parent", "change")
 
 
-def run_once(tree: Path, workload: str, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seconds: float, seed: int) -> dict:
     """One run of the tree's own harness: its verdict and end-to-end metrics,
     or the reason it gave none."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
                           timeout=2 * seconds + 600)
@@ -59,14 +62,15 @@ def run_once(tree: Path, workload: str, seconds: float) -> dict:
             "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
 
 
-def run_pairs(trees: dict, workloads, pairs: int, seconds: float, log=print) -> list:
+def run_pairs(trees: dict, workloads, pairs: int, seconds: float, log=print,
+              seed: int = SEED) -> list:
     """Every run, in the order made: pair by pair, each workload in turn, the
     parent first in odd pairs."""
     runs = []
     for pair in range(1, pairs + 1):
         for workload in workloads:
             for side in SIDES if pair % 2 else SIDES[::-1]:
-                record = run_once(trees[side], workload, seconds)
+                record = run_once(trees[side], workload, seconds, seed)
                 runs.append({"pair": pair, "workload": workload, "side": side, **record})
                 log(f"pair {pair} {workload:<16} {side:<6} "
                     + (record.get("error") or " ".join(
@@ -149,6 +153,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True, help="the ledger to write")
     parser.add_argument("--pairs", type=int, default=3)
     parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seed", type=int, default=SEED,
+                        help="the workloads' seed (default %(default)s)")
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     benchmark = json.loads((trees["change"] / "BENCHMARK.json").read_text())
@@ -156,10 +162,10 @@ def main(argv=None) -> int:
     for tree in trees.values():
         subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=tree, check=True)
     runs = run_pairs(trees, workloads, args.pairs, args.seconds,
-                     log=lambda line: print(line, file=sys.stderr, flush=True))
+                     log=lambda line: print(line, file=sys.stderr, flush=True), seed=args.seed)
     summary = summarize(runs, benchmark)
     ledger = {
-        "seed": SEED, "seconds": args.seconds, "pairs": args.pairs, "workloads": workloads,
+        "seed": args.seed, "seconds": args.seconds, "pairs": args.pairs, "workloads": workloads,
         "host": {"machine": platform.machine(), "python": platform.python_version(),
                  "cpus": os.cpu_count()},
         "runs": runs, "summary": summary,
